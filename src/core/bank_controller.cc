@@ -33,7 +33,7 @@ BankController::enableFaults(const FaultPlan &plan, std::uint64_t stream)
     injector = std::make_unique<FaultInjector>(plan, stream);
 }
 
-void
+bool
 BankController::observeVecCommand(Cycle now, const VectorCommand &cmd)
 {
     // The broadcast may grow the FIFO below: credit any cycles this BC
@@ -58,10 +58,14 @@ BankController::observeVecCommand(Cycle now, const VectorCommand &cmd)
     st.got = 0;
     if (injector)
         st.cmd = cmd;
-    if (cmd.isRead) {
-        st.line.assign(cfg.lineWords, 0);
-        st.valid.assign(cfg.lineWords, 0);
-    }
+    // A hit sets up the read line buffer; a miss never touches it (the
+    // front end collects read data from hit controllers only).
+    auto stageRead = [&] {
+        if (cmd.isRead) {
+            st.line.assign(cfg.lineWords, 0);
+            st.valid.assign(cfg.lineWords, 0);
+        }
+    };
 
     if (cmd.mode != VectorCommand::Mode::Stride || geo.interleave() > 1) {
         // Extension modes (chapter 7) snoop the broadcast element stream
@@ -90,8 +94,9 @@ BankController::observeVecCommand(Cycle now, const VectorCommand &cmd)
         }
         st.expected = static_cast<std::uint32_t>(scratchAddrs.size());
         if (st.expected == 0)
-            return; // nothing here; trivially complete
+            return false; // nothing here; trivially complete
         ++statCommandsHit;
+        stageRead();
         if (fifo.size() >= cfg.fifoEntries) {
             throw SimError(SimErrorKind::Overflow, name(), now,
                            "request FIFO overflow");
@@ -119,7 +124,7 @@ BankController::observeVecCommand(Cycle now, const VectorCommand &cmd)
         }
         PVA_TRACE_INSTANT(traceTrack(), now, "observe", "txn",
                           cmd.txn, "elems", st.expected);
-        return;
+        return true;
     }
 
     // --- FirstHit Predictor (1 cycle) ---------------------------------
@@ -134,7 +139,7 @@ BankController::observeVecCommand(Cycle now, const VectorCommand &cmd)
         // No element of this vector lives here: this BC's share of the
         // transaction is trivially complete.
         st.expected = 0;
-        return;
+        return false;
     }
     ++statCommandsHit;
 
@@ -153,10 +158,11 @@ BankController::observeVecCommand(Cycle now, const VectorCommand &cmd)
             --sub.count; // lost the tail element
         } else {
             st.expected = 0; // predicted no-hit: sub-vector dropped
-            return;
+            return false;
         }
     }
     st.expected = sub.count;
+    stageRead();
 
     if (fifo.size() >= cfg.fifoEntries) {
         throw SimError(SimErrorKind::Overflow, name(), now,
@@ -206,6 +212,7 @@ BankController::observeVecCommand(Cycle now, const VectorCommand &cmd)
     req.explicitSlots.clear();
     PVA_TRACE_INSTANT(traceTrack(), now, "fh_hit", "txn", cmd.txn,
                       "elems", st.expected);
+    return true;
 }
 
 void
@@ -237,7 +244,6 @@ BankController::drainDeviceReturns(Cycle now)
 {
     ReadReturn r;
     while (dev.popReady(now, r)) {
-        tickActivity = true;
         if (injector && injector->dropTransfer()) {
             // Fault injection: the word is lost between the device
             // pins and the staging unit. maybeRecover() re-fetches it
@@ -253,11 +259,11 @@ BankController::drainDeviceReturns(Cycle now)
         }
         st.line[r.slot] = r.data;
         st.valid[r.slot] = 1;
-        ++st.got;
-        PVA_TRACE_BLOCK(
-            if (st.got >= st.expected)
-                PVA_TRACE_INSTANT(traceTrack(), now, "sub_complete",
-                                  "txn", r.txn););
+        if (++st.got == st.expected) {
+            shareCompleted = true;
+            PVA_TRACE_INSTANT(traceTrack(), now, "sub_complete", "txn",
+                              r.txn);
+        }
     }
 }
 
@@ -312,8 +318,8 @@ BankController::maybeRecover(Cycle now)
             vcs.popBack();
             continue;
         }
+        loadHead(vc);
         ++statRecoveries;
-        tickActivity = true;
         PVA_TRACE_INSTANT(traceTrack(), now, "recover", "txn",
                           vc.cmd.txn, "elems", vc.explicitAddrs.size());
         (void)now;
@@ -330,7 +336,6 @@ BankController::dequeueIntoVc(Cycle now)
     if (lastDequeue != kNeverCycle && lastDequeue == now)
         return; // one dequeue per cycle
     lastDequeue = now;
-    tickActivity = true;
 
     Request &req = fifo.front();
 
@@ -356,6 +361,7 @@ BankController::dequeueIntoVc(Cycle now)
         vc.firstAddr = 0;
         vc.stepWords = 0;
     }
+    loadHead(vc);
     fifo.popFront();
 }
 
@@ -371,7 +377,7 @@ BankController::otherVcHitsOpenRow(const DeviceCoords &target,
         const VectorContext &vc = vcs[i];
         if (&vc == except || vc.done())
             continue;
-        DeviceCoords c = geo.decompose(vc.addrAt(vc.issued));
+        const DeviceCoords &c = vc.headCoords;
         if (slotOf(c) == tslot && c.row == open)
             return true;
     }
@@ -390,7 +396,7 @@ BankController::olderVcHitsOpenRow(const DeviceCoords &target,
         const VectorContext &vc = vcs[i];
         if (vc.done())
             continue;
-        DeviceCoords c = geo.decompose(vc.addrAt(vc.issued));
+        const DeviceCoords &c = vc.headCoords;
         if (slotOf(c) == tslot && c.row == open)
             return true;
     }
@@ -408,7 +414,7 @@ BankController::anyVcMissesOpenRow(const DeviceCoords &target) const
         const VectorContext &vc = vcs[i];
         if (vc.done())
             continue;
-        DeviceCoords c = geo.decompose(vc.addrAt(vc.issued));
+        const DeviceCoords &c = vc.headCoords;
         if (slotOf(c) == tslot && c.row != open)
             return true;
     }
@@ -428,37 +434,19 @@ BankController::tryActivatePrecharge(Cycle now)
         VectorContext &vc = vcs[vi];
         if (vc.done())
             continue;
-        DeviceCoords c = geo.decompose(vc.addrAt(vc.issued));
-        if (devIsRowOpen(c.internalBank, c.row))
-            continue; // ready, nothing to open
-
-        if (!devSlotRowOpen(c)) {
-            DeviceOp op;
-            op.kind = DeviceOp::Kind::Activate;
-            op.addr = vc.addrAt(vc.issued);
-            if (devCanIssue(op, now)) {
-                if (!vc.firstOpDone) {
-                    // Autoprecharge predictor: a new request whose first
-                    // row differs from the row last open in this row
-                    // slot predicts "close after use".
-                    autoPrePredict[slotOf(c)] = devLastRowAt(c) != c.row;
-                    vc.firstOpDone = true;
-                }
-                devIssue(op, now);
-                return true;
-            }
-        } else if (!olderVcHitsOpenRow(c, vi)) {
-            // bank_hit_predict not asserted by any older VC: safe to
-            // close the row.
-            DeviceOp op;
-            op.kind = DeviceOp::Kind::Precharge;
-            op.internalBank = c.internalBank;
-            op.subarray = bpol.subarrayOf(c.row);
-            if (devCanIssue(op, now)) {
-                devIssue(op, now);
-                return true;
-            }
+        DeviceOp op;
+        if (!rowCommandFor(vi, op) || !devCanIssue(op, now))
+            continue;
+        if (op.kind == DeviceOp::Kind::Activate && !vc.firstOpDone) {
+            // Autoprecharge predictor: a new request whose first row
+            // differs from the row last open in this row slot predicts
+            // "close after use".
+            const DeviceCoords &c = vc.headCoords;
+            autoPrePredict[slotOf(c)] = devLastRowAt(c) != c.row;
+            vc.firstOpDone = true;
         }
+        devIssue(op, now);
+        return true;
     }
     return false;
 }
@@ -490,73 +478,48 @@ BankController::decideAutoPrecharge(const VectorContext &vc,
 bool
 BankController::tryReadWrite(Cycle now)
 {
-    // Polarity rule (section 5.2.4): a VC may issue only if the SDRAM
-    // data bus has the same polarity and no polarity reversal is pending
-    // in any older VC. The oldest pending VC may always reverse.
-    bool reversal_blocked = false;
-    bool first_pending = true;
-    for (std::size_t vi = 0; vi < vcs.size(); ++vi) {
+    bool issued = false;
+    forEachAccessCandidate([&](std::size_t vi) {
         VectorContext &vc = vcs[vi];
-        if (vc.done())
-            continue;
-        bool wants_reversal = anyDirYet && vc.cmd.isRead != lastDirRead;
-        bool polarity_ok =
-            first_pending || (!reversal_blocked && !wants_reversal);
-
-        DeviceCoords c = geo.decompose(vc.addrAt(vc.issued));
-        bool row_ready = devIsRowOpen(c.internalBank, c.row);
-        bool data_ready =
-            vc.cmd.isRead || staging[vc.cmd.txn].haveWriteData;
-
-        if (polarity_ok && row_ready && data_ready) {
-            std::uint32_t slot = vc.slotAt(vc.issued);
-            DeviceOp op;
-            op.kind = vc.cmd.isRead ? DeviceOp::Kind::Read
-                                    : DeviceOp::Kind::Write;
-            op.addr = vc.addrAt(vc.issued);
-            op.txn = vc.cmd.txn;
-            op.slot = static_cast<std::uint8_t>(slot);
-            op.autoPrecharge = decideAutoPrecharge(vc, c);
-            if (!vc.cmd.isRead)
-                op.writeData = staging[vc.cmd.txn].line[slot];
-
-            if (devCanIssue(op, now)) {
-                if (!vc.firstOpDone) {
-                    autoPrePredict[slotOf(c)] = devLastRowAt(c) != c.row;
-                    vc.firstOpDone = true;
-                }
-                devIssue(op, now);
-                lastDirRead = vc.cmd.isRead;
-                anyDirYet = true;
-                ++statElements;
-                if (!vc.cmd.isRead) {
-                    Staging &wst = staging[vc.cmd.txn];
-                    ++wst.got; // committed to SDRAM
-                    PVA_TRACE_BLOCK(
-                        if (wst.got >= wst.expected)
-                            PVA_TRACE_INSTANT(traceTrack(), now,
-                                              "sub_complete", "txn",
-                                              vc.cmd.txn););
-                }
-                ++vc.issued;
-                if (vc.done())
-                    vcs.eraseAt(vi);
-                return true;
+        DeviceOp op = accessOp(vc);
+        if (!devCanIssue(op, now))
+            return false;
+        const DeviceCoords &c = vc.headCoords;
+        op.autoPrecharge = decideAutoPrecharge(vc, c);
+        if (!vc.cmd.isRead)
+            op.writeData = staging[vc.cmd.txn].line[vc.slotAt(vc.issued)];
+        if (!vc.firstOpDone) {
+            autoPrePredict[slotOf(c)] = devLastRowAt(c) != c.row;
+            vc.firstOpDone = true;
+        }
+        devIssue(op, now);
+        lastDirRead = vc.cmd.isRead;
+        anyDirYet = true;
+        ++statElements;
+        if (!vc.cmd.isRead) {
+            Staging &wst = staging[vc.cmd.txn];
+            if (++wst.got == wst.expected) { // committed to SDRAM
+                shareCompleted = true;
+                PVA_TRACE_INSTANT(traceTrack(), now, "sub_complete",
+                                  "txn", vc.cmd.txn);
             }
         }
-
-        if (wants_reversal)
-            reversal_blocked = true;
-        first_pending = false;
-    }
-    return false;
+        ++vc.issued;
+        if (vc.done())
+            vcs.eraseAt(vi);
+        else
+            loadHead(vc);
+        issued = true;
+        return true;
+    });
+    return issued;
 }
 
 void
 BankController::tick(Cycle now)
 {
     creditFrozen(now); // bring occupancy stats current through now - 1
-    tickActivity = false;
+    shareCompleted = false;
     devTick(now); // apply auto-refresh before scheduling decisions
     drainDeviceReturns(now);
     if (injector && injector->bcStall()) {
@@ -570,13 +533,8 @@ BankController::tick(Cycle now)
     }
     maybeRecover(now);
     dequeueIntoVc(now);
-    bool issued = tryActivatePrecharge(now);
-    if (!issued)
-        issued = tryReadWrite(now);
-    if (issued) {
+    if (tryActivatePrecharge(now) || tryReadWrite(now))
         ++statSchedActiveCycles;
-        tickActivity = true;
-    }
 
     // Occupancy accounting (end-of-tick state, so a full pipeline
     // shows vectorContexts, not a transient).
@@ -610,26 +568,27 @@ BankController::nextWakeAfter(Cycle now) const
 {
     if (injector)
         return now + 1; // keep the fault RNG stream tick-indexed
-    if (tickActivity)
-        return now + 1;
-    if (idle()) {
-        // The device's refresh clock runs from this controller's tick,
-        // so even an idle controller wakes for the device's next timing
-        // event — the tREFI boundary in particular. Stale per-bank
-        // timers at worst wake it early, which is a no-op tick.
-        return devNextTimingEventAfter(now);
-    }
-    Cycle wake = devNextTimingEventAfter(now);
-    if (!fifo.empty()) {
-        Cycle v = fifo.front().visibleAt;
-        Cycle c = v > now ? v : now + 1;
+    Cycle wake = devNextEventAfter(now);
+    auto consider = [&](Cycle c) {
         if (c < wake)
             wake = c;
+    };
+    if (!fifo.empty() && vcs.size() < cfg.vectorContexts)
+        consider(std::max(fifo.front().visibleAt, now + 1));
+    if (wake == now + 1)
+        return wake; // nothing can come sooner
+    // Each VC's activate or precharge, then the reads/writes the
+    // polarity rule admits: exactly the commands tick() would try.
+    for (std::size_t vi = 0; vi < vcs.size(); ++vi) {
+        DeviceOp op;
+        if (!vcs[vi].done() && rowCommandFor(vi, op))
+            consider(devLegalCycleAfter(op, now));
     }
-    // Pending work always has a device timer or FIFO visibility cycle
-    // behind it; if the scoreboard reports none, fall back to stepping
-    // (correct, merely slower).
-    return wake == kNeverCycle ? now + 1 : wake;
+    forEachAccessCandidate([&](std::size_t vi) {
+        consider(devLegalCycleAfter(accessOp(vcs[vi]), now));
+        return false;
+    });
+    return wake;
 }
 
 void

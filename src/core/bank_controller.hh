@@ -91,8 +91,12 @@ class BankController final : public Component
     /**
      * FHP snoop: called in the cycle a VEC_READ/VEC_WRITE broadcast
      * appears on the bus. Decides participation and queues the request.
+     * Returns true iff the FirstHit predictor hit — some element lives
+     * in this bank and a request was queued. A controller that misses
+     * takes no part in the transaction: its share is complete at once
+     * and its schedule (and wake) are untouched.
      */
-    void observeVecCommand(Cycle now, const VectorCommand &cmd);
+    bool observeVecCommand(Cycle now, const VectorCommand &cmd);
 
     /**
      * Deliver scattered write data for transaction @p txn (the full
@@ -112,7 +116,8 @@ class BankController final : public Component
     }
 
     /** Copy this BC's gathered words for @p txn into the line buffer
-     *  @p out (indexed by vector element position). */
+     *  @p out (indexed by vector element position). Only meaningful on
+     *  a controller whose observeVecCommand() hit for @p txn. */
     void collectInto(std::uint8_t txn, std::vector<Word> &out) const;
 
     /** Free the staging resources of @p txn after the line is staged. */
@@ -121,13 +126,21 @@ class BankController final : public Component
     void tick(Cycle now) override;
 
     /**
-     * Wake contract (sim/component.hh): next cycle this BC could act.
-     * Any tick that did work answers now + 1; an idle-but-pending BC
-     * answers the earliest device timing event or FIFO visibility
-     * cycle; a fully idle BC answers kNeverCycle. Fault injection
-     * draws from its RNG stream once per tick, so an attached injector
-     * pins the BC to every-cycle ticking to keep the stream
-     * tick-indexed (and fault timelines identical across modes).
+     * Wake contract (sim/component.hh): the next cycle this BC can act,
+     * given no new broadcast. That is the earliest of: the cycle each
+     * VC's next command becomes legal (SdramDevice::legalCycleAfter —
+     * the activate, precharge or polarity-eligible read/write the
+     * scheduler would pick for it), the FIFO head's visibility cycle
+     * while a VC is free, and the device's own events (the oldest read
+     * return, the next refresh). Nothing else in a tick depends on the
+     * cycle, so every skipped cycle would have been a no-op tick.
+     *
+     * Only an attached fault injector answers now + 1 instead: it
+     * draws from its RNG stream once per tick, so the BC ticks every
+     * cycle to keep fault timelines identical across modes. The one
+     * piece of BC state another component reads, txnComplete(), needs
+     * the *reader* awake next cycle, not this BC: after a tick that
+     * completedShare(), the owning PvaUnit wakes itself at now + 1.
      *
      * The same contract backs both the Simulation event core and the
      * owning PvaUnit's batched per-BC ticking (its cached wake cycles).
@@ -155,6 +168,11 @@ class BankController final : public Component
         statFifoOccupancy += fifo.size() * gap;
         accountedCycles = now;
     }
+
+    /** Did the last tick complete this BC's share of a transaction
+     *  (txnComplete() turned true)? The front end, which polls
+     *  txnComplete(), must then process the next cycle. */
+    bool completedShare() const { return shareCompleted; }
 
     /** Nothing queued, scheduled, or in flight. */
     bool idle() const;
@@ -221,6 +239,10 @@ class BankController final : public Component
         bool firstOpDone = false; ///< Autoprecharge predictor captured
         std::vector<WordAddr> explicitAddrs;
         std::vector<std::uint8_t> explicitSlots;
+        /** Address and device coordinates of element @c issued — the
+         *  one every scheduler scan asks about (set by loadHead()). */
+        WordAddr headAddr = 0;
+        DeviceCoords headCoords{};
 
         std::uint32_t
         count() const
@@ -286,6 +308,87 @@ class BankController final : public Component
     void dequeueIntoVc(Cycle now);
     bool tryActivatePrecharge(Cycle now);
     bool tryReadWrite(Cycle now);
+
+    /** Refresh @p vc's cached head after `issued` moved. */
+    void
+    loadHead(VectorContext &vc)
+    {
+        if (vc.done())
+            return;
+        vc.headAddr = vc.addrAt(vc.issued);
+        vc.headCoords = geo.decompose(vc.headAddr);
+    }
+
+    /**
+     * The activate or precharge vcs[@p vi]'s head element needs, if
+     * the scheduler would try one: false when its row is already open,
+     * or when closing the slot's other row is vetoed because an older
+     * VC's head hits it.
+     */
+    bool
+    rowCommandFor(std::size_t vi, DeviceOp &op) const
+    {
+        const VectorContext &vc = vcs[vi];
+        const DeviceCoords &c = vc.headCoords;
+        if (devIsRowOpen(c.internalBank, c.row))
+            return false; // ready, nothing to open
+        if (!devSlotRowOpen(c)) {
+            op.kind = DeviceOp::Kind::Activate;
+            op.addr = vc.headAddr;
+            return true;
+        }
+        if (olderVcHitsOpenRow(c, vi))
+            return false; // an older VC still predicts a hit on that row
+        op.kind = DeviceOp::Kind::Precharge;
+        op.internalBank = c.internalBank;
+        op.subarray = bpol.subarrayOf(c.row);
+        return true;
+    }
+
+    /** The read or write of @p vc's head element (auto-precharge and
+     *  write data are settled only at issue; legality ignores them). */
+    DeviceOp
+    accessOp(const VectorContext &vc) const
+    {
+        DeviceOp op;
+        op.kind = vc.cmd.isRead ? DeviceOp::Kind::Read
+                                : DeviceOp::Kind::Write;
+        op.addr = vc.headAddr;
+        op.txn = vc.cmd.txn;
+        op.slot = static_cast<std::uint8_t>(vc.slotAt(vc.issued));
+        return op;
+    }
+
+    /**
+     * Polarity rule (section 5.2.4): call @p visit(vi) for each VC, in
+     * age order, whose read/write the scheduler may try — its row open,
+     * its data staged, and the SDRAM data bus at its polarity with no
+     * reversal pending in an older VC (the oldest pending VC may always
+     * reverse). Stops early when @p visit returns true.
+     */
+    template <typename Visit>
+    void
+    forEachAccessCandidate(Visit &&visit) const
+    {
+        bool reversal_blocked = false;
+        bool first_pending = true;
+        for (std::size_t vi = 0; vi < vcs.size(); ++vi) {
+            const VectorContext &vc = vcs[vi];
+            if (vc.done())
+                continue;
+            bool wants_reversal = anyDirYet && vc.cmd.isRead != lastDirRead;
+            bool polarity_ok =
+                first_pending || (!reversal_blocked && !wants_reversal);
+            const DeviceCoords &c = vc.headCoords;
+            if (polarity_ok && devIsRowOpen(c.internalBank, c.row) &&
+                (vc.cmd.isRead || staging[vc.cmd.txn].haveWriteData) &&
+                visit(vi))
+                return;
+            if (wants_reversal)
+                reversal_blocked = true;
+            first_pending = false;
+        }
+    }
 
     /** Account cycle @p now's end-of-tick occupancy. */
     void
@@ -401,10 +504,17 @@ class BankController final : public Component
     }
 
     Cycle
-    devNextTimingEventAfter(Cycle now) const
+    devLegalCycleAfter(const DeviceOp &op, Cycle now) const
     {
-        return sdram ? sdram->nextTimingEventAfter(now)
-                     : dev.nextTimingEventAfter(now);
+        return sdram ? sdram->legalCycleAfter(op, now)
+                     : dev.legalCycleAfter(op, now);
+    }
+
+    Cycle
+    devNextEventAfter(Cycle now) const
+    {
+        return sdram ? sdram->nextEventAfter(now)
+                     : dev.nextEventAfter(now);
     }
     /** @} */
 
@@ -431,7 +541,8 @@ class BankController final : public Component
     Cycle fhcBusyUntil = 0; ///< FHC pipeline occupancy
     Cycle lastDequeue = kNeverCycle;
     Cycle accountedCycles = 0; ///< Cycles [0, this) occupancy-accounted
-    bool tickActivity = false; ///< Did the last tick change state?
+    /** Did the last tick complete this BC's share of a transaction? */
+    bool shareCompleted = false;
 
     bool lastDirRead = true; ///< SDRAM data bus polarity
     bool anyDirYet = false;

@@ -11,8 +11,7 @@ namespace pva
 
 PvaUnit::PvaUnit(std::string name, const PvaConfig &config)
     : MemorySystem(std::move(name)), cfg(config),
-      vectorBus(config.bc.lineWords), txns(config.bc.transactions),
-      bcScanFrom(config.bc.transactions, 0)
+      vectorBus(config.bc.lineWords), txns(config.bc.transactions)
 {
     const unsigned banks = cfg.geometry.banks();
     const BackendPolicy pol = cfg.backendPolicy();
@@ -43,6 +42,8 @@ PvaUnit::PvaUnit(std::string name, const PvaConfig &config)
             bcs.back()->enableFaults(cfg.faults, b * 2 + 1);
     }
     bcWake.assign(banks, 0);
+    for (Txn &t : txns)
+        t.hitBcs.reserve(banks);
     submitOrder.reserve(cfg.bc.transactions);
     linePool.reserve(cfg.bc.transactions);
 
@@ -56,6 +57,7 @@ PvaUnit::PvaUnit(std::string name, const PvaConfig &config)
     statSet.addDistribution("frontend.readLatency", &statReadLatency);
     statSet.addDistribution("frontend.writeLatency", &statWriteLatency);
     registerSimStats(statSet);
+    statSet.addScalar("sim.bcTicks", &statBcTicks);
     for (unsigned b = 0; b < banks; ++b) {
         bcs[b]->registerStats(statSet, csprintf("bc%u", b));
         if (!cfg.useSram) {
@@ -133,12 +135,28 @@ PvaUnit::trySubmit(const VectorCommand &cmd, std::uint64_t tag,
 bool
 PvaUnit::allBcsComplete(std::uint8_t id)
 {
-    unsigned &from = bcScanFrom[id];
-    for (; from < bcs.size(); ++from) {
-        if (!bcs[from]->txnComplete(id))
+    Txn &t = txns[id];
+    for (; t.scanFrom < t.hitBcs.size(); ++t.scanFrom) {
+        if (!bcs[t.hitBcs[t.scanFrom]]->txnComplete(id))
             return false;
     }
     return true;
+}
+
+void
+PvaUnit::broadcast(std::uint8_t id, const VectorCommand &cmd, Cycle now)
+{
+    if (checker)
+        checker->beginTxn(cmd);
+    Txn &t = txns[id];
+    t.hitBcs.clear();
+    t.scanFrom = 0;
+    for (unsigned b = 0; b < bcs.size(); ++b) {
+        if (bcs[b]->observeVecCommand(now, cmd)) {
+            t.hitBcs.push_back(b);
+            bcWake[b] = now; // new work: it must tick this cycle
+        }
+    }
 }
 
 void
@@ -150,8 +168,8 @@ PvaUnit::finishRead(std::uint8_t id, Cycle now)
     c.tag = t.tag;
     c.data = takeLine();
     c.data.assign(t.cmd.length, 0);
-    for (const auto &bc : bcs)
-        bc->collectInto(id, c.data);
+    for (unsigned b : t.hitBcs)
+        bcs[b]->collectInto(id, c.data);
     if (checker) {
         checker->verifyGather(t.cmd, c.data, now);
         checker->releaseTxn(id);
@@ -264,12 +282,7 @@ PvaUnit::tick(Cycle now)
             if (found) {
                 Txn &t = txns[chosen];
                 vectorBus.drive(now, {BusOpcode::VecWrite, t.cmd, chosen});
-                if (checker)
-                    checker->beginTxn(t.cmd);
-                bcScanFrom[chosen] = 0;
-                wakeAllBcs(now);
-                for (const auto &bc : bcs)
-                    bc->observeVecCommand(now, t.cmd);
+                broadcast(chosen, t.cmd, now);
                 t.state = TxnState::Scattering;
                 tickActivity = true;
                 PVA_TRACE_INSTANT(txnTrack(chosen), now, "scatter");
@@ -280,12 +293,7 @@ PvaUnit::tick(Cycle now)
                 if (t.state == TxnState::QueuedRead) {
                     submitOrder.popFront();
                     vectorBus.drive(now, {BusOpcode::VecRead, t.cmd, id});
-                    if (checker)
-                        checker->beginTxn(t.cmd);
-                    bcScanFrom[id] = 0;
-                    wakeAllBcs(now);
-                    for (const auto &bc : bcs)
-                        bc->observeVecCommand(now, t.cmd);
+                    broadcast(id, t.cmd, now);
                     t.state = TxnState::Gathering;
                     tickActivity = true;
                     PVA_TRACE_INSTANT(txnTrack(id), now, "broadcast");
@@ -293,7 +301,7 @@ PvaUnit::tick(Cycle now)
                     submitOrder.popFront();
                     vectorBus.drive(now,
                                     {BusOpcode::StageWrite, t.cmd, id});
-                    wakeAllBcs(now);
+                    // No BC wake: only the VEC_WRITE gives them work.
                     for (const auto &bc : bcs)
                         bc->loadWriteLine(id, t.writeData);
                     t.state = TxnState::WriteData;
@@ -307,15 +315,20 @@ PvaUnit::tick(Cycle now)
 
     // --- 3. Clock the bank controllers (and through them the DRAMs). --
     // Batched: skip controllers whose cached wake (their own
-    // nextWakeAfter answer, reset to `now` by any broadcast above) is
-    // still in the future — their state provably cannot change.
+    // nextWakeAfter answer, reset to `now` by a broadcast they hit
+    // above) is still in the future — their state provably cannot
+    // change.
     const bool batching = cfg.batchTicking;
     for (std::size_t b = 0; b < bcs.size(); ++b) {
         if (batching && bcWake[b] > now)
             continue;
         BankController &bc = *bcs[b];
         bc.tick(now);
+        ++statBcTicks;
         bcWake[b] = bc.nextWakeAfter(now);
+        // Step 1 polls txnComplete() next cycle, whenever the BC wakes.
+        if (bc.completedShare())
+            tickActivity = true;
     }
 
     // Context-occupancy accounting (end-of-tick in-flight count).

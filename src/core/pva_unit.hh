@@ -19,15 +19,17 @@
  * "parallel vector access SRAM" comparison system.
  *
  * Batched bank-controller ticking (docs/PERFORMANCE.md): the front end
- * caches each BC's wake cycle (the Component::nextWakeAfter contract)
- * and skips ticking controllers that are provably quiescent until
- * then. Saturated vector workloads concentrate on few banks at a time,
- * so most of the M controllers are skippable on most cycles. Every
- * external input to a BC — a VEC_READ/VEC_WRITE broadcast or a
- * STAGE_WRITE line delivery — resets that BC's cached wake to the
- * current cycle, preserving cycle-exactness by the same argument as
- * the event clocking core. cfg.batchTicking = false restores the
- * tick-every-BC-every-cycle reference behaviour.
+ * caches each BC's wake cycle (the Component::nextWakeAfter contract:
+ * the next cycle one of its queued SDRAM commands can issue, a read
+ * return lands or a refresh falls due) and skips ticking controllers
+ * until then. A VEC_READ/VEC_WRITE broadcast resets the cached wake of
+ * the controllers whose FirstHit predictor hit — the only ones it
+ * gives new work — to the current cycle; controllers that miss keep
+ * sleeping. A STAGE_WRITE line delivery resets none: no vector context
+ * can name a write transaction before its VEC_WRITE. Cycle-exactness
+ * follows by the same argument as the event clocking core.
+ * cfg.batchTicking = false restores the tick-every-BC-every-cycle
+ * reference behaviour.
  */
 
 #ifndef PVA_CORE_PVA_UNIT_HH
@@ -72,8 +74,8 @@ class PvaUnit : public MemorySystem
      * Wake contract: earliest of the txn state machine's timed
      * transitions (readyAt), the vector bus freeing for a queued
      * request, and every bank controller's cached wake; now + 1
-     * whenever the last tick changed state; kNeverCycle when fully
-     * drained.
+     * whenever the last tick changed state — its own or a BC's
+     * txnComplete() line; kNeverCycle when fully drained.
      */
     Cycle nextWakeAfter(Cycle now) const final;
 
@@ -114,24 +116,25 @@ class PvaUnit : public MemorySystem
         std::vector<Word> writeData;
         Cycle readyAt = 0;   ///< Next state-transition time where timed
         Cycle acceptedAt = 0; ///< For the latency distributions
+        /** BCs whose FirstHit predictor hit this transaction's vector
+         *  command (capacity reserved for every bank up front). */
+        std::vector<unsigned> hitBcs;
+        /** hitBcs[i] for i < this are known complete (see below). */
+        std::size_t scanFrom = 0;
     };
 
     /**
-     * All BCs finished transaction @p id (the wired-OR line)? Scans
-     * from the per-txn resume index: a BC's completion is monotone
-     * between broadcast and release, so controllers already seen
-     * complete are never re-polled.
+     * All BCs finished transaction @p id (the wired-OR line)? Only the
+     * BCs that hit can be incomplete. Scans from the per-txn resume
+     * index: a BC's completion is monotone between broadcast and
+     * release, so controllers already seen complete are never
+     * re-polled.
      */
     bool allBcsComplete(std::uint8_t id);
 
-    /** Broadcast an external input to every BC's cached wake (the BC
-     *  must tick this cycle to take it). */
-    void
-    wakeAllBcs(Cycle now)
-    {
-        for (Cycle &w : bcWake)
-            w = now;
-    }
+    /** Broadcast vector command @p cmd of transaction @p id to every
+     *  BC, recording the hits and waking them in cycle @p now. */
+    void broadcast(std::uint8_t id, const VectorCommand &cmd, Cycle now);
 
     /** Trace track for transaction slot @p id (0 when untraced). */
     std::uint32_t
@@ -171,8 +174,6 @@ class PvaUnit : public MemorySystem
     /** Cached per-BC wake cycle (see file comment); maintained in both
      *  batching modes, consulted by the tick loop only when batching. */
     std::vector<Cycle> bcWake;
-    /** Per-txn first bank controller not yet seen complete. */
-    std::vector<unsigned> bcScanFrom;
     std::size_t activeTxns = 0; ///< Txn slots not Free
 
     StatSet statSet;
@@ -180,6 +181,9 @@ class PvaUnit : public MemorySystem
     Scalar statWrites;
     Scalar statCtxOccupancy;  ///< Sum over ticks of in-flight txns
     Scalar statCtxFullCycles; ///< Ticks with no free transaction slot
+    /** Bank-controller ticks run (sim.bcTicks: a work counter that
+     *  depends on the clocking and batching modes, like sim.simTicks). */
+    Scalar statBcTicks;
     Cycle lastTickCycle = 0;
     Cycle lastProcessedTick = 0; ///< Last cycle tick() actually ran
     bool tickedYet = false;

@@ -1,5 +1,7 @@
 #include "sdram/device.hh"
 
+#include <algorithm>
+
 #include "sdram/timing_checker.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
@@ -111,102 +113,34 @@ SdramDevice::tickRefreshDeferred(Cycle now)
 }
 
 Cycle
-SdramDevice::nextTimingEventAfter(Cycle now) const
+SdramDevice::nextRefreshAfter(Cycle now) const
 {
-    Cycle wake = kNeverCycle;
-    auto consider = [&](Cycle c) {
-        if (c > now && c < wake)
-            wake = c;
-    };
-
-    if (!pending.empty()) {
-        Cycle ready = pending.front().readyAt;
-        consider(ready > now ? ready : now + 1);
-    }
-    if (lastCommandCycle != kNeverCycle)
-        consider(lastCommandCycle + 1); // command bus frees
-    consider(refreshBusyUntil);
-    for (std::size_t b = 0; b < accessReady.size(); ++b) {
-        consider(accessReady[b]);
-        consider(prechargeReady[b]);
-        consider(activateReady[b]);
-    }
-    if (anyDataYet) {
-        // First cycles at which the data-pin occupancy / turnaround
-        // rules admit a new read (data at now + tCL) or write (data at
-        // now + 1): same polarity needs data > lastDataCycle, a
-        // reversal needs data >= lastDataCycle + 2.
-        for (Cycle base : {lastDataCycle + 1, lastDataCycle + 2}) {
-            if (base > times.tCL)
-                consider(base - times.tCL); // read thresholds
-            consider(base - 1);             // write thresholds
-        }
-    }
-    if (times.tREFI != 0) {
-        if (pol.kind == MemBackend::DeferredRefresh) {
-            // Wake at the pull-in opportunity, the boundary itself and
-            // the forced deadline of the next uncovered boundary; a
-            // busy-device wake at any of them is a harmless no-op tick.
-            Cycle due = lastRefreshApplied + times.tREFI;
-            if (due > pol.deferWindow)
-                consider(due - pol.deferWindow);
-            consider(due);
-            consider(due + pol.deferWindow);
+    Cycle refresh;
+    if (pol.kind == MemBackend::DeferredRefresh) {
+        // When tickRefreshDeferred() next applies a refresh, with
+        // busyForRefresh() held at its current answer: a busy device
+        // holds the due boundary until its forced deadline; an idle one
+        // takes it once due, or earlier as a pull-in — no sooner than
+        // deferWindow ahead of it and after the last refresh ends.
+        const Cycle due = lastRefreshApplied + times.tREFI;
+        if (busyForRefresh()) {
+            refresh = due + pol.deferWindow;
         } else {
-            consider((now / times.tREFI + 1) * times.tREFI);
+            const Cycle opens =
+                due > pol.deferWindow ? due - pol.deferWindow : 0;
+            refresh = std::min(due, std::max(opens, refreshBusyUntil));
         }
+        refresh = std::max(refresh, now + 1);
+    } else {
+        refresh = (now / times.tREFI + 1) * times.tREFI;
     }
-    return wake;
+    return refresh;
 }
 
 void
 SdramDevice::enableFaults(const FaultPlan &plan, std::uint64_t stream)
 {
     injector = std::make_unique<FaultInjector>(plan, stream);
-}
-
-bool
-SdramDevice::canIssue(const DeviceOp &op, Cycle now) const
-{
-    if (lastCommandCycle != kNeverCycle && now <= lastCommandCycle)
-        return false; // one command per cycle on the command bus
-    if (now < refreshBusyUntil)
-        return false; // mid-refresh: the whole device is unavailable
-
-    switch (op.kind) {
-      case DeviceOp::Kind::Activate: {
-        DeviceCoords c = geometry.decompose(op.addr);
-        const unsigned s = slotIndex(c.internalBank, c.row);
-        return rowOpen[s] == 0 && now >= activateReady[s];
-      }
-      case DeviceOp::Kind::Precharge: {
-        const unsigned s = (op.internalBank << pol.subBits) | op.subarray;
-        return rowOpen[s] != 0 && now >= prechargeReady[s];
-      }
-      case DeviceOp::Kind::Read:
-      case DeviceOp::Kind::Write: {
-        DeviceCoords c = geometry.decompose(op.addr);
-        const unsigned ib = slotIndex(c.internalBank, c.row);
-        if (rowOpen[ib] == 0 || openRows[ib] != c.row ||
-            now < accessReady[ib]) {
-            return false;
-        }
-        // With auto-precharge the device delays the internal precharge
-        // until tRAS/tWR allow, so no extra condition here.
-        Cycle data = dataCycleOf(op, now);
-        if (anyDataYet) {
-            bool is_read = op.kind == DeviceOp::Kind::Read;
-            // One word per pin-cycle, monotonically increasing.
-            if (data <= lastDataCycle)
-                return false;
-            // One-cycle turnaround on polarity reversal (section 5.2.5).
-            if (is_read != lastDataWasRead && data < lastDataCycle + 2)
-                return false;
-        }
-        return true;
-      }
-    }
-    return false;
 }
 
 void

@@ -14,14 +14,20 @@
  * command per cycle may be issued (one command bus). Read data appears
  * tCL cycles later and is retrieved with popReady().
  *
+ * Protocol for sleeping callers: legalCycleAfter() answers when a
+ * given command would pass canIssue() if nothing else happens first,
+ * and nextEventAfter() when the device would change state on its own
+ * (a read return, a refresh). Together they let the bank controller
+ * skip every cycle in which it could not act.
+ *
  * Hot-path layout (docs/PERFORMANCE.md): the per-row-slot state lives
  * in struct-of-arrays form — the three restimer deadlines in
- * contiguous Cycle arrays scanned by nextTimingEventAfter(), the
- * open/row registers in parallel arrays touched by the row predicates
- * the bank-controller scheduler polls every cycle. The row predicates
- * and the idle-tick fast path are defined inline and SdramDevice is
- * final, so a caller holding a concrete SdramDevice* (the bank
- * controller's devirtualized fast path) pays no virtual dispatch.
+ * contiguous Cycle arrays, the open/row registers in parallel arrays
+ * touched by the row predicates the bank-controller scheduler polls.
+ * The row predicates, the legality checks and the idle-tick fast path
+ * are defined inline and SdramDevice is final, so a caller holding a
+ * concrete SdramDevice* (the bank controller's devirtualized fast
+ * path) pays no virtual dispatch.
  *
  * Backends (docs/DEVICE.md): a "row slot" is one row buffer with its
  * own restimers. The legacy backend has one slot per internal bank —
@@ -36,6 +42,7 @@
 #ifndef PVA_SDRAM_DEVICE_HH
 #define PVA_SDRAM_DEVICE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -171,16 +178,25 @@ class BankDevice : public Component
     bool quiescent() const { return pending.empty(); }
 
     /**
-     * Earliest cycle (> @p now) at which this device's timing state
-     * can change on its own: pending read data maturing, restimer
-     * thresholds (tRCD/tRP/tRAS/tRC), data-pin occupancy clearing,
-     * command-bus release, refresh completion, or the next tREFI
-     * boundary. kNeverCycle if nothing is scheduled. Conservative
-     * (early) answers are allowed; this feeds the owning bank
-     * controller's Component::nextWakeAfter.
+     * Earliest cycle (> @p now) at which canIssue(@p op) holds if the
+     * device state stays as it is — no command issues and no refresh
+     * applies in between: the latest of every threshold @p op must
+     * clear. kNeverCycle when @p op cannot become legal without
+     * another command first (an activate into an open row slot, a
+     * precharge or access of a closed one). Exact, so the owning bank
+     * controller may sleep until the earliest such cycle over its
+     * queued commands (Component::nextWakeAfter).
+     */
+    virtual Cycle legalCycleAfter(const DeviceOp &op, Cycle now) const = 0;
+
+    /**
+     * Earliest cycle (> @p now) at which ticking this device changes
+     * its state on its own, given that no command issues first: the
+     * oldest read return maturing (and, on SDRAM, the next refresh).
+     * kNeverCycle if none.
      */
     virtual Cycle
-    nextTimingEventAfter(Cycle now) const
+    nextEventAfter(Cycle now) const
     {
         if (pending.empty())
             return kNeverCycle;
@@ -211,7 +227,12 @@ class SdramDevice final : public BankDevice
                 const SdramTiming &timing, SparseMemory &backing,
                 const BackendPolicy &policy = BackendPolicy{});
 
-    bool canIssue(const DeviceOp &op, Cycle now) const override;
+    bool
+    canIssue(const DeviceOp &op, Cycle now) const override
+    {
+        return firstLegalFrom(op, now) == now;
+    }
+
     void issue(const DeviceOp &op, Cycle now) override;
 
     /** Row-slot index of (@p ibank, @p row) under this backend. */
@@ -296,7 +317,28 @@ class SdramDevice final : public BankDevice
             tickRefresh(now);
     }
 
-    Cycle nextTimingEventAfter(Cycle now) const override;
+    Cycle
+    legalCycleAfter(const DeviceOp &op, Cycle now) const override
+    {
+        return firstLegalFrom(op, now + 1);
+    }
+
+    /**
+     * The oldest read return, or the next refresh: the tREFI boundary
+     * on legacy and SALP parts; on the deferred-refresh part the cycle
+     * tickRefreshDeferred() next applies one, computed from the
+     * current busyForRefresh() answer. That answer changes only when
+     * a command issues or a read return drains, both in a bank
+     * controller tick after which the controller asks again.
+     */
+    Cycle
+    nextEventAfter(Cycle now) const override
+    {
+        Cycle wake = BankDevice::nextEventAfter(now); // oldest return
+        if (times.tREFI == 0)
+            return wake;
+        return std::min(wake, nextRefreshAfter(now));
+    }
 
     /** Enable fault injection (spontaneous refresh stalls) for this
      *  device, drawing decisions from the plan's stream @p stream. */
@@ -320,6 +362,68 @@ class SdramDevice final : public BankDevice
     /** When would @p op's word occupy the device data pins? */
     Cycle dataCycleOf(const DeviceOp &op, Cycle now) const;
 
+    /**
+     * The restimer scoreboard: the first cycle >= @p from in which @p op
+     * is legal if the state stays as it is (kNeverCycle if another
+     * command must come first). Legality is a conjunction of "cycle >=
+     * threshold" rules, so this is the latest threshold; canIssue() and
+     * legalCycleAfter() are its two readings.
+     */
+    Cycle
+    firstLegalFrom(const DeviceOp &op, Cycle from) const
+    {
+        Cycle at = from;
+        auto clear = [&](Cycle c) {
+            if (c > at)
+                at = c;
+        };
+        if (lastCommandCycle != kNeverCycle)
+            clear(lastCommandCycle + 1); // one command per cycle
+        clear(refreshBusyUntil); // mid-refresh: the device is unavailable
+
+        switch (op.kind) {
+          case DeviceOp::Kind::Activate: {
+            DeviceCoords c = geometry.decompose(op.addr);
+            const unsigned s = slotIndex(c.internalBank, c.row);
+            if (rowOpen[s] != 0)
+                return kNeverCycle;
+            clear(activateReady[s]);
+            return at;
+          }
+          case DeviceOp::Kind::Precharge: {
+            const unsigned s = (op.internalBank << pol.subBits) | op.subarray;
+            if (rowOpen[s] == 0)
+                return kNeverCycle;
+            clear(prechargeReady[s]);
+            return at;
+          }
+          case DeviceOp::Kind::Read:
+          case DeviceOp::Kind::Write: {
+            // With auto-precharge the device delays the internal
+            // precharge until tRAS/tWR allow, so no extra condition.
+            DeviceCoords c = geometry.decompose(op.addr);
+            const unsigned s = slotIndex(c.internalBank, c.row);
+            if (rowOpen[s] == 0 || openRows[s] != c.row)
+                return kNeverCycle;
+            clear(accessReady[s]);
+            if (anyDataYet) {
+                // One word per pin-cycle, monotonically increasing, and
+                // a one-cycle turnaround on polarity reversal (section
+                // 5.2.5); the word lands `lead` cycles after the
+                // command (dataCycleOf).
+                const bool is_read = op.kind == DeviceOp::Kind::Read;
+                const Cycle first_data =
+                    lastDataCycle + (is_read != lastDataWasRead ? 2 : 1);
+                const Cycle lead = is_read ? times.tCL : 1;
+                if (first_data > lead)
+                    clear(first_data - lead);
+            }
+            return at;
+          }
+        }
+        return kNeverCycle;
+    }
+
     /** Close every row slot and hold the device busy for tRFC.
      *  @p covered names the tREFI boundary this refresh satisfies
      *  (0 for an injected refresh that satisfies none). */
@@ -327,6 +431,9 @@ class SdramDevice final : public BankDevice
 
     /** Refresh/fault slow path behind the inline tick() early-out. */
     void tickRefresh(Cycle now);
+
+    /** The refresh term of nextEventAfter() (tREFI != 0). */
+    Cycle nextRefreshAfter(Cycle now) const;
 
     /** The DeferredRefresh discipline: pull-in/push-out within the
      *  policy window, forced at boundary + window. */
@@ -355,10 +462,8 @@ class SdramDevice final : public BankDevice
     /** @name Per-row-slot state, struct-of-arrays
      * Indexed by row slot (BackendPolicy::slotOf — the internal bank
      * on legacy backends, (ibank, subarray) on SALP). The three
-     * restimer deadline arrays are contiguous so the wake scan in
-     * nextTimingEventAfter() walks flat Cycle memory; the row
-     * registers sit in their own arrays for the scheduler's row
-     * predicates.
+     * restimer deadlines and the row registers sit in their own
+     * arrays for the scheduler's row predicates and legality queries.
      * @{ */
     std::vector<Cycle> accessReady;    ///< tRCD satisfied
     std::vector<Cycle> prechargeReady; ///< tRAS / tWR satisfied

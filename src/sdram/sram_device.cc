@@ -13,41 +13,19 @@ SramDevice::SramDevice(std::string name, unsigned bank_index,
 {
 }
 
-bool
-SramDevice::canIssue(const DeviceOp &op, Cycle now) const
-{
-    if (lastCommandCycle != kNeverCycle && now <= lastCommandCycle)
-        return false;
-    switch (op.kind) {
-      case DeviceOp::Kind::Activate:
-      case DeviceOp::Kind::Precharge:
-        // Rows are always "open"; the scheduler never needs these.
-        return false;
-      case DeviceOp::Kind::Read:
-      case DeviceOp::Kind::Write:
-        // One word per data-pin cycle; access completes next cycle.
-        return !anyDataYet || now + 1 > lastDataCycle;
-    }
-    return false;
-}
-
 Cycle
-SramDevice::nextTimingEventAfter(Cycle now) const
+SramDevice::firstLegalFrom(const DeviceOp &op, Cycle from) const
 {
-    Cycle wake = kNeverCycle;
-    auto consider = [&](Cycle c) {
-        if (c > now && c < wake)
-            wake = c;
-    };
-    if (!pending.empty()) {
-        Cycle ready = pending.front().readyAt;
-        consider(ready > now ? ready : now + 1);
-    }
-    if (lastCommandCycle != kNeverCycle)
-        consider(lastCommandCycle + 1); // command bus frees
-    if (anyDataYet)
-        consider(lastDataCycle); // data pins free (access legal again)
-    return wake;
+    if (op.kind == DeviceOp::Kind::Activate ||
+        op.kind == DeviceOp::Kind::Precharge)
+        return kNeverCycle; // rows are always open; never needed
+    Cycle at = from;
+    if (lastCommandCycle != kNeverCycle && lastCommandCycle + 1 > at)
+        at = lastCommandCycle + 1; // one command per cycle
+    // One word per data-pin cycle; the access completes next cycle.
+    if (anyDataYet && lastDataCycle > at)
+        at = lastDataCycle;
+    return at;
 }
 
 void

@@ -26,7 +26,12 @@ class SramDevice final : public BankDevice
     SramDevice(std::string name, unsigned bank_index, const Geometry &geo,
                SparseMemory &backing);
 
-    bool canIssue(const DeviceOp &op, Cycle now) const override;
+    bool
+    canIssue(const DeviceOp &op, Cycle now) const override
+    {
+        return firstLegalFrom(op, now) == now;
+    }
+
     void issue(const DeviceOp &op, Cycle now) override;
     bool anyRowOpen(unsigned) const override { return true; }
     bool isRowOpen(unsigned, std::uint32_t) const override { return true; }
@@ -45,12 +50,20 @@ class SramDevice final : public BankDevice
         return 0;
     }
 
-    Cycle nextTimingEventAfter(Cycle now) const override;
+    Cycle
+    legalCycleAfter(const DeviceOp &op, Cycle now) const override
+    {
+        return firstLegalFrom(op, now + 1);
+    }
 
     Scalar statReads;
     Scalar statWrites;
 
   private:
+    /** First cycle >= @p from in which @p op is legal (kNeverCycle for
+     *  activates and precharges, which an SRAM never needs). */
+    Cycle firstLegalFrom(const DeviceOp &op, Cycle from) const;
+
     Cycle lastCommandCycle = kNeverCycle;
     Cycle lastDataCycle = 0;
     bool anyDataYet = false;

@@ -20,10 +20,19 @@
  *    Returning kNeverCycle means "quiescent until someone drives me".
  *    Waking *early* is always safe (an extra tick must be a no-op);
  *    waking *late* breaks cycle-exactness.
- *  - Any tick that changed observable state must be followed by a wake
- *    at now + 1 (the standard implementation returns now + 1 whenever
- *    the last tick did any work), so downstream components sample the
- *    change on the next cycle exactly as the exhaustive stepper would.
+ *  - A tick that changed state *another component reads* must be
+ *    followed by a processed cycle at now + 1 — the component's own
+ *    wake or its reader's — so the reader samples the change on the
+ *    next cycle exactly as the exhaustive stepper would. State only
+ *    the component itself reads needs no such wake: its next action
+ *    is already bounded by the timers that state arms. (The bank
+ *    controller is the example: its queues, rows and restimers are
+ *    private, so it wakes when its next command can issue; only
+ *    completing its share of a transaction — txnComplete(), which the
+ *    front end polls — needs a processed cycle at now + 1, and the
+ *    front end, as owner and reader, asks for it. The simplest
+ *    correct choice, now + 1 after any work, remains valid
+ *    everywhere.)
  *  - The default (now + 1) keeps unconverted components on the legacy
  *    every-cycle schedule, which is always correct, just slower.
  *

@@ -41,7 +41,8 @@ TrafficResult::dumpJson(std::ostream &os) const
        << ", \"bcUtilization\": " << bcUtilization
        << ", \"shed\": " << shed << ", \"shedRate\": " << shedRate
        << ", \"simTicks\": " << simTicks
-       << ", \"cyclesSkipped\": " << cyclesSkipped << ", ";
+       << ", \"cyclesSkipped\": " << cyclesSkipped
+       << ", \"bcTicks\": " << bcTicks << ", ";
     jsonSummary(os, "queueDelay", queueDelay);
     os << ", ";
     jsonSummary(os, "serviceLatency", serviceLatency);
@@ -143,10 +144,12 @@ runTraffic(const TrafficConfig &config, std::ostream *stats_dump)
     r.serviceLatency = stats.aggregateServiceLatency();
     r.totalLatency = stats.aggregateTotalLatency();
 
-    // Bank-controller utilization via the occupancy counters the PVA
-    // systems register (bc<i>.schedActiveCycles); baselines have no
-    // bank controllers and report 0.
+    // Bank-controller work and utilization via the counters the PVA
+    // systems register (sim.bcTicks, bc<i>.schedActiveCycles);
+    // baselines have no bank controllers and report 0.
     const StatSet &sys_stats = sys->stats();
+    if (sys_stats.hasScalar("sim.bcTicks"))
+        r.bcTicks = sys_stats.scalar("sim.bcTicks");
     unsigned banks = config.config.geometry.banks();
     if (r.cycles > 0 && banks > 0 &&
         sys_stats.hasScalar("bc0.schedActiveCycles")) {

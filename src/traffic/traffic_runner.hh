@@ -72,6 +72,9 @@ struct TrafficResult
     double shedRate = 0.0;
     std::uint64_t simTicks = 0;      ///< Cycles actually processed
     std::uint64_t cyclesSkipped = 0; ///< Cycles jumped (event clocking)
+    /** Bank-controller ticks run (sim.bcTicks; 0 on systems without
+     *  bank controllers). */
+    std::uint64_t bcTicks = 0;
     std::uint64_t cyclesPerSecond = 0; ///< Simulated cycles per wall second
     LatencySummary queueDelay;
     LatencySummary serviceLatency;

@@ -17,6 +17,7 @@
 #include "kernels/sweep.hh"
 #include "sim/sim_error.hh"
 #include "sim/simulation.hh"
+#include "stat_dump.hh"
 #include "traffic/traffic_runner.hh"
 
 namespace pva
@@ -25,24 +26,6 @@ namespace
 {
 
 constexpr std::uint32_t kElems = 256;
-
-/** Dump @p set with the "sim.*" gauges removed: simTicks and
- *  cyclesSkipped legitimately differ between clocking modes, and
- *  cyclesPerSecond is wall-clock noise. Everything else must match. */
-std::string
-filteredDump(const StatSet &set)
-{
-    std::ostringstream raw;
-    set.dump(raw);
-    std::istringstream in(raw.str());
-    std::ostringstream out;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.rfind("sim.", 0) != 0)
-            out << line << '\n';
-    }
-    return out.str();
-}
 
 struct Outcome
 {
@@ -69,7 +52,7 @@ runKernelPoint(SystemKind kind, const SystemConfig &config,
     limits.clocking = mode;
     RunResult r = runKernelOn(*sys, kernel, wl, limits);
     return {r.cycles, r.mismatches, r.simTicks, r.cyclesSkipped,
-            filteredDump(sys->stats())};
+            test::withoutSimGauges(sys->stats())};
 }
 
 void
@@ -240,17 +223,8 @@ expectTrafficParity(ArrivalMode arrivals, double rate)
 
     // The dumps interleave ServiceStats and the system's StatSet;
     // strip the clocking gauges from both before comparing.
-    auto filter = [](const std::string &text) {
-        std::istringstream in(text);
-        std::ostringstream out;
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.rfind("sim.", 0) != 0)
-                out << line << '\n';
-        }
-        return out.str();
-    };
-    EXPECT_EQ(filter(ex_dump.str()), filter(ev_dump.str()));
+    EXPECT_EQ(test::withoutSimGauges(ex_dump.str()),
+              test::withoutSimGauges(ev_dump.str()));
 }
 
 TEST(EventClocking, ClosedLoopTrafficIsCycleExact)

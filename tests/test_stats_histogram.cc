@@ -39,8 +39,9 @@ TEST(LogHistogram, BucketLowerBoundInvertsBucketIndex)
                             123456789ULL}) {
         unsigned idx = LogHistogram::bucketIndex(v);
         EXPECT_LE(LogHistogram::bucketLowerBound(idx), v);
-        if (idx + 1 < LogHistogram::kBucketCount)
+        if (idx + 1 < LogHistogram::kBucketCount) {
             EXPECT_LT(v, LogHistogram::bucketLowerBound(idx + 1));
+        }
     }
 }
 

@@ -31,7 +31,8 @@ saturatedConfig()
     tc.limits.maxCycles = 2000000;
     for (unsigned i = 0; i < 4; ++i) {
         StreamConfig s;
-        s.name = "s" + std::to_string(i);
+        s.name = "s";
+        s.name += std::to_string(i);
         s.mode = ArrivalMode::OpenLoop;
         s.requestsPerKilocycle = 150.0;
         s.requests = 120;
@@ -111,7 +112,8 @@ TEST(TrafficShed, OverloadWatermarkKeepsClosedLoopDraining)
     tc.arbiter.shed.queueHighWatermark = 0.5;
     for (unsigned i = 0; i < 2; ++i) {
         StreamConfig s;
-        s.name = "c" + std::to_string(i);
+        s.name = "c";
+        s.name += std::to_string(i);
         s.mode = ArrivalMode::ClosedLoop;
         s.window = 6;
         s.requests = 60;
