@@ -78,7 +78,8 @@ struct BcConfig
     unsigned fhcLatency = 2;      ///< Multiply-and-add cycles (section 5.3)
     bool bypassEnabled = true;    ///< Section 5.2.3 bypass paths
     RowPolicy rowPolicy = RowPolicy::Managed;
-    FirstHitPla::Variant plaVariant = FirstHitPla::Variant::FullKi;
+
+    bool operator==(const BcConfig &) const = default;
 };
 
 /** One bank's controller. */

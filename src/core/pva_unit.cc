@@ -314,13 +314,13 @@ PvaUnit::tick(Cycle now)
     }
 
     // --- 3. Clock the bank controllers (and through them the DRAMs). --
-    // Batched: skip controllers whose cached wake (their own
+    // Unless exhaustive, skip controllers whose cached wake (their own
     // nextWakeAfter answer, reset to `now` by a broadcast they hit
     // above) is still in the future — their state provably cannot
     // change.
-    const bool batching = cfg.batchTicking;
+    const bool sleepers = !tickEveryBc;
     for (std::size_t b = 0; b < bcs.size(); ++b) {
-        if (batching && bcWake[b] > now)
+        if (sleepers && bcWake[b] > now)
             continue;
         BankController &bc = *bcs[b];
         bc.tick(now);
@@ -353,7 +353,7 @@ PvaUnit::onCycleBegin(Cycle now)
     // all queues frozen; credit the per-cycle occupancy stats before
     // anything (trySubmit, observeVecCommand) mutates this cycle. Each
     // BC keeps its own accounting watermark, which also covers cycles
-    // the batched tick loop let it sit out.
+    // the tick loop let it sleep through.
     if (tickedYet && now > lastProcessedTick + 1) {
         Cycle gap = now - lastProcessedTick - 1;
         std::size_t active = activeTxns;

@@ -28,8 +28,9 @@
  * sleeping. A STAGE_WRITE line delivery resets none: no vector context
  * can name a write transaction before its VEC_WRITE. Cycle-exactness
  * follows by the same argument as the event clocking core.
- * cfg.batchTicking = false restores the tick-every-BC-every-cycle
- * reference behaviour.
+ * Exhaustive clocking is the reference and does not batch: driven by
+ * an exhaustive Simulation, every controller ticks every processed
+ * cycle (setClocking()).
  */
 
 #ifndef PVA_CORE_PVA_UNIT_HH
@@ -82,12 +83,24 @@ class PvaUnit : public MemorySystem
     /**
      * Top-of-cycle hook: brings the per-cycle occupancy stats current
      * (front end and BCs) for any cycles not yet accounted — spans
-     * skipped by event clocking and, per BC, by batched ticking; state
+     * skipped by event clocking and, per BC, by sleeping; state
      * was frozen over those cycles, so the credit is exact — and
      * stamps the acceptedAt reference cycle trySubmit uses, keeping
      * submission timestamps identical to the exhaustive stepper's.
      */
     void onCycleBegin(Cycle now) final;
+
+    /**
+     * Adopt the driving Simulation's clocking discipline (called by
+     * Simulation::add). Exhaustive ticks every bank controller every
+     * processed cycle; Event, and a unit no Simulation drives, skip
+     * controllers whose cached wake lies in the future.
+     */
+    void
+    setClocking(ClockingMode mode)
+    {
+        tickEveryBc = mode == ClockingMode::Exhaustive;
+    }
 
     /** Direct access for white-box tests. */
     BankController &bankController(unsigned i) { return *bcs[i]; }
@@ -171,9 +184,10 @@ class PvaUnit : public MemorySystem
     /** Recycled read-line buffers (recycleLine() -> finishRead()). */
     std::vector<std::vector<Word>> linePool;
 
-    /** Cached per-BC wake cycle (see file comment); maintained in both
-     *  batching modes, consulted by the tick loop only when batching. */
+    /** Cached per-BC wake cycle (see file comment); maintained under
+     *  both clockings, consulted by the tick loop only under Event. */
     std::vector<Cycle> bcWake;
+    bool tickEveryBc = false; ///< Exhaustive reference (setClocking)
     std::size_t activeTxns = 0; ///< Txn slots not Free
 
     StatSet statSet;
@@ -182,7 +196,7 @@ class PvaUnit : public MemorySystem
     Scalar statCtxOccupancy;  ///< Sum over ticks of in-flight txns
     Scalar statCtxFullCycles; ///< Ticks with no free transaction slot
     /** Bank-controller ticks run (sim.bcTicks: a work counter that
-     *  depends on the clocking and batching modes, like sim.simTicks). */
+     *  depends on the clocking mode, like sim.simTicks). */
     Scalar statBcTicks;
     Cycle lastTickCycle = 0;
     Cycle lastProcessedTick = 0; ///< Last cycle tick() actually ran

@@ -16,6 +16,11 @@
  * validate() rejects unsupportable values with a SimError(Config)
  * naming the offending field, so bad knobs fail fast with a clear
  * message instead of as undefined behavior deep inside a run.
+ *
+ * configToJson()/configFromJson() are the one wire format of every
+ * field (docs/ROBUSTNESS.md): repro capsules embed the object, sweep
+ * journal fingerprints hash its text. A new knob is added to
+ * SystemConfig and to that codec, and nowhere else.
  */
 
 #ifndef PVA_CORE_SYSTEM_CONFIG_HH
@@ -32,6 +37,17 @@
 namespace pva
 {
 
+namespace json
+{
+class Reader;
+} // namespace json
+
+/** @name RowPolicy names ("managed", "open", "close") @{ */
+const char *rowPolicyName(RowPolicy policy);
+/** Returns false on unknown names. */
+bool parseRowPolicy(const std::string &name, RowPolicy &out);
+/** @} */
+
 /** Top-level configuration of a PVA memory system. */
 struct PvaConfig
 {
@@ -41,8 +57,6 @@ struct PvaConfig
     bool useSram = false; ///< Build the PVA-SRAM comparison system
     bool timingCheck = false; ///< Attach the redundant TimingChecker
     FaultPlan faults{};       ///< Fault injection (disabled by default)
-    /** Batched bank-controller ticking (see SystemConfig::batchTicking). */
-    bool batchTicking = true;
     /** Device backend (see SystemConfig::backend; SRAM ignores it). */
     MemBackend backend = MemBackend::Legacy;
     unsigned salpSubarrays = 4;
@@ -87,16 +101,6 @@ struct SystemConfig
      *  Event is cycle-exact with Exhaustive; see docs/SIMULATION.md. */
     ClockingMode clocking = ClockingMode::Event;
     /**
-     * Batched bank-controller ticking (PVA systems): the front end
-     * keeps a cached wake cycle per bank controller and skips ticking
-     * controllers that are provably quiescent until then, instead of
-     * ticking all M controllers on every processed cycle. Cycle-exact
-     * by the same wake contract the event core relies on
-     * (docs/PERFORMANCE.md); off reproduces the every-BC-every-cycle
-     * reference behaviour for differential testing.
-     */
-    bool batchTicking = true;
-    /**
      * Memory-device backend (docs/DEVICE.md). Legacy is the paper's
      * part and the default; Salp gives every internal bank
      * salpSubarrays independent row buffers (Kim et al.); Deferred-
@@ -111,6 +115,8 @@ struct SystemConfig
     /** Max cycles a refresh may move (DeferredRefresh; 0 = tREFI/2). */
     unsigned refreshDeferWindow = 0;
 
+    bool operator==(const SystemConfig &) const = default;
+
     /** The PVA-specific projection of this configuration. */
     PvaConfig
     toPva(bool use_sram = false) const
@@ -122,7 +128,6 @@ struct SystemConfig
         p.useSram = use_sram;
         p.timingCheck = timingCheck;
         p.faults = faults;
-        p.batchTicking = batchTicking;
         p.backend = backend;
         p.salpSubarrays = salpSubarrays;
         p.refreshDeferWindow = refreshDeferWindow;
@@ -192,6 +197,20 @@ struct SystemConfig
                                    salpSubarrays, refreshDeferWindow);
     }
 };
+
+/**
+ * The canonical JSON object of every SystemConfig field: one line,
+ * fixed key order, fault rates printed %.17g so a round trip through
+ * configFromJson() is bit-exact.
+ */
+std::string configToJson(const SystemConfig &config);
+
+/**
+ * Strict inverse of configToJson(): every field is required, unknown
+ * keys and names are rejected, and errors are reported through
+ * @p in's SimError context.
+ */
+SystemConfig configFromJson(const json::Reader &in);
 
 } // namespace pva
 

@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <ostream>
-#include <set>
 #include <sstream>
 
 #include "kernels/sweep.hh"
@@ -25,170 +24,83 @@ fail(const std::string &detail)
                    detail);
 }
 
-/** Reject keys outside @p allowed so typos fail loudly. */
-void
-checkKeys(const json::Value &obj, const char *where,
-          std::initializer_list<const char *> allowed)
+/** Scenario errors: SimError(Config) from "scenario", key paths
+ *  rooted at "scenario". */
+json::Reader
+reader(const json::Value &v, const std::string &where)
 {
-    for (const auto &[key, value] : obj.object()) {
-        bool known = false;
-        for (const char *a : allowed)
-            known = known || key == a;
-        if (!known) {
-            fail(csprintf("unknown key '%s' in %s", key.c_str(),
-                          where));
-        }
-    }
-}
-
-const json::Value &
-requireObject(const json::Value &v, const char *where)
-{
-    if (!v.isObject())
-        fail(csprintf("%s must be an object", where));
-    return v;
-}
-
-std::uint64_t
-u64Field(const json::Value &obj, const char *key, const char *where,
-         std::uint64_t fallback)
-{
-    const json::Value *v = obj.find(key);
-    if (!v)
-        return fallback;
-    bool ok = true;
-    std::uint64_t out = v->isNumber() ? v->asU64(ok) : (ok = false, 0);
-    if (!ok) {
-        fail(csprintf("%s.%s must be a non-negative integer", where,
-                      key));
-    }
-    return out;
-}
-
-double
-doubleField(const json::Value &obj, const char *key, const char *where,
-            double fallback)
-{
-    const json::Value *v = obj.find(key);
-    if (!v)
-        return fallback;
-    bool ok = true;
-    double out = v->isNumber() ? v->asDouble(ok) : (ok = false, 0.0);
-    if (!ok)
-        fail(csprintf("%s.%s must be a number", where, key));
-    return out;
-}
-
-bool
-boolField(const json::Value &obj, const char *key, const char *where,
-          bool fallback)
-{
-    const json::Value *v = obj.find(key);
-    if (!v)
-        return fallback;
-    if (!v->isBool())
-        fail(csprintf("%s.%s must be true or false", where, key));
-    return v->boolean();
-}
-
-std::string
-stringField(const json::Value &obj, const char *key, const char *where,
-            const std::string &fallback)
-{
-    const json::Value *v = obj.find(key);
-    if (!v)
-        return fallback;
-    if (!v->isString())
-        fail(csprintf("%s.%s must be a string", where, key));
-    return v->string();
+    return json::Reader(v, where, {"scenario", ""});
 }
 
 PatternConfig
-parsePattern(const json::Value &v, const char *where)
+parsePattern(const json::Reader &in)
 {
-    requireObject(v, where);
-    checkKeys(v, where,
-              {"regionBase", "regionWords", "minStride", "maxStride",
-               "minLength", "maxLength", "readFraction", "indirect"});
+    in.rejectUnknown({"regionBase", "regionWords", "minStride",
+                      "maxStride", "minLength", "maxLength",
+                      "readFraction", "indirect"});
     PatternConfig p;
-    p.regionBase = u64Field(v, "regionBase", where, p.regionBase);
-    p.regionWords = u64Field(v, "regionWords", where, p.regionWords);
-    p.minStride = static_cast<std::uint32_t>(
-        u64Field(v, "minStride", where, p.minStride));
-    p.maxStride = static_cast<std::uint32_t>(
-        u64Field(v, "maxStride", where, p.maxStride));
-    p.minLength = static_cast<std::uint32_t>(
-        u64Field(v, "minLength", where, p.minLength));
-    p.maxLength = static_cast<std::uint32_t>(
-        u64Field(v, "maxLength", where, p.maxLength));
-    p.readFraction =
-        doubleField(v, "readFraction", where, p.readFraction);
+    p.regionBase = in.u64("regionBase", p.regionBase);
+    p.regionWords = in.u64("regionWords", p.regionWords);
+    p.minStride = in.u32("minStride", p.minStride);
+    p.maxStride = in.u32("maxStride", p.maxStride);
+    p.minLength = in.u32("minLength", p.minLength);
+    p.maxLength = in.u32("maxLength", p.maxLength);
+    p.readFraction = in.real("readFraction", p.readFraction);
     if (p.readFraction < 0.0 || p.readFraction > 1.0)
-        fail(csprintf("%s.readFraction must be in [0, 1]", where));
-    if (boolField(v, "indirect", where, false))
+        in.fail(in.keyPath("readFraction") + " must be in [0, 1]");
+    if (in.boolean("indirect", false))
         p.mode = VectorCommand::Mode::Indirect;
     return p;
 }
 
 StreamConfig
-parseStream(const json::Value &v, const char *where,
-            std::uint64_t default_seed)
+parseStream(const json::Reader &in, std::uint64_t default_seed)
 {
-    requireObject(v, where);
-    checkKeys(v, where,
-              {"mode", "window", "rate", "requests", "priority",
-               "queueCap", "deadline", "seed", "pattern"});
+    in.rejectUnknown({"mode", "window", "rate", "requests", "priority",
+                      "queueCap", "deadline", "seed", "pattern"});
     StreamConfig s;
     s.seed = default_seed;
-    const std::string mode = stringField(v, "mode", where, "closed");
+    const std::string mode = in.str("mode", "closed");
     if (mode == "closed") {
         s.mode = ArrivalMode::ClosedLoop;
     } else if (mode == "open") {
         s.mode = ArrivalMode::OpenLoop;
     } else {
-        fail(csprintf("%s.mode must be \"closed\" or \"open\", not "
-                      "\"%s\"",
-                      where, mode.c_str()));
+        in.fail(csprintf("%s must be \"closed\" or \"open\", not "
+                         "\"%s\"",
+                         in.keyPath("mode").c_str(), mode.c_str()));
     }
-    s.window =
-        static_cast<unsigned>(u64Field(v, "window", where, s.window));
-    s.requestsPerKilocycle =
-        doubleField(v, "rate", where, s.requestsPerKilocycle);
-    s.requests = u64Field(v, "requests", where, s.requests);
-    s.priority = static_cast<unsigned>(
-        u64Field(v, "priority", where, s.priority));
-    s.queueCapacity = static_cast<unsigned>(
-        u64Field(v, "queueCap", where, s.queueCapacity));
-    s.deadline = u64Field(v, "deadline", where, s.deadline);
-    s.seed = u64Field(v, "seed", where, s.seed);
-    if (const json::Value *p = v.find("pattern"))
-        s.pattern = parsePattern(*p, where);
+    s.window = in.u32("window", s.window);
+    s.requestsPerKilocycle = in.real("rate", s.requestsPerKilocycle);
+    s.requests = in.u64("requests", s.requests);
+    s.priority = in.u32("priority", s.priority);
+    s.queueCapacity = in.u32("queueCap", s.queueCapacity);
+    s.deadline = in.u64("deadline", s.deadline);
+    s.seed = in.u64("seed", s.seed);
+    if (in.find("pattern"))
+        s.pattern = parsePattern(in.object("pattern"));
     return s;
 }
 
 TenantSpec
-parseTenant(const json::Value &v, const char *where,
-            std::uint64_t default_seed)
+parseTenant(const json::Reader &in, std::uint64_t default_seed)
 {
-    requireObject(v, where);
-    checkKeys(v, where,
-              {"name", "count", "streamsPerTenant", "regionStrideWords",
-               "stream"});
+    in.rejectUnknown({"name", "count", "streamsPerTenant",
+                      "regionStrideWords", "stream"});
     TenantSpec spec;
-    spec.name = stringField(v, "name", where, spec.name);
-    spec.count =
-        static_cast<unsigned>(u64Field(v, "count", where, spec.count));
-    spec.streamsPerTenant = static_cast<unsigned>(u64Field(
-        v, "streamsPerTenant", where, spec.streamsPerTenant));
+    spec.name = in.str("name", spec.name);
+    spec.count = in.u32("count", spec.count);
+    spec.streamsPerTenant =
+        in.u32("streamsPerTenant", spec.streamsPerTenant);
     spec.regionStrideWords =
-        u64Field(v, "regionStrideWords", where, spec.regionStrideWords);
+        in.u64("regionStrideWords", spec.regionStrideWords);
     spec.stream.seed = default_seed;
-    if (const json::Value *s = v.find("stream"))
-        spec.stream = parseStream(*s, where, default_seed);
+    if (in.find("stream"))
+        spec.stream = parseStream(in.object("stream"), default_seed);
     if (spec.count == 0)
-        fail(csprintf("%s.count must be at least 1", where));
+        in.fail(in.keyPath("count") + " must be at least 1");
     if (spec.streamsPerTenant == 0)
-        fail(csprintf("%s.streamsPerTenant must be at least 1", where));
+        in.fail(in.keyPath("streamsPerTenant") + " must be at least 1");
     return spec;
 }
 
@@ -197,100 +109,62 @@ parseTenant(const json::Value &v, const char *where,
 Scenario
 parseScenario(const json::Value &doc)
 {
-    requireObject(doc, "scenario");
-    checkKeys(doc, "scenario",
-              {"kind", "name", "system", "policy", "aging", "clocking",
-               "backend", "subarrays", "refreshWindow", "check",
-               "shards", "seed", "maxCycles", "perStreamStats", "shed",
-               "tenants"});
+    const json::Reader in = reader(doc, "scenario");
+    in.rejectUnknown({"kind", "name", "system", "policy", "aging",
+                      "clocking", "backend", "subarrays",
+                      "refreshWindow", "check", "shards", "seed",
+                      "maxCycles", "perStreamStats", "shed",
+                      "tenants"});
 
-    const std::string kind = stringField(doc, "kind", "scenario", "");
+    const std::string kind = in.str("kind", "");
     if (kind != "fleet") {
         fail(csprintf("scenario.kind must be \"fleet\", not \"%s\"",
                       kind.c_str()));
     }
 
     Scenario sc;
-    sc.name = stringField(doc, "name", "scenario", sc.name);
+    sc.name = in.str("name", sc.name);
     FleetConfig &fc = sc.config;
-
-    const std::string system =
-        stringField(doc, "system", "scenario", "pva");
-    bool found = false;
-    for (SystemKind k : allSystems()) {
-        if (system == systemShortName(k)) {
-            fc.system = k;
-            found = true;
-        }
-    }
-    if (!found)
-        fail(csprintf("unknown scenario.system '%s'", system.c_str()));
-
-    const std::string policy =
-        stringField(doc, "policy", "scenario", "fifo");
-    if (!parseArbPolicy(policy, fc.arbiter.policy)) {
-        fail(csprintf("unknown scenario.policy '%s' "
-                      "(try: fifo rr priority)",
-                      policy.c_str()));
-    }
+    SystemConfig &sys = fc.config;
+    fc.system = in.name("system", parseSystemKind, nullptr, fc.system);
+    fc.arbiter.policy = in.name("policy", parseArbPolicy,
+                                "fifo rr priority", fc.arbiter.policy);
     fc.arbiter.agingThreshold =
-        u64Field(doc, "aging", "scenario", fc.arbiter.agingThreshold);
+        in.u64("aging", fc.arbiter.agingThreshold);
+    sys.clocking = in.name("clocking", parseClockingMode,
+                           "event exhaustive", sys.clocking);
+    sys.backend = in.name("backend", parseMemBackend,
+                          "legacy salp deferred", sys.backend);
+    sys.salpSubarrays = in.u32("subarrays", sys.salpSubarrays);
+    sys.refreshDeferWindow =
+        in.u32("refreshWindow", sys.refreshDeferWindow);
+    sys.timingCheck = in.boolean("check", sys.timingCheck);
 
-    const std::string clocking =
-        stringField(doc, "clocking", "scenario", "event");
-    if (!parseClockingMode(clocking, fc.config.clocking)) {
-        fail(csprintf("unknown scenario.clocking '%s' "
-                      "(try: event exhaustive)",
-                      clocking.c_str()));
-    }
-    const std::string backend =
-        stringField(doc, "backend", "scenario",
-                    backendName(fc.config.backend));
-    if (!parseMemBackend(backend, fc.config.backend)) {
-        fail(csprintf("unknown scenario.backend '%s' "
-                      "(try: legacy salp deferred)",
-                      backend.c_str()));
-    }
-    fc.config.salpSubarrays = static_cast<unsigned>(u64Field(
-        doc, "subarrays", "scenario", fc.config.salpSubarrays));
-    fc.config.refreshDeferWindow = static_cast<unsigned>(u64Field(
-        doc, "refreshWindow", "scenario",
-        fc.config.refreshDeferWindow));
-    fc.config.timingCheck =
-        boolField(doc, "check", "scenario", fc.config.timingCheck);
-
-    fc.shards = static_cast<unsigned>(
-        u64Field(doc, "shards", "scenario", 1));
+    fc.shards = in.u32("shards", 1);
     if (fc.shards == 0)
         fail("scenario.shards must be at least 1");
-    fc.limits.maxCycles =
-        u64Field(doc, "maxCycles", "scenario", fc.limits.maxCycles);
-    fc.perStreamStats = boolField(doc, "perStreamStats", "scenario",
-                                  fc.perStreamStats);
-    const std::uint64_t seed = u64Field(doc, "seed", "scenario", 1);
+    fc.limits.maxCycles = in.u64("maxCycles", fc.limits.maxCycles);
+    fc.perStreamStats = in.boolean("perStreamStats", fc.perStreamStats);
+    const std::uint64_t seed = in.u64("seed", 1);
 
-    if (const json::Value *shed = doc.find("shed")) {
-        requireObject(*shed, "scenario.shed");
-        checkKeys(*shed, "scenario.shed",
-                  {"enabled", "deadline", "watermark"});
-        fc.arbiter.shed.enabled =
-            boolField(*shed, "enabled", "scenario.shed", true);
-        fc.arbiter.shed.defaultDeadline = u64Field(
-            *shed, "deadline", "scenario.shed",
-            fc.arbiter.shed.defaultDeadline);
-        fc.arbiter.shed.queueHighWatermark = doubleField(
-            *shed, "watermark", "scenario.shed",
-            fc.arbiter.shed.queueHighWatermark);
+    if (in.find("shed")) {
+        const json::Reader shed = in.object("shed");
+        shed.rejectUnknown({"enabled", "deadline", "watermark"});
+        ArbiterConfig::ShedConfig &sh = fc.arbiter.shed;
+        sh.enabled = shed.boolean("enabled", true);
+        sh.defaultDeadline = shed.u64("deadline", sh.defaultDeadline);
+        sh.queueHighWatermark =
+            shed.real("watermark", sh.queueHighWatermark);
     }
 
-    const json::Value *tenants = doc.find("tenants");
+    const json::Value *tenants = in.find("tenants");
     if (!tenants || !tenants->isArray() || tenants->array().empty())
         fail("scenario.tenants must be a non-empty array");
     for (std::size_t i = 0; i < tenants->array().size(); ++i) {
-        fc.tenants.push_back(
-            parseTenant(tenants->array()[i],
-                        csprintf("scenario.tenants[%zu]", i).c_str(),
-                        seed));
+        fc.tenants.push_back(parseTenant(
+            reader(tenants->array()[i],
+                   csprintf("scenario.tenants[%zu]", i)),
+            seed));
     }
     return sc;
 }

@@ -5,11 +5,10 @@
  * A scenario is one JSON document describing a whole fleet run —
  * system, arbitration policy, shedding, sharding, and the tenant
  * groups — so capacity-planning runs are reviewable artifacts instead
- * of flag soup, and the loadgen daemon (fleet/daemon.hh) can ingest
- * them from a spool directory. Parsing is strict: unknown keys,
- * wrong types, and out-of-range values all throw SimError(Config)
- * with the offending key path, so a typo fails loudly instead of
- * silently running the default.
+ * of flag soup (`pva_loadgen --scenario FILE`). Parsing is strict
+ * (json::Reader): unknown keys, wrong types, and out-of-range values
+ * all throw SimError(Config) with the offending key path, so a typo
+ * fails loudly instead of silently running the default.
  *
  * The canonical shape (all keys except "kind" and "tenants" optional):
  *
@@ -79,8 +78,8 @@ Scenario loadScenarioFile(const std::string &path);
  * line, newline-terminated:
  *   {"schemaVersion": 1, "tool": "pva_loadgen", "scenario": "...",
  *    "fleet": {...}}
- * The one-shot --scenario path and the daemon both emit results
- * through here, which is what makes their outputs byte-identical.
+ * One line per run, so a shell loop over --scenario files yields a
+ * JSONL stream.
  */
 void writeScenarioResult(std::ostream &os, const Scenario &scenario,
                          const FleetResult &result);

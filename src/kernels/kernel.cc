@@ -108,6 +108,18 @@ kernelSpec(KernelId id)
     panic("unknown kernel id %d", static_cast<int>(id));
 }
 
+bool
+parseKernelId(const std::string &name, KernelId &out)
+{
+    for (const KernelSpec &s : specTable()) {
+        if (s.name == name) {
+            out = s.id;
+            return true;
+        }
+    }
+    return false;
+}
+
 KernelTrace
 buildTrace(const KernelSpec &spec, const WorkloadConfig &cfg,
            const SparseMemory &mem)

@@ -58,6 +58,9 @@ struct KernelSpec
 
 const KernelSpec &kernelSpec(KernelId id);
 
+/** Reverse of kernelSpec(id).name; returns false on unknown names. */
+bool parseKernelId(const std::string &name, KernelId &out);
+
 /** Workload parameters for one run. */
 struct WorkloadConfig
 {

@@ -22,197 +22,12 @@ capsuleError(const std::string &path, const std::string &detail)
                    path + ": " + detail);
 }
 
-const char *
-rowPolicyName(RowPolicy policy)
-{
-    switch (policy) {
-      case RowPolicy::Managed:
-        return "managed";
-      case RowPolicy::AlwaysOpen:
-        return "open";
-      case RowPolicy::AlwaysClose:
-        return "close";
-    }
-    return "?";
-}
-
-bool
-parseRowPolicy(const std::string &name, RowPolicy &out)
-{
-    if (name == "managed") {
-        out = RowPolicy::Managed;
-    } else if (name == "open") {
-        out = RowPolicy::AlwaysOpen;
-    } else if (name == "close") {
-        out = RowPolicy::AlwaysClose;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-const char *
-plaVariantName(FirstHitPla::Variant variant)
-{
-    switch (variant) {
-      case FirstHitPla::Variant::FullKi:
-        return "fullki";
-      case FirstHitPla::Variant::K1Multiply:
-        return "k1multiply";
-    }
-    return "?";
-}
-
-bool
-parsePlaVariant(const std::string &name, FirstHitPla::Variant &out)
-{
-    if (name == "fullki") {
-        out = FirstHitPla::Variant::FullKi;
-    } else if (name == "k1multiply") {
-        out = FirstHitPla::Variant::K1Multiply;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-/** log2 of the internal-bank count (Geometry stores only 1 << bits). */
-unsigned
-ibankBitsOf(const Geometry &g)
-{
-    unsigned bits = 0;
-    while ((1u << bits) < g.internalBanks())
-        ++bits;
-    return bits;
-}
-
-/** Shared field-extraction state: one flag guards a whole object. */
-struct Extract
-{
-    const json::Value &v;
-    const std::string &path;
-
-    const json::Value &
-    member(const char *key) const
-    {
-        const json::Value *f = v.find(key);
-        if (!f)
-            capsuleError(path, csprintf("missing field '%s'", key));
-        return *f;
-    }
-
-    std::uint64_t
-    u64(const char *key) const
-    {
-        bool ok = true;
-        std::uint64_t n = member(key).asU64(ok);
-        if (!ok)
-            capsuleError(path,
-                         csprintf("field '%s' is not an unsigned "
-                                  "integer", key));
-        return n;
-    }
-
-    unsigned
-    u32(const char *key) const
-    {
-        return static_cast<unsigned>(u64(key));
-    }
-
-    double
-    real(const char *key) const
-    {
-        bool ok = true;
-        double d = member(key).asDouble(ok);
-        if (!ok)
-            capsuleError(path,
-                         csprintf("field '%s' is not a number", key));
-        return d;
-    }
-
-    std::string
-    str(const char *key) const
-    {
-        const json::Value &f = member(key);
-        if (!f.isString())
-            capsuleError(path,
-                         csprintf("field '%s' is not a string", key));
-        return f.string();
-    }
-
-    bool
-    boolean(const char *key) const
-    {
-        const json::Value &f = member(key);
-        if (!f.isBool())
-            capsuleError(path,
-                         csprintf("field '%s' is not a boolean", key));
-        return f.boolean();
-    }
-
-    Extract
-    object(const char *key) const
-    {
-        const json::Value &f = member(key);
-        if (!f.isObject())
-            capsuleError(path,
-                         csprintf("field '%s' is not an object", key));
-        return Extract{f, path};
-    }
-};
-
-SystemConfig
-configFrom(const Extract &e)
-{
-    SystemConfig c;
-    Extract geo = e.object("geometry");
-    c.geometry =
-        Geometry(geo.u32("banks"), geo.u32("interleave"),
-                 geo.u32("colBits"), geo.u32("ibankBits"),
-                 geo.u32("rowBits"));
-    Extract t = e.object("timing");
-    c.timing.tRCD = t.u32("tRCD");
-    c.timing.tCL = t.u32("tCL");
-    c.timing.tRP = t.u32("tRP");
-    c.timing.tRAS = t.u32("tRAS");
-    c.timing.tRC = t.u32("tRC");
-    c.timing.tWR = t.u32("tWR");
-    c.timing.tREFI = t.u32("tREFI");
-    c.timing.tRFC = t.u32("tRFC");
-    Extract bc = e.object("bc");
-    c.bc.fifoEntries = bc.u32("fifoEntries");
-    c.bc.vectorContexts = bc.u32("vectorContexts");
-    c.bc.lineWords = bc.u32("lineWords");
-    c.bc.transactions = bc.u32("transactions");
-    c.bc.fhcLatency = bc.u32("fhcLatency");
-    c.bc.bypassEnabled = bc.boolean("bypassEnabled");
-    if (!parseRowPolicy(bc.str("rowPolicy"), c.bc.rowPolicy))
-        capsuleError(e.path, "unknown rowPolicy name");
-    if (!parsePlaVariant(bc.str("plaVariant"), c.bc.plaVariant))
-        capsuleError(e.path, "unknown plaVariant name");
-    c.maxOutstanding = e.u32("maxOutstanding");
-    c.optimisticLineReuse = e.boolean("optimisticLineReuse");
-    c.timingCheck = e.boolean("timingCheck");
-    if (!parseClockingMode(e.str("clocking"), c.clocking))
-        capsuleError(e.path, "unknown clocking name");
-    c.batchTicking = e.boolean("batchTicking");
-    Extract f = e.object("faults");
-    c.faults.seed = f.u64("seed");
-    c.faults.refreshStallRate = f.real("refreshStallRate");
-    c.faults.bcStallRate = f.real("bcStallRate");
-    c.faults.dropTransferRate = f.real("dropTransferRate");
-    c.faults.corruptFirstHitRate = f.real("corruptFirstHitRate");
-    return c;
-}
-
 } // anonymous namespace
 
 void
 writeCapsule(std::ostream &os, const ReproCapsule &capsule)
 {
     const SweepRequest &req = capsule.request;
-    const SystemConfig &c = req.config;
-    const Geometry &g = c.geometry;
     os << "{\n"
        << "  \"schemaVersion\": " << ReproCapsule::kSchemaVersion
        << ",\n"
@@ -232,48 +47,10 @@ writeCapsule(std::ostream &os, const ReproCapsule &capsule)
        << "    \"alignment\": " << req.alignment << ",\n"
        << "    \"elements\": " << req.elements << ",\n"
        << "    \"maxCycles\": " << req.limits.maxCycles << ",\n"
-       << "    \"config\": {\n"
-       << "      \"geometry\": {\"banks\": " << g.banks()
-       << ", \"interleave\": " << g.interleave()
-       << ", \"colBits\": " << g.colBits()
-       << ", \"ibankBits\": " << ibankBitsOf(g)
-       << ", \"rowBits\": " << g.rowBits() << "},\n"
-       << "      \"timing\": {\"tRCD\": " << c.timing.tRCD
-       << ", \"tCL\": " << c.timing.tCL
-       << ", \"tRP\": " << c.timing.tRP
-       << ", \"tRAS\": " << c.timing.tRAS
-       << ", \"tRC\": " << c.timing.tRC
-       << ", \"tWR\": " << c.timing.tWR
-       << ", \"tREFI\": " << c.timing.tREFI
-       << ", \"tRFC\": " << c.timing.tRFC << "},\n"
-       << "      \"bc\": {\"fifoEntries\": " << c.bc.fifoEntries
-       << ", \"vectorContexts\": " << c.bc.vectorContexts
-       << ", \"lineWords\": " << c.bc.lineWords
-       << ", \"transactions\": " << c.bc.transactions
-       << ", \"fhcLatency\": " << c.bc.fhcLatency
-       << ", \"bypassEnabled\": "
-       << (c.bc.bypassEnabled ? "true" : "false")
-       << ", \"rowPolicy\": \"" << rowPolicyName(c.bc.rowPolicy)
-       << "\", \"plaVariant\": \"" << plaVariantName(c.bc.plaVariant)
-       << "\"},\n"
-       << "      \"maxOutstanding\": " << c.maxOutstanding << ",\n"
-       << "      \"optimisticLineReuse\": "
-       << (c.optimisticLineReuse ? "true" : "false") << ",\n"
-       << "      \"timingCheck\": "
-       << (c.timingCheck ? "true" : "false") << ",\n"
-       << "      \"clocking\": \"" << clockingModeName(c.clocking)
-       << "\",\n"
-       << "      \"batchTicking\": "
-       << (c.batchTicking ? "true" : "false") << ",\n"
-       << "      \"faults\": "
-       << csprintf("{\"seed\": %llu, \"refreshStallRate\": %.17g, "
-                   "\"bcStallRate\": %.17g, \"dropTransferRate\": "
-                   "%.17g, \"corruptFirstHitRate\": %.17g}",
-                   static_cast<unsigned long long>(c.faults.seed),
-                   c.faults.refreshStallRate, c.faults.bcStallRate,
-                   c.faults.dropTransferRate,
-                   c.faults.corruptFirstHitRate)
-       << "\n    }\n  }\n}\n";
+       << "    \"timeoutMillis\": "
+       << csprintf("%.17g", req.limits.timeoutMillis) << ",\n"
+       << "    \"config\": " << configToJson(req.config) << "\n"
+       << "  }\n}\n";
 }
 
 void
@@ -301,10 +78,8 @@ loadCapsule(const std::string &path)
     std::string parseErr;
     if (!json::parse(buffer.str(), doc, parseErr))
         capsuleError(path, "not valid JSON: " + parseErr);
-    if (!doc.isObject())
-        capsuleError(path, "capsule is not a JSON object");
 
-    Extract e{doc, path};
+    const json::Reader e(doc, "", {"capsule", path + ": "});
     std::uint64_t schema = e.u64("schemaVersion");
     if (schema != static_cast<std::uint64_t>(
                       ReproCapsule::kSchemaVersion)) {
@@ -313,46 +88,32 @@ loadCapsule(const std::string &path)
                               static_cast<unsigned long long>(schema),
                               ReproCapsule::kSchemaVersion));
     }
+    e.rejectUnknown({"schemaVersion", "kind", "fingerprint", "attempts",
+                     "error", "request"});
     if (e.str("kind") != ReproCapsule::kKind)
         capsuleError(path, "not a " + std::string(ReproCapsule::kKind));
 
     ReproCapsule capsule;
     capsule.attempts = e.u32("attempts");
     capsule.error = e.str("error");
-    std::string fp = e.str("fingerprint");
     capsule.fingerprint =
-        std::strtoull(fp.c_str(), nullptr, 16);
+        std::strtoull(e.str("fingerprint").c_str(), nullptr, 16);
 
-    Extract req = e.object("request");
+    const json::Reader req = e.object("request");
+    req.rejectUnknown({"system", "kernel", "stride", "alignment",
+                       "elements", "maxCycles", "timeoutMillis",
+                       "config"});
     SweepRequest &r = capsule.request;
-    std::string system = req.str("system");
-    bool found = false;
-    for (SystemKind kind : allSystems()) {
-        if (system == systemShortName(kind)) {
-            r.system = kind;
-            found = true;
-        }
-    }
-    if (!found)
-        capsuleError(path, "unknown system '" + system + "'");
-    std::string kernel = req.str("kernel");
-    found = false;
-    for (KernelId k : allKernels()) {
-        if (kernelSpec(k).name == kernel) {
-            r.kernel = k;
-            found = true;
-        }
-    }
-    if (!found)
-        capsuleError(path, "unknown kernel '" + kernel + "'");
-    r.stride = static_cast<std::uint32_t>(req.u64("stride"));
+    r.system = req.name("system", parseSystemKind);
+    r.kernel = req.name("kernel", parseKernelId);
+    r.stride = req.u32("stride");
     r.alignment = req.u32("alignment");
     if (r.alignment >= alignmentPresets().size())
         capsuleError(path, "alignment index out of range");
-    r.elements = static_cast<std::uint32_t>(req.u64("elements"));
+    r.elements = req.u32("elements");
     r.limits.maxCycles = req.u64("maxCycles");
-    r.config = configFrom(req.object("config"));
-    r.limits.clocking = r.config.clocking;
+    r.limits.timeoutMillis = req.real("timeoutMillis");
+    r.config = configFromJson(req.object("config"));
     return capsule;
 }
 

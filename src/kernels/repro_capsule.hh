@@ -4,10 +4,11 @@
  *
  * When a sweep point exhausts its attempt budget (or trips a
  * watchdog), the executor serializes everything needed to re-execute
- * the failing attempt — the full SystemConfig including the effective
- * fault seed of that attempt, the workload coordinates, the cycle
- * budget, and the error it died with — as one self-contained JSON
- * file. `pva_replay --repro <capsule>` reloads the capsule and reruns
+ * the failing attempt — the full SystemConfig in its one wire format
+ * (configToJson, core/system_config.hh) including the effective fault
+ * seed of that attempt, the workload coordinates, the cycle and
+ * wall-clock budgets, and the error it died with — as one
+ * self-contained JSON file. `pva_replay --repro <capsule>` reloads the capsule and reruns
  * the point bit-exactly, so a failure logged by an overnight sweep is
  * reproducible at a desk from the capsule alone, with no knowledge of
  * the sweep's flags or grid position.
@@ -29,7 +30,7 @@ namespace pva
 struct ReproCapsule
 {
     /** Capsule format version (the file's schemaVersion field). */
-    static constexpr int kSchemaVersion = 1;
+    static constexpr int kSchemaVersion = 2;
     /** The file's kind tag. */
     static constexpr const char *kKind = "pva-repro-capsule";
 
@@ -55,7 +56,8 @@ void writeCapsuleFile(const std::string &path,
                       const ReproCapsule &capsule);
 
 /** Parse a capsule file; throws SimError(Config) on a missing or
- *  malformed file, schema mismatch, or unknown enum names. */
+ *  malformed file, a schemaVersion other than kSchemaVersion, unknown
+ *  keys, or unknown enum names. */
 ReproCapsule loadCapsule(const std::string &path);
 
 /**

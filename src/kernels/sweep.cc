@@ -54,6 +54,18 @@ systemShortName(SystemKind kind)
     return "?";
 }
 
+bool
+parseSystemKind(const std::string &name, SystemKind &out)
+{
+    for (SystemKind kind : allSystems()) {
+        if (name == systemShortName(kind)) {
+            out = kind;
+            return true;
+        }
+    }
+    return false;
+}
+
 std::unique_ptr<MemorySystem>
 makeSystem(SystemKind kind, const SystemConfig &config)
 {

@@ -47,6 +47,9 @@ const char *systemName(SystemKind kind);
  *  "sram") as accepted by the tools' --system flag. */
 const char *systemShortName(SystemKind kind);
 
+/** Reverse of systemShortName(); returns false on unknown names. */
+bool parseSystemKind(const std::string &name, SystemKind &out);
+
 /** Instantiate a fresh memory system of the given kind under the
  *  given configuration. */
 std::unique_ptr<MemorySystem> makeSystem(SystemKind kind,

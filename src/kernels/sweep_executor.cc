@@ -33,10 +33,6 @@ jsonEscape(const std::string &s)
     return json::escape(s);
 }
 
-/** Per-attempt fault-seed advance: a retry of a fault-injected point
- *  must explore a different fault timeline, not replay the failure. */
-constexpr std::uint64_t kRetrySeedStep = 0x9e3779b97f4a7c15ULL;
-
 /** Create the quarantine directory (existing is fine). */
 void
 ensureDirectory(const std::string &path)

@@ -138,6 +138,11 @@ struct SweepReport
     void dumpJson(std::ostream &os) const;
 };
 
+/** Per-attempt fault-seed advance: a retry of a fault-injected point
+ *  must explore a different fault timeline, not replay the failure.
+ *  Every runner that retries (sweeps, traffic, fleets) uses it. */
+inline constexpr std::uint64_t kRetrySeedStep = 0x9e3779b97f4a7c15ULL;
+
 /** Durability knobs of one runReport() call (docs/ROBUSTNESS.md). */
 struct CheckpointOptions
 {

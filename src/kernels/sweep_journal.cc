@@ -38,16 +38,6 @@ fnv1a(const std::string &s, std::uint64_t hash = 0xcbf29ce484222325ULL)
     return fnv1a(s.data(), s.size(), hash);
 }
 
-/** log2 of the internal-bank count (Geometry stores only 1 << bits). */
-unsigned
-ibankBitsOf(const Geometry &g)
-{
-    unsigned bits = 0;
-    while ((1u << bits) < g.internalBanks())
-        ++bits;
-    return bits;
-}
-
 const char *
 pointStatusName(PointStatus status)
 {
@@ -65,36 +55,10 @@ pointStatusName(PointStatus status)
 bool
 parsePointStatus(const std::string &name, PointStatus &out)
 {
-    if (name == "ok") {
-        out = PointStatus::Ok;
-    } else if (name == "retried") {
-        out = PointStatus::Retried;
-    } else if (name == "failed") {
-        out = PointStatus::Failed;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-bool
-systemByShortName(const std::string &name, SystemKind &out)
-{
-    for (SystemKind kind : allSystems()) {
-        if (name == systemShortName(kind)) {
-            out = kind;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-kernelByName(const std::string &name, KernelId &out)
-{
-    for (KernelId k : allKernels()) {
-        if (kernelSpec(k).name == name) {
-            out = k;
+    for (PointStatus status :
+         {PointStatus::Ok, PointStatus::Retried, PointStatus::Failed}) {
+        if (name == pointStatusName(status)) {
+            out = status;
             return true;
         }
     }
@@ -138,67 +102,24 @@ recordLine(const JournalRecord &record)
         json::escape(record.error).c_str());
 }
 
-/** Extract one journal record; returns false on any missing or
- *  ill-typed field. */
-bool
-parseRecord(const json::Value &v, JournalRecord &out)
+/** Extract one journal record; any missing or ill-typed field throws
+ *  through @p in's error context. */
+JournalRecord
+parseRecord(const json::Reader &in)
 {
-    if (!v.isObject())
-        return false;
-    bool ok = true;
-    auto u64 = [&](const char *key, std::uint64_t &dst) {
-        const json::Value *f = v.find(key);
-        if (!f) {
-            ok = false;
-            return;
-        }
-        dst = f->asU64(ok);
-    };
-    auto str = [&](const char *key, std::string &dst) {
-        const json::Value *f = v.find(key);
-        if (!f || !f->isString()) {
-            ok = false;
-            return;
-        }
-        dst = f->string();
-    };
-
-    std::uint64_t index = 0, stride = 0, alignment = 0, cycles = 0;
-    std::uint64_t mismatches = 0, simTicks = 0, cyclesSkipped = 0;
-    std::uint64_t attempts = 0;
-    std::string system, kernel, status, error;
-    u64("index", index);
-    str("system", system);
-    str("kernel", kernel);
-    u64("stride", stride);
-    u64("alignment", alignment);
-    u64("cycles", cycles);
-    u64("mismatches", mismatches);
-    u64("simTicks", simTicks);
-    u64("cyclesSkipped", cyclesSkipped);
-    str("status", status);
-    u64("attempts", attempts);
-    str("error", error);
-    if (!ok)
-        return false;
-
     SweepPoint p{};
-    if (!systemByShortName(system, p.system) ||
-        !kernelByName(kernel, p.kernel) ||
-        !parsePointStatus(status, p.status)) {
-        return false;
-    }
-    p.stride = static_cast<std::uint32_t>(stride);
-    p.alignment = static_cast<unsigned>(alignment);
-    p.cycles = cycles;
-    p.mismatches = static_cast<std::size_t>(mismatches);
-    p.simTicks = simTicks;
-    p.cyclesSkipped = cyclesSkipped;
-    p.attempts = static_cast<unsigned>(attempts);
-    out.index = static_cast<std::size_t>(index);
-    out.point = p;
-    out.error = std::move(error);
-    return true;
+    p.system = in.name("system", parseSystemKind);
+    p.kernel = in.name("kernel", parseKernelId);
+    p.stride = in.u32("stride");
+    p.alignment = in.u32("alignment");
+    p.cycles = in.u64("cycles");
+    p.mismatches = static_cast<std::size_t>(in.u64("mismatches"));
+    p.simTicks = in.u64("simTicks");
+    p.cyclesSkipped = in.u64("cyclesSkipped");
+    p.status = in.name("status", parsePointStatus);
+    p.attempts = in.u32("attempts");
+    return {static_cast<std::size_t>(in.u64("index")), p,
+            in.str("error")};
 }
 
 } // anonymous namespace
@@ -206,39 +127,11 @@ parseRecord(const json::Value &v, JournalRecord &out)
 std::uint64_t
 fingerprintConfig(const SystemConfig &config)
 {
-    // Canonical textual serialization of every field that determines
-    // simulated behavior. Wall-clock budgets are deliberately absent:
-    // they bound the host, not the simulation. Extending SystemConfig
-    // without extending this serialization silently weakens resume
-    // safety — keep them in lockstep.
-    const Geometry &g = config.geometry;
-    std::string s = csprintf(
-        "geometry:%u,%u,%u,%u,%u;"
-        "timing:%u,%u,%u,%u,%u,%u,%u,%u;"
-        "bc:%u,%u,%u,%u,%u,%d,%d,%d;"
-        "sys:%u,%d,%d,%d,%d;"
-        "backend:%d,%u,%u;"
-        "faults:%llu,%.17g,%.17g,%.17g,%.17g",
-        g.banks(), g.interleave(), g.colBits(), ibankBitsOf(g),
-        g.rowBits(), config.timing.tRCD, config.timing.tCL,
-        config.timing.tRP, config.timing.tRAS, config.timing.tRC,
-        config.timing.tWR, config.timing.tREFI, config.timing.tRFC,
-        config.bc.fifoEntries, config.bc.vectorContexts,
-        config.bc.lineWords, config.bc.transactions,
-        config.bc.fhcLatency, static_cast<int>(config.bc.bypassEnabled),
-        static_cast<int>(config.bc.rowPolicy),
-        static_cast<int>(config.bc.plaVariant), config.maxOutstanding,
-        static_cast<int>(config.optimisticLineReuse),
-        static_cast<int>(config.timingCheck),
-        static_cast<int>(config.clocking),
-        static_cast<int>(config.batchTicking),
-        static_cast<int>(config.backend), config.salpSubarrays,
-        config.refreshDeferWindow,
-        static_cast<unsigned long long>(config.faults.seed),
-        config.faults.refreshStallRate, config.faults.bcStallRate,
-        config.faults.dropTransferRate,
-        config.faults.corruptFirstHitRate);
-    return fnv1a(s);
+    // The codec's canonical text covers every field that determines
+    // simulated behavior, so a new knob reaches the fingerprint with
+    // no change here. Wall-clock budgets live in RunLimits, outside
+    // the config: they bound the host, not the simulation.
+    return fnv1a(configToJson(config));
 }
 
 std::uint64_t
@@ -306,57 +199,51 @@ SweepJournal::load(const std::string &path, std::uint64_t fingerprint,
                                   lineNo, parseErr.c_str()));
         }
         if (!sawHeader) {
-            bool ok = true;
-            const json::Value *schema = v.find("schemaVersion");
-            const json::Value *kind = v.find("kind");
-            const json::Value *fp = v.find("fingerprint");
-            const json::Value *count = v.find("points");
-            if (!schema || !kind || !kind->isString() || !fp ||
-                !fp->isString() || !count) {
-                journalError(path, SimErrorKind::Config,
-                             "malformed journal header");
-            }
-            if (schema->asU64(ok) !=
-                    static_cast<std::uint64_t>(kSchemaVersion) ||
-                !ok) {
+            const json::Reader h(v, "", {"journal", path + ": "});
+            const std::uint64_t schema = h.u64("schemaVersion");
+            if (schema != static_cast<std::uint64_t>(kSchemaVersion)) {
                 journalError(
                     path, SimErrorKind::Config,
-                    csprintf("journal schemaVersion %s, expected %d",
-                             schema->numberText().c_str(),
+                    csprintf("journal schemaVersion %llu, expected %d",
+                             static_cast<unsigned long long>(schema),
                              kSchemaVersion));
             }
-            if (kind->string() != kKind) {
+            const std::string kind = h.str("kind");
+            if (kind != kKind) {
                 journalError(path, SimErrorKind::Config,
                              csprintf("journal kind '%s', expected "
                                       "'%s'",
-                                      kind->string().c_str(), kKind));
+                                      kind.c_str(), kKind));
             }
+            const std::string fp = h.str("fingerprint");
             std::string want = csprintf(
                 "%016llx",
                 static_cast<unsigned long long>(fingerprint));
-            if (fp->string() != want) {
+            if (fp != want) {
                 journalError(
                     path, SimErrorKind::Config,
                     csprintf("journal fingerprint %s does not match "
                              "this sweep's %s — refusing to resume "
                              "against a different grid or config",
-                             fp->string().c_str(), want.c_str()));
+                             fp.c_str(), want.c_str()));
             }
-            if (count->asU64(ok) != points || !ok) {
+            const std::uint64_t count = h.u64("points");
+            if (count != points) {
                 journalError(
                     path, SimErrorKind::Config,
-                    csprintf("journal covers %s points, sweep has %zu",
-                             count->numberText().c_str(), points));
+                    csprintf("journal covers %llu points, sweep has "
+                             "%zu",
+                             static_cast<unsigned long long>(count),
+                             points));
             }
             sawHeader = true;
         } else {
-            JournalRecord record;
-            if (!parseRecord(v, record)) {
-                journalError(
-                    path, SimErrorKind::Corruption,
-                    csprintf("malformed journal record at line %zu",
-                             lineNo));
-            }
+            JournalRecord record = parseRecord(json::Reader(
+                v, "",
+                {"journal",
+                 csprintf("%s: malformed journal record at line %zu: ",
+                          path.c_str(), lineNo),
+                 SimErrorKind::Corruption}));
             if (record.index >= points) {
                 journalError(
                     path, SimErrorKind::Corruption,

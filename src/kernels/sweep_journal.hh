@@ -14,9 +14,9 @@
  * Resume correctness rests on the config fingerprints also defined
  * here: FNV-1a digests over the canonical serialization of everything
  * that determines a point's outcome (system/kernel/stride/alignment/
- * elements, the full SystemConfig including fault plan and clocking,
- * and the cycle budget — but not wall-clock budgets, which never
- * change simulated behavior). A journal only resumes against the grid
+ * elements, the full SystemConfig as configToJson writes it, and the
+ * cycle budget — but not wall-clock budgets, which never change
+ * simulated behavior). A journal only resumes against the grid
  * it was written for; any drift is rejected with a SimError(Config)
  * instead of silently splicing incompatible results.
  */
@@ -57,7 +57,7 @@ class SweepJournal
 {
   public:
     /** Journal format version (the header's schemaVersion field). */
-    static constexpr int kSchemaVersion = 1;
+    static constexpr int kSchemaVersion = 2;
     /** The header's kind tag. */
     static constexpr const char *kKind = "pva-sweep-journal";
 

@@ -62,6 +62,7 @@ class Geometry
     unsigned interleave() const { return numInterleave; }
     unsigned interleaveBits() const { return nBits; }
     unsigned internalBanks() const { return 1u << ibankBits; }
+    unsigned internalBankBits() const { return ibankBits; }
     unsigned colBits() const { return columnBits; }
     unsigned rowBits() const { return rowAddressBits; }
 
@@ -108,6 +109,8 @@ class Geometry
 
     /** Inverse of decompose() for bank @p bank. */
     WordAddr compose(unsigned bank, const DeviceCoords &c) const;
+
+    bool operator==(const Geometry &) const = default;
 
   private:
     unsigned numBanks;

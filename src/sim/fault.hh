@@ -49,6 +49,8 @@ struct FaultPlan
     /** Per sub-vector probability the FirstHit result is corrupted. */
     double corruptFirstHitRate = 0.0;
 
+    bool operator==(const FaultPlan &) const = default;
+
     /** Any injection enabled at all? */
     bool
     enabled() const

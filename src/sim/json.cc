@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "sim/logging.hh"
+
 namespace pva::json
 {
 
@@ -382,6 +384,141 @@ escape(const std::string &s)
         }
     }
     return out;
+}
+
+Reader::Reader(const Value &v, std::string path, Errors errs)
+    : obj(v), where(std::move(path)), errors(std::move(errs))
+{
+    if (!obj.isObject())
+        fail((where.empty() ? "document" : where) + " must be an object");
+}
+
+void
+Reader::fail(const std::string &detail) const
+{
+    throw SimError(errors.kind, errors.component, kNeverCycle,
+                   errors.prefix + detail);
+}
+
+std::string
+Reader::keyPath(const char *key) const
+{
+    return where.empty() ? key : where + "." + key;
+}
+
+void
+Reader::rejectUnknown(std::initializer_list<const char *> allowed) const
+{
+    for (const auto &[key, value] : obj.object()) {
+        bool known = false;
+        for (const char *a : allowed)
+            known = known || key == a;
+        if (!known) {
+            fail(csprintf("unknown key '%s' in %s", key.c_str(),
+                          where.empty() ? "document" : where.c_str()));
+        }
+    }
+}
+
+const Value &
+Reader::member(const char *key) const
+{
+    const Value *v = obj.find(key);
+    if (!v)
+        fail(keyPath(key) + " is required");
+    return *v;
+}
+
+void
+Reader::failUnknownName(const char *key, const std::string &text,
+                        const char *hint) const
+{
+    fail(csprintf("unknown %s '%s'%s%s%s", keyPath(key).c_str(),
+                  text.c_str(), hint ? " (try: " : "", hint ? hint : "",
+                  hint ? ")" : ""));
+}
+
+std::uint64_t
+Reader::u64(const char *key) const
+{
+    bool ok = true;
+    std::uint64_t n = member(key).asU64(ok);
+    if (!ok)
+        fail(keyPath(key) + " must be a non-negative integer");
+    return n;
+}
+
+unsigned
+Reader::u32(const char *key) const
+{
+    std::uint64_t n = u64(key);
+    if (n > 0xffffffffULL)
+        fail(keyPath(key) + " must fit in 32 bits");
+    return static_cast<unsigned>(n);
+}
+
+double
+Reader::real(const char *key) const
+{
+    bool ok = true;
+    double d = member(key).asDouble(ok);
+    if (!ok)
+        fail(keyPath(key) + " must be a number");
+    return d;
+}
+
+bool
+Reader::boolean(const char *key) const
+{
+    const Value &v = member(key);
+    if (!v.isBool())
+        fail(keyPath(key) + " must be true or false");
+    return v.boolean();
+}
+
+std::string
+Reader::str(const char *key) const
+{
+    const Value &v = member(key);
+    if (!v.isString())
+        fail(keyPath(key) + " must be a string");
+    return v.string();
+}
+
+Reader
+Reader::object(const char *key) const
+{
+    return Reader(member(key), keyPath(key), errors);
+}
+
+std::uint64_t
+Reader::u64(const char *key, std::uint64_t fallback) const
+{
+    return find(key) ? u64(key) : fallback;
+}
+
+unsigned
+Reader::u32(const char *key, unsigned fallback) const
+{
+    return find(key) ? u32(key) : fallback;
+}
+
+double
+Reader::real(const char *key, double fallback) const
+{
+    return find(key) ? real(key) : fallback;
+}
+
+bool
+Reader::boolean(const char *key, bool fallback) const
+{
+    return find(key) ? boolean(key) : fallback;
+}
+
+std::string
+Reader::str(const char *key, const std::string &fallback) const
+{
+    return find(key) ? str(key) : fallback;
 }
 
 } // namespace pva::json

@@ -10,6 +10,11 @@
  * text so 64-bit integers (seeds, fingerprints, cycle counts) round
  * trip exactly instead of passing through a double.
  *
+ * Reader layers strict typed field access over a parsed object; the
+ * journal, the capsules, the SystemConfig codec and the scenario
+ * parser all read through it, so every document reports a missing,
+ * ill-typed or unknown key the same way.
+ *
  * This is a reader for trusted, tool-generated input with clear
  * diagnostics on corruption — not a general-purpose JSON library. The
  * writers stay hand-rolled ostream code as everywhere else in the
@@ -20,9 +25,12 @@
 #define PVA_SIM_JSON_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "sim/sim_error.hh"
 
 namespace pva::json
 {
@@ -95,6 +103,90 @@ bool parse(const std::string &input, Value &out, std::string &error);
 /** Escape @p s for embedding inside a JSON string literal (quotes not
  *  included). The writer-side counterpart of parse(). */
 std::string escape(const std::string &s);
+
+/**
+ * Strict typed reads over one JSON object. Required reads fail on a
+ * missing key, defaulted reads return the fallback, any present value
+ * of the wrong type fails, and rejectUnknown() fails on keys outside
+ * the caller's list. Every failure throws SimError(Errors::kind) from
+ * Errors::component with Errors::prefix prepended, naming the key by
+ * its path from the document root ("scenario.tenants[0].count must
+ * be a non-negative integer").
+ */
+class Reader
+{
+  public:
+    /** Who reports this document's errors, and how. */
+    struct Errors
+    {
+        std::string component; ///< SimError component, e.g. "capsule"
+        std::string prefix;    ///< Prepended to every message
+        SimErrorKind kind = SimErrorKind::Config;
+    };
+
+    /** Read @p v, which must be an object, found at @p path (empty for
+     *  a document root whose keys need no qualifier). */
+    Reader(const Value &v, std::string path, Errors errors);
+
+    /** Throw this document's SimError with @p detail. */
+    [[noreturn]] void fail(const std::string &detail) const;
+
+    /** Fail on the first key not in @p allowed. */
+    void rejectUnknown(std::initializer_list<const char *> allowed) const;
+
+    /** The member @p key, or nullptr when absent. */
+    const Value *find(const char *key) const { return obj.find(key); }
+
+    /** @name Required reads (fail when @p key is absent) @{ */
+    std::uint64_t u64(const char *key) const;
+    unsigned u32(const char *key) const;
+    double real(const char *key) const;
+    bool boolean(const char *key) const;
+    std::string str(const char *key) const;
+    Reader object(const char *key) const;
+    /** A string mapped through @p parse (a name table's reverse
+     *  lookup); unknown names fail, listing @p hint when given. */
+    template <typename E>
+    E
+    name(const char *key, bool (*parse)(const std::string &, E &),
+         const char *hint = nullptr) const
+    {
+        const std::string text = str(key);
+        E out{};
+        if (!parse(text, out))
+            failUnknownName(key, text, hint);
+        return out;
+    }
+    /** @} */
+
+    /** @name Defaulted reads (@p fallback when @p key is absent) @{ */
+    std::uint64_t u64(const char *key, std::uint64_t fallback) const;
+    unsigned u32(const char *key, unsigned fallback) const;
+    double real(const char *key, double fallback) const;
+    bool boolean(const char *key, bool fallback) const;
+    std::string str(const char *key, const std::string &fallback) const;
+    template <typename E>
+    E
+    name(const char *key, bool (*parse)(const std::string &, E &),
+         const char *hint, E fallback) const
+    {
+        return find(key) ? name(key, parse, hint) : fallback;
+    }
+    /** @} */
+
+    /** Path of @p key below this object ("scenario.shed.deadline"). */
+    std::string keyPath(const char *key) const;
+
+  private:
+    const Value &member(const char *key) const;
+    [[noreturn]] void failUnknownName(const char *key,
+                                      const std::string &text,
+                                      const char *hint) const;
+
+    const Value &obj;
+    std::string where;
+    Errors errors;
+};
 
 } // namespace pva::json
 

@@ -54,12 +54,14 @@ void
 Simulation::add(Component *c)
 {
     CompKind kind = CompKind::Generic;
-    if (dynamic_cast<PvaUnit *>(c))
+    if (auto *pva = dynamic_cast<PvaUnit *>(c)) {
         kind = CompKind::Pva;
-    else if (dynamic_cast<GatheringSystem *>(c))
+        pva->setClocking(mode);
+    } else if (dynamic_cast<GatheringSystem *>(c)) {
         kind = CompKind::Gathering;
-    else if (dynamic_cast<CacheLineSystem *>(c))
+    } else if (dynamic_cast<CacheLineSystem *>(c)) {
         kind = CompKind::CacheLine;
+    }
     components.push_back({c, kind});
 }
 

@@ -46,7 +46,8 @@ class Simulation
      * The concrete type is resolved once here (one dynamic_cast per
      * registration) so the per-cycle tick/wake loops dispatch through
      * a direct call for the known-final system types instead of three
-     * virtual calls per component per processed cycle.
+     * virtual calls per component per processed cycle. A PvaUnit
+     * also adopts this simulation's clocking (PvaUnit::setClocking).
      */
     void add(Component *c);
 

@@ -1,5 +1,7 @@
 #include "traffic/service_stats.hh"
 
+#include <ostream>
+
 namespace pva
 {
 
@@ -16,6 +18,16 @@ summarize(const LogHistogram &h)
     s.p99 = h.p99();
     s.p999 = h.p999();
     return s;
+}
+
+void
+jsonSummary(std::ostream &os, const char *key, const LatencySummary &s)
+{
+    os << '"' << key << "\": {\"samples\": " << s.samples
+       << ", \"min\": " << s.min << ", \"max\": " << s.max
+       << ", \"mean\": " << s.mean << ", \"p50\": " << s.p50
+       << ", \"p95\": " << s.p95 << ", \"p99\": " << s.p99
+       << ", \"p999\": " << s.p999 << "}";
 }
 
 ServiceStats::ServiceStats(const std::vector<std::string> &names,

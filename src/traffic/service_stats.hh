@@ -22,6 +22,7 @@
 #define PVA_TRAFFIC_SERVICE_STATS_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,6 +47,11 @@ struct LatencySummary
 };
 
 LatencySummary summarize(const LogHistogram &h);
+
+/** Write `"<key>": {"samples": ..., "p999": ...}` — the one JSON shape
+ *  of a summary in every traffic and fleet result. */
+void jsonSummary(std::ostream &os, const char *key,
+                 const LatencySummary &s);
 
 /** Per-stream and aggregate service accounting. */
 class ServiceStats

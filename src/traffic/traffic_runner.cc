@@ -12,24 +12,6 @@
 namespace pva
 {
 
-namespace
-{
-
-/** Fault-seed advance per retry attempt (matches SweepExecutor). */
-constexpr std::uint64_t kRetrySeedStep = 0x9e3779b97f4a7c15ULL;
-
-void
-jsonSummary(std::ostream &os, const char *key, const LatencySummary &s)
-{
-    os << '"' << key << "\": {\"samples\": " << s.samples
-       << ", \"min\": " << s.min << ", \"max\": " << s.max
-       << ", \"mean\": " << s.mean << ", \"p50\": " << s.p50
-       << ", \"p95\": " << s.p95 << ", \"p99\": " << s.p99
-       << ", \"p999\": " << s.p999 << "}";
-}
-
-} // anonymous namespace
-
 void
 TrafficResult::dumpJson(std::ostream &os) const
 {

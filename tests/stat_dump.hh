@@ -4,7 +4,7 @@
  * must be cycle-exact are compared on everything but the "sim.*"
  * gauges, which count the stepper's own work (processed cycles, bank
  * controller ticks) or its wall-clock rate and so legitimately differ
- * between clocking and batching modes.
+ * between clocking modes.
  */
 
 #ifndef PVA_TESTS_STAT_DUMP_HH

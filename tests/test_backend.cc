@@ -270,7 +270,6 @@ GridOutcome
 runGridPoint(SystemConfig config, KernelId kernel, std::uint32_t stride,
              unsigned alignment, bool reference)
 {
-    config.batchTicking = !reference;
     auto sys = makeSystem(SystemKind::PvaSdram, config);
     WorkloadConfig wl;
     wl.stride = stride;
@@ -281,6 +280,11 @@ runGridPoint(SystemConfig config, KernelId kernel, std::uint32_t stride,
     limits.clocking =
         reference ? ClockingMode::Exhaustive : ClockingMode::Event;
     RunResult r = runKernelOn(*sys, kernel, wl, limits);
+    // Exhaustive clocking alone selects the tick-every-BC reference.
+    if (reference) {
+        EXPECT_EQ(sys->stats().scalar("sim.bcTicks"),
+                  r.simTicks * config.geometry.banks());
+    }
     return {r.cycles, r.mismatches, test::withoutSimGauges(sys->stats())};
 }
 

@@ -1,9 +1,8 @@
 /**
  * @file
  * Scenario-file tests: the JSON → FleetConfig mapping, the strict
- * unknown-key/type rejection that keeps spool input honest, and the
- * one-line result document both the one-shot path and the daemon
- * emit.
+ * unknown-key/type rejection that keeps hand-written input honest,
+ * and the one-line result document `pva_loadgen --scenario` emits.
  */
 
 #include <sstream>

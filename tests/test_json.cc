@@ -1,14 +1,17 @@
 /**
  * @file
- * sim/json parser tests: round trips, grammar rejection, and the
- * hostile inputs a spool-fed daemon actually sees — deep nesting,
- * exotic escapes, non-finite numbers, and torn (truncated) documents.
+ * sim/json tests: parser round trips, grammar rejection, the hostile
+ * inputs a hand-edited or half-written file presents — deep nesting,
+ * exotic escapes, non-finite numbers, torn (truncated) documents — and
+ * the strict field Reader every document loader shares.
  */
 
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "expect_sim_error.hh"
+#include "sim/clocking.hh"
 #include "sim/json.hh"
 
 using namespace pva;
@@ -141,7 +144,7 @@ TEST(JsonParser, NestingDepthIsBoundedNotUnbounded)
 
 TEST(JsonParser, RejectsTornDocuments)
 {
-    // A daemon can observe a scenario file mid-write; every prefix of
+    // A reader can observe a scenario file mid-write; every prefix of
     // a valid document must fail cleanly rather than yield a
     // half-parsed tree.
     const std::string whole =
@@ -172,4 +175,57 @@ TEST(JsonParser, RejectsTrailingGarbageAndBareGrammarViolations)
     expectReject("[.5]");
     expectReject("tru");
     expectReject("nulll");
+}
+
+TEST(JsonReader, RequiredDefaultedAndTypedReads)
+{
+    const json::Value doc = parseOk(
+        R"({"n": 7, "big": 4294967296, "r": 0.25, "b": true, "s": "x",
+            "mode": "event", "o": {"k": 1}})");
+    const json::Reader in(doc, "top", {"unit", ""});
+    EXPECT_EQ(in.u64("n"), 7u);
+    EXPECT_EQ(in.u32("n"), 7u);
+    EXPECT_EQ(in.u64("big"), 4294967296ull);
+    EXPECT_DOUBLE_EQ(in.real("r"), 0.25);
+    EXPECT_TRUE(in.boolean("b"));
+    EXPECT_EQ(in.str("s"), "x");
+    EXPECT_EQ(in.name("mode", parseClockingMode), ClockingMode::Event);
+    EXPECT_EQ(in.object("o").u64("k"), 1u);
+    // Defaulted reads fall back only when the key is absent.
+    EXPECT_EQ(in.u64("absent", 9), 9u);
+    EXPECT_EQ(in.u64("n", 9), 7u);
+    EXPECT_EQ(in.str("absent", "d"), "d");
+    EXPECT_EQ(in.name("absent", parseClockingMode, nullptr,
+                      ClockingMode::Exhaustive),
+              ClockingMode::Exhaustive);
+    in.rejectUnknown({"n", "big", "r", "b", "s", "mode", "o"});
+}
+
+TEST(JsonReader, FailuresNameTheKeyPathWithTheCallersContext)
+{
+    const json::Value doc = parseOk(
+        R"({"n": -1, "big": 4294967296, "s": 3, "mode": "warp",
+            "o": {"k": "one"}, "arr": []})");
+    const json::Reader in(doc, "top",
+                          {"unit", "file.json: ",
+                           SimErrorKind::Corruption});
+    auto expect = [](auto fn, const std::string &what) {
+        test::expectSimError(fn, SimErrorKind::Corruption, what);
+        test::expectSimError(fn, SimErrorKind::Corruption, "file.json: ");
+    };
+    expect([&] { in.u64("missing"); }, "top.missing is required");
+    expect([&] { in.u64("n"); }, "top.n must be a non-negative integer");
+    expect([&] { in.u32("big"); }, "top.big must fit in 32 bits");
+    expect([&] { in.str("s"); }, "top.s must be a string");
+    expect([&] { in.real("mode", 1.0); }, "top.mode must be a number");
+    expect([&] { in.boolean("s"); }, "top.s must be true or false");
+    expect([&] { in.name("mode", parseClockingMode, "event exhaustive"); },
+           "unknown top.mode 'warp' (try: event exhaustive)");
+    expect([&] { in.object("o").u64("k"); },
+           "top.o.k must be a non-negative integer");
+    expect([&] { in.object("arr"); }, "top.arr must be an object");
+    expect([&] { in.rejectUnknown({"n", "big", "s", "mode", "o"}); },
+           "unknown key 'arr' in top");
+    test::expectSimError([&] { json::Reader(parseOk("[]"), "", {"unit", ""}); },
+                         SimErrorKind::Config, "document must be an object");
 }

@@ -6,13 +6,16 @@
  * from its journal produces CSV and JSON byte-identical to the
  * uninterrupted run across worker counts; failed points yield repro
  * capsules that pva_replay-style replayCapsule re-executes to the same
- * SimError.
+ * SimError. Both formats carry SystemConfig through its one codec
+ * (configToJson/configFromJson), so every field round-trips and feeds
+ * the fingerprint, and files of an older schemaVersion are refused.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -58,6 +61,36 @@ smallPoint(std::uint32_t stride = 3, unsigned alignment = 0)
     req.alignment = alignment;
     req.elements = 128;
     return req;
+}
+
+/** A config with every SystemConfig field off its default. */
+SystemConfig
+everyFieldOffDefault()
+{
+    SystemConfig c;
+    c.geometry = Geometry(8, 2, 8, 3, 12);
+    c.timing = {3, 4, 3, 6, 9, 3, 781, 12};
+    c.bc = {6, 2, 16, 7, 3, false, RowPolicy::AlwaysOpen};
+    c.maxOutstanding = 5;
+    c.optimisticLineReuse = true;
+    c.timingCheck = true;
+    c.faults = {99, 0.125, 1.0 / 3.0, 0.1, 0.02};
+    c.clocking = ClockingMode::Exhaustive;
+    c.backend = MemBackend::Salp;
+    c.salpSubarrays = 8;
+    c.refreshDeferWindow = 50;
+    return c;
+}
+
+/** @p path's content with the first @p from replaced by @p to. */
+void
+rewrite(const std::string &path, const std::string &from,
+        const std::string &to)
+{
+    std::string content = slurp(path);
+    const std::size_t at = content.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    spit(path, content.replace(at, from.size(), to));
 }
 
 /** A small mixed grid with one deterministic persistent failure. */
@@ -115,9 +148,48 @@ TEST(SweepJournal, FingerprintCoversBehaviorDeterminingState)
     b = a;
     b.config.faults.seed += 1;
     EXPECT_NE(fingerprintRequest(a), fingerprintRequest(b));
-    b = a;
-    b.config.timing.tCL += 1;
-    EXPECT_NE(fingerprintRequest(a), fingerprintRequest(b));
+    // Every SystemConfig field feeds the fingerprint.
+    const std::vector<std::function<void(SystemConfig &)>> mutations = {
+        [](SystemConfig &c) { c.geometry = Geometry(8); },
+        [](SystemConfig &c) { c.geometry = Geometry(16, 2); },
+        [](SystemConfig &c) { c.geometry = Geometry(16, 1, 8); },
+        [](SystemConfig &c) { c.geometry = Geometry(16, 1, 9, 3); },
+        [](SystemConfig &c) { c.geometry = Geometry(16, 1, 9, 2, 12); },
+        [](SystemConfig &c) { c.timing.tRCD += 1; },
+        [](SystemConfig &c) { c.timing.tCL += 1; },
+        [](SystemConfig &c) { c.timing.tRP += 1; },
+        [](SystemConfig &c) { c.timing.tRAS += 1; },
+        [](SystemConfig &c) { c.timing.tRC += 1; },
+        [](SystemConfig &c) { c.timing.tWR += 1; },
+        [](SystemConfig &c) { c.timing.tREFI += 1; },
+        [](SystemConfig &c) { c.timing.tRFC += 1; },
+        [](SystemConfig &c) { c.bc.fifoEntries += 1; },
+        [](SystemConfig &c) { c.bc.vectorContexts += 1; },
+        [](SystemConfig &c) { c.bc.lineWords += 2; },
+        [](SystemConfig &c) { c.bc.transactions += 1; },
+        [](SystemConfig &c) { c.bc.fhcLatency += 1; },
+        [](SystemConfig &c) { c.bc.bypassEnabled = false; },
+        [](SystemConfig &c) { c.bc.rowPolicy = RowPolicy::AlwaysClose; },
+        [](SystemConfig &c) { c.maxOutstanding += 1; },
+        [](SystemConfig &c) { c.optimisticLineReuse = true; },
+        [](SystemConfig &c) { c.timingCheck = true; },
+        [](SystemConfig &c) { c.faults.seed += 1; },
+        [](SystemConfig &c) { c.faults.refreshStallRate = 0.5; },
+        [](SystemConfig &c) { c.faults.bcStallRate = 0.5; },
+        [](SystemConfig &c) { c.faults.dropTransferRate = 0.5; },
+        [](SystemConfig &c) { c.faults.corruptFirstHitRate = 0.5; },
+        [](SystemConfig &c) { c.clocking = ClockingMode::Exhaustive; },
+        [](SystemConfig &c) { c.backend = MemBackend::Salp; },
+        [](SystemConfig &c) { c.salpSubarrays = 8; },
+        [](SystemConfig &c) { c.refreshDeferWindow = 50; },
+    };
+    for (std::size_t i = 0; i < mutations.size(); ++i) {
+        b = a;
+        mutations[i](b.config);
+        EXPECT_FALSE(b.config == a.config) << "mutation " << i;
+        EXPECT_NE(fingerprintRequest(a), fingerprintRequest(b))
+            << "mutation " << i << ": " << configToJson(b.config);
+    }
     b = a;
     b.limits.maxCycles = 12345;
     EXPECT_NE(fingerprintRequest(a), fingerprintRequest(b));
@@ -316,6 +388,145 @@ TEST(SweepJournal, QuarantinedPointYieldsAReplayableCapsule)
     ASSERT_FALSE(observed.empty()) << "failure did not reproduce";
     EXPECT_TRUE(sameSimError(observed, capsule.error))
         << observed << " vs " << capsule.error;
+}
+
+TEST(SweepJournal, CapsuleRoundTripsEveryConfigField)
+{
+    ReproCapsule original;
+    SweepRequest &req = original.request;
+    req = smallPoint(19, 3);
+    req.system = SystemKind::PvaSram;
+    req.kernel = KernelId::Vaxpy;
+    req.elements = 96;
+    req.config = everyFieldOffDefault();
+    req.limits.maxCycles = 777777;
+    req.limits.timeoutMillis = 0.1;
+    original.attempts = 3;
+    original.error = "[corruption] it broke \"badly\"";
+    original.fingerprint = fingerprintRequest(req);
+
+    const std::string path = tempPath("capsule_roundtrip.json");
+    writeCapsuleFile(path, original);
+    const ReproCapsule reloaded = loadCapsule(path);
+    const SweepRequest &r = reloaded.request;
+    EXPECT_EQ(r.config.backend, MemBackend::Salp);
+    EXPECT_EQ(r.config.salpSubarrays, 8u);
+    EXPECT_EQ(r.config.refreshDeferWindow, 50u);
+    EXPECT_TRUE(r.config == req.config) << configToJson(r.config);
+    EXPECT_EQ(configToJson(r.config), configToJson(req.config));
+    EXPECT_EQ(r.system, req.system);
+    EXPECT_EQ(r.kernel, req.kernel);
+    EXPECT_EQ(r.stride, req.stride);
+    EXPECT_EQ(r.alignment, req.alignment);
+    EXPECT_EQ(r.elements, req.elements);
+    EXPECT_EQ(r.limits.maxCycles, req.limits.maxCycles);
+    EXPECT_EQ(r.limits.timeoutMillis, req.limits.timeoutMillis);
+    EXPECT_EQ(reloaded.attempts, 3u);
+    EXPECT_EQ(reloaded.error, original.error);
+    EXPECT_EQ(fingerprintRequest(r), reloaded.fingerprint);
+}
+
+TEST(SweepJournal, CapsulesRejectUnknownKeysAndOlderSchemas)
+{
+    ReproCapsule capsule;
+    capsule.request = smallPoint();
+    capsule.fingerprint = fingerprintRequest(capsule.request);
+    const std::string path = tempPath("capsule_strict.json");
+
+    writeCapsuleFile(path, capsule);
+    rewrite(path, "\"schemaVersion\": 2", "\"schemaVersion\": 1");
+    test::expectSimError([&] { loadCapsule(path); }, SimErrorKind::Config,
+                         "schemaVersion 1, expected 2");
+
+    // A schema-1 knob smuggled into a schema-2 config is refused, not
+    // silently dropped.
+    writeCapsuleFile(path, capsule);
+    rewrite(path, "\"timingCheck\": false",
+            "\"timingCheck\": false, \"batchTicking\": true");
+    test::expectSimError([&] { loadCapsule(path); }, SimErrorKind::Config,
+                         "unknown key 'batchTicking' in request.config");
+
+    writeCapsuleFile(path, capsule);
+    rewrite(path, "\"backend\": \"legacy\"", "\"backend\": \"hbm\"");
+    test::expectSimError([&] { loadCapsule(path); }, SimErrorKind::Config,
+                         "unknown request.config.backend 'hbm'");
+
+    writeCapsuleFile(path, capsule);
+    rewrite(path, "\"salpSubarrays\": 4, ", "");
+    test::expectSimError([&] { loadCapsule(path); }, SimErrorKind::Config,
+                         "request.config.salpSubarrays is required");
+}
+
+TEST(SweepJournal, RefusesOlderSchemaJournals)
+{
+    const std::string path = tempPath("journal_v1.jsonl");
+    std::remove(path.c_str());
+    std::vector<SweepRequest> grid = {smallPoint(1)};
+    const std::uint64_t fp = fingerprintGrid(grid);
+    { SweepJournal journal(path, fp, grid.size()); }
+    rewrite(path, "\"schemaVersion\": 2", "\"schemaVersion\": 1");
+    test::expectSimError(
+        [&] { SweepJournal::load(path, fp, grid.size()); },
+        SimErrorKind::Config, "journal schemaVersion 1, expected 2");
+}
+
+TEST(SweepJournal, WallClockCapsuleReplaysUnderItsBudget)
+{
+    // A budget this small expires at the watchdog's first check, in
+    // cycle 0, so the failure is deterministic. Replayed without its
+    // budget the point would complete cleanly and diverge.
+    std::vector<SweepRequest> grid = {smallPoint(19)};
+    grid[0].limits.maxCycles = 4000000000ULL;
+    const double budget = 1e-6;
+    SweepExecutor ex(1);
+    ex.setPointTimeout(budget);
+    ex.setCheckpoint({"", false, tempPath("quarantine_wallclock")});
+    const SweepReport report = ex.runReport(grid);
+    ASSERT_EQ(report.quarantine.size(), 1u);
+
+    const ReproCapsule capsule =
+        loadCapsule(report.quarantine[0].capsulePath);
+    EXPECT_EQ(capsule.request.limits.timeoutMillis, budget);
+    EXPECT_EQ(fingerprintRequest(capsule.request), capsule.fingerprint);
+    ASSERT_NE(capsule.error.find("wall-clock"), std::string::npos)
+        << capsule.error;
+    std::string observed;
+    try {
+        replayCapsule(capsule);
+    } catch (const SimError &e) {
+        observed = e.what();
+    }
+    EXPECT_TRUE(sameSimError(observed, capsule.error))
+        << observed << " vs " << capsule.error;
+}
+
+TEST(SweepJournal, NameTablesRoundTripEveryValue)
+{
+    for (RowPolicy p : {RowPolicy::Managed, RowPolicy::AlwaysOpen,
+                        RowPolicy::AlwaysClose}) {
+        RowPolicy out = p == RowPolicy::Managed ? RowPolicy::AlwaysOpen
+                                                : RowPolicy::Managed;
+        EXPECT_TRUE(parseRowPolicy(rowPolicyName(p), out));
+        EXPECT_EQ(out, p);
+    }
+    for (SystemKind k : allSystems()) {
+        SystemKind out = k == SystemKind::PvaSdram ? SystemKind::PvaSram
+                                                   : SystemKind::PvaSdram;
+        EXPECT_TRUE(parseSystemKind(systemShortName(k), out));
+        EXPECT_EQ(out, k);
+    }
+    for (KernelId k : allKernels()) {
+        KernelId out =
+            k == KernelId::Copy ? KernelId::Swap : KernelId::Copy;
+        EXPECT_TRUE(parseKernelId(kernelSpec(k).name, out));
+        EXPECT_EQ(out, k);
+    }
+    RowPolicy policy{};
+    SystemKind system{};
+    KernelId kernel{};
+    EXPECT_FALSE(parseRowPolicy("lazy", policy));
+    EXPECT_FALSE(parseSystemKind("vax", system));
+    EXPECT_FALSE(parseKernelId("daxpy", kernel));
 }
 
 TEST(SweepJournal, SameSimErrorToleratesWallClockVariance)

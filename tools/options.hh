@@ -46,27 +46,25 @@ struct ToolOptions
 
 /** Map the --system name to a SystemKind; fatal on unknown names. */
 inline SystemKind
-systemKindFor(const ToolOptions &opts)
+systemKindFor(const std::string &name)
 {
-    for (SystemKind kind : allSystems()) {
-        if (opts.system == systemShortName(kind))
-            return kind;
-    }
-    fatal("unknown system '%s' (try: pva cacheline gathering sram)",
-          opts.system.c_str());
+    SystemKind kind{};
+    if (!parseSystemKind(name, kind))
+        fatal("unknown system '%s' (try: pva cacheline gathering sram)",
+              name.c_str());
+    return kind;
 }
 
 /** Map the --kernel name to a KernelId; fatal on unknown names. */
 inline KernelId
 kernelFor(const ToolOptions &opts)
 {
-    for (KernelId k : allKernels()) {
-        if (kernelSpec(k).name == opts.kernel)
-            return k;
-    }
-    fatal("unknown kernel '%s' (try: copy saxpy scale swap tridiag "
-          "vaxpy copy2 scale2)",
-          opts.kernel.c_str());
+    KernelId k{};
+    if (!parseKernelId(opts.kernel, k))
+        fatal("unknown kernel '%s' (try: copy saxpy scale swap tridiag "
+              "vaxpy copy2 scale2)",
+              opts.kernel.c_str());
+    return k;
 }
 
 /** Build the workload for the selected kernel/stride/alignment. */

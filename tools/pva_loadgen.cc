@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "core/system_config.hh"
-#include "fleet/daemon.hh"
 #include "fleet/scenario.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
@@ -86,25 +85,8 @@ struct LoadgenOptions
     unsigned shards = 1;
     bool perStreamStats = false;
     std::string scenarioPath;
-    // Daemon mode.
-    bool serve = false;
-    std::string spoolDir;
-    std::string outDir;
-    std::uint64_t pollMs = 200;
-    std::uint64_t maxScenarios = 0;
     SystemConfig config{};
 };
-
-SystemKind
-kindFor(const std::string &name)
-{
-    for (SystemKind kind : allSystems()) {
-        if (name == systemShortName(kind))
-            return kind;
-    }
-    fatal("unknown system '%s' (try: pva cacheline gathering sram)",
-          name.c_str());
-}
 
 std::vector<std::string>
 splitCommas(const std::string &list)
@@ -218,7 +200,7 @@ addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
     app.flag("--csv", "emit the run as a load-curve CSV row",
              [&opts] { opts.csv = true; });
 
-    // Fleet and daemon modes (docs/TRAFFIC.md "Fleet-scale traffic").
+    // Fleet mode (docs/TRAFFIC.md "Fleet-scale traffic").
     app.flag("--fleet",
              "run a sharded tenant fleet under hierarchical "
              "arbitration instead of a single flat run",
@@ -241,24 +223,6 @@ addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
                "run one fleet scenario JSON file and print its "
                "versioned result line",
                [&opts](const std::string &v) { opts.scenarioPath = v; });
-    app.flag("--serve",
-             "daemon mode: poll --spool for scenario files, stream "
-             "result lines, drain gracefully on SIGTERM",
-             [&opts] { opts.serve = true; });
-    app.option("--spool", "DIR", "scenario spool directory (--serve)",
-               [&opts](const std::string &v) { opts.spoolDir = v; });
-    app.option("--out-dir", "DIR",
-               "also write per-scenario result files here (--serve)",
-               [&opts](const std::string &v) { opts.outDir = v; });
-    app.numOption("--poll-ms", "N",
-                  "spool poll interval in milliseconds (--serve)",
-                  [&opts](unsigned long long n) { opts.pollMs = n; });
-    app.numOption("--max-scenarios", "N",
-                  "exit after N scenarios (--serve; 0 = run until "
-                  "signalled)",
-                  [&opts](unsigned long long n) {
-                      opts.maxScenarios = n;
-                  });
 }
 
 /**
@@ -278,16 +242,6 @@ validateOptions(const LoadgenOptions &opts)
                      opts.deadlineSet ? "--deadline"
                                       : "--shed-watermark"));
     }
-    if (opts.serve && opts.spoolDir.empty()) {
-        throw SimError(SimErrorKind::Config, "loadgen", kNeverCycle,
-                       "--serve requires --spool DIR");
-    }
-    if (!opts.serve &&
-        (!opts.spoolDir.empty() || !opts.outDir.empty())) {
-        throw SimError(SimErrorKind::Config, "loadgen", kNeverCycle,
-                       "--spool/--out-dir only make sense with "
-                       "--serve");
-    }
     if (opts.fleet && opts.loadSweep) {
         throw SimError(SimErrorKind::Config, "loadgen", kNeverCycle,
                        "--fleet and --load-sweep are separate modes; "
@@ -304,7 +258,7 @@ TrafficConfig
 trafficConfigFor(const LoadgenOptions &opts)
 {
     TrafficConfig tc;
-    tc.system = kindFor(opts.system);
+    tc.system = systemKindFor(opts.system);
     tc.config = opts.config;
     if (!parseArbPolicy(opts.policy, tc.arbiter.policy))
         fatal("unknown policy '%s' (try: fifo rr priority)",
@@ -355,7 +309,7 @@ runSweep(const ToolApp &app, const LoadgenOptions &opts)
         sc.offeredLoads.push_back(std::strtod(l.c_str(), nullptr));
     sc.systems.clear();
     for (const std::string &s : splitCommas(opts.systems))
-        sc.systems.push_back(kindFor(s));
+        sc.systems.push_back(systemKindFor(s));
     sc.jobs = opts.jobs;
     sc.retries = opts.retries;
 
@@ -467,7 +421,7 @@ fleet::FleetConfig
 fleetConfigFor(const LoadgenOptions &opts)
 {
     fleet::FleetConfig fc;
-    fc.system = kindFor(opts.system);
+    fc.system = systemKindFor(opts.system);
     fc.config = opts.config;
     if (!parseArbPolicy(opts.policy, fc.arbiter.policy))
         fatal("unknown policy '%s' (try: fifo rr priority)",
@@ -590,20 +544,6 @@ runScenario(const LoadgenOptions &opts)
     return 0;
 }
 
-int
-runServe(const LoadgenOptions &opts)
-{
-    fleet::DaemonConfig dc;
-    dc.spoolDir = opts.spoolDir;
-    dc.outDir = opts.outDir;
-    dc.pollMillis = opts.pollMs;
-    dc.maxScenarios = opts.maxScenarios;
-    dc.jobs = opts.jobs;
-    dc.retries = opts.retries;
-    fleet::runDaemon(dc, std::cout);
-    return 0;
-}
-
 } // anonymous namespace
 
 int
@@ -619,8 +559,6 @@ main(int argc, char **argv)
     app.parse(argc, argv);
     return app.run([&] {
         validateOptions(opts);
-        if (opts.serve)
-            return runServe(opts);
         if (!opts.scenarioPath.empty())
             return runScenario(opts);
         if (opts.fleet)

@@ -45,7 +45,7 @@ runReplay(const ToolApp &app, const ToolOptions &opts)
     if (!ok)
         fatal("%s: %s", opts.tracePath.c_str(), error.c_str());
 
-    auto sys = makeSystem(systemKindFor(opts), opts.config);
+    auto sys = makeSystem(systemKindFor(opts.system), opts.config);
     ReplayResult r = replayTrace(*sys, trace, opts.config.clocking);
     if (opts.json) {
         JsonEnvelope env(std::cout, app, opts.config,

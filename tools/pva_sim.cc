@@ -90,7 +90,7 @@ runOnce(const ToolApp &app, const ToolOptions &opts)
     const KernelSpec &spec = kernelSpec(kernel);
     WorkloadConfig wl = workloadFor(opts);
 
-    auto sys = makeSystem(systemKindFor(opts), opts.config);
+    auto sys = makeSystem(systemKindFor(opts.system), opts.config);
     RunLimits limits;
     limits.clocking = opts.config.clocking;
     if (opts.pointTimeout > 0.0)

@@ -17,17 +17,6 @@ namespace pva::tools
 namespace
 {
 
-const char *
-rowPolicyName(RowPolicy policy)
-{
-    switch (policy) {
-      case RowPolicy::Managed: return "managed";
-      case RowPolicy::AlwaysOpen: return "open";
-      case RowPolicy::AlwaysClose: return "close";
-    }
-    return "?";
-}
-
 unsigned long long
 parseNum(const std::string &flag, const std::string &value)
 {
@@ -170,13 +159,7 @@ ToolApp::addSystemFlags(SystemConfig &config)
     option("--row-policy", "managed|open|close",
            "bank-controller row management policy",
            [this, &config](const std::string &p) {
-               if (p == "managed")
-                   config.bc.rowPolicy = RowPolicy::Managed;
-               else if (p == "open")
-                   config.bc.rowPolicy = RowPolicy::AlwaysOpen;
-               else if (p == "close")
-                   config.bc.rowPolicy = RowPolicy::AlwaysClose;
-               else
+               if (!parseRowPolicy(p, config.bc.rowPolicy))
                    usage();
            });
     numOption("--refresh", "TREFI",
@@ -211,18 +194,6 @@ ToolApp::addSystemFlags(SystemConfig &config)
            });
     flag("--check", "attach the redundant timing/data checker",
          [&config] { config.timingCheck = true; });
-    option("--batching", "on|off",
-           "batched bank-controller ticking (off = tick every BC "
-           "every cycle, the reference behaviour)",
-           [&config](const std::string &v) {
-               if (v == "on")
-                   config.batchTicking = true;
-               else if (v == "off")
-                   config.batchTicking = false;
-               else
-                   fatal("--batching expects 'on' or 'off', got '%s'",
-                         v.c_str());
-           });
     numOption("--fault-seed", "N", "fault-injection RNG seed",
               [&config](unsigned long long n) {
                   config.faults.seed = n;
