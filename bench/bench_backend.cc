@@ -17,18 +17,13 @@
  *    deferred refresh is request latency around the boundary, not
  *    streaming bandwidth — see docs/DEVICE.md).
  *
- * Usage: bench_backend [--out FILE]
- *
- * Prints a summary and writes the JSON record (the archived
- * BENCH_BACKEND.json format, schemaVersion 1) to FILE when --out is
- * given. Exits nonzero if SALP loses its structural win on the
- * rotation scenario — the same bar the unit test holds.
+ * Prints one summary row per scenario. Exits nonzero if SALP loses
+ * its structural win on the rotation scenario (under a 20% gain) — the
+ * same bar the unit test holds.
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <string>
+#include <cstdlib>
 #include <vector>
 
 #include "kernels/sweep.hh"
@@ -76,14 +71,8 @@ runBackend(const Scenario &s, MemBackend backend)
 } // anonymous namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    std::string out_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-            out_path = argv[++i];
-    }
-
     std::vector<Scenario> scenarios;
     {
         Scenario s{};
@@ -130,28 +119,6 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(s.legacyCycles),
                     static_cast<unsigned long long>(s.contenderCycles),
                     s.gainPct());
-    }
-
-    if (!out_path.empty()) {
-        std::ofstream out(out_path);
-        out << "{\n  \"schemaVersion\": 1,\n"
-            << "  \"tool\": \"bench_backend\",\n"
-            << "  \"scenarios\": {\n";
-        for (std::size_t i = 0; i < scenarios.size(); ++i) {
-            const Scenario &s = scenarios[i];
-            out << "    \"" << s.name << "\": {\n"
-                << "      \"backend\": \"" << backendName(s.contender)
-                << "\",\n"
-                << "      \"legacyCycles\": " << s.legacyCycles
-                << ",\n"
-                << "      \"backendCycles\": " << s.contenderCycles
-                << ",\n"
-                << "      \"gainPct\": " << s.gainPct() << "\n"
-                << "    }" << (i + 1 < scenarios.size() ? "," : "")
-                << "\n";
-        }
-        out << "  }\n}\n";
-        std::printf("wrote %s\n", out_path.c_str());
     }
 
     // The acceptance bar: SALP's win on the rotation scenario is

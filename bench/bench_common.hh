@@ -1,26 +1,14 @@
 /**
  * @file
- * Shared helpers for the figure-reproduction benches.
- *
- * Each bench prints, for a slice of the chapter 6 grid, the cycle
- * counts of the four memory systems with min/max over the five relative
- * alignments, plus execution time normalized to the PVA SDRAM minimum —
- * the same quantities annotated on the paper's bars.
- *
- * All grid points are dispatched through the SweepExecutor: the full
- * slice runs on a worker pool (--jobs N, default all hardware threads)
- * and is aggregated in issue order, so the printed tables are identical
- * to a serial run.
+ * Shared helpers for the benches that run on the SweepExecutor worker
+ * pool.
  */
 
 #ifndef PVA_BENCH_COMMON_HH
 #define PVA_BENCH_COMMON_HH
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
-#include <vector>
 
 #include "kernels/sweep_executor.hh"
 #include "sim/logging.hh"
@@ -42,153 +30,6 @@ parseJobs(int argc, char **argv)
         }
     }
     return 0;
-}
-
-/** Results of one (kernel, stride) cell across systems/alignments. */
-struct Cell
-{
-    MinMaxCycles pva;
-    MinMaxCycles cacheline;
-    MinMaxCycles gathering;
-    MinMaxCycles sram;
-};
-
-/**
- * Run the four systems at every alignment for each (kernel, stride)
- * cell, in parallel, and fold the results into per-cell min/max.
- * Panics on any functional mismatch, like runAcrossAlignments().
- */
-inline std::vector<Cell>
-runCells(const std::vector<std::pair<KernelId, std::uint32_t>> &cells,
-         unsigned jobs)
-{
-    std::vector<SweepRequest> grid;
-    const std::size_t aligns = alignmentPresets().size();
-    grid.reserve(cells.size() * allSystems().size() * aligns);
-    for (const auto &[kernel, stride] : cells) {
-        for (SystemKind sys : allSystems()) {
-            for (unsigned a = 0; a < aligns; ++a) {
-                SweepRequest req;
-                req.system = sys;
-                req.kernel = kernel;
-                req.stride = stride;
-                req.alignment = a;
-                grid.push_back(req);
-            }
-        }
-    }
-
-    SweepExecutor executor(jobs);
-    std::vector<SweepPoint> points = executor.run(grid);
-
-    std::vector<Cell> out(cells.size());
-    std::size_t i = 0;
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-        for (SystemKind sys : allSystems()) {
-            MinMaxCycles mm{kNeverCycle, 0};
-            for (unsigned a = 0; a < aligns; ++a, ++i) {
-                const SweepPoint &p = points[i];
-                if (p.mismatches != 0)
-                    panic("functional mismatch in %s/%s stride %u "
-                          "alignment %u",
-                          systemName(p.system),
-                          kernelSpec(p.kernel).name.c_str(), p.stride,
-                          p.alignment);
-                mm.min = std::min(mm.min, p.cycles);
-                mm.max = std::max(mm.max, p.cycles);
-            }
-            switch (sys) {
-              case SystemKind::PvaSdram:
-                out[c].pva = mm;
-                break;
-              case SystemKind::CacheLine:
-                out[c].cacheline = mm;
-                break;
-              case SystemKind::Gathering:
-                out[c].gathering = mm;
-                break;
-              case SystemKind::PvaSram:
-                out[c].sram = mm;
-                break;
-            }
-        }
-    }
-    return out;
-}
-
-inline double
-pct(Cycle value, Cycle base)
-{
-    return 100.0 * static_cast<double>(value) /
-           static_cast<double>(base);
-}
-
-inline void
-printCellHeader()
-{
-    std::printf("%-8s %-7s | %9s %9s | %9s %8s | %9s %8s | %9s %9s\n",
-                "kernel", "stride", "pva.min", "pva.max", "cline",
-                "norm%", "gather", "norm%", "sram.min", "sram.max");
-}
-
-inline void
-printCellRow(const char *kernel, std::uint32_t stride, const Cell &c)
-{
-    std::printf("%-8s %-7u | %9llu %9llu | %9llu %7.0f%% | %9llu %7.0f%% "
-                "| %9llu %9llu\n",
-                kernel, stride,
-                static_cast<unsigned long long>(c.pva.min),
-                static_cast<unsigned long long>(c.pva.max),
-                static_cast<unsigned long long>(c.cacheline.min),
-                pct(c.cacheline.min, c.pva.min),
-                static_cast<unsigned long long>(c.gathering.min),
-                pct(c.gathering.min, c.pva.min),
-                static_cast<unsigned long long>(c.sram.min),
-                static_cast<unsigned long long>(c.sram.max));
-}
-
-/** Figure 7/8 layout: one block per kernel, rows are strides. */
-inline void
-printKernelsByStride(const std::vector<KernelId> &kernels, unsigned jobs)
-{
-    std::vector<std::pair<KernelId, std::uint32_t>> cells;
-    for (KernelId k : kernels)
-        for (std::uint32_t s : paperStrides())
-            cells.emplace_back(k, s);
-    std::vector<Cell> results = runCells(cells, jobs);
-
-    std::size_t i = 0;
-    for (KernelId k : kernels) {
-        const char *name = kernelSpec(k).name.c_str();
-        std::printf("\n== %s: cycles vs stride (1024-element vectors, "
-                    "min/max over %zu alignments) ==\n",
-                    name, alignmentPresets().size());
-        printCellHeader();
-        for (std::uint32_t s : paperStrides())
-            printCellRow(name, s, results[i++]);
-    }
-}
-
-/** Figure 9/10 layout: one block per stride, rows are kernels. */
-inline void
-printStridesFixed(const std::vector<std::uint32_t> &strides,
-                  unsigned jobs)
-{
-    std::vector<std::pair<KernelId, std::uint32_t>> cells;
-    for (std::uint32_t s : strides)
-        for (KernelId k : allKernels())
-            cells.emplace_back(k, s);
-    std::vector<Cell> results = runCells(cells, jobs);
-
-    std::size_t i = 0;
-    for (std::uint32_t s : strides) {
-        std::printf("\n== stride %u: cycles per kernel (normalized to "
-                    "PVA SDRAM min) ==\n",
-                    s);
-        printCellHeader();
-        for (KernelId k : allKernels())
-            printCellRow(kernelSpec(k).name.c_str(), s, results[i++]);
-    }
 }
 
 } // namespace pva::benchutil

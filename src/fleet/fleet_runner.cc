@@ -130,10 +130,6 @@ runFleet(const FleetConfig &config)
     shards = static_cast<unsigned>(
         std::min<std::uint64_t>(shards, totalTenants));
 
-    const ServiceStats::Detail detail = config.perStreamStats
-        ? ServiceStats::Detail::PerStream
-        : ServiceStats::Detail::AggregateOnly;
-
     std::vector<ShardOutcome> outcomes(shards);
 
     auto task = [&](std::size_t s, unsigned attempt) {
@@ -169,7 +165,7 @@ runFleet(const FleetConfig &config)
                 names.push_back(sources.back().name());
             }
             tenantStats.push_back(std::make_unique<ServiceStats>(
-                names, detail, tl.name));
+                names, ServiceStats::Detail::AggregateOnly, tl.name));
             TenantSeat seat;
             seat.name = tl.name;
             seat.sources = std::move(sources);

@@ -59,10 +59,6 @@ struct FleetConfig
     unsigned shards = 1;    ///< Clamped to the tenant count
     unsigned jobs = 0;      ///< Worker threads (0 = hardware)
     unsigned retries = 1;   ///< Attempt budget per shard
-    /** Per-stream counters + histograms (memory-heavy; small fleets
-     *  and differential tests only). Default keeps per-tenant
-     *  aggregates, which is what fleet scale can afford. */
-    bool perStreamStats = false;
 };
 
 /** One tenant's slice of a FleetResult. */

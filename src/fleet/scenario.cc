@@ -113,8 +113,7 @@ parseScenario(const json::Value &doc)
     in.rejectUnknown({"kind", "name", "system", "policy", "aging",
                       "clocking", "backend", "subarrays",
                       "refreshWindow", "check", "shards", "seed",
-                      "maxCycles", "perStreamStats", "shed",
-                      "tenants"});
+                      "maxCycles", "shed", "tenants"});
 
     const std::string kind = in.str("kind", "");
     if (kind != "fleet") {
@@ -144,7 +143,6 @@ parseScenario(const json::Value &doc)
     if (fc.shards == 0)
         fail("scenario.shards must be at least 1");
     fc.limits.maxCycles = in.u64("maxCycles", fc.limits.maxCycles);
-    fc.perStreamStats = in.boolean("perStreamStats", fc.perStreamStats);
     const std::uint64_t seed = in.u64("seed", 1);
 
     if (in.find("shed")) {

@@ -23,7 +23,6 @@
  *     "shards": 4,
  *     "seed": 1,
  *     "maxCycles": 50000000,
- *     "perStreamStats": false,
  *     "shed": {"enabled": true, "deadline": 200, "watermark": 0.75},
  *     "tenants": [
  *       {"name": "web", "count": 8, "streamsPerTenant": 4,

@@ -268,8 +268,8 @@ class SweepExecutor
 };
 
 /** @name Grid CSV emission
- * The machine-readable format shared by bench_export_csv,
- * `pva_sim --sweep`, and the determinism tests:
+ * The machine-readable format shared by `pva_sim --sweep` and the
+ * determinism and full-grid tests:
  * `system,kernel,stride,alignment,cycles,mismatches` with the paper's
  * system and alignment-preset names.
  * @{ */

@@ -104,9 +104,6 @@ class ServiceStats
 
     std::size_t streams() const { return streamCount; }
 
-    /** Keeping per-stream counters (Detail::PerStream)? */
-    bool perStreamDetail() const { return !perStream.empty(); }
-
     /**
      * Fold @p other into this instance: aggregate counters add,
      * aggregate histograms merge bucket-wise, occupancy samples add,

@@ -81,7 +81,6 @@ fleetConfig(const Variant &v, unsigned streams)
     fc.arbiter.shed.enabled = v.shed;
     fc.arbiter.shed.defaultDeadline = 400;
     fc.arbiter.shed.queueHighWatermark = 0.75;
-    fc.perStreamStats = true;
 
     fleet::TenantSpec spec;
     spec.count = 1;
@@ -191,7 +190,6 @@ TEST(FleetDifferential, PriorityRampMatchesFlatUnderAging)
     fc.system = v.system;
     fc.arbiter.policy = v.policy;
     fc.arbiter.agingThreshold = 256;
-    fc.perStreamStats = true;
     for (unsigned g = 0; g < streams; ++g) {
         fleet::TenantSpec spec;
         spec.name = "p";
@@ -234,7 +232,6 @@ TEST(FleetRunner, ResultsAreByteIdenticalAcrossWorkerCounts)
     fc.tenants[0].count = 8;
     fc.tenants[0].name = "t";
     fc.shards = 4;
-    fc.perStreamStats = false;
 
     std::string first;
     for (unsigned jobs : {1u, 2u, 8u}) {

@@ -30,7 +30,6 @@ const char *kFull = R"({
   "shards": 3,
   "seed": 42,
   "maxCycles": 123456,
-  "perStreamStats": true,
   "shed": {"enabled": true, "deadline": 250, "watermark": 0.5},
   "tenants": [
     {"name": "web", "count": 4, "streamsPerTenant": 2,
@@ -68,7 +67,6 @@ TEST(FleetScenario, FullDocumentMapsOntoFleetConfig)
     EXPECT_TRUE(fc.config.timingCheck);
     EXPECT_EQ(fc.shards, 3u);
     EXPECT_EQ(fc.limits.maxCycles, 123456u);
-    EXPECT_TRUE(fc.perStreamStats);
     EXPECT_TRUE(fc.arbiter.shed.enabled);
     EXPECT_EQ(fc.arbiter.shed.defaultDeadline, 250u);
     EXPECT_DOUBLE_EQ(fc.arbiter.shed.queueHighWatermark, 0.5);
@@ -160,6 +158,12 @@ TEST(FleetScenario, UnknownKeysAreRejectedWithTheirPath)
         "{\"kind\": \"fleet\", \"shed\": {\"deadlines\": 5}, "
         "\"tenants\": [{}]}",
         "deadlines");
+    // Fleets always keep per-tenant aggregates; the retired opt-in to
+    // per-stream detail is an unknown key like any other.
+    expectScenarioError(
+        "{\"kind\": \"fleet\", \"perStreamStats\": false, "
+        "\"tenants\": [{}]}",
+        "unknown key 'perStreamStats' in scenario");
 }
 
 TEST(FleetScenario, WrongKindsAndTypesAreRejected)

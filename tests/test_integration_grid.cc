@@ -4,7 +4,8 @@
  * every kernel x stride x alignment on the PVA runs functionally clean,
  * and the paper's headline orderings hold (PVA >= cache-line baseline
  * at stride 1, PVA way ahead at prime strides, SDRAM close to SRAM).
- * The benches rerun the same grid at full scale.
+ * bench_chapter6 reruns the same grid at full scale; here the
+ * full-scale grid is held byte-for-byte against the committed CSV.
  *
  * Grid points are simulated through the SweepExecutor worker pool:
  * each (system, kernel, stride) row runs its five alignments in
@@ -15,7 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <map>
+#include <sstream>
+#include <string>
 #include <tuple>
 
 #include "kernels/sweep_executor.hh"
@@ -127,6 +132,38 @@ TEST(PaperShape, EveryGridPointIsFunctionallyClean)
     }
     EXPECT_EQ(executor.stats().scalar("sweep.points"), grid.size());
     EXPECT_EQ(executor.stats().scalar("sweep.mismatches"), 0u);
+}
+
+/** 1-based line of the first byte where @p a and @p b differ. */
+std::size_t
+firstDifferingLine(const std::string &a, const std::string &b)
+{
+    const auto diff = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+    return 1 + std::count(a.begin(), diff.first, '\n');
+}
+
+TEST(PaperShape, FullGridMatchesTheCommittedCsv)
+{
+    // The regression net for every change that must not move a cycle:
+    // the whole grid at the paper's 1024 elements and the default
+    // config, through the runReport + writeCsv path `pva_sim --sweep`
+    // uses, byte-for-byte against tests/expected/sweep_legacy.csv.
+    SweepExecutor executor;
+    const SweepReport report =
+        executor.runReport(SweepExecutor::chapter6Grid());
+    ASSERT_TRUE(report.allOk());
+    std::ostringstream csv;
+    writeCsv(csv, report.points);
+
+    std::ifstream in(PVA_SWEEP_LEGACY_CSV, std::ios::binary);
+    ASSERT_TRUE(in) << "cannot read " << PVA_SWEEP_LEGACY_CSV;
+    std::ostringstream expected;
+    expected << in.rdbuf();
+
+    const std::string got = csv.str(), want = expected.str();
+    EXPECT_TRUE(got == want)
+        << "sweep CSV differs from " << PVA_SWEEP_LEGACY_CSV
+        << " first at line " << firstDifferingLine(got, want);
 }
 
 TEST(PaperShape, CacheLineBaselineDegradesWithStride)

@@ -26,6 +26,7 @@
  * (docs/OBSERVABILITY.md, needs a PVA_TRACE=ON build).
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -83,7 +84,6 @@ struct LoadgenOptions
     unsigned tenants = 4;
     unsigned streamsPerTenant = 4;
     unsigned shards = 1;
-    bool perStreamStats = false;
     std::string scenarioPath;
     SystemConfig config{};
 };
@@ -216,9 +216,6 @@ addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
                   "memory-system shards the fleet is partitioned "
                   "across (results are identical at any --jobs)",
                   [&opts](unsigned long long n) { opts.shards = n; });
-    app.flag("--per-stream-stats",
-             "keep per-stream counters in fleet mode (memory-heavy)",
-             [&opts] { opts.perStreamStats = true; });
     app.option("--scenario", "FILE",
                "run one fleet scenario JSON file and print its "
                "versioned result line",
@@ -305,8 +302,13 @@ runSweep(const ToolApp &app, const LoadgenOptions &opts)
 {
     LoadSweepConfig sc;
     sc.base = trafficConfigFor(opts);
-    for (const std::string &l : splitCommas(opts.loads))
-        sc.offeredLoads.push_back(std::strtod(l.c_str(), nullptr));
+    for (const std::string &l : splitCommas(opts.loads)) {
+        char *end = nullptr;
+        const double load = std::strtod(l.c_str(), &end);
+        if (*end != '\0' || !std::isfinite(load) || load <= 0.0)
+            fatal("--loads expects positive numbers, got '%s'", l.c_str());
+        sc.offeredLoads.push_back(load);
+    }
     sc.systems.clear();
     for (const std::string &s : splitCommas(opts.systems))
         sc.systems.push_back(systemKindFor(s));
@@ -435,7 +437,6 @@ fleetConfigFor(const LoadgenOptions &opts)
     fc.shards = opts.shards;
     fc.jobs = opts.jobs;
     fc.retries = opts.retries;
-    fc.perStreamStats = opts.perStreamStats;
 
     fleet::TenantSpec spec;
     spec.count = opts.tenants;
