@@ -35,7 +35,7 @@ int
 main()
 {
     // ---- Path A: strided accesses straight through the cache. -------
-    PvaUnit mem_a("memA", PvaConfig{});
+    PvaUnit mem_a("memA", SystemConfig{});
     Simulation sim_a;
     sim_a.add(&mem_a);
     CacheConfig cache_cfg; // 32 KB: 64 sets x 4 ways x 128 B
@@ -51,7 +51,7 @@ main()
     Cycle cycles_a = sim_a.now();
 
     // ---- Path B: the same walk through a PVA shadow region. ---------
-    PvaUnit mem_b("memB", PvaConfig{});
+    PvaUnit mem_b("memB", SystemConfig{});
     ShadowMemorySystem shadow("shadow", mem_b);
     shadow.mapShadow({kShadow, kElems, kArray, kStride});
     Simulation sim_b;

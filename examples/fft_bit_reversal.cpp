@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "baselines/cacheline_system.hh"
+#include "baselines/serial_system.hh"
 #include "core/bit_reversal.hh"
 #include "core/pva_unit.hh"
 #include "sim/logging.hh"
@@ -23,7 +23,7 @@ constexpr std::uint32_t kCount = 4096;
 constexpr WordAddr kBase = 1 << 16;
 
 Cycle
-baselineBitReversal(CacheLineSystem &sys)
+baselineBitReversal(SerialSystem &sys)
 {
     Simulation sim;
     sim.add(&sys);
@@ -46,8 +46,8 @@ baselineBitReversal(CacheLineSystem &sys)
 int
 main()
 {
-    PvaUnit pva("pva", PvaConfig{});
-    CacheLineSystem cacheline("cacheline");
+    PvaUnit pva("pva", SystemConfig{});
+    SerialSystem cacheline("cacheline", SerialSystem::Kind::CacheLine);
     for (std::uint32_t i = 0; i < kCount; ++i) {
         pva.memory().write(kBase + i, i);
         cacheline.memory().write(kBase + i, i);

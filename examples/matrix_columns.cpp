@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "baselines/cacheline_system.hh"
+#include "baselines/serial_system.hh"
 #include "core/pva_unit.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
@@ -73,8 +73,8 @@ sumColumns(MemorySystem &sys, std::uint64_t *checksum)
 int
 main()
 {
-    PvaUnit pva("pva", PvaConfig{});
-    CacheLineSystem cacheline("cacheline");
+    PvaUnit pva("pva", SystemConfig{});
+    SerialSystem cacheline("cacheline", SerialSystem::Kind::CacheLine);
 
     // Same matrix contents in both systems.
     for (unsigned r = 0; r < kDim; ++r) {

@@ -3,7 +3,7 @@
  * Quickstart: build a PVA memory system, scatter a strided vector, then
  * gather it back, printing cycle counts.
  *
- * Demonstrates the core public API: PvaConfig/PvaUnit, VectorCommand,
+ * Demonstrates the core public API: SystemConfig/PvaUnit, VectorCommand,
  * Simulation, trySubmit/drainCompletions.
  */
 
@@ -46,7 +46,7 @@ main()
 {
     // A 16-bank word-interleaved SDRAM system, 128-byte cache lines —
     // the paper's prototype configuration.
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
 

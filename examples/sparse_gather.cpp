@@ -20,7 +20,7 @@ using namespace pva;
 int
 main()
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
 

@@ -9,8 +9,9 @@
 namespace pva
 {
 
-PvaUnit::PvaUnit(std::string name, const PvaConfig &config)
-    : MemorySystem(std::move(name)), cfg(config),
+PvaUnit::PvaUnit(std::string name, const SystemConfig &config,
+                 bool use_sram)
+    : MemorySystem(std::move(name)), cfg(config), sram(use_sram),
       vectorBus(config.bc.lineWords), txns(config.bc.transactions)
 {
     const unsigned banks = cfg.geometry.banks();
@@ -24,7 +25,7 @@ PvaUnit::PvaUnit(std::string name, const PvaConfig &config)
     bcs.reserve(banks);
     for (unsigned b = 0; b < banks; ++b) {
         std::string dev_name = csprintf("%s.dev%u", this->name().c_str(), b);
-        if (cfg.useSram) {
+        if (sram) {
             devices.push_back(std::make_unique<SramDevice>(
                 dev_name, b, cfg.geometry, backing));
         } else {
@@ -60,7 +61,7 @@ PvaUnit::PvaUnit(std::string name, const PvaConfig &config)
     statSet.addScalar("sim.bcTicks", &statBcTicks);
     for (unsigned b = 0; b < banks; ++b) {
         bcs[b]->registerStats(statSet, csprintf("bc%u", b));
-        if (!cfg.useSram) {
+        if (!sram) {
             static_cast<SdramDevice *>(devices[b].get())
                 ->registerStats(statSet, csprintf("dev%u", b));
         }

@@ -56,7 +56,14 @@ class TimingChecker;
 class PvaUnit : public MemorySystem
 {
   public:
-    PvaUnit(std::string name, const PvaConfig &config);
+    /**
+     * Reads the geometry, timing, bank-controller, checker, fault and
+     * backend fields of @p config. @p sram builds the banks from
+     * SramDevice instead of SdramDevice: the PVA SRAM comparison
+     * system of section 6.1.
+     */
+    PvaUnit(std::string name, const SystemConfig &config,
+            bool sram = false);
     ~PvaUnit() override;
 
     bool trySubmit(const VectorCommand &cmd, std::uint64_t tag,
@@ -104,7 +111,7 @@ class PvaUnit : public MemorySystem
 
     /** Direct access for white-box tests. */
     BankController &bankController(unsigned i) { return *bcs[i]; }
-    const PvaConfig &config() const { return cfg; }
+    const SystemConfig &config() const { return cfg; }
     VectorBus &bus() { return vectorBus; }
 
   private:
@@ -170,7 +177,8 @@ class PvaUnit : public MemorySystem
     void finishRead(std::uint8_t id, Cycle now);
     void finishWrite(std::uint8_t id, Cycle now);
 
-    PvaConfig cfg;
+    SystemConfig cfg;
+    const bool sram; ///< SramDevice banks (see the constructor)
     SparseMemory backing;
     VectorBus vectorBus;
     std::vector<std::unique_ptr<BankDevice>> devices;

@@ -9,9 +9,9 @@
  * parameters including auto-refresh, the bank-controller
  * microarchitecture (vector contexts, row policy, bypasses), the
  * serial baselines' accounting knobs, and the robustness layer (the
- * TimingChecker switch and the fault-injection plan). Each concrete
- * system consumes the subset that applies to it; the PVA-specific
- * projection is PvaConfig (toPva()).
+ * TimingChecker switch and the fault-injection plan). It is the only
+ * configuration any memory system takes: each concrete system reads
+ * the subset that applies to it.
  *
  * validate() rejects unsupportable values with a SimError(Config)
  * naming the offending field, so bad knobs fail fast with a clear
@@ -48,31 +48,6 @@ const char *rowPolicyName(RowPolicy policy);
 bool parseRowPolicy(const std::string &name, RowPolicy &out);
 /** @} */
 
-/** Top-level configuration of a PVA memory system. */
-struct PvaConfig
-{
-    Geometry geometry{16, 1, 9, 2, 13};
-    SdramTiming timing{};
-    BcConfig bc{};
-    bool useSram = false; ///< Build the PVA-SRAM comparison system
-    bool timingCheck = false; ///< Attach the redundant TimingChecker
-    FaultPlan faults{};       ///< Fault injection (disabled by default)
-    /** Device backend (see SystemConfig::backend; SRAM ignores it). */
-    MemBackend backend = MemBackend::Legacy;
-    unsigned salpSubarrays = 4;
-    unsigned refreshDeferWindow = 0;
-
-    /** The resolved backend policy (validated; SimError(Config) on a
-     *  bad combination). */
-    BackendPolicy
-    backendPolicy() const
-    {
-        return resolveBackendPolicy(backend, geometry.rowBits(),
-                                    timing.tREFI, timing.tRFC,
-                                    salpSubarrays, refreshDeferWindow);
-    }
-};
-
 /**
  * Configuration shared by all four evaluated memory systems.
  *
@@ -91,7 +66,8 @@ struct SystemConfig
     BcConfig bc{};
     /** Outstanding bus-transaction limit of the serial baselines. */
     unsigned maxOutstanding = 8;
-    /** Cache-line baseline accounting (see CacheLineConfig). */
+    /** Cache-line baseline: fetch each distinct line once instead of
+     *  the paper's accounting (SerialSystem::lineFills). */
     bool optimisticLineReuse = false;
     /** Attach the redundant protocol/data checker (PVA systems). */
     bool timingCheck = false;
@@ -117,21 +93,14 @@ struct SystemConfig
 
     bool operator==(const SystemConfig &) const = default;
 
-    /** The PVA-specific projection of this configuration. */
-    PvaConfig
-    toPva(bool use_sram = false) const
+    /** The resolved device-backend policy (SimError(Config) naming
+     *  the offending field on an unsupportable combination). */
+    BackendPolicy
+    backendPolicy() const
     {
-        PvaConfig p;
-        p.geometry = geometry;
-        p.timing = timing;
-        p.bc = bc;
-        p.useSram = use_sram;
-        p.timingCheck = timingCheck;
-        p.faults = faults;
-        p.backend = backend;
-        p.salpSubarrays = salpSubarrays;
-        p.refreshDeferWindow = refreshDeferWindow;
-        return p;
+        return resolveBackendPolicy(backend, geometry.rowBits(),
+                                    timing.tREFI, timing.tRFC,
+                                    salpSubarrays, refreshDeferWindow);
     }
 
     /**
@@ -190,11 +159,7 @@ struct SystemConfig
         checkRate(faults.bcStallRate, "bcStallRate");
         checkRate(faults.dropTransferRate, "dropTransferRate");
         checkRate(faults.corruptFirstHitRate, "corruptFirstHitRate");
-        // Backend knobs: resolving throws SimError(Config) naming the
-        // offending field on any unsupportable combination.
-        (void)resolveBackendPolicy(backend, geometry.rowBits(),
-                                   timing.tREFI, timing.tRFC,
-                                   salpSubarrays, refreshDeferWindow);
+        (void)backendPolicy();
     }
 };
 

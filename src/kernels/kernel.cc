@@ -130,6 +130,14 @@ buildTrace(const KernelSpec &spec, const WorkloadConfig &cfg,
                                 spec.name.c_str(), spec.numStreams,
                                 cfg.streamBases.size()));
     }
+    if (cfg.stride == 0) {
+        throw SimError(SimErrorKind::Config, "kernel", kNeverCycle,
+                       "stride must be >= 1");
+    }
+    if (cfg.elements == 0) {
+        throw SimError(SimErrorKind::Config, "kernel", kNeverCycle,
+                       "element count must be >= 1");
+    }
     if (cfg.elements % cfg.lineWords != 0) {
         throw SimError(SimErrorKind::Config, "kernel", kNeverCycle,
                        csprintf("element count %u must be a multiple of "

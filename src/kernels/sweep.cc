@@ -1,7 +1,6 @@
 #include "kernels/sweep.hh"
 
-#include "baselines/cacheline_system.hh"
-#include "baselines/gathering_system.hh"
+#include "baselines/serial_system.hh"
 #include "core/pva_unit.hh"
 #include "kernels/runner.hh"
 #include "sim/logging.hh"
@@ -73,22 +72,15 @@ makeSystem(SystemKind kind, const SystemConfig &config)
     const std::string name = systemShortName(kind);
     switch (kind) {
       case SystemKind::PvaSdram:
-        return std::make_unique<PvaUnit>(name, config.toPva(false));
+        return std::make_unique<PvaUnit>(name, config);
       case SystemKind::PvaSram:
-        return std::make_unique<PvaUnit>(name, config.toPva(true));
-      case SystemKind::CacheLine: {
-        CacheLineConfig cl;
-        cl.lineWords = config.bc.lineWords;
-        cl.maxOutstanding = config.maxOutstanding;
-        cl.optimisticLineReuse = config.optimisticLineReuse;
-        return std::make_unique<CacheLineSystem>(name, cl);
-      }
-      case SystemKind::Gathering: {
-        GatheringConfig ga;
-        ga.timing = config.timing;
-        ga.maxOutstanding = config.maxOutstanding;
-        return std::make_unique<GatheringSystem>(name, ga);
-      }
+        return std::make_unique<PvaUnit>(name, config, true);
+      case SystemKind::CacheLine:
+        return std::make_unique<SerialSystem>(
+            name, SerialSystem::Kind::CacheLine, config);
+      case SystemKind::Gathering:
+        return std::make_unique<SerialSystem>(
+            name, SerialSystem::Kind::Gathering, config);
     }
     panic("unknown system kind");
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "baselines/cacheline_system.hh"
-#include "baselines/gathering_system.hh"
 #include "core/pva_unit.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
@@ -57,10 +55,6 @@ Simulation::add(Component *c)
     if (auto *pva = dynamic_cast<PvaUnit *>(c)) {
         kind = CompKind::Pva;
         pva->setClocking(mode);
-    } else if (dynamic_cast<GatheringSystem *>(c)) {
-        kind = CompKind::Gathering;
-    } else if (dynamic_cast<CacheLineSystem *>(c)) {
-        kind = CompKind::CacheLine;
     }
     components.push_back({c, kind});
 }
@@ -68,58 +62,28 @@ Simulation::add(Component *c)
 void
 Simulation::tickOne(const TickEntry &e, Cycle now)
 {
-    // The typed casts dispatch directly: the hot methods are declared
-    // final on these classes, so no vtable load is involved.
-    switch (e.kind) {
-      case CompKind::Pva:
+    // The typed cast dispatches directly: the hot methods are declared
+    // final on PvaUnit, so no vtable load is involved.
+    if (e.kind == CompKind::Pva)
         static_cast<PvaUnit *>(e.c)->tick(now);
-        return;
-      case CompKind::Gathering:
-        static_cast<GatheringSystem *>(e.c)->tick(now);
-        return;
-      case CompKind::CacheLine:
-        static_cast<CacheLineSystem *>(e.c)->tick(now);
-        return;
-      case CompKind::Generic:
-        break;
-    }
-    e.c->tick(now);
+    else
+        e.c->tick(now);
 }
 
 void
 Simulation::beginOne(const TickEntry &e, Cycle now)
 {
-    switch (e.kind) {
-      case CompKind::Pva:
+    if (e.kind == CompKind::Pva)
         static_cast<PvaUnit *>(e.c)->onCycleBegin(now);
-        return;
-      case CompKind::Gathering:
-        static_cast<GatheringSystem *>(e.c)->onCycleBegin(now);
-        return;
-      case CompKind::CacheLine:
-        static_cast<CacheLineSystem *>(e.c)->onCycleBegin(now);
-        return;
-      case CompKind::Generic:
-        break;
-    }
-    e.c->onCycleBegin(now);
+    else
+        e.c->onCycleBegin(now);
 }
 
 Cycle
 Simulation::wakeOne(const TickEntry &e, Cycle now)
 {
-    switch (e.kind) {
-      case CompKind::Pva:
+    if (e.kind == CompKind::Pva)
         return static_cast<const PvaUnit *>(e.c)->nextWakeAfter(now);
-      case CompKind::Gathering:
-        return static_cast<const GatheringSystem *>(e.c)
-            ->nextWakeAfter(now);
-      case CompKind::CacheLine:
-        return static_cast<const CacheLineSystem *>(e.c)
-            ->nextWakeAfter(now);
-      case CompKind::Generic:
-        break;
-    }
     return e.c->nextWakeAfter(now);
 }
 

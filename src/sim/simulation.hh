@@ -43,11 +43,12 @@ class Simulation
     /**
      * Register a component. Order of registration is tick order.
      *
-     * The concrete type is resolved once here (one dynamic_cast per
-     * registration) so the per-cycle tick/wake loops dispatch through
-     * a direct call for the known-final system types instead of three
-     * virtual calls per component per processed cycle. A PvaUnit
-     * also adopts this simulation's clocking (PvaUnit::setClocking).
+     * A PvaUnit is recognized once here (one dynamic_cast per
+     * registration) so the per-cycle tick/wake loops call its final
+     * methods directly instead of through three virtual calls per
+     * processed cycle; every other component takes the virtual path.
+     * A PvaUnit also adopts this simulation's clocking
+     * (PvaUnit::setClocking).
      */
     void add(Component *c);
 
@@ -113,10 +114,8 @@ class Simulation
     /** Concrete component type, resolved at registration (see add()). */
     enum class CompKind : std::uint8_t
     {
-        Generic,   ///< Virtual dispatch (tests, wrappers, adapters)
-        Pva,       ///< PvaUnit (hot virtuals are final)
-        Gathering, ///< GatheringSystem (final class)
-        CacheLine, ///< CacheLineSystem (final class)
+        Generic, ///< Virtual dispatch
+        Pva,     ///< PvaUnit (hot virtuals are final)
     };
 
     /** One registered component with its pre-resolved dispatch tag. */

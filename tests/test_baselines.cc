@@ -1,20 +1,23 @@
 /**
  * @file
- * Baseline memory-system tests: cost accounting (line fills, serial
- * command cycles), functional correctness, serial ordering, and the
- * outstanding-transaction limit.
+ * Serial baseline tests: cost accounting (line fills, serial command
+ * cycles), functional correctness, and, for both kinds, serial
+ * ordering, stat names and the outstanding-transaction limit.
  */
 
 #include <gtest/gtest.h>
 
-#include "baselines/cacheline_system.hh"
-#include "baselines/gathering_system.hh"
+#include <sstream>
+
+#include "baselines/serial_system.hh"
 #include "sim/simulation.hh"
 
 namespace pva
 {
 namespace
 {
+
+using Kind = SerialSystem::Kind;
 
 VectorCommand
 cmd(WordAddr base, std::uint32_t stride, bool read = true,
@@ -49,50 +52,53 @@ runOne(MemorySystem &sys, const VectorCommand &c,
 TEST(CacheLineSystem, DistinctLineCounting)
 {
     // Stride 1: 32 consecutive words from an aligned base = 1 line.
-    EXPECT_EQ(CacheLineSystem::distinctLines(cmd(0, 1), 32), 1u);
+    EXPECT_EQ(SerialSystem::distinctLines(cmd(0, 1), 32), 1u);
     // Unaligned base straddles two lines.
-    EXPECT_EQ(CacheLineSystem::distinctLines(cmd(16, 1), 32), 2u);
+    EXPECT_EQ(SerialSystem::distinctLines(cmd(16, 1), 32), 2u);
     // Stride 32: one line per element.
-    EXPECT_EQ(CacheLineSystem::distinctLines(cmd(0, 32), 32), 32u);
+    EXPECT_EQ(SerialSystem::distinctLines(cmd(0, 32), 32), 32u);
     // Stride 19: floor reuse — elements 0,1 may share a line sometimes.
-    unsigned d19 = CacheLineSystem::distinctLines(cmd(0, 19), 32);
+    unsigned d19 = SerialSystem::distinctLines(cmd(0, 19), 32);
     EXPECT_GT(d19, 16u);
     EXPECT_LT(d19, 32u);
 }
 
 TEST(CacheLineSystem, PaperAccountingFillsPerElement)
 {
-    CacheLineSystem sys("cl");
+    SerialSystem sys("cl", Kind::CacheLine);
     // Paper accounting: stride 19 -> floor(32/19) = 1 element per line.
     EXPECT_EQ(sys.lineFills(cmd(0, 19)), 32u);
     EXPECT_EQ(sys.lineFills(cmd(0, 16)), 16u);
     EXPECT_EQ(sys.lineFills(cmd(0, 4)), 4u);
     EXPECT_EQ(sys.lineFills(cmd(0, 1)), 1u);
     EXPECT_EQ(sys.lineFills(cmd(0, 64)), 32u);
+    // Stride 0 repeats one word: one line, not a division by zero.
+    EXPECT_EQ(sys.lineFills(cmd(0, 0)), 1u);
 }
 
 TEST(CacheLineSystem, OptimisticReuseUsesDistinctLines)
 {
-    CacheLineConfig cfg;
+    SystemConfig cfg;
     cfg.optimisticLineReuse = true;
-    CacheLineSystem sys("cl", cfg);
+    SerialSystem sys("cl", Kind::CacheLine, cfg);
     EXPECT_EQ(sys.lineFills(cmd(0, 19)),
-              CacheLineSystem::distinctLines(cmd(0, 19), 32));
+              SerialSystem::distinctLines(cmd(0, 19), 32));
 }
 
 TEST(CacheLineSystem, TwentyCyclesPerLine)
 {
-    CacheLineSystem sys("cl");
+    SerialSystem sys("cl", Kind::CacheLine);
+    EXPECT_EQ(sys.commandCycles(cmd(0, 16)), 16u * 20u);
     Cycle t = runOne(sys, cmd(0, 1), nullptr);
     // 1 line x 20 cycles (plus a queue-entry cycle).
     EXPECT_GE(t, 20u);
     EXPECT_LE(t, 22u);
-    EXPECT_EQ(sys.statLineFills.value(), 1u);
+    EXPECT_EQ(sys.stats().scalar("lineFills"), 1u);
 }
 
 TEST(CacheLineSystem, FunctionalGatherAndScatter)
 {
-    CacheLineSystem sys("cl");
+    SerialSystem sys("cl", Kind::CacheLine);
     std::vector<Word> wd(32);
     for (unsigned i = 0; i < 32; ++i)
         wd[i] = 7000 + i;
@@ -102,14 +108,25 @@ TEST(CacheLineSystem, FunctionalGatherAndScatter)
     EXPECT_EQ(rd, wd);
 }
 
-TEST(CacheLineSystem, SerialQueueCompletesInOrder)
+/** The stat that counts @p kind's cost, next to "commands". */
+const char *
+costCounter(Kind kind)
 {
-    CacheLineSystem sys("cl");
+    return kind == Kind::CacheLine ? "lineFills" : "elements";
+}
+
+class SerialSystemTest : public ::testing::TestWithParam<Kind>
+{
+};
+
+TEST_P(SerialSystemTest, SerialQueueCompletesInOrder)
+{
+    SerialSystem sys("serial", GetParam());
     Simulation sim;
     sim.add(&sys);
     for (std::uint64_t t = 0; t < 4; ++t)
         ASSERT_TRUE(sys.trySubmit(cmd(t * 4096, 1), t, nullptr));
-    EXPECT_FALSE(sys.busy() == false);
+    EXPECT_TRUE(sys.busy());
     std::vector<std::uint64_t> order;
     sim.runUntil([&] {
         for (Completion &c : sys.drainCompletions())
@@ -117,19 +134,57 @@ TEST(CacheLineSystem, SerialQueueCompletesInOrder)
         return order.size() == 4;
     });
     EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+    EXPECT_FALSE(sys.busy());
+    // The --stats and --json dumps name exactly these stats.
+    std::ostringstream dump;
+    sys.stats().dump(dump);
+    std::istringstream lines(dump.str());
+    std::vector<std::string> names;
+    for (std::string name, value; lines >> name >> value;)
+        names.push_back(name);
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "commands", costCounter(GetParam()),
+                         "sim.cyclesPerSecond", "sim.cyclesSkipped",
+                         "sim.simTicks"}));
+    EXPECT_EQ(sys.stats().scalar("commands"), 4u);
+    // Unit-stride lines: 4 line fills, or 4 x 32 elements.
+    EXPECT_EQ(sys.stats().scalar(costCounter(GetParam())),
+              GetParam() == Kind::CacheLine ? 4u : 128u);
 }
 
-TEST(CacheLineSystem, EightOutstandingLimit)
+TEST_P(SerialSystemTest, EightOutstandingLimit)
 {
-    CacheLineSystem sys("cl");
+    SerialSystem sys("serial", GetParam());
+    Simulation sim;
+    sim.add(&sys);
     for (std::uint64_t t = 0; t < 8; ++t)
         ASSERT_TRUE(sys.trySubmit(cmd(t, 1), t, nullptr));
+    EXPECT_EQ(sys.inFlight(), 8u);
+    EXPECT_FALSE(sys.trySubmit(cmd(0, 1), 8, nullptr));
+    // Back-pressure lifts as soon as the head command completes.
+    std::vector<Completion> done;
+    sim.runUntil([&] {
+        done = sys.drainCompletions();
+        return !done.empty();
+    });
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done.front().tag, 0u);
+    EXPECT_EQ(sys.inFlight(), 7u);
+    EXPECT_TRUE(sys.trySubmit(cmd(0, 1), 8, nullptr));
     EXPECT_FALSE(sys.trySubmit(cmd(0, 1), 9, nullptr));
 }
 
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, SerialSystemTest,
+    ::testing::Values(Kind::CacheLine, Kind::Gathering),
+    [](const ::testing::TestParamInfo<Kind> &info) {
+        return std::string(info.param == Kind::CacheLine ? "CacheLine"
+                                                         : "Gathering");
+    });
+
 TEST(GatheringSystem, CommandCycleAccounting)
 {
-    GatheringSystem sys("ga");
+    SerialSystem sys("ga", Kind::Gathering);
     // tRP + tRCD + tCL + L + L/2 = 2+2+2+32+16 = 54.
     EXPECT_EQ(sys.commandCycles(cmd(0, 19)), 54u);
     EXPECT_EQ(sys.commandCycles(cmd(0, 1, true, 16)), 30u);
@@ -139,7 +194,7 @@ TEST(GatheringSystem, CostIsStrideIndependent)
 {
     Cycle prev = 0;
     for (std::uint32_t s : {1u, 4u, 19u, 100u}) {
-        GatheringSystem sys("ga");
+        SerialSystem sys("ga", Kind::Gathering);
         Cycle t = runOne(sys, cmd(0, s), nullptr);
         if (prev) {
             EXPECT_EQ(t, prev) << "gathering cost ignores stride";
@@ -150,7 +205,7 @@ TEST(GatheringSystem, CostIsStrideIndependent)
 
 TEST(GatheringSystem, FunctionalRoundTrip)
 {
-    GatheringSystem sys("ga");
+    SerialSystem sys("ga", Kind::Gathering);
     std::vector<Word> wd(32);
     for (unsigned i = 0; i < 32; ++i)
         wd[i] = 1234 + 3 * i;
@@ -158,14 +213,14 @@ TEST(GatheringSystem, FunctionalRoundTrip)
     std::vector<Word> rd;
     runOne(sys, cmd(321, 7, true), nullptr, &rd);
     EXPECT_EQ(rd, wd);
-    EXPECT_EQ(sys.statElements.value(), 64u);
+    EXPECT_EQ(sys.stats().scalar("elements"), 64u);
 }
 
 TEST(Baselines, AgreeFunctionallyWithEachOther)
 {
     // Same writes through both systems leave the same memory image.
-    CacheLineSystem a("cl");
-    GatheringSystem b("ga");
+    SerialSystem a("cl", Kind::CacheLine);
+    SerialSystem b("ga", Kind::Gathering);
     std::vector<Word> wd(32);
     for (unsigned i = 0; i < 32; ++i)
         wd[i] = i * i;

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/cacheline_system.hh"
 #include "cache/l2_cache.hh"
 #include "core/pva_unit.hh"
 #include "core/shadow.hh"
@@ -22,7 +21,7 @@ namespace
 class CacheTest : public ::testing::Test
 {
   protected:
-    CacheTest() : mem("mem", PvaConfig{})
+    CacheTest() : mem("mem", SystemConfig{})
     {
         sim.add(&mem);
         cfg.sets = 4;
@@ -108,7 +107,7 @@ TEST_F(CacheTest, StridedWalkWastesBandwidth)
 
 TEST(ShadowRegion, RemapsUnitStrideFillsToGathers)
 {
-    PvaUnit inner("pva", PvaConfig{});
+    PvaUnit inner("pva", SystemConfig{});
     ShadowMemorySystem shadow("shadow", inner);
     shadow.mapShadow({1 << 20, 1024, 5000, 32});
     Simulation sim;
@@ -139,7 +138,7 @@ TEST(ShadowRegion, RemapsUnitStrideFillsToGathers)
 
 TEST(ShadowRegion, NonShadowCommandsPassThrough)
 {
-    PvaUnit inner("pva", PvaConfig{});
+    PvaUnit inner("pva", SystemConfig{});
     ShadowMemorySystem shadow("shadow", inner);
     shadow.mapShadow({1 << 20, 64, 5000, 8});
     Simulation sim;
@@ -167,7 +166,7 @@ TEST(ShadowRegion, NonShadowCommandsPassThrough)
 TEST(ShadowRegion, StridedShadowAccessComposesStrides)
 {
     // Reading every 2nd shadow element = every 2*stride real words.
-    PvaUnit inner("pva", PvaConfig{});
+    PvaUnit inner("pva", SystemConfig{});
     ShadowMemorySystem shadow("shadow", inner);
     shadow.mapShadow({1 << 20, 256, 9000, 5});
     Simulation sim;
@@ -194,7 +193,7 @@ TEST(ShadowRegion, StridedShadowAccessComposesStrides)
 
 TEST(ShadowRegionDeath, RejectsBadRegions)
 {
-    PvaUnit inner("pva", PvaConfig{});
+    PvaUnit inner("pva", SystemConfig{});
     ShadowMemorySystem shadow("shadow", inner);
     shadow.mapShadow({1000, 100, 0, 4});
     test::expectSimError([&] { shadow.mapShadow({1050, 100, 0, 4}); },
@@ -213,7 +212,7 @@ TEST(ShadowRegionDeath, RejectsBadRegions)
 
 TEST(CacheWithShadow, ShadowPathReachesFullUtilization)
 {
-    PvaUnit inner("pva", PvaConfig{});
+    PvaUnit inner("pva", SystemConfig{});
     ShadowMemorySystem shadow("shadow", inner);
     shadow.mapShadow({1 << 20, 512, 7777, 32});
     Simulation sim;

@@ -57,7 +57,7 @@ TEST(CommandUnit, WriteWaitsForItsReads)
     for (unsigned i = 0; i < 32; ++i)
         trace.expectedWrites.emplace_back(4096 + i, 100 + i);
 
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     RunResult r = runTrace(sys, trace);
     EXPECT_EQ(r.mismatches, 0u);
     // Serialized: read (~26 cycles) then write (~20+): well above the
@@ -78,7 +78,7 @@ TEST(CommandUnit, IndependentOpsOverlap)
     dep.ops.push_back(makeRead(8192));
     dep.ops[1].deps = {0};
 
-    PvaUnit a("a", PvaConfig{}), b("b", PvaConfig{});
+    PvaUnit a("a", SystemConfig{}), b("b", SystemConfig{});
     Cycle t_indep = runTrace(a, indep).cycles;
     Cycle t_dep = runTrace(b, dep).cycles;
     EXPECT_LT(t_indep, t_dep);
@@ -93,7 +93,7 @@ TEST(CommandUnit, IssuesPastBlockedOps)
     trace.ops.push_back(makeWrite(4096, 5, {0}));
     trace.ops.push_back(makeRead(16384));
 
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
     VectorCommandUnit vcu(sys, trace);
@@ -115,7 +115,7 @@ TEST(CommandUnit, CapturesGatheredData)
 {
     KernelTrace trace;
     trace.ops.push_back(makeRead(100, 3));
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     for (unsigned i = 0; i < 32; ++i)
         sys.memory().write(100 + 3 * i, 0x40 + i);
 
@@ -139,7 +139,7 @@ TEST(Consistency, ReadAfterWriteThroughDependences)
     trace.ops.push_back(makeRead(2048));
     trace.ops[1].deps = {0};
 
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
     VectorCommandUnit vcu(sys, trace);
@@ -156,7 +156,7 @@ TEST(Consistency, BackToBackWritesLastValueWins)
     trace.ops.push_back(makeWrite(2048, 100, {}));
     trace.ops.push_back(makeWrite(2048, 900, {0}));
 
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     runTrace(sys, trace);
     for (unsigned i = 0; i < 32; ++i)
         EXPECT_EQ(sys.memory().read(2048 + i), 900u + i);
@@ -167,7 +167,7 @@ TEST(Stats, LatencyDistributionsAreSampled)
     KernelTrace trace;
     trace.ops.push_back(makeRead(0));
     trace.ops.push_back(makeWrite(4096, 1, {}));
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     runTrace(sys, trace);
     std::ostringstream os;
     sys.stats().dump(os);

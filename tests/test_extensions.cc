@@ -57,7 +57,7 @@ TEST(BitReversalCommandsDeath, RequiresPowerOfTwo)
 
 TEST(BitReversal, GatherPermutesThroughThePva)
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
     constexpr std::uint32_t N = 256;
@@ -90,7 +90,7 @@ TEST(IndirectPhases, CommandConstruction)
 
 TEST(Indirect, GatherThroughThePva)
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
 
@@ -113,7 +113,7 @@ TEST(Indirect, GatherThroughThePva)
 
 TEST(Indirect, ScatterThroughThePva)
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
 
@@ -133,7 +133,7 @@ TEST(Indirect, ScatterThroughThePva)
 
 TEST(Indirect, DuplicateIndicesGatherTheSameWord)
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
     for (std::uint32_t i = 0; i < 32; ++i)
@@ -150,7 +150,7 @@ TEST(Indirect, PhaseTwoCostsReflectBroadcastOverhead)
     // An indirect command's sub-vectors only become schedulable after
     // the index broadcast (length/2 cycles): a 32-element indirect read
     // must take longer than the equivalent strided read.
-    PvaUnit a("a", PvaConfig{}), b("b", PvaConfig{});
+    PvaUnit a("a", SystemConfig{}), b("b", SystemConfig{});
     std::vector<WordAddr> idx;
     for (std::uint32_t i = 0; i < 32; ++i)
         idx.push_back(19ull * i);

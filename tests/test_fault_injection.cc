@@ -71,7 +71,7 @@ sumDeviceStat(PvaUnit &sys, const char *suffix)
 
 TEST(FaultInjection, DroppedTransfersAreRecoveredWithCorrectData)
 {
-    PvaConfig cfg;
+    SystemConfig cfg;
     cfg.timingCheck = true;
     cfg.faults.dropTransferRate = 0.05;
     PvaUnit sys("pva", cfg);
@@ -105,7 +105,7 @@ TEST(FaultInjection, DroppedTransfersAreRecoveredWithCorrectData)
 
 TEST(FaultInjection, CorruptedFirstHitIsDetectedNotSilent)
 {
-    PvaConfig cfg;
+    SystemConfig cfg;
     cfg.timingCheck = true;
     cfg.faults.corruptFirstHitRate = 1.0;
     PvaUnit sys("pva", cfg);
@@ -147,7 +147,7 @@ TEST(FaultInjection, TimingFaultsPerturbLatencyNotResults)
 
 TEST(FaultInjection, InjectedRefreshesAreCounted)
 {
-    PvaConfig cfg;
+    SystemConfig cfg;
     cfg.timingCheck = true;
     cfg.faults.refreshStallRate = 0.01;
     PvaUnit sys("pva", cfg);

@@ -50,7 +50,7 @@ class BlockInterleave : public ::testing::TestWithParam<unsigned>
 
 TEST_P(BlockInterleave, GathersCorrectlyAtEveryStride)
 {
-    PvaConfig cfg;
+    SystemConfig cfg;
     cfg.geometry = Geometry(16, GetParam());
     PvaUnit sys("pva", cfg);
     Simulation sim;
@@ -73,7 +73,7 @@ TEST_P(BlockInterleave, GathersCorrectlyAtEveryStride)
 
 TEST_P(BlockInterleave, ScatterRoundTrip)
 {
-    PvaConfig cfg;
+    SystemConfig cfg;
     cfg.geometry = Geometry(8, GetParam());
     PvaUnit sys("pva", cfg);
     Simulation sim;
@@ -99,10 +99,10 @@ TEST(BlockInterleave, UnitStrideUsesFewerBanksThanWordInterleave)
     // With 32-word blocks over 16 banks, one 32-element unit-stride
     // line lives entirely in one bank; word interleave spreads it over
     // all 16. Check via per-BC element stats.
-    PvaConfig block_cfg;
+    SystemConfig block_cfg;
     block_cfg.geometry = Geometry(16, 32);
     PvaUnit block("block", block_cfg);
-    PvaUnit word("word", PvaConfig{});
+    PvaUnit word("word", SystemConfig{});
 
     for (PvaUnit *sys : {&block, &word}) {
         Simulation sim;
@@ -118,7 +118,7 @@ TEST(BlockInterleave, UnitStrideUsesFewerBanksThanWordInterleave)
 
 TEST(Refresh, StealsCyclesAndClosesRows)
 {
-    PvaConfig with, without;
+    SystemConfig with, without;
     with.timing.tREFI = 50; // absurdly frequent, to make it visible
     with.timing.tRFC = 10;
 
@@ -149,7 +149,7 @@ TEST(Refresh, StealsCyclesAndClosesRows)
 
 TEST(Refresh, DisabledByDefault)
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
     ASSERT_TRUE(sys.trySubmit(readCmd(0, 1), 0, nullptr));
@@ -160,7 +160,7 @@ TEST(Refresh, DisabledByDefault)
 Cycle
 runPolicyWorkload(RowPolicy policy)
 {
-    PvaConfig cfg;
+    SystemConfig cfg;
     cfg.bc.rowPolicy = policy;
     PvaUnit sys("pva", cfg);
     Simulation sim;
@@ -198,7 +198,7 @@ TEST(RowPolicy, AllPoliciesAreFunctionallyEquivalent)
 {
     for (RowPolicy p : {RowPolicy::Managed, RowPolicy::AlwaysClose,
                         RowPolicy::AlwaysOpen}) {
-        PvaConfig cfg;
+        SystemConfig cfg;
         cfg.bc.rowPolicy = p;
         PvaUnit sys("pva", cfg);
         Simulation sim;

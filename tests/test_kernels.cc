@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_sim_error.hh"
 #include "kernels/alignment.hh"
 #include "kernels/runner.hh"
 #include "kernels/sweep.hh"
+#include "kernels/sweep_executor.hh"
 
 namespace pva
 {
@@ -202,6 +204,48 @@ runParams()
 
 INSTANTIATE_TEST_SUITE_P(AllKernelsAllSystems, KernelRuns,
                          ::testing::ValuesIn(runParams()));
+
+TEST(BuildTrace, RejectsDegenerateWorkloads)
+{
+    // A stride-0 stream repeats one word and an empty one does no
+    // work: neither is a kernel workload.
+    SparseMemory mem;
+    auto stride0 = smallConfig(KernelId::Copy, 0);
+    test::expectSimError(
+        [&] { buildTrace(kernelSpec(KernelId::Copy), stride0, mem); },
+        SimErrorKind::Config, "stride must be >= 1");
+    auto empty = smallConfig(KernelId::Copy, 1, 0);
+    test::expectSimError(
+        [&] { buildTrace(kernelSpec(KernelId::Copy), empty, mem); },
+        SimErrorKind::Config, "element count must be >= 1");
+}
+
+TEST(SweepExecutorDegenerate, StrideZeroPointFailsAlone)
+{
+    std::vector<SweepRequest> grid;
+    for (std::uint32_t stride : {1u, 0u, 4u}) {
+        SweepRequest req;
+        req.system = SystemKind::CacheLine;
+        req.stride = stride;
+        req.elements = 64;
+        grid.push_back(req);
+    }
+    SweepExecutor exec(1);
+    SweepReport report = exec.runReport(grid);
+    ASSERT_EQ(report.points.size(), 3u);
+    EXPECT_EQ(report.points[0].status, PointStatus::Ok);
+    EXPECT_EQ(report.points[1].status, PointStatus::Failed);
+    EXPECT_EQ(report.points[2].status, PointStatus::Ok);
+    EXPECT_GT(report.points[0].cycles, 0u);
+    EXPECT_GT(report.points[2].cycles, 0u);
+    EXPECT_EQ(report.failed, 1u);
+    ASSERT_EQ(report.failures.size(), 1u);
+    EXPECT_EQ(report.failures[0].index, 1u);
+    EXPECT_NE(report.failures[0].error.find(
+                  "[config] kernel: stride must be >= 1"),
+              std::string::npos)
+        << report.failures[0].error;
+}
 
 TEST(Sweep, PvaBeatsCacheLineAtLargeStride)
 {

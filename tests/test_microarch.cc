@@ -58,7 +58,7 @@ TEST(Microarch, UnitStrideReadOpCounts)
 {
     // 32 elements over 16 banks: 2 reads per bank, 1 activate per bank
     // (both elements are consecutive columns of the same row).
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     runAll(sys, {readCmd(0, 1)});
     EXPECT_EQ(sumStat(sys, "reads"), 32u);
     EXPECT_EQ(sumStat(sys, "activates"), 16u);
@@ -70,7 +70,7 @@ TEST(Microarch, Stride16ConcentratesInOneBank)
 {
     // All 32 elements in bank 0, one row (32 * 16 words = 512 = one
     // row-stripe): exactly 1 activate, 32 reads, 31 row hits.
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     runAll(sys, {readCmd(0, 16)});
     EXPECT_EQ(sys.stats().scalar("dev0.reads"), 32u);
     EXPECT_EQ(sys.stats().scalar("dev0.activates"), 1u);
@@ -84,7 +84,7 @@ TEST(Microarch, ConsecutiveLinesReuseOpenRows)
     // Two back-to-back unit-stride lines fall in the same rows; the
     // ManageRow policy must keep rows open so the second command adds
     // zero activates.
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     runAll(sys, {readCmd(0, 1), readCmd(32, 1)});
     EXPECT_EQ(sumStat(sys, "reads"), 64u);
     EXPECT_EQ(sumStat(sys, "activates"), 16u)
@@ -97,7 +97,7 @@ TEST(Microarch, RowConflictForcesPrechargeAndReactivate)
     // Two commands to the same internal banks but different rows: the
     // second must close and re-open (activates double; precharges
     // appear).
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     // Row stripe is 8192 words; 4 internal banks -> same internal bank
     // again at 4 * 8192 words.
     runAll(sys, {readCmd(0, 1), readCmd(4 * 8192, 1)});
@@ -107,7 +107,7 @@ TEST(Microarch, RowConflictForcesPrechargeAndReactivate)
 
 TEST(Microarch, ClosedPagePolicyPrechargesEveryAccess)
 {
-    PvaConfig cfg;
+    SystemConfig cfg;
     cfg.bc.rowPolicy = RowPolicy::AlwaysClose;
     PvaUnit sys("pva", cfg);
     runAll(sys, {readCmd(0, 1)});
@@ -123,7 +123,7 @@ TEST(Microarch, InternalBankPipelining)
     // Stride 16 within one external bank but spanning two internal
     // banks (columns 0..511 are ibank 0, 512.. are ibank 1): the
     // scheduler opens both rows and overlaps.
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     // Elements at perBank words 16..47? Use base so elements straddle
     // the 512-column boundary: perBankWord = 496 + i.
     WordAddr base = 496 * 16; // bank 0, column 496
@@ -135,7 +135,7 @@ TEST(Microarch, InternalBankPipelining)
 
 TEST(Microarch, OddStrideUsesAllBanksEvenly)
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     runAll(sys, {readCmd(7, 19)});
     for (unsigned b = 0; b < 16; ++b)
         EXPECT_EQ(sys.stats().scalar(csprintf("dev%u.reads", b)), 2u)
@@ -146,7 +146,7 @@ TEST(Microarch, BusCycleAccounting)
 {
     // One read: VEC_READ + STAGE_READ requests, 16 data cycles.
     // One write: STAGE_WRITE + VEC_WRITE requests, 16 data cycles.
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
     std::vector<Word> data(32, 1);
@@ -168,7 +168,7 @@ TEST(Microarch, SchedulerHidesFhcLatencyUnderLoad)
     // Section 5.2.2: "When the scheduler is busy, this [FHC] delay is
     // completely hidden". Eight pipelined non-power-of-two reads must
     // cost the same per command as power-of-two ones.
-    PvaUnit a("a", PvaConfig{}), b("b", PvaConfig{});
+    PvaUnit a("a", SystemConfig{}), b("b", SystemConfig{});
     std::vector<VectorCommand> odd, pow2;
     for (unsigned i = 0; i < 8; ++i) {
         odd.push_back(readCmd(i * 8192, 19));

@@ -9,7 +9,6 @@
 
 #include <map>
 
-#include "baselines/pva_sram_system.hh"
 #include "core/pva_unit.hh"
 #include "expect_sim_error.hh"
 #include "sim/random.hh"
@@ -50,7 +49,7 @@ readCmd(WordAddr base, std::uint32_t stride, std::uint32_t len = 32)
 
 TEST(PvaUnit, WriteThenReadRoundTrip)
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
 
@@ -70,7 +69,7 @@ TEST(PvaUnit, WriteThenReadRoundTrip)
 
 TEST(PvaUnit, EightOutstandingTransactionsMax)
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     for (std::uint64_t t = 0; t < 8; ++t)
         ASSERT_TRUE(sys.trySubmit(readCmd(t * 100, 3), t, nullptr));
     EXPECT_FALSE(sys.trySubmit(readCmd(0, 1), 99, nullptr))
@@ -87,7 +86,7 @@ TEST(PvaUnit, EightOutstandingTransactionsMax)
 
 TEST(PvaUnit, ConcurrentReadsReturnDistinctCorrectData)
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
 
@@ -111,7 +110,7 @@ TEST(PvaUnit, ConcurrentReadsReturnDistinctCorrectData)
 
 TEST(PvaUnit, ShortVectorCommands)
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
     for (std::uint32_t len : {1u, 2u, 5u, 31u}) {
@@ -126,7 +125,7 @@ TEST(PvaUnit, ShortVectorCommands)
 
 TEST(PvaUnit, MixedReadWriteTrafficIsConsistent)
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
 
@@ -153,8 +152,8 @@ TEST(PvaUnit, MixedReadWriteTrafficIsConsistent)
 
 TEST(PvaUnit, SramVariantIsFunctionallyIdenticalAndFaster)
 {
-    PvaUnit sdram("sdram", PvaConfig{});
-    PvaSramSystem sram("sram");
+    PvaUnit sdram("sdram", SystemConfig{});
+    PvaUnit sram("sram", SystemConfig{}, true);
 
     VectorCommand c = readCmd(123, 19);
     Cycle t_sdram, t_sram;
@@ -181,7 +180,7 @@ TEST(PvaUnit, SramVariantIsFunctionallyIdenticalAndFaster)
 
 TEST(PvaUnit, StatsAreRegisteredAndCount)
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
     sys.trySubmit(readCmd(0, 1), 0, nullptr);
@@ -200,7 +199,7 @@ TEST(PvaUnit, RandomScatterGatherFuzz)
     // Randomized end-to-end consistency: interleave writes and reads of
     // random strided vectors; a software mirror checks every gathered
     // line against what the writes should have produced.
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Simulation sim;
     sim.add(&sys);
     Random rng(0xfeed);
@@ -242,7 +241,7 @@ TEST(PvaUnit, RandomScatterGatherFuzz)
 
 TEST(PvaUnitDeath, BadSubmitsAreFatal)
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     VectorCommand too_long = readCmd(0, 1, 33);
     test::expectSimError([&] { sys.trySubmit(too_long, 0, nullptr); },
                          SimErrorKind::Config, "length");

@@ -15,7 +15,7 @@ namespace
 
 TEST(Smoke, SingleStridedReadGathers)
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
 
     // Poke a recognizable pattern at stride 3 from word 1000.
     for (std::uint32_t i = 0; i < 32; ++i)

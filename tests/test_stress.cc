@@ -125,14 +125,14 @@ pump(PvaUnit &sys, Random &rng, unsigned rounds)
 
 TEST(Stress, MixedModesFullPipeline)
 {
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     Random rng(0xabc);
     pump(sys, rng, 300);
 }
 
 TEST(Stress, SmallBankCount)
 {
-    PvaConfig cfg;
+    SystemConfig cfg;
     cfg.geometry = Geometry(4, 1);
     PvaUnit sys("pva", cfg);
     Random rng(0x123);
@@ -141,7 +141,7 @@ TEST(Stress, SmallBankCount)
 
 TEST(Stress, BlockInterleaved)
 {
-    PvaConfig cfg;
+    SystemConfig cfg;
     cfg.geometry = Geometry(8, 4);
     PvaUnit sys("pva", cfg);
     Random rng(0x456);
@@ -150,7 +150,7 @@ TEST(Stress, BlockInterleaved)
 
 TEST(Stress, WithRefreshAndSmallVcWindow)
 {
-    PvaConfig cfg;
+    SystemConfig cfg;
     cfg.bc.vectorContexts = 1;
     cfg.timing.tREFI = 97; // frequent, prime: hits odd phases
     PvaUnit sys("pva", cfg);
@@ -160,7 +160,7 @@ TEST(Stress, WithRefreshAndSmallVcWindow)
 
 TEST(Stress, ClosedPagePolicy)
 {
-    PvaConfig cfg;
+    SystemConfig cfg;
     cfg.bc.rowPolicy = RowPolicy::AlwaysClose;
     PvaUnit sys("pva", cfg);
     Random rng(0xdef);
@@ -169,9 +169,7 @@ TEST(Stress, ClosedPagePolicy)
 
 TEST(Stress, SramVariant)
 {
-    PvaConfig cfg;
-    cfg.useSram = true;
-    PvaUnit sys("pva", cfg);
+    PvaUnit sys("pva", SystemConfig{}, true);
     Random rng(0x321);
     pump(sys, rng, 200);
 }

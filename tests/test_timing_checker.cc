@@ -259,7 +259,7 @@ TEST(TimingCheckerIntegration, CheckerCoversRefreshTraffic)
 
 TEST(TimingCheckerIntegration, CheckerStatsAreRegistered)
 {
-    PvaConfig cfg;
+    SystemConfig cfg;
     cfg.timingCheck = true;
     PvaUnit sys("pva", cfg);
     Simulation sim;

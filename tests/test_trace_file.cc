@@ -9,7 +9,7 @@
 
 #include <sstream>
 
-#include "baselines/cacheline_system.hh"
+#include "baselines/serial_system.hh"
 #include "core/pva_unit.hh"
 #include "kernels/trace_file.hh"
 
@@ -80,7 +80,7 @@ TEST(TraceReplay, WriteThenReadThroughBarrier)
     TraceFile t = mustParse("write 1000 19 32 500\n"
                             "barrier\n"
                             "read 1000 19 32\n");
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     ReplayResult r = replayTrace(sys, t);
     EXPECT_EQ(r.commands, 2u);
     EXPECT_GT(r.cycles, 0u);
@@ -92,12 +92,12 @@ TEST(TraceReplay, PokeSeedsMemoryForReads)
 {
     TraceFile t = mustParse("poke 64 7\n"
                             "read 64 1 1\n");
-    PvaUnit a("a", PvaConfig{});
+    PvaUnit a("a", SystemConfig{});
     ReplayResult ra = replayTrace(a, t);
 
     // Same trace without the poke gathers different (background) data.
     TraceFile t2 = mustParse("read 64 1 1\n");
-    PvaUnit b("b", PvaConfig{});
+    PvaUnit b("b", SystemConfig{});
     ReplayResult rb = replayTrace(b, t2);
     EXPECT_NE(ra.readChecksum, rb.readChecksum);
 }
@@ -114,8 +114,8 @@ TEST(TraceReplay, ChecksumAgreesAcrossSystems)
                              "barrier\n"
                              "read 2000 7 16\n";
     TraceFile t = mustParse(text);
-    PvaUnit pva("pva", PvaConfig{});
-    CacheLineSystem cl("cl");
+    PvaUnit pva("pva", SystemConfig{});
+    SerialSystem cl("cl", SerialSystem::Kind::CacheLine);
     ReplayResult rp = replayTrace(pva, t);
     ReplayResult rc = replayTrace(cl, t);
     EXPECT_EQ(rp.readChecksum, rc.readChecksum);
@@ -129,7 +129,7 @@ TEST(TraceReplay, ManyCommandsRespectTransactionLimit)
     for (int i = 0; i < 100; ++i)
         text << "read " << i * 32 << " 1 32\n";
     TraceFile t = mustParse(text.str());
-    PvaUnit sys("pva", PvaConfig{});
+    PvaUnit sys("pva", SystemConfig{});
     ReplayResult r = replayTrace(sys, t);
     EXPECT_EQ(r.commands, 100u);
     // Bus-bound lower bound: 100 lines x 17 bus cycles.

@@ -30,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -108,24 +109,23 @@ void
 addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
 {
     app.numOption("--streams", "N", "concurrent request streams",
-                  [&opts](unsigned long long n) { opts.streams = n; });
+                  opts.streams);
     app.option("--policy", "fifo|rr|priority", "arbitration policy",
                [&opts](const std::string &v) { opts.policy = v; });
     app.numOption("--aging", "N", "priority aging threshold (cycles)",
-                  [&opts](unsigned long long n) { opts.aging = n; });
+                  opts.aging);
     app.option("--mode", "closed|open", "arrival process",
                [&opts](const std::string &v) { opts.mode = v; });
     app.numOption("--window", "N", "closed-loop window per stream",
-                  [&opts](unsigned long long n) { opts.window = n; });
+                  opts.window);
     app.realOption("--rate", "R",
                    "per-stream open-loop rate (req/kilocycle)",
                    [&opts](double d) { opts.rate = d; });
-    app.numOption("--requests", "N", "requests per stream",
-                  [&opts](unsigned long long n) { opts.requests = n; });
+    app.numOption("--requests", "N", "requests per stream", opts.requests);
     app.numOption("--seed", "S", "base pattern seed (stream i: S+i)",
-                  [&opts](unsigned long long n) { opts.seed = n; });
+                  opts.seed);
     app.numOption("--queue-cap", "N", "per-stream admission queue cap",
-                  [&opts](unsigned long long n) { opts.queueCap = n; });
+                  opts.queueCap);
     app.option("--shed", "on|off",
                "deadline/overload load shedding (docs/TRAFFIC.md; "
                "default off, off is bit-identical to older builds)",
@@ -140,6 +140,7 @@ addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
     app.numOption("--deadline", "N",
                   "queueing-delay budget before a request is shed "
                   "(cycles; 0 = no deadline; needs --shed on)",
+                  0, std::numeric_limits<Cycle>::max(),
                   [&opts](unsigned long long n) {
                       opts.deadline = n;
                       opts.deadlineSet = true;
@@ -158,25 +159,15 @@ addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
     app.realOption("--read-frac", "F", "fraction of reads in 0..1",
                    [&opts](double d) { opts.pattern.readFraction = d; });
     app.numOption("--min-stride", "N", "minimum generated stride",
-                  [&opts](unsigned long long n) {
-                      opts.pattern.minStride = n;
-                  });
+                  opts.pattern.minStride);
     app.numOption("--max-stride", "N", "maximum generated stride",
-                  [&opts](unsigned long long n) {
-                      opts.pattern.maxStride = n;
-                  });
+                  opts.pattern.maxStride);
     app.numOption("--min-length", "N", "minimum vector length",
-                  [&opts](unsigned long long n) {
-                      opts.pattern.minLength = n;
-                  });
+                  opts.pattern.minLength);
     app.numOption("--max-length", "N", "maximum vector length",
-                  [&opts](unsigned long long n) {
-                      opts.pattern.maxLength = n;
-                  });
+                  opts.pattern.maxLength);
     app.numOption("--region-words", "N", "address region per stream",
-                  [&opts](unsigned long long n) {
-                      opts.pattern.regionWords = n;
-                  });
+                  opts.pattern.regionWords);
     app.flag("--indirect", "generate indirect (vector-indexed) accesses",
              [&opts] {
                  opts.pattern.mode = VectorCommand::Mode::Indirect;
@@ -194,9 +185,7 @@ addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
                "offered loads (aggregate req/kilocycle)",
                [&opts](const std::string &v) { opts.loads = v; });
     app.numOption("--max-cycles", "N", "per-run simulated-cycle budget",
-                  [&opts](unsigned long long n) {
-                      opts.maxCycles = n;
-                  });
+                  opts.maxCycles);
     app.flag("--csv", "emit the run as a load-curve CSV row",
              [&opts] { opts.csv = true; });
 
@@ -205,17 +194,14 @@ addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
              "run a sharded tenant fleet under hierarchical "
              "arbitration instead of a single flat run",
              [&opts] { opts.fleet = true; });
-    app.numOption("--tenants", "N", "tenants in the fleet",
-                  [&opts](unsigned long long n) { opts.tenants = n; });
+    app.numOption("--tenants", "N", "tenants in the fleet", opts.tenants);
     app.numOption("--streams-per-tenant", "N",
                   "request streams per tenant",
-                  [&opts](unsigned long long n) {
-                      opts.streamsPerTenant = n;
-                  });
+                  opts.streamsPerTenant);
     app.numOption("--shards", "N",
                   "memory-system shards the fleet is partitioned "
                   "across (results are identical at any --jobs)",
-                  [&opts](unsigned long long n) { opts.shards = n; });
+                  opts.shards);
     app.option("--scenario", "FILE",
                "run one fleet scenario JSON file and print its "
                "versioned result line",

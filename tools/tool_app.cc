@@ -1,6 +1,7 @@
 #include "tool_app.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -18,13 +19,22 @@ namespace
 {
 
 unsigned long long
-parseNum(const std::string &flag, const std::string &value)
+parseNum(const std::string &flag, const std::string &value,
+         unsigned long long min, unsigned long long max)
 {
     char *end = nullptr;
+    errno = 0;
     unsigned long long n = std::strtoull(value.c_str(), &end, 10);
     if (value.empty() || *end != '\0')
         fatal("%s expects a number, got '%s'", flag.c_str(),
               value.c_str());
+    // strtoull negates a leading '-' modulo 2^64 and saturates on
+    // overflow; neither may wrap into a small field.
+    if (value.find('-') != std::string::npos || errno == ERANGE ||
+        n < min || n > max) {
+        fatal("%s expects a number in %llu..%llu, got '%s'",
+              flag.c_str(), min, max, value.c_str());
+    }
     return n;
 }
 
@@ -97,7 +107,8 @@ ToolApp::option(const char *flag_name, const char *metavar,
 
 void
 ToolApp::numOption(const char *flag_name, const char *metavar,
-                   const char *help,
+                   const char *help, unsigned long long min,
+                   unsigned long long max,
                    std::function<void(unsigned long long)> handler)
 {
     Spec s;
@@ -105,9 +116,9 @@ ToolApp::numOption(const char *flag_name, const char *metavar,
     s.metavar = metavar;
     s.help = help;
     s.takesValue = true;
-    s.apply = [handler = std::move(handler)](const std::string &f,
-                                             const std::string &v) {
-        handler(parseNum(f, v));
+    s.apply = [handler = std::move(handler), min,
+               max](const std::string &f, const std::string &v) {
+        handler(parseNum(f, v, min, max));
     };
     specs.push_back(std::move(s));
 }
@@ -141,21 +152,21 @@ void
 ToolApp::addSystemFlags(SystemConfig &config)
 {
     configToValidate = &config;
-    numOption("--banks", "N", "external bank count (power of two)",
-              [&config](unsigned long long n) {
+    constexpr unsigned long long kUnsignedMax =
+        std::numeric_limits<unsigned>::max();
+    numOption("--banks", "N", "external bank count (power of two)", 0,
+              kUnsignedMax, [&config](unsigned long long n) {
                   config.geometry =
                       Geometry(n, config.geometry.interleave());
               });
     numOption("--interleave", "N",
-              "words per consecutive block in one bank",
-              [&config](unsigned long long n) {
+              "words per consecutive block in one bank", 0,
+              kUnsignedMax, [&config](unsigned long long n) {
                   config.geometry =
                       Geometry(config.geometry.banks(), n);
               });
     numOption("--vcs", "N", "vector contexts per bank controller",
-              [&config](unsigned long long n) {
-                  config.bc.vectorContexts = n;
-              });
+              config.bc.vectorContexts);
     option("--row-policy", "managed|open|close",
            "bank-controller row management policy",
            [this, &config](const std::string &p) {
@@ -164,9 +175,7 @@ ToolApp::addSystemFlags(SystemConfig &config)
            });
     numOption("--refresh", "TREFI",
               "auto-refresh interval in cycles (0 = off)",
-              [&config](unsigned long long n) {
-                  config.timing.tREFI = n;
-              });
+              config.timing.tREFI);
     option("--backend", "legacy|salp|deferred",
            "memory-device backend (docs/DEVICE.md)",
            [&config](const std::string &v) {
@@ -176,15 +185,11 @@ ToolApp::addSystemFlags(SystemConfig &config)
            });
     numOption("--subarrays", "N",
               "row-buffer subarrays per internal bank (salp backend)",
-              [&config](unsigned long long n) {
-                  config.salpSubarrays = n;
-              });
+              config.salpSubarrays);
     numOption("--refresh-window", "N",
               "max cycles a refresh may move (deferred backend; "
               "0 = tREFI/2)",
-              [&config](unsigned long long n) {
-                  config.refreshDeferWindow = n;
-              });
+              config.refreshDeferWindow);
     option("--clocking", "exhaustive|event",
            "simulation clocking discipline",
            [&config](const std::string &mode) {
@@ -195,9 +200,7 @@ ToolApp::addSystemFlags(SystemConfig &config)
     flag("--check", "attach the redundant timing/data checker",
          [&config] { config.timingCheck = true; });
     numOption("--fault-seed", "N", "fault-injection RNG seed",
-              [&config](unsigned long long n) {
-                  config.faults.seed = n;
-              });
+              config.faults.seed);
     realOption("--fault-refresh", "R", "refresh-stall fault rate",
                [&config](double r) {
                    config.faults.refreshStallRate = r;
@@ -222,25 +225,21 @@ ToolApp::addWorkloadFlags(ToolOptions &opts)
            "benchmark kernel (copy saxpy scale swap tridiag vaxpy "
            "copy2 scale2)",
            [&opts](const std::string &v) { opts.kernel = v; });
-    numOption("--stride", "N", "element stride in words",
-              [&opts](unsigned long long n) { opts.stride = n; });
+    numOption("--stride", "N", "element stride in words", opts.stride);
     numOption("--alignment", "0-4", "stream base alignment preset",
-              [&opts](unsigned long long n) { opts.alignment = n; });
+              opts.alignment);
     option("--system", "pva|cacheline|gathering|sram",
            "memory system under test",
            [&opts](const std::string &v) { opts.system = v; });
-    numOption("--elements", "N", "vector elements per stream",
-              [&opts](unsigned long long n) { opts.elements = n; });
+    numOption("--elements", "N", "vector elements per stream", opts.elements);
 }
 
 void
 ToolApp::addExecutorFlags(unsigned &jobs, unsigned &retries,
                           double &point_timeout)
 {
-    numOption("--jobs", "N", "sweep workers (0 = hardware threads)",
-              [&jobs](unsigned long long n) { jobs = n; });
-    numOption("--retries", "N", "attempt budget per sweep point",
-              [&retries](unsigned long long n) { retries = n; });
+    numOption("--jobs", "N", "sweep workers (0 = hardware threads)", jobs);
+    numOption("--retries", "N", "attempt budget per sweep point", retries);
     realOption("--point-timeout", "MS",
                "per-point wall-clock watchdog in milliseconds",
                [&point_timeout](double d) { point_timeout = d; });
@@ -267,9 +266,7 @@ ToolApp::addTraceFlags()
            [this](const std::string &v) { trace.filter = v; });
     numOption("--trace-buffer", "N",
               "trace buffer capacity in events (drops beyond)",
-              [this](unsigned long long n) {
-                  trace.bufferCap = n;
-              });
+              trace.bufferCap);
     flag("--profile",
          "sampling profile of trace events, reported after the run "
          "(needs PVA_TRACE=ON)",
@@ -278,12 +275,10 @@ ToolApp::addTraceFlags()
                  trace.profilePeriod = 64;
          });
     numOption("--profile-period", "N",
-              "sample every Nth trace event (implies --profile)",
+              "sample every Nth trace event (implies --profile)", 1,
+              std::numeric_limits<std::uint32_t>::max(),
               [this](unsigned long long n) {
-                  if (n == 0 || n > UINT32_MAX)
-                      fatal("--profile-period expects 1..2^32-1");
-                  trace.profilePeriod =
-                      static_cast<std::uint32_t>(n);
+                  trace.profilePeriod = static_cast<std::uint32_t>(n);
               });
 }
 

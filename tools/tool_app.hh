@@ -29,8 +29,10 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/system_config.hh"
@@ -70,10 +72,26 @@ class ToolApp
     /** A string-valued option, e.g. --kernel NAME. */
     void option(const char *name, const char *metavar, const char *help,
                 std::function<void(const std::string &)> handler);
-    /** An unsigned-integer option; fatal on a non-numeric value. */
+    /** An unsigned-integer option; fatal unless the value is a
+     *  number in @p min..@p max, where @p max is the largest value
+     *  the handler's destination can hold. */
     void numOption(const char *name, const char *metavar,
-                   const char *help,
+                   const char *help, unsigned long long min,
+                   unsigned long long max,
                    std::function<void(unsigned long long)> handler);
+    /** An unsigned-integer option stored into @p dest, bounded by
+     *  its type. */
+    template <typename T>
+    void
+    numOption(const char *name, const char *metavar, const char *help,
+              T &dest)
+    {
+        static_assert(std::is_unsigned_v<T>);
+        numOption(name, metavar, help, 0, std::numeric_limits<T>::max(),
+                  [&dest](unsigned long long n) {
+                      dest = static_cast<T>(n);
+                  });
+    }
     /** A real-valued option; fatal on a non-numeric value. */
     void realOption(const char *name, const char *metavar,
                     const char *help,
