@@ -25,6 +25,7 @@ BankController::BankController(std::string name, unsigned bank,
     bankIndex = bank;
     fifo.reserve(cfg.fifoEntries);
     vcs.reserve(cfg.vectorContexts);
+    sharesCompleted.reserve(cfg.transactions);
 }
 
 void
@@ -260,7 +261,7 @@ BankController::drainDeviceReturns(Cycle now)
         st.line[r.slot] = r.data;
         st.valid[r.slot] = 1;
         if (++st.got == st.expected) {
-            shareCompleted = true;
+            sharesCompleted.push_back(r.txn);
             PVA_TRACE_INSTANT(traceTrack(), now, "sub_complete", "txn",
                               r.txn);
         }
@@ -499,7 +500,7 @@ BankController::tryReadWrite(Cycle now)
         if (!vc.cmd.isRead) {
             Staging &wst = staging[vc.cmd.txn];
             if (++wst.got == wst.expected) { // committed to SDRAM
-                shareCompleted = true;
+                sharesCompleted.push_back(vc.cmd.txn);
                 PVA_TRACE_INSTANT(traceTrack(), now, "sub_complete",
                                   "txn", vc.cmd.txn);
             }
@@ -519,7 +520,7 @@ void
 BankController::tick(Cycle now)
 {
     creditFrozen(now); // bring occupancy stats current through now - 1
-    shareCompleted = false;
+    sharesCompleted.clear();
     devTick(now); // apply auto-refresh before scheduling decisions
     drainDeviceReturns(now);
     if (injector && injector->bcStall()) {

@@ -107,8 +107,8 @@ class BankController final : public Component
     void loadWriteLine(std::uint8_t txn, const std::vector<Word> &line);
 
     /** Has this BC finished its share of transaction @p txn? (Its
-     *  contribution to the wired-OR transaction-complete line.)
-     *  Polled per gathering transaction per cycle, so inline. */
+     *  contribution to the wired-OR transaction-complete line, whose
+     *  edges the front end takes from completedShares().) */
     bool
     txnComplete(std::uint8_t txn) const
     {
@@ -139,9 +139,11 @@ class BankController final : public Component
      * Only an attached fault injector answers now + 1 instead: it
      * draws from its RNG stream once per tick, so the BC ticks every
      * cycle to keep fault timelines identical across modes. The one
-     * piece of BC state another component reads, txnComplete(), needs
-     * the *reader* awake next cycle, not this BC: after a tick that
-     * completedShare(), the owning PvaUnit wakes itself at now + 1.
+     * piece of BC state another component reads, the wired-OR
+     * transaction-complete line, needs the *reader* awake next cycle,
+     * not this BC: the owning PvaUnit counts completedShares() down
+     * per transaction and wakes itself at now + 1 when a count reaches
+     * zero.
      *
      * The same contract backs both the Simulation event core and the
      * owning PvaUnit's batched per-BC ticking (its cached wake cycles).
@@ -170,10 +172,17 @@ class BankController final : public Component
         accountedCycles = now;
     }
 
-    /** Did the last tick complete this BC's share of a transaction
-     *  (txnComplete() turned true)? The front end, which polls
-     *  txnComplete(), must then process the next cycle. */
-    bool completedShare() const { return shareCompleted; }
+    /**
+     * The transactions whose share the last tick completed (their
+     * txnComplete() turned true): this BC's edges on the wired-OR
+     * transaction-complete lines. The owning front end counts them
+     * down against each transaction's hit controllers.
+     */
+    const std::vector<std::uint8_t> &
+    completedShares() const
+    {
+        return sharesCompleted;
+    }
 
     /** Nothing queued, scheduled, or in flight. */
     bool idle() const;
@@ -542,8 +551,9 @@ class BankController final : public Component
     Cycle fhcBusyUntil = 0; ///< FHC pipeline occupancy
     Cycle lastDequeue = kNeverCycle;
     Cycle accountedCycles = 0; ///< Cycles [0, this) occupancy-accounted
-    /** Did the last tick complete this BC's share of a transaction? */
-    bool shareCompleted = false;
+    /** Transactions whose share the last tick completed (capacity
+     *  reserved for every transaction id, so a tick never allocates). */
+    std::vector<std::uint8_t> sharesCompleted;
 
     bool lastDirRead = true; ///< SDRAM data bus polarity
     bool anyDirYet = false;

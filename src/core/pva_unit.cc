@@ -1,5 +1,7 @@
 #include "core/pva_unit.hh"
 
+#include <algorithm>
+
 #include "sdram/sram_device.hh"
 #include "sdram/timing_checker.hh"
 #include "sim/logging.hh"
@@ -133,17 +135,6 @@ PvaUnit::trySubmit(const VectorCommand &cmd, std::uint64_t tag,
     return false;
 }
 
-bool
-PvaUnit::allBcsComplete(std::uint8_t id)
-{
-    Txn &t = txns[id];
-    for (; t.scanFrom < t.hitBcs.size(); ++t.scanFrom) {
-        if (!bcs[t.hitBcs[t.scanFrom]]->txnComplete(id))
-            return false;
-    }
-    return true;
-}
-
 void
 PvaUnit::broadcast(std::uint8_t id, const VectorCommand &cmd, Cycle now)
 {
@@ -151,13 +142,14 @@ PvaUnit::broadcast(std::uint8_t id, const VectorCommand &cmd, Cycle now)
         checker->beginTxn(cmd);
     Txn &t = txns[id];
     t.hitBcs.clear();
-    t.scanFrom = 0;
     for (unsigned b = 0; b < bcs.size(); ++b) {
         if (bcs[b]->observeVecCommand(now, cmd)) {
             t.hitBcs.push_back(b);
             bcWake[b] = now; // new work: it must tick this cycle
+            minBcWake = now;
         }
     }
+    t.outstanding = t.hitBcs.size();
 }
 
 void
@@ -222,7 +214,7 @@ PvaUnit::tick(Cycle now)
         Txn &t = txns[id];
         switch (t.state) {
           case TxnState::Gathering:
-            if (allBcsComplete(id)) {
+            if (t.outstanding == 0) {
                 t.state = TxnState::StagePending;
                 tickActivity = true;
                 PVA_TRACE_INSTANT(txnTrack(id), now, "gathered");
@@ -241,7 +233,7 @@ PvaUnit::tick(Cycle now)
             }
             break;
           case TxnState::Scattering:
-            if (allBcsComplete(id)) {
+            if (t.outstanding == 0) {
                 finishWrite(id, now);
                 tickActivity = true;
             }
@@ -318,18 +310,28 @@ PvaUnit::tick(Cycle now)
     // Unless exhaustive, skip controllers whose cached wake (their own
     // nextWakeAfter answer, reset to `now` by a broadcast they hit
     // above) is still in the future — their state provably cannot
-    // change.
+    // change — and the whole loop while the earliest of them is.
     const bool sleepers = !tickEveryBc;
-    for (std::size_t b = 0; b < bcs.size(); ++b) {
-        if (sleepers && bcWake[b] > now)
-            continue;
-        BankController &bc = *bcs[b];
-        bc.tick(now);
-        ++statBcTicks;
-        bcWake[b] = bc.nextWakeAfter(now);
-        // Step 1 polls txnComplete() next cycle, whenever the BC wakes.
-        if (bc.completedShare())
-            tickActivity = true;
+    if (!sleepers || minBcWake <= now) {
+        Cycle min_wake = kNeverCycle;
+        for (std::size_t b = 0; b < bcs.size(); ++b) {
+            if (sleepers && bcWake[b] > now) {
+                min_wake = std::min(min_wake, bcWake[b]);
+                continue;
+            }
+            BankController &bc = *bcs[b];
+            bc.tick(now);
+            ++statBcTicks;
+            bcWake[b] = bc.nextWakeAfter(now);
+            min_wake = std::min(min_wake, bcWake[b]);
+            // The wired-OR line deasserts with the last hit BC's share;
+            // step 1 acts on it in the next cycle.
+            for (std::uint8_t id : bc.completedShares()) {
+                if (--txns[id].outstanding == 0)
+                    tickActivity = true;
+            }
+        }
+        minBcWake = min_wake;
     }
 
     // Context-occupancy accounting (end-of-tick in-flight count).
@@ -398,11 +400,10 @@ PvaUnit::nextWakeAfter(Cycle now) const
             break; // Free / Gathering / Scattering: BC wakes cover it
         }
     }
-    // The cached per-BC wakes are exactly the answers the controllers
-    // gave at their last tick, so folding the cache is equivalent to
-    // re-polling them — without M virtual calls per processed cycle.
-    for (Cycle w : bcWake)
-        consider(w);
+    // The cached BC wakes are exactly the answers the controllers gave
+    // at their last tick, so their minimum stands in for re-polling
+    // them.
+    consider(minBcWake);
     return wake;
 }
 

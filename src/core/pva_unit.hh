@@ -18,19 +18,27 @@
  * The same unit instantiated over SramDevice banks is the paper's
  * "parallel vector access SRAM" comparison system.
  *
+ * Wired-OR completion (docs/PERFORMANCE.md): each transaction counts
+ * the hit controllers whose share is still outstanding. A ticked
+ * controller reports the shares its tick completed
+ * (BankController::completedShares()) and the front end counts them
+ * down; at zero the line deasserts and the front end processes the
+ * next cycle, where the transaction leaves Gathering or Scattering.
+ * No controller is polled.
+ *
  * Batched bank-controller ticking (docs/PERFORMANCE.md): the front end
  * caches each BC's wake cycle (the Component::nextWakeAfter contract:
  * the next cycle one of its queued SDRAM commands can issue, a read
- * return lands or a refresh falls due) and skips ticking controllers
- * until then. A VEC_READ/VEC_WRITE broadcast resets the cached wake of
- * the controllers whose FirstHit predictor hit — the only ones it
- * gives new work — to the current cycle; controllers that miss keep
- * sleeping. A STAGE_WRITE line delivery resets none: no vector context
- * can name a write transaction before its VEC_WRITE. Cycle-exactness
- * follows by the same argument as the event clocking core.
- * Exhaustive clocking is the reference and does not batch: driven by
- * an exhaustive Simulation, every controller ticks every processed
- * cycle (setClocking()).
+ * return lands or a refresh falls due) and their minimum, and skips
+ * ticking controllers until then. A VEC_READ/VEC_WRITE broadcast
+ * resets the cached wake of the controllers whose FirstHit predictor
+ * hit — the only ones it gives new work — to the current cycle;
+ * controllers that miss keep sleeping. A STAGE_WRITE line delivery
+ * resets none: no vector context can name a write transaction before
+ * its VEC_WRITE. Cycle-exactness follows by the same argument as the
+ * event clocking core. Exhaustive clocking is the reference and does
+ * not batch: driven by an exhaustive Simulation, every controller
+ * ticks every processed cycle (setClocking()).
  */
 
 #ifndef PVA_CORE_PVA_UNIT_HH
@@ -81,9 +89,10 @@ class PvaUnit : public MemorySystem
     /**
      * Wake contract: earliest of the txn state machine's timed
      * transitions (readyAt), the vector bus freeing for a queued
-     * request, and every bank controller's cached wake; now + 1
-     * whenever the last tick changed state — its own or a BC's
-     * txnComplete() line; kNeverCycle when fully drained.
+     * request, and the earliest cached bank-controller wake; now + 1
+     * whenever the last tick changed state — its own, or a
+     * transaction-complete line deasserting; kNeverCycle when fully
+     * drained.
      */
     Cycle nextWakeAfter(Cycle now) const final;
 
@@ -139,21 +148,15 @@ class PvaUnit : public MemorySystem
         /** BCs whose FirstHit predictor hit this transaction's vector
          *  command (capacity reserved for every bank up front). */
         std::vector<unsigned> hitBcs;
-        /** hitBcs[i] for i < this are known complete (see below). */
-        std::size_t scanFrom = 0;
+        /** Hit BCs whose share is not yet complete: the wired-OR
+         *  transaction-complete line deasserts when this reaches 0. */
+        std::size_t outstanding = 0;
     };
 
-    /**
-     * All BCs finished transaction @p id (the wired-OR line)? Only the
-     * BCs that hit can be incomplete. Scans from the per-txn resume
-     * index: a BC's completion is monotone between broadcast and
-     * release, so controllers already seen complete are never
-     * re-polled.
-     */
-    bool allBcsComplete(std::uint8_t id);
-
     /** Broadcast vector command @p cmd of transaction @p id to every
-     *  BC, recording the hits and waking them in cycle @p now. */
+     *  BC, recording the hits, arming the transaction-complete count
+     *  and waking the hit BCs in cycle @p now. With no hit the line is
+     *  already deasserted. */
     void broadcast(std::uint8_t id, const VectorCommand &cmd, Cycle now);
 
     /** Trace track for transaction slot @p id (0 when untraced). */
@@ -195,6 +198,7 @@ class PvaUnit : public MemorySystem
     /** Cached per-BC wake cycle (see file comment); maintained under
      *  both clockings, consulted by the tick loop only under Event. */
     std::vector<Cycle> bcWake;
+    Cycle minBcWake = 0; ///< min(bcWake), kept current by tick/broadcast
     bool tickEveryBc = false; ///< Exhaustive reference (setClocking)
     std::size_t activeTxns = 0; ///< Txn slots not Free
 

@@ -28,9 +28,10 @@
  *    is already bounded by the timers that state arms. (The bank
  *    controller is the example: its queues, rows and restimers are
  *    private, so it wakes when its next command can issue; only
- *    completing its share of a transaction — txnComplete(), which the
- *    front end polls — needs a processed cycle at now + 1, and the
- *    front end, as owner and reader, asks for it. The simplest
+ *    completing its share of a transaction — its edge on the wired-OR
+ *    transaction-complete line, which the front end counts down — can
+ *    need a processed cycle at now + 1, and the front end, as owner
+ *    and reader, asks for it when the line deasserts. The simplest
  *    correct choice, now + 1 after any work, remains valid
  *    everywhere.)
  *  - The default (now + 1) keeps unconverted components on the legacy

@@ -6,58 +6,24 @@
  * steady-state tick loop performs no heap allocation: subcommand
  * FIFOs and vector-context queues live in capacity-preserving
  * RingDeques, staging lines come from the unit's line pool, and the
- * completion hand-off reuses drained buffers. This test replaces the
- * global operator new with a counting wrapper, warms a PVA system
- * with one full stride-16 run (pools, queues and latency histograms
- * grow to their steady-state capacity), then runs a second full
- * kernel on the same simulation clock and asserts the allocation
- * counter did not move between the start of the second run and its
- * last completion.
+ * completion hand-off reuses drained buffers. This test warms a PVA
+ * system with one full stride-16 run (pools, queues and latency
+ * histograms grow to their steady-state capacity), then runs a second
+ * full kernel on the same simulation clock and asserts the count of
+ * global operator new calls (alloc_counter.hh) did not move between
+ * the start of the second run and its last completion.
  *
- * The override counts every allocation in the whole test binary; the
- * other tests are unaffected beyond the one relaxed increment.
+ * The counting replacements serve the whole test binary; the other
+ * tests are unaffected beyond the one relaxed increment.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_counter.hh"
 #include "kernels/command_unit.hh"
 #include "kernels/runner.hh"
 #include "kernels/sweep.hh"
 #include "sim/simulation.hh"
-
-namespace
-{
-
-std::atomic<std::uint64_t> allocCount{0};
-
-} // anonymous namespace
-
-void *
-operator new(std::size_t n)
-{
-    allocCount.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    allocCount.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 
 namespace pva
 {
@@ -99,9 +65,9 @@ TEST(AllocFree, SaturatedTickPathAllocatesNothingAfterWarmup)
     KernelTrace trace = buildTrace(spec, wl, sys->memory());
     VectorCommandUnit vcu(*sys, trace);
 
-    std::uint64_t before = allocCount.load(std::memory_order_relaxed);
+    std::uint64_t before = test::allocationCount();
     sim.runUntil([&] { return vcu.service(); }, 50000000);
-    std::uint64_t after = allocCount.load(std::memory_order_relaxed);
+    std::uint64_t after = test::allocationCount();
 
     EXPECT_EQ(after - before, 0u)
         << "the saturated tick path heap-allocated "

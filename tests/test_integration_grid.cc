@@ -16,13 +16,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <tuple>
 
+#include "golden.hh"
 #include "kernels/sweep_executor.hh"
 
 namespace pva
@@ -134,14 +133,6 @@ TEST(PaperShape, EveryGridPointIsFunctionallyClean)
     EXPECT_EQ(executor.stats().scalar("sweep.mismatches"), 0u);
 }
 
-/** 1-based line of the first byte where @p a and @p b differ. */
-std::size_t
-firstDifferingLine(const std::string &a, const std::string &b)
-{
-    const auto diff = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
-    return 1 + std::count(a.begin(), diff.first, '\n');
-}
-
 TEST(PaperShape, FullGridMatchesTheCommittedCsv)
 {
     // The regression net for every change that must not move a cycle:
@@ -154,16 +145,7 @@ TEST(PaperShape, FullGridMatchesTheCommittedCsv)
     ASSERT_TRUE(report.allOk());
     std::ostringstream csv;
     writeCsv(csv, report.points);
-
-    std::ifstream in(PVA_SWEEP_LEGACY_CSV, std::ios::binary);
-    ASSERT_TRUE(in) << "cannot read " << PVA_SWEEP_LEGACY_CSV;
-    std::ostringstream expected;
-    expected << in.rdbuf();
-
-    const std::string got = csv.str(), want = expected.str();
-    EXPECT_TRUE(got == want)
-        << "sweep CSV differs from " << PVA_SWEEP_LEGACY_CSV
-        << " first at line " << firstDifferingLine(got, want);
+    test::expectMatchesGolden(csv.str(), PVA_SWEEP_LEGACY_CSV);
 }
 
 TEST(PaperShape, CacheLineBaselineDegradesWithStride)

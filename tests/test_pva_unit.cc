@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
+#include <utility>
 
 #include "core/pva_unit.hh"
 #include "expect_sim_error.hh"
@@ -238,6 +241,297 @@ TEST(PvaUnit, RandomScatterGatherFuzz)
         ++tag;
     }
 }
+
+/**
+ * A passive observer ticked after the unit. It never asks for a wake,
+ * so under event clocking it sees exactly the cycles the unit
+ * processes, which include every cycle in which a bank controller
+ * ticks or the front end acts. It records when each watched
+ * controller first reports its share of transaction @c txn complete
+ * and when that transaction's STAGE_READ is driven, and it takes the
+ * unit's completions, with their data, in the cycle they are handed
+ * over.
+ */
+class LineProbe final : public Component
+{
+  public:
+    LineProbe(PvaUnit &unit_, std::uint8_t txn_)
+        : Component("probe"), unit(unit_), txn(txn_)
+    {
+    }
+
+    void
+    tick(Cycle now) override
+    {
+        for (unsigned b : watched) {
+            if (!shareDoneAt.count(b) &&
+                unit.bankController(b).txnComplete(txn))
+                shareDoneAt[b] = now;
+        }
+        std::optional<BusRequest> req = unit.bus().snoop(now);
+        if (req && req->opcode == BusOpcode::StageRead && req->txn == txn)
+            stageReadAt = now;
+        for (Completion &c : unit.drainCompletions()) {
+            finished.emplace_back(c.tag, now);
+            data[c.tag] = std::move(c.data);
+        }
+    }
+
+    Cycle nextWakeAfter(Cycle) const override { return kNeverCycle; }
+
+    std::vector<unsigned> watched;          ///< Bank controllers to watch
+    std::map<unsigned, Cycle> shareDoneAt;  ///< Per watched controller
+    Cycle stageReadAt = kNeverCycle;
+    std::vector<std::pair<std::uint64_t, Cycle>> finished; ///< (tag, cycle)
+    std::map<std::uint64_t, std::vector<Word>> data; ///< Latest, by tag
+
+  private:
+    PvaUnit &unit;
+    std::uint8_t txn;
+};
+
+/** The banks holding some element of @p cmd. */
+std::vector<unsigned>
+banksOf(const PvaUnit &unit, const VectorCommand &cmd)
+{
+    std::vector<unsigned> banks;
+    for (std::uint32_t i = 0; i < cmd.length; ++i) {
+        unsigned b = unit.config().geometry.bankOf(cmd.element(i));
+        if (std::find(banks.begin(), banks.end(), b) == banks.end())
+            banks.push_back(b);
+    }
+    return banks;
+}
+
+/**
+ * Run until @p probe has taken @p n completions. An event-clocked run
+ * with no pending wake steps one cycle at a time, which would hide a
+ * wake the unit failed to ask for; the external wake far ahead makes
+ * such a run jump past the missed cycle instead.
+ */
+void
+runUntilFinished(Simulation &sim, const LineProbe &probe, std::size_t n)
+{
+    sim.requestWake(sim.now() + 100000);
+    sim.runUntil([&] { return probe.finished.size() >= n; }, 1000000);
+}
+
+VectorCommand
+writeCmd(WordAddr base, std::uint32_t stride, std::uint32_t len)
+{
+    VectorCommand c = readCmd(base, stride, len);
+    c.isRead = false;
+    return c;
+}
+
+/** The wired-OR transaction-complete line, under both clockings. */
+class WiredOr : public ::testing::TestWithParam<ClockingMode>
+{
+};
+
+TEST_P(WiredOr, GatheringEndsTheCycleAfterTheLastShare)
+{
+    PvaUnit sys("pva", SystemConfig{});
+    Simulation sim(GetParam());
+    sim.add(&sys);
+    LineProbe probe(sys, 0);
+    sim.add(&probe);
+
+    // Stride 8 over 31 elements: two banks hold 16 and 15 elements,
+    // so their shares complete in different cycles.
+    const VectorCommand cmd = readCmd(3, 8, 31);
+    probe.watched = banksOf(sys, cmd);
+    ASSERT_EQ(probe.watched.size(), 2u);
+    ASSERT_TRUE(sys.trySubmit(cmd, 0, nullptr));
+    runUntilFinished(sim, probe, 1);
+
+    ASSERT_EQ(probe.shareDoneAt.size(), 2u);
+    const Cycle first = std::min(probe.shareDoneAt.begin()->second,
+                                 probe.shareDoneAt.rbegin()->second);
+    const Cycle last = std::max(probe.shareDoneAt.begin()->second,
+                                probe.shareDoneAt.rbegin()->second);
+    ASSERT_LT(first, last) << "the shares must complete apart";
+    // The line deasserts with the last share; the idle bus then takes
+    // the STAGE_READ in the next cycle.
+    EXPECT_EQ(probe.stageReadAt, last + 1);
+}
+
+TEST_P(WiredOr, SameCycleCompletionsFinishInSlotOrder)
+{
+    PvaUnit sys("pva", SystemConfig{});
+    Simulation sim(GetParam());
+    sim.add(&sys);
+    LineProbe probe(sys, 0);
+    sim.add(&probe);
+    const std::vector<Word> payload(32, 7);
+
+    // A one-element read takes slot 0 and a 32-element single-bank
+    // write (bank 0) slot 1. Once the read frees slot 0, a 14-element
+    // write to bank 5 takes it and commits in the same cycle as the
+    // long write. Slot order puts the younger write first; submission
+    // order and bank order would not.
+    ASSERT_TRUE(sys.trySubmit(readCmd(0, 1, 1), 0, nullptr));
+    ASSERT_TRUE(sys.trySubmit(writeCmd(4096, 16, 32), 1, &payload));
+    runUntilFinished(sim, probe, 1);
+    ASSERT_TRUE(sys.trySubmit(writeCmd(8192 + 5, 16, 14), 2, &payload));
+    runUntilFinished(sim, probe, 3);
+
+    ASSERT_EQ(probe.finished[1].second, probe.finished[2].second)
+        << "both writes must complete in one cycle";
+    EXPECT_EQ(probe.finished[1].first, 2u) << "slot 0 first";
+    EXPECT_EQ(probe.finished[2].first, 1u);
+}
+
+TEST_P(WiredOr, ZeroHitTransactionCompletes)
+{
+    // A corrupted FirstHit on a one-element vector drops the only
+    // hit: no controller takes part, so the line is deasserted at the
+    // broadcast and the STAGE_READ follows in the next cycle.
+    SystemConfig config;
+    config.faults.corruptFirstHitRate = 1.0;
+    PvaUnit sys("pva", config);
+    Simulation sim(GetParam());
+    sim.add(&sys);
+    LineProbe probe(sys, 0);
+    sim.add(&probe);
+
+    ASSERT_TRUE(sys.trySubmit(readCmd(77, 1, 1), 0, nullptr));
+    runUntilFinished(sim, probe, 1);
+    std::uint64_t corrupted = 0;
+    for (unsigned b = 0; b < sys.config().geometry.banks(); ++b)
+        corrupted += sys.bankController(b).statCorruptedFirstHits.value();
+    EXPECT_EQ(corrupted, 1u);
+    EXPECT_EQ(sys.stats().scalar("bus.requestCycles"), 2u)
+        << "VEC_READ + STAGE_READ";
+    EXPECT_EQ(probe.stageReadAt, 1u) << "VEC_READ at 0, STAGE_READ at 1";
+    EXPECT_FALSE(sys.busy());
+}
+
+TEST_P(WiredOr, RefetchedDropCompletesOnce)
+{
+    // Dropped read returns leave a share incomplete until recovery
+    // re-fetches the lost words; each transaction must then complete
+    // exactly once, with the right data.
+    SystemConfig config;
+    config.faults.dropTransferRate = 0.2;
+    PvaUnit sys("pva", config);
+    Simulation sim(GetParam());
+    sim.add(&sys);
+    LineProbe probe(sys, 0);
+    sim.add(&probe);
+
+    std::vector<VectorCommand> cmds;
+    for (std::uint64_t t = 0; t < 8; ++t) {
+        cmds.push_back(readCmd(100 + t * 4099, 1 + 2 * t));
+        ASSERT_TRUE(sys.trySubmit(cmds.back(), t, nullptr));
+    }
+    runUntilFinished(sim, probe, cmds.size());
+    for (unsigned i = 0; i < 500; ++i)
+        sim.step();
+
+    std::uint64_t dropped = 0, recoveries = 0;
+    for (unsigned b = 0; b < sys.config().geometry.banks(); ++b) {
+        dropped += sys.bankController(b).statDroppedReturns.value();
+        recoveries += sys.bankController(b).statRecoveries.value();
+    }
+    ASSERT_GT(dropped, 0u);
+    ASSERT_GT(recoveries, 0u);
+    ASSERT_EQ(probe.finished.size(), cmds.size());
+    std::map<std::uint64_t, unsigned> times;
+    for (const auto &[tag, cycle] : probe.finished)
+        ++times[tag];
+    for (std::uint64_t t = 0; t < cmds.size(); ++t)
+        EXPECT_EQ(times[t], 1u) << "tag " << t;
+    EXPECT_FALSE(sys.busy());
+}
+
+TEST_P(WiredOr, TheWidestUnitCompletesEverySlotOnce)
+{
+    // 255 transactions, the most SystemConfig allows, submitted at
+    // once into an empty unit take slots 0..254 in tag order:
+    // one-element reads, a one-element write in every 32nd slot, and
+    // in slot 254 the 32-element bank-0 write of
+    // SameCycleCompletionsFinishInSlotOrder. Once slot 0 frees, that
+    // test's 14-element bank-5 write takes it, and the two commit in
+    // one cycle. Each transaction must complete exactly once with the
+    // right data, and slot 0 before slot 254.
+    SystemConfig config;
+    config.bc.transactions = 255;
+    PvaUnit sys("pva", config);
+    Simulation sim(GetParam());
+    sim.add(&sys);
+    LineProbe probe(sys, 0);
+    sim.add(&probe);
+
+    const WordAddr write_base = WordAddr{1} << 20;
+    std::vector<VectorCommand> cmds; // indexed by tag
+    std::vector<std::vector<Word>> payloads;
+    auto submit = [&](const VectorCommand &cmd) {
+        const std::uint64_t tag = cmds.size();
+        cmds.push_back(cmd);
+        payloads.emplace_back(cmd.isRead ? 0 : cmd.length,
+                              0xab000000 + Word(tag));
+        return sys.trySubmit(cmd, tag,
+                             cmd.isRead ? nullptr : &payloads.back());
+    };
+    for (std::uint64_t t = 0; t < 254; ++t) {
+        ASSERT_TRUE(submit(t % 32 == 31
+                               ? writeCmd(write_base + t * 37, 1, 1)
+                               : readCmd(t * 37, 1, 1)))
+            << t;
+    }
+    ASSERT_TRUE(submit(writeCmd(write_base + 65536, 16, 32)));
+    EXPECT_FALSE(sys.trySubmit(readCmd(0, 1, 1), 999, nullptr))
+        << "all 255 slots are taken";
+    runUntilFinished(sim, probe, 1);
+    ASSERT_EQ(probe.finished[0].first, 0u) << "slot 0 frees first";
+    ASSERT_TRUE(submit(writeCmd(write_base + 131072 + 5, 16, 14)));
+    runUntilFinished(sim, probe, cmds.size());
+    for (unsigned i = 0; i < 500; ++i)
+        sim.step();
+
+    ASSERT_EQ(probe.finished.size(), cmds.size());
+    std::map<std::uint64_t, unsigned> times;
+    for (const auto &[tag, cycle] : probe.finished)
+        ++times[tag];
+    for (std::uint64_t t = 0; t < cmds.size(); ++t) {
+        EXPECT_EQ(times[t], 1u) << "tag " << t;
+        if (!cmds[t].isRead)
+            continue;
+        EXPECT_EQ(probe.data[t],
+                  std::vector<Word>{
+                      SparseMemory::backgroundPattern(cmds[t].base)})
+            << "tag " << t;
+    }
+    const auto [first, first_at] = probe.finished[cmds.size() - 2];
+    const auto [second, second_at] = probe.finished[cmds.size() - 1];
+    ASSERT_EQ(first_at, second_at)
+        << "both long writes must complete in one cycle";
+    EXPECT_EQ(first, 255u) << "slot 0 first";
+    EXPECT_EQ(second, 254u);
+
+    // Read every write back through the freed slots.
+    std::size_t read_backs = 0;
+    for (std::uint64_t t = 0; t < cmds.size(); ++t) {
+        if (cmds[t].isRead)
+            continue;
+        VectorCommand back = cmds[t];
+        back.isRead = true;
+        ASSERT_TRUE(sys.trySubmit(back, 1000 + t, nullptr));
+        ++read_backs;
+    }
+    runUntilFinished(sim, probe, cmds.size() + read_backs);
+    for (std::uint64_t t = 0; t < cmds.size(); ++t) {
+        if (!cmds[t].isRead) {
+            EXPECT_EQ(probe.data[1000 + t], payloads[t]) << "tag " << t;
+        }
+    }
+    EXPECT_FALSE(sys.busy());
+}
+
+INSTANTIATE_TEST_SUITE_P(BothClockings, WiredOr,
+                         ::testing::Values(ClockingMode::Event,
+                                           ClockingMode::Exhaustive));
 
 TEST(PvaUnitDeath, BadSubmitsAreFatal)
 {
