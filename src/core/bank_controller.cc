@@ -13,7 +13,7 @@ BankController::BankController(std::string name, unsigned bank,
     : Component(std::move(name)), geo(geo_), cfg(config), dev(dev_),
       sdram(dynamic_cast<SdramDevice *>(&dev_)),
       bpol(dev_.backendPolicy()),
-      pla(geo_.bankBits(), FirstHitPla::Variant::FullKi),
+      pla(FirstHitPla::shared(geo_.bankBits())),
       staging(config.transactions),
       autoPrePredict(bpol.slotCount(geo_.internalBanks()), false)
 {

@@ -533,7 +533,7 @@ class BankController final : public Component
     BankDevice &dev;
     SdramDevice *sdram = nullptr; ///< Concrete downcast of dev (or null)
     BackendPolicy bpol;           ///< Copy of dev's resolved policy
-    FirstHitPla pla;
+    const FirstHitPla &pla;       ///< FirstHitPla::shared(bank bits)
     unsigned bankIndex = 0;
 
     RingDeque<Request> fifo;      ///< RQF (oldest at front)

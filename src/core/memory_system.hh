@@ -105,7 +105,8 @@ class MemorySystem : public Component
     }
 
   protected:
-    /** Concrete systems call this from their constructor. */
+    /** Concrete systems call this where they register their own
+     *  statistics. */
     void
     registerSimStats(StatSet &set)
     {

@@ -1,5 +1,8 @@
 #include "core/pla.hh"
 
+#include <memory>
+#include <mutex>
+
 #include "sim/logging.hh"
 
 namespace pva
@@ -48,6 +51,21 @@ FirstHitPla::FirstHitPla(unsigned m, Variant variant)
             }
         }
     }
+}
+
+const FirstHitPla &
+FirstHitPla::shared(unsigned m)
+{
+    // M = 2^m fits an unsigned bank count, so m < 32.
+    constexpr unsigned kTables = 32;
+    static std::once_flag built[kTables];
+    static std::unique_ptr<const FirstHitPla> tables[kTables];
+    if (m >= kTables)
+        panic("no shared FirstHit PLA for 2^%u banks", m);
+    std::call_once(built[m], [m] {
+        tables[m] = std::make_unique<const FirstHitPla>(m, Variant::FullKi);
+    });
+    return *tables[m];
 }
 
 FirstHit

@@ -37,6 +37,15 @@ class FirstHitPla
     /** Build the table for an M = 2^m bank word-interleaved system. */
     FirstHitPla(unsigned m, Variant variant);
 
+    /**
+     * The FullKi table of an M = 2^m bank system. Its contents depend
+     * on M alone, so every bank controller of every system with that
+     * bank count reads this one immutable table instead of building
+     * its own. Built on first use; safe to call from concurrent
+     * threads.
+     */
+    static const FirstHitPla &shared(unsigned m);
+
     unsigned bankBits() const { return mBits; }
     Variant variant() const { return plaVariant; }
 

@@ -50,25 +50,6 @@ PvaUnit::PvaUnit(std::string name, const SystemConfig &config,
     submitOrder.reserve(cfg.bc.transactions);
     linePool.reserve(cfg.bc.transactions);
 
-    vectorBus.registerStats(statSet, "bus");
-    if (checker)
-        checker->registerStats(statSet, "checker");
-    statSet.addScalar("frontend.reads", &statReads);
-    statSet.addScalar("frontend.writes", &statWrites);
-    statSet.addScalar("frontend.ctxOccupancy", &statCtxOccupancy);
-    statSet.addScalar("frontend.ctxFullCycles", &statCtxFullCycles);
-    statSet.addDistribution("frontend.readLatency", &statReadLatency);
-    statSet.addDistribution("frontend.writeLatency", &statWriteLatency);
-    registerSimStats(statSet);
-    statSet.addScalar("sim.bcTicks", &statBcTicks);
-    for (unsigned b = 0; b < banks; ++b) {
-        bcs[b]->registerStats(statSet, csprintf("bc%u", b));
-        if (!sram) {
-            static_cast<SdramDevice *>(devices[b].get())
-                ->registerStats(statSet, csprintf("dev%u", b));
-        }
-    }
-
     PVA_TRACE_BLOCK(
         // One trace "process" per memory system, one track per
         // component. Registration happens once here; the hot paths
@@ -92,6 +73,33 @@ PvaUnit::PvaUnit(std::string name, const SystemConfig &config,
 }
 
 PvaUnit::~PvaUnit() = default;
+
+StatSet &
+PvaUnit::stats()
+{
+    if (statsRegistered)
+        return statSet;
+    statsRegistered = true;
+    vectorBus.registerStats(statSet, "bus");
+    if (checker)
+        checker->registerStats(statSet, "checker");
+    statSet.addScalar("frontend.reads", &statReads);
+    statSet.addScalar("frontend.writes", &statWrites);
+    statSet.addScalar("frontend.ctxOccupancy", &statCtxOccupancy);
+    statSet.addScalar("frontend.ctxFullCycles", &statCtxFullCycles);
+    statSet.addDistribution("frontend.readLatency", &statReadLatency);
+    statSet.addDistribution("frontend.writeLatency", &statWriteLatency);
+    registerSimStats(statSet);
+    statSet.addScalar("sim.bcTicks", &statBcTicks);
+    for (unsigned b = 0; b < bcs.size(); ++b) {
+        bcs[b]->registerStats(statSet, csprintf("bc%u", b));
+        if (!sram) {
+            static_cast<SdramDevice *>(devices[b].get())
+                ->registerStats(statSet, csprintf("dev%u", b));
+        }
+    }
+    return statSet;
+}
 
 bool
 PvaUnit::trySubmit(const VectorCommand &cmd, std::uint64_t tag,

@@ -81,7 +81,16 @@ class PvaUnit : public MemorySystem
     bool busy() const override;
     std::size_t inFlight() const override { return activeTxns; }
     SparseMemory &memory() override { return backing; }
-    StatSet &stats() override { return statSet; }
+
+    /**
+     * The first call registers every statistic of the unit, its bus,
+     * checker, bank controllers and devices; later calls return the
+     * same set. The counters accumulate from construction either way,
+     * so a set first read after a run holds every value. A system no
+     * one asks (a sweep point reads its cycles and its data) never
+     * builds the names.
+     */
+    StatSet &stats() override;
 
     /** Final so the Simulation's typed dispatch is a direct call. */
     void tick(Cycle now) final;
@@ -202,7 +211,8 @@ class PvaUnit : public MemorySystem
     bool tickEveryBc = false; ///< Exhaustive reference (setClocking)
     std::size_t activeTxns = 0; ///< Txn slots not Free
 
-    StatSet statSet;
+    StatSet statSet; ///< Empty until the first stats() call
+    bool statsRegistered = false;
     Scalar statReads;
     Scalar statWrites;
     Scalar statCtxOccupancy;  ///< Sum over ticks of in-flight txns

@@ -159,7 +159,7 @@ struct SystemConfig
         checkRate(faults.bcStallRate, "bcStallRate");
         checkRate(faults.dropTransferRate, "dropTransferRate");
         checkRate(faults.corruptFirstHitRate, "corruptFirstHitRate");
-        (void)backendPolicy();
+        checkRefreshRoom(timing, backendPolicy());
     }
 };
 

@@ -80,8 +80,8 @@ resolveBackendPolicy(MemBackend kind, unsigned row_bits, unsigned t_refi,
             reject("backend deferred requires tREFI refresh (pass "
                    "--refresh)");
         }
-        if (t_refi < t_rfc) {
-            reject(csprintf("backend deferred requires tREFI %u >= tRFC "
+        if (t_refi <= t_rfc) {
+            reject(csprintf("backend deferred requires tREFI %u > tRFC "
                             "%u (refresh debt could never drain)",
                             t_refi, t_rfc));
         }

@@ -10,6 +10,51 @@
 namespace pva
 {
 
+void
+checkRefreshRoom(const SdramTiming &t, const BackendPolicy &pol)
+{
+    if (t.tREFI == 0)
+        return;
+    auto reject = [&t](const std::string &why) {
+        throw SimError(SimErrorKind::Config, "config.timing", kNeverCycle,
+                       csprintf("tREFI %u leaves no cycle for an access: "
+                                "%s", t.tREFI, why.c_str()));
+    };
+    // A refresh closes every row, so each access follows an activate
+    // by tRCD. An activate a refresh cuts off retries tRC later; below
+    // tREFI that lands earlier in the next interval each time, until
+    // the access fits.
+    if (t.tREFI <= t.tRC)
+        reject(csprintf("it must exceed tRC %u", t.tRC));
+    if (pol.kind != MemBackend::DeferredRefresh) {
+        // A refresh at every boundary: the activate waits out tRFC and
+        // its access must issue before the next boundary.
+        if (t.tREFI <= static_cast<Cycle>(t.tRFC) + t.tRCD) {
+            reject(csprintf("it must exceed tRFC %u + tRCD %u", t.tRFC,
+                            t.tRCD));
+        }
+        return;
+    }
+    // tickRefreshDeferred() holds a busy boundary until it is forced
+    // at due + window. Once idle, the device applies overdue boundaries
+    // and pulls the next one in, so refreshes chain until one ends more
+    // than window cycles before a boundary; each link gains
+    // tREFI - tRFC (>= 1, resolveBackendPolicy) on the boundary grid.
+    // The activate in that first free cycle gets `room` cycles before
+    // the next forced refresh. If tRCD does not fit, the forced refresh
+    // closes its row and the chain repeats unchanged.
+    const Cycle gain = t.tREFI - t.tRFC;
+    const Cycle room = gain * ((2 * pol.deferWindow + gain) / gain);
+    if (t.tRCD >= room) {
+        reject(csprintf("with tRFC %u and refreshDeferWindow %llu an "
+                        "activate comes %llu cycles before the forced "
+                        "refresh, too few for tRCD %u",
+                        t.tRFC,
+                        static_cast<unsigned long long>(pol.deferWindow),
+                        static_cast<unsigned long long>(room), t.tRCD));
+    }
+}
+
 SdramDevice::SdramDevice(std::string name, unsigned bank_index,
                          const Geometry &geo, const SdramTiming &timing,
                          SparseMemory &backing,

@@ -81,6 +81,14 @@ struct SdramTiming
     bool operator==(const SdramTiming &) const = default;
 };
 
+/**
+ * Throw SimError(Config) naming tREFI when @p timing refreshes too
+ * often for an access ever to issue under @p policy: every kernel would
+ * run into the cycle watchdog instead (docs/DEVICE.md, "Refresh room").
+ * @p policy must come from resolveBackendPolicy() for @p timing.
+ */
+void checkRefreshRoom(const SdramTiming &timing, const BackendPolicy &policy);
+
 /** One operation a bank controller can ask a device to perform. */
 struct DeviceOp
 {

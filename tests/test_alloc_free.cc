@@ -1,6 +1,7 @@
 /**
  * @file
- * Heap-allocation regression test for the saturated tick path.
+ * Heap-allocation regression tests for the saturated tick path and
+ * for PVA system construction.
  *
  * The hot-path engineering contract (docs/PERFORMANCE.md) is that the
  * steady-state tick loop performs no heap allocation: subcommand
@@ -11,7 +12,8 @@
  * histograms grow to their steady-state capacity), then runs a second
  * full kernel on the same simulation clock and asserts the count of
  * global operator new calls (alloc_counter.hh) did not move between
- * the start of the second run and its last completion.
+ * the start of the second run and its last completion. A second test
+ * bounds the allocations one makeSystem() call makes.
  *
  * The counting replacements serve the whole test binary; the other
  * tests are unaffected beyond the one relaxed increment.
@@ -73,6 +75,38 @@ TEST(AllocFree, SaturatedTickPathAllocatesNothingAfterWarmup)
         << "the saturated tick path heap-allocated "
         << (after - before) << " times after warmup";
     EXPECT_EQ(verifyTrace(trace, sys->memory()), 0u);
+}
+
+/** Heap allocations one makeSystem(@p kind) call makes, counted on a
+ *  second build so one-time process state (the shared FirstHit PLA of
+ *  the bank count) is already in place. */
+std::uint64_t
+constructionAllocations(SystemKind kind, const SystemConfig &config)
+{
+    (void)makeSystem(kind, config);
+    const std::uint64_t before = test::allocationCount();
+    auto sys = makeSystem(kind, config);
+    const std::uint64_t after = test::allocationCount();
+    return after - before;
+}
+
+// Construction builds what a run touches and nothing else: the stat
+// registry's names wait for the first stats() call, and every bank
+// controller reads its bank count's one shared FirstHit PLA. The
+// bounds sit just above the measured counts (PVA SDRAM 287, PVA SRAM
+// 159). Registering statistics eagerly adds about 780 allocations to
+// the SDRAM system, and a PLA per controller adds 32.
+TEST(AllocFree, PvaConstructionAllocatesOnlyWhatARunUses)
+{
+    const SystemConfig config;
+    const std::uint64_t sdram =
+        constructionAllocations(SystemKind::PvaSdram, config);
+    const std::uint64_t sram =
+        constructionAllocations(SystemKind::PvaSram, config);
+    EXPECT_LE(sdram, 300u) << "PVA SDRAM construction allocated " << sdram
+                           << " times";
+    EXPECT_LE(sram, 170u) << "PVA SRAM construction allocated " << sram
+                          << " times";
 }
 
 } // anonymous namespace

@@ -1,11 +1,12 @@
 /**
  * @file
- * Memory-backend tests: policy resolution, the legacy differential
- * anchor (a SALP device whose traffic stays inside one subarray must
- * be cycle-identical to the legacy part), event/exhaustive exactness
- * of the new backends, batched bank-controller wakes against the
- * tick-everything reference under refresh, the deferred-refresh debt
- * rules, and the SALP bandwidth win on subarray-conflicting streams.
+ * Memory-backend tests: policy resolution, the refresh intervals
+ * validation refuses, the legacy differential anchor (a SALP device
+ * whose traffic stays inside one subarray must be cycle-identical to
+ * the legacy part), event/exhaustive exactness of the new backends,
+ * batched bank-controller wakes against the tick-everything reference
+ * under refresh, the deferred-refresh debt rules, and the SALP
+ * bandwidth win on subarray-conflicting streams.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <string>
 
 #include "expect_sim_error.hh"
+#include "kernels/alignment.hh"
 #include "kernels/runner.hh"
 #include "kernels/sweep.hh"
 #include "sdram/backend.hh"
@@ -117,6 +119,90 @@ TEST(BackendPolicyTest, ConfigValidateRejectsBadBackendKnobs)
     d.backend = MemBackend::DeferredRefresh; // tREFI left at 0
     test::expectSimError([&] { d.validate(); }, SimErrorKind::Config,
                          "tREFI");
+}
+
+// --------------------------------------------------------------------
+// Refresh room
+//
+// A refresh closes every row, so each access needs tRFC for the
+// refresh and tRCD for its activate between boundaries. An interval
+// without that room runs every kernel into the cycle watchdog;
+// validation refuses it instead (checkRefreshRoom). The deferred
+// backend postpones boundaries around open rows, so there the room
+// also depends on the deferral window.
+
+struct RefreshRoomCase
+{
+    const char *label;
+    MemBackend backend;
+    unsigned tRCD;
+    unsigned tRFC;
+    unsigned tRC;
+    unsigned window;          ///< refreshDeferWindow (deferred only)
+    unsigned largestRejected; ///< tREFI; one more is the smallest accepted
+};
+
+const RefreshRoomCase kRefreshRoomCases[] = {
+    {"legacy", MemBackend::Legacy, 2, 10, 7, 0, 12},
+    {"salp", MemBackend::Salp, 2, 10, 7, 0, 12},
+    {"deferred", MemBackend::DeferredRefresh, 2, 10, 7, 0, 10},
+    {"legacy tRCD 3 tRFC 20", MemBackend::Legacy, 3, 20, 7, 0, 23},
+    {"deferred tRCD 3 tRFC 20", MemBackend::DeferredRefresh, 3, 20, 7, 0,
+     20},
+    {"deferred tRCD 4 window 1", MemBackend::DeferredRefresh, 4, 10, 7, 1,
+     14},
+    {"legacy tRC 13", MemBackend::Legacy, 2, 10, 13, 0, 13},
+};
+
+SystemConfig
+refreshRoomConfig(const RefreshRoomCase &c, unsigned t_refi)
+{
+    SystemConfig cfg;
+    cfg.backend = c.backend;
+    cfg.timing.tRCD = c.tRCD;
+    cfg.timing.tRFC = c.tRFC;
+    cfg.timing.tRC = c.tRC;
+    cfg.timing.tREFI = t_refi;
+    cfg.refreshDeferWindow = c.window;
+    return cfg;
+}
+
+TEST(RefreshRoom, IntervalsWithNoCycleForAnAccessAreRejected)
+{
+    for (const RefreshRoomCase &c : kRefreshRoomCases) {
+        SCOPED_TRACE(c.label);
+        const SystemConfig rejected =
+            refreshRoomConfig(c, c.largestRejected);
+        test::expectSimError([&] { rejected.validate(); },
+                             SimErrorKind::Config, "tREFI");
+        EXPECT_NO_THROW(
+            refreshRoomConfig(c, c.largestRejected + 1).validate());
+    }
+}
+
+TEST(RefreshRoom, SmallestAcceptedIntervalCompletesSwap)
+{
+    const KernelSpec &spec = kernelSpec(KernelId::Swap);
+    WorkloadConfig wl;
+    wl.elements = 256;
+    wl.streamBases = streamBases(alignmentPresets()[0], spec.numStreams,
+                                 wl.stride, wl.elements);
+    for (const RefreshRoomCase &c : kRefreshRoomCases) {
+        for (ClockingMode mode :
+             {ClockingMode::Event, ClockingMode::Exhaustive}) {
+            SCOPED_TRACE(std::string(c.label) + " " +
+                         clockingModeName(mode));
+            SystemConfig cfg = refreshRoomConfig(c, c.largestRejected + 1);
+            cfg.timingCheck = true;
+            auto sys = makeSystem(SystemKind::PvaSdram, cfg);
+            RunLimits limits;
+            limits.maxCycles = 1000000; // not 50 M: a livelock fails fast
+            limits.clocking = mode;
+            EXPECT_EQ(runKernelOn(*sys, KernelId::Swap, wl, limits)
+                          .mismatches,
+                      0u);
+        }
+    }
 }
 
 // --------------------------------------------------------------------

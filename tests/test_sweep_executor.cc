@@ -72,6 +72,42 @@ TEST(SweepExecutor, ParallelMatchesSerialBitForBit)
     EXPECT_EQ(csv_serial.str(), csv_parallel.str());
 }
 
+// Every bank controller reads its bank count's one FirstHit PLA
+// (FirstHitPla::shared), the first process-wide state sweep workers
+// share. The parallel run goes first so its workers build the tables
+// while other workers ask for them; the tsan CI job runs this test
+// under ThreadSanitizer.
+TEST(SweepExecutor, WorkersSharingFirstHitTablesMatchOneWorker)
+{
+    std::vector<SweepRequest> grid;
+    for (unsigned banks : {4u, 16u, 64u}) {
+        for (std::uint32_t s : {1u, 19u}) {
+            for (unsigned a = 0; a < alignmentPresets().size(); ++a) {
+                SweepRequest req;
+                req.kernel = KernelId::Copy;
+                req.stride = s;
+                req.alignment = a;
+                req.elements = 128;
+                req.config.geometry = Geometry(banks, 1);
+                grid.push_back(req);
+            }
+        }
+    }
+
+    const std::vector<SweepPoint> four = SweepExecutor(4).run(grid);
+    const std::vector<SweepPoint> one = SweepExecutor(1).run(grid);
+
+    ASSERT_EQ(four.size(), grid.size());
+    ASSERT_EQ(one.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        EXPECT_EQ(four[i].status, PointStatus::Ok) << i;
+        EXPECT_EQ(four[i].cycles, one[i].cycles) << i;
+        EXPECT_EQ(four[i].mismatches, 0u) << i;
+        EXPECT_EQ(four[i].simTicks, one[i].simTicks) << i;
+        EXPECT_EQ(four[i].cyclesSkipped, one[i].cyclesSkipped) << i;
+    }
+}
+
 TEST(SweepExecutor, Chapter6GridHasCanonicalShapeAndOrder)
 {
     std::vector<SweepRequest> grid = SweepExecutor::chapter6Grid(256);
