@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "core/command_unit.hh"
 #include "kernels/sweep.hh"
 #include "sim/simulation.hh"
 
@@ -29,8 +30,7 @@ singleReadLatency(bool sram, std::uint32_t stride)
     c.stride = stride;
     c.length = 32;
     c.isRead = true;
-    sys->trySubmit(c, 0, nullptr);
-    sim.runUntil([&] { return !sys->drainCompletions().empty(); });
+    runCommands(*sys, sim, {c}, 100000000);
     return sim.now();
 }
 

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/command_unit.hh"
 #include "core/pva_unit.hh"
 #include "core/split_vector.hh"
 #include "sim/logging.hh"
@@ -71,24 +72,7 @@ main()
         }
     }
 
-    std::vector<std::vector<Word>> lines(cmds.size());
-    std::size_t submitted = 0, completed = 0;
-    sim.runUntil(
-        [&] {
-            while (submitted < cmds.size() &&
-                   sys.trySubmit(cmds[submitted], submitted, nullptr))
-                ++submitted;
-            for (Completion &c : sys.drainCompletions()) {
-                lines[c.tag] = std::move(c.data);
-                ++completed;
-            }
-            return completed == cmds.size();
-        },
-        10000000);
-
-    std::vector<Word> gathered;
-    for (const auto &line : lines)
-        gathered.insert(gathered.end(), line.begin(), line.end());
+    std::vector<Word> gathered = runCommands(sys, sim, cmds, 10000000);
     if (gathered.size() != kElems)
         fatal("expected %u elements, got %zu", kElems, gathered.size());
     for (std::uint32_t i = 0; i < kElems; ++i) {

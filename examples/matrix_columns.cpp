@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "baselines/serial_system.hh"
+#include "core/command_unit.hh"
 #include "core/pva_unit.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
@@ -26,16 +27,10 @@ namespace
 constexpr unsigned kDim = 256;          ///< 256x256 words
 constexpr WordAddr kMatrixBase = 1 << 16;
 
-/** Sum column `col` via 32-element vector reads; returns cycles. */
+/** Sum every column via 32-element vector reads; returns cycles. */
 Cycle
 sumColumns(MemorySystem &sys, std::uint64_t *checksum)
 {
-    Simulation sim;
-    sim.add(&sys);
-    Cycle start = sim.now();
-    std::uint64_t sum = 0;
-
-    unsigned submitted = 0, completed = 0;
     std::vector<VectorCommand> cmds;
     for (unsigned col = 0; col < kDim; ++col) {
         for (unsigned chunk = 0; chunk < kDim / 32; ++chunk) {
@@ -49,23 +44,13 @@ sumColumns(MemorySystem &sys, std::uint64_t *checksum)
         }
     }
 
-    sim.runUntil(
-        [&] {
-            while (submitted < cmds.size() &&
-                   sys.trySubmit(cmds[submitted], submitted, nullptr)) {
-                ++submitted;
-            }
-            for (Completion &c : sys.drainCompletions()) {
-                for (Word w : c.data)
-                    sum += w;
-                ++completed;
-            }
-            return completed == cmds.size();
-        },
-        100000000);
-
+    Simulation sim;
+    sim.add(&sys);
+    std::uint64_t sum = 0;
+    for (Word w : runCommands(sys, sim, cmds, 100000000))
+        sum += w;
     *checksum = sum;
-    return sim.now() - start;
+    return sim.now();
 }
 
 } // anonymous namespace

@@ -44,7 +44,7 @@ bool
 SerialSystem::trySubmit(const VectorCommand &cmd, std::uint64_t tag,
                         const std::vector<Word> *write_data)
 {
-    if (queue.size() >= cfg.maxOutstanding)
+    if (queue.size() >= cfg.bc.transactions)
         return false;
     if (!cmd.isRead &&
         (write_data == nullptr || write_data->size() < cmd.length)) {

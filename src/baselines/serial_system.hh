@@ -3,8 +3,9 @@
  * The two serial SDRAM baselines of section 6.1.
  *
  * Both are 16-module SDRAM systems that process one vector command at
- * a time, in submission order, with at most maxOutstanding commands
- * queued on the bus. They differ only in what one command costs:
+ * a time, in submission order, with at most bc.transactions (the
+ * paper's 8 outstanding bus transactions) queued on the bus. They
+ * differ only in what one command costs:
  *
  * - Cache-line interleaved serial SDRAM: an idealized system optimized
  *   for cache-line fills that performs no gathering. A strided command
@@ -51,7 +52,7 @@ class SerialSystem final : public MemorySystem
      */
     static constexpr unsigned kLineFillCycles = 2 + 2 + 16;
 
-    /** Reads maxOutstanding, plus bc.lineWords and optimisticLineReuse
+    /** Reads bc.transactions, plus bc.lineWords and optimisticLineReuse
      *  (CacheLine) or the tRP/tRCD/tCL timing (Gathering). */
     SerialSystem(std::string name, Kind kind,
                  const SystemConfig &config = {});

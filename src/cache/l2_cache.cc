@@ -1,5 +1,6 @@
 #include "cache/l2_cache.hh"
 
+#include "core/command_unit.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
 
@@ -26,17 +27,7 @@ L2Cache::lineOp(WordAddr base, bool is_read, const std::vector<Word> *data)
     cmd.stride = 1;
     cmd.length = cfg.lineWords;
     cmd.isRead = is_read;
-    if (!memSystem.trySubmit(cmd, 0, data))
-        panic("blocking cache could not submit a line op");
-    std::vector<Word> result;
-    sim.runUntil([&] {
-        auto done = memSystem.drainCompletions();
-        if (done.empty())
-            return false;
-        result = std::move(done.front().data);
-        return true;
-    });
-    return result;
+    return runCommands(memSystem, sim, {cmd}, 100000000, data);
 }
 
 void

@@ -1,7 +1,9 @@
 #include "core/bit_reversal.hh"
 
 #include <algorithm>
+#include <utility>
 
+#include "core/command_unit.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
 
@@ -37,30 +39,10 @@ runBitReversedGather(MemorySystem &sys, Simulation &sim, WordAddr base,
                      std::uint32_t count, unsigned line_words)
 {
     Cycle start = sim.now();
-    auto cmds = bitReversalCommands(base, count, line_words, true);
-
-    std::vector<std::vector<Word>> lines(cmds.size());
-    std::size_t submitted = 0;
-    std::size_t completed = 0;
-    sim.runUntil(
-        [&] {
-            while (submitted < cmds.size() &&
-                   sys.trySubmit(cmds[submitted], submitted, nullptr)) {
-                ++submitted;
-            }
-            for (Completion &c : sys.drainCompletions()) {
-                lines[c.tag] = std::move(c.data);
-                ++completed;
-            }
-            return completed == cmds.size();
-        },
+    std::vector<Word> data = runCommands(
+        sys, sim, bitReversalCommands(base, count, line_words, true),
         10000000);
-
-    BitReversalResult r;
-    for (const auto &line : lines)
-        r.data.insert(r.data.end(), line.begin(), line.end());
-    r.cycles = sim.now() - start;
-    return r;
+    return {std::move(data), sim.now() - start};
 }
 
 } // namespace pva

@@ -1,8 +1,9 @@
 #include "core/indirect.hh"
 
 #include <algorithm>
+#include <utility>
 
-#include "sim/logging.hh"
+#include "core/command_unit.hh"
 #include "sim/sim_error.hh"
 
 namespace pva
@@ -46,35 +47,18 @@ indirectPhase2(WordAddr target_base, const std::vector<WordAddr> &indices,
 namespace
 {
 
-/**
- * Drive a batch of commands to completion, preserving per-command data.
- * Returns the per-command completion lines in submission order.
- */
-std::vector<std::vector<Word>>
-driveBatch(MemorySystem &sys, Simulation &sim,
-           const std::vector<VectorCommand> &cmds,
-           const std::vector<std::vector<Word>> *write_lines)
+/** Cycle budget of each phase's run (Simulation::runUntil). */
+constexpr Cycle kPhaseCycles = 10000000;
+
+/** Phase 1: load @p count indices from @p index_vec_base. */
+std::vector<WordAddr>
+loadIndices(MemorySystem &sys, Simulation &sim, WordAddr index_vec_base,
+            std::uint32_t count, unsigned line_words)
 {
-    std::vector<std::vector<Word>> results(cmds.size());
-    std::size_t submitted = 0;
-    std::size_t completed = 0;
-    sim.runUntil(
-        [&] {
-            while (submitted < cmds.size()) {
-                const std::vector<Word> *wd =
-                    write_lines ? &(*write_lines)[submitted] : nullptr;
-                if (!sys.trySubmit(cmds[submitted], submitted, wd))
-                    break;
-                ++submitted;
-            }
-            for (Completion &c : sys.drainCompletions()) {
-                results[c.tag] = std::move(c.data);
-                ++completed;
-            }
-            return completed == cmds.size();
-        },
-        10000000);
-    return results;
+    std::vector<Word> words = runCommands(
+        sys, sim, indirectPhase1(index_vec_base, count, line_words),
+        kPhaseCycles);
+    return {words.begin(), words.end()};
 }
 
 } // anonymous namespace
@@ -85,25 +69,14 @@ runIndirectGather(MemorySystem &sys, Simulation &sim,
                   WordAddr target_base, unsigned line_words)
 {
     Cycle start = sim.now();
-
-    // Phase 1: load the indirection vector.
-    auto phase1 = indirectPhase1(index_vec_base, count, line_words);
-    auto lines = driveBatch(sys, sim, phase1, nullptr);
-    std::vector<WordAddr> indices;
-    indices.reserve(count);
-    for (const auto &line : lines)
-        for (Word w : line)
-            indices.push_back(w);
+    std::vector<WordAddr> indices =
+        loadIndices(sys, sim, index_vec_base, count, line_words);
 
     // Phase 2: broadcast the indices and gather in parallel.
-    auto phase2 = indirectPhase2(target_base, indices, line_words, true);
-    auto data_lines = driveBatch(sys, sim, phase2, nullptr);
-
-    IndirectRunResult r;
-    for (const auto &line : data_lines)
-        r.data.insert(r.data.end(), line.begin(), line.end());
-    r.cycles = sim.now() - start;
-    return r;
+    std::vector<Word> data = runCommands(
+        sys, sim, indirectPhase2(target_base, indices, line_words, true),
+        kPhaseCycles);
+    return {std::move(data), sim.now() - start};
 }
 
 Cycle
@@ -117,23 +90,12 @@ runIndirectScatter(MemorySystem &sys, Simulation &sim,
                        "scatter values shorter than index count");
     }
     Cycle start = sim.now();
+    std::vector<WordAddr> indices =
+        loadIndices(sys, sim, index_vec_base, count, line_words);
 
-    auto phase1 = indirectPhase1(index_vec_base, count, line_words);
-    auto lines = driveBatch(sys, sim, phase1, nullptr);
-    std::vector<WordAddr> indices;
-    for (const auto &line : lines)
-        for (Word w : line)
-            indices.push_back(w);
-
-    auto phase2 = indirectPhase2(target_base, indices, line_words, false);
-    std::vector<std::vector<Word>> write_lines;
-    std::size_t off = 0;
-    for (const VectorCommand &c : phase2) {
-        write_lines.emplace_back(values.begin() + off,
-                                 values.begin() + off + c.length);
-        off += c.length;
-    }
-    driveBatch(sys, sim, phase2, &write_lines);
+    runCommands(sys, sim,
+                indirectPhase2(target_base, indices, line_words, false),
+                kPhaseCycles, &values);
     return sim.now() - start;
 }
 

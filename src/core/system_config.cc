@@ -48,7 +48,7 @@ configToJson(const SystemConfig &c)
         "\"bc\": {\"fifoEntries\": %u, \"vectorContexts\": %u, "
         "\"lineWords\": %u, \"transactions\": %u, \"fhcLatency\": %u, "
         "\"bypassEnabled\": %s, \"rowPolicy\": \"%s\"}, "
-        "\"maxOutstanding\": %u, \"optimisticLineReuse\": %s, "
+        "\"optimisticLineReuse\": %s, "
         "\"timingCheck\": %s, \"clocking\": \"%s\", "
         "\"backend\": \"%s\", \"salpSubarrays\": %u, "
         "\"refreshDeferWindow\": %u, "
@@ -60,7 +60,7 @@ configToJson(const SystemConfig &c)
         t.tREFI, t.tRFC, c.bc.fifoEntries, c.bc.vectorContexts,
         c.bc.lineWords, c.bc.transactions, c.bc.fhcLatency,
         flag(c.bc.bypassEnabled), rowPolicyName(c.bc.rowPolicy),
-        c.maxOutstanding, flag(c.optimisticLineReuse),
+        flag(c.optimisticLineReuse),
         flag(c.timingCheck), clockingModeName(c.clocking),
         backendName(c.backend), c.salpSubarrays, c.refreshDeferWindow,
         static_cast<unsigned long long>(f.seed), f.refreshStallRate,
@@ -70,10 +70,9 @@ configToJson(const SystemConfig &c)
 SystemConfig
 configFromJson(const json::Reader &in)
 {
-    in.rejectUnknown({"geometry", "timing", "bc", "maxOutstanding",
-                      "optimisticLineReuse", "timingCheck", "clocking",
-                      "backend", "salpSubarrays", "refreshDeferWindow",
-                      "faults"});
+    in.rejectUnknown({"geometry", "timing", "bc", "optimisticLineReuse",
+                      "timingCheck", "clocking", "backend",
+                      "salpSubarrays", "refreshDeferWindow", "faults"});
     SystemConfig c;
     const json::Reader g = in.object("geometry");
     g.rejectUnknown(
@@ -98,7 +97,6 @@ configFromJson(const json::Reader &in)
             bc.u32("fhcLatency"),   bc.boolean("bypassEnabled"),
             bc.name("rowPolicy", parseRowPolicy)};
 
-    c.maxOutstanding = in.u32("maxOutstanding");
     c.optimisticLineReuse = in.boolean("optimisticLineReuse");
     c.timingCheck = in.boolean("timingCheck");
     c.clocking = in.name("clocking", parseClockingMode);

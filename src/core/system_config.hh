@@ -64,8 +64,6 @@ struct SystemConfig
     SdramTiming timing{};
     /** Bank-controller microarchitecture (PVA SDRAM / PVA SRAM). */
     BcConfig bc{};
-    /** Outstanding bus-transaction limit of the serial baselines. */
-    unsigned maxOutstanding = 8;
     /** Cache-line baseline: fetch each distinct line once instead of
      *  the paper's accounting (SerialSystem::lineFills). */
     bool optimisticLineReuse = false;
@@ -148,8 +146,6 @@ struct SystemConfig
         if (timing.tREFI != 0 && timing.tRFC == 0)
             reject("tRFC must be nonzero when tREFI refresh is "
                    "enabled");
-        if (maxOutstanding == 0)
-            reject("maxOutstanding must be nonzero");
         auto checkRate = [&](double rate, const char *field) {
             if (!(rate >= 0.0 && rate <= 1.0))
                 reject(csprintf("fault rate %s = %g outside [0, 1]",

@@ -8,6 +8,7 @@
 #include "fleet/fleet_arbiter.hh"
 #include "fleet/message_bus.hh"
 #include "kernels/sweep_executor.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
 #include "sim/simulation.hh"
@@ -66,8 +67,8 @@ FleetResult::dumpJson(std::ostream &os) const
     os << ", \"tenantResults\": [";
     for (std::size_t i = 0; i < tenantResults.size(); ++i) {
         const TenantResult &t = tenantResults[i];
-        os << (i ? ", " : "") << "{\"name\": \"" << t.name
-           << "\", \"shard\": " << t.shard
+        os << (i ? ", " : "") << "{\"name\": \""
+           << json::escape(t.name) << "\", \"shard\": " << t.shard
            << ", \"arrivals\": " << t.arrivals
            << ", \"completed\": " << t.completed
            << ", \"deferrals\": " << t.deferrals

@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "core/vector_command.hh"
+#include "core/command_unit.hh"
 #include "sim/memory.hh"
 #include "sim/types.hh"
 
@@ -68,22 +68,6 @@ struct WorkloadConfig
     std::uint32_t elements = 1024; ///< L per stream (32 cache lines)
     unsigned lineWords = 32;
     std::vector<WordAddr> streamBases; ///< One base per stream
-};
-
-/** One memory operation of a trace. */
-struct KernelOp
-{
-    VectorCommand cmd;             ///< txn id unassigned
-    std::vector<std::size_t> deps; ///< Ops that must complete first
-    std::vector<Word> writeData;   ///< Dense line for writes
-};
-
-/** A complete kernel run: ops in program order plus the expected final
- *  memory image of all written words. */
-struct KernelTrace
-{
-    std::vector<KernelOp> ops;
-    std::vector<std::pair<WordAddr, Word>> expectedWrites;
 };
 
 /**

@@ -30,7 +30,7 @@ namespace pva
 struct ReproCapsule
 {
     /** Capsule format version (the file's schemaVersion field). */
-    static constexpr int kSchemaVersion = 2;
+    static constexpr int kSchemaVersion = 3;
     /** The file's kind tag. */
     static constexpr const char *kKind = "pva-repro-capsule";
 

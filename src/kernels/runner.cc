@@ -1,6 +1,6 @@
 #include "kernels/runner.hh"
 
-#include "kernels/command_unit.hh"
+#include "core/command_unit.hh"
 
 namespace pva
 {
@@ -14,11 +14,10 @@ runTrace(MemorySystem &sys, const KernelTrace &trace,
     VectorCommandUnit vcu(sys, trace);
 
     Cycle start = sim.now();
-    sim.runUntil([&] { return vcu.service(); }, limits.maxCycles,
-                 limits.timeoutMillis);
+    Cycle end = vcu.run(sim, limits.maxCycles, limits.timeoutMillis);
 
     RunResult r;
-    r.cycles = sim.now() - start;
+    r.cycles = end - start;
     r.mismatches = verifyTrace(trace, sys.memory());
     r.simTicks = sim.simTicks();
     r.cyclesSkipped = sim.cyclesSkipped();

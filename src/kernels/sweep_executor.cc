@@ -26,13 +26,6 @@ namespace pva
 namespace
 {
 
-/** JSON string escaping for failure diagnostics. */
-std::string
-jsonEscape(const std::string &s)
-{
-    return json::escape(s);
-}
-
 /** Create the quarantine directory (existing is fine). */
 void
 ensureDirectory(const std::string &path)
@@ -67,7 +60,7 @@ SweepReport::dumpJson(std::ostream &os) const
            << "\", \"stride\": " << f.stride
            << ", \"alignment\": " << f.alignment
            << ", \"attempts\": " << f.attempts << ", \"error\": \""
-           << jsonEscape(f.error) << "\"}";
+           << json::escape(f.error) << "\"}";
     }
     os << (failures.empty() ? "],\n" : "\n  ],\n") << "  \"quarantine\": [";
     for (std::size_t i = 0; i < quarantine.size(); ++i) {
@@ -77,8 +70,8 @@ SweepReport::dumpJson(std::ostream &os) const
            << csprintf("%016llx",
                        static_cast<unsigned long long>(q.fingerprint))
            << "\", \"faultSeed\": " << q.faultSeed << ", \"capsule\": \""
-           << jsonEscape(q.capsulePath) << "\", \"error\": \""
-           << jsonEscape(q.error) << "\"}";
+           << json::escape(q.capsulePath) << "\", \"error\": \""
+           << json::escape(q.error) << "\"}";
     }
     os << (quarantine.empty() ? "]\n" : "\n  ]\n") << "}\n";
 }

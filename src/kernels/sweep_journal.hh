@@ -57,7 +57,7 @@ class SweepJournal
 {
   public:
     /** Journal format version (the header's schemaVersion field). */
-    static constexpr int kSchemaVersion = 2;
+    static constexpr int kSchemaVersion = 3;
     /** The header's kind tag. */
     static constexpr const char *kKind = "pva-sweep-journal";
 

@@ -1,8 +1,10 @@
 #include "kernels/trace_file.hh"
 
 #include <istream>
+#include <numeric>
 #include <sstream>
 
+#include "core/command_unit.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
 
@@ -102,61 +104,52 @@ ReplayResult
 replayTrace(MemorySystem &sys, const TraceFile &trace,
             ClockingMode clocking)
 {
+    constexpr Cycle kMaxCycles = 100000000;
     Simulation sim(clocking);
     sim.add(&sys);
 
     ReplayResult result;
-    std::size_t next = 0;           ///< Next op to issue
-    std::size_t outstanding = 0;    ///< Commands in flight
-    bool at_barrier = false;
-
-    sim.runUntil(
-        [&] {
-            for (Completion &c : sys.drainCompletions()) {
-                --outstanding;
-                for (std::size_t i = 0; i < c.data.size(); ++i) {
-                    // Order-independent mix of (tag, slot, value).
-                    std::uint64_t x = c.tag * 1000003u + i * 0x9e3779b9u +
-                                      c.data[i];
-                    x ^= x >> 33;
-                    result.readChecksum += x * 0xff51afd7ed558ccdULL;
-                }
+    std::size_t next = 0; ///< First op of the next barrier segment
+    while (next < trace.ops.size()) {
+        // One barrier segment: its pokes land before any of its
+        // commands issue; the commands issue with no order among them.
+        KernelTrace segment;
+        std::vector<std::size_t> op_index; ///< Trace index per command
+        for (; next < trace.ops.size() &&
+               trace.ops[next].kind != TraceOp::Kind::Barrier;
+             ++next) {
+            const TraceOp &op = trace.ops[next];
+            if (op.kind == TraceOp::Kind::Poke) {
+                sys.memory().write(op.addr, op.value);
+                continue;
             }
-            if (at_barrier && outstanding == 0)
-                at_barrier = false;
-
-            while (!at_barrier && next < trace.ops.size()) {
-                const TraceOp &op = trace.ops[next];
-                if (op.kind == TraceOp::Kind::Poke) {
-                    sys.memory().write(op.addr, op.value);
-                    ++next;
-                    continue;
-                }
-                if (op.kind == TraceOp::Kind::Barrier) {
-                    ++next;
-                    if (outstanding > 0) {
-                        at_barrier = true;
-                        break;
-                    }
-                    continue;
-                }
-                std::vector<Word> data;
-                const std::vector<Word> *wd = nullptr;
-                if (op.kind == TraceOp::Kind::Write) {
-                    data.resize(op.cmd.length);
-                    for (std::uint32_t i = 0; i < op.cmd.length; ++i)
-                        data[i] = op.value + i;
-                    wd = &data;
-                }
-                if (!sys.trySubmit(op.cmd, next, wd))
-                    break;
-                ++outstanding;
-                ++result.commands;
-                ++next;
+            KernelOp &k = segment.ops.emplace_back();
+            k.cmd = op.cmd;
+            if (op.kind == TraceOp::Kind::Write) {
+                k.writeData.resize(op.cmd.length);
+                std::iota(k.writeData.begin(), k.writeData.end(),
+                          op.value);
             }
-            return next >= trace.ops.size() && outstanding == 0;
-        },
-        100000000);
+            op_index.push_back(next);
+        }
+        ++next; // the barrier (or the end of the trace)
+        if (segment.ops.empty())
+            continue;
+
+        VectorCommandUnit vcu(sys, segment);
+        vcu.run(sim, kMaxCycles - sim.now());
+        result.commands += segment.ops.size();
+        for (std::size_t k = 0; k < segment.ops.size(); ++k) {
+            const std::vector<Word> &data = vcu.readData()[k];
+            for (std::size_t i = 0; i < data.size(); ++i) {
+                // Order-independent mix of (op index, slot, value).
+                std::uint64_t x = op_index[k] * 1000003u +
+                                  i * 0x9e3779b9u + data[i];
+                x ^= x >> 33;
+                result.readChecksum += x * 0xff51afd7ed558ccdULL;
+            }
+        }
+    }
 
     result.cycles = sim.now();
     result.simTicks = sim.simTicks();

@@ -12,8 +12,14 @@
  *     barrier                             wait for all prior commands
  *
  * Numbers are decimal or 0x-prefixed hex; addresses and strides are in
- * words. Reads and writes issue as soon as transaction resources allow
- * (no implicit ordering) unless separated by a barrier.
+ * words.
+ *
+ * Barriers cut the trace into segments that run one after another.
+ * Every poke of a segment applies when the segment starts, before any
+ * of its commands issues, wherever it sits among them: a poke written
+ * after a read still lands before that read. Within a segment, reads
+ * and writes issue as soon as transaction resources allow, with no
+ * ordering among them.
  */
 
 #ifndef PVA_KERNELS_TRACE_FILE_HH
@@ -66,7 +72,11 @@ struct ReplayResult
     std::uint64_t cyclesSkipped = 0;
 };
 
-/** Replay @p trace against @p sys until every command completes. */
+/**
+ * Replay @p trace against @p sys until every command completes: one
+ * VectorCommandUnit per barrier segment, all on one Simulation within a
+ * 100,000,000-cycle watchdog (SimError(Watchdog) past it).
+ */
 ReplayResult replayTrace(MemorySystem &sys, const TraceFile &trace,
                          ClockingMode clocking = ClockingMode::Event);
 

@@ -40,7 +40,6 @@ SramDevice::issue(const DeviceOp &op, Cycle now)
     anyDataYet = true;
 
     if (op.kind == DeviceOp::Kind::Read) {
-        ++statReads;
         Word value = memory.read(op.addr);
         if (checker)
             checker->onReadData(bankIndex, op, value);
@@ -50,7 +49,6 @@ SramDevice::issue(const DeviceOp &op, Cycle now)
         rr.txn = op.txn;
         rr.slot = op.slot;
     } else {
-        ++statWrites;
         memory.write(op.addr, op.writeData);
         if (checker)
             checker->onWriteData(bankIndex, op);

@@ -56,9 +56,6 @@ class SramDevice final : public BankDevice
         return firstLegalFrom(op, now + 1);
     }
 
-    Scalar statReads;
-    Scalar statWrites;
-
   private:
     /** First cycle >= @p from in which @p op is legal (kNeverCycle for
      *  activates and precharges, which an SRAM never needs). */

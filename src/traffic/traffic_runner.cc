@@ -4,6 +4,7 @@
 #include <ostream>
 #include <set>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
 #include "sim/simulation.hh"
@@ -33,8 +34,8 @@ TrafficResult::dumpJson(std::ostream &os) const
     os << ", \"streams\": [";
     for (std::size_t i = 0; i < streams.size(); ++i) {
         const StreamResult &s = streams[i];
-        os << (i ? ", " : "") << "{\"name\": \"" << s.name
-           << "\", \"requests\": " << s.requests
+        os << (i ? ", " : "") << "{\"name\": \""
+           << json::escape(s.name) << "\", \"requests\": " << s.requests
            << ", \"completed\": " << s.completed
            << ", \"deferrals\": " << s.deferrals
            << ", \"shedDeadline\": " << s.shedDeadline

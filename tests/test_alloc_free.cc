@@ -22,7 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc_counter.hh"
-#include "kernels/command_unit.hh"
+#include "core/command_unit.hh"
 #include "kernels/runner.hh"
 #include "kernels/sweep.hh"
 #include "sim/simulation.hh"
@@ -57,7 +57,7 @@ TEST(AllocFree, SaturatedTickPathAllocatesNothingAfterWarmup)
     {
         KernelTrace warm = buildTrace(spec, wl, sys->memory());
         VectorCommandUnit vcu(*sys, warm);
-        sim.runUntil([&] { return vcu.service(); }, 50000000);
+        vcu.run(sim, 50000000);
         ASSERT_EQ(verifyTrace(warm, sys->memory()), 0u);
     }
 
@@ -68,7 +68,7 @@ TEST(AllocFree, SaturatedTickPathAllocatesNothingAfterWarmup)
     VectorCommandUnit vcu(*sys, trace);
 
     std::uint64_t before = test::allocationCount();
-    sim.runUntil([&] { return vcu.service(); }, 50000000);
+    vcu.run(sim, 50000000);
     std::uint64_t after = test::allocationCount();
 
     EXPECT_EQ(after - before, 0u)

@@ -73,6 +73,8 @@ TEST_F(CacheTest, WritebackOnDirtyEviction)
     EXPECT_EQ(mem.memory().read(a), 0x1111u);
     // Re-reading a misses and returns the written value.
     EXPECT_EQ(cache->read(a), 0x1111u);
+    // Four fills and one write-back, each a blocking line op.
+    EXPECT_EQ(sim.now(), 113u);
 }
 
 TEST_F(CacheTest, FlushWritesAllDirtyLines)
@@ -84,6 +86,7 @@ TEST_F(CacheTest, FlushWritesAllDirtyLines)
     EXPECT_EQ(mem.memory().read(10), 7u);
     EXPECT_EQ(mem.memory().read(200), 8u);
     EXPECT_EQ(cache->statWritebacks.value(), 2u);
+    EXPECT_EQ(sim.now(), 90u);
 }
 
 TEST_F(CacheTest, UtilizationCountsDistinctTouchedWords)

@@ -7,8 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/command_unit.hh"
 #include "core/pva_unit.hh"
-#include "kernels/command_unit.hh"
+#include "expect_sim_error.hh"
 #include "kernels/runner.hh"
 #include "sim/simulation.hh"
 
@@ -127,6 +128,60 @@ TEST(CommandUnit, CapturesGatheredData)
     ASSERT_EQ(vcu.readData()[0].size(), 32u);
     for (unsigned i = 0; i < 32; ++i)
         EXPECT_EQ(vcu.readData()[0][i], 0x40 + i);
+}
+
+TEST(CommandUnit, RunCommandsSlicesWriteValuesAndConcatenatesReads)
+{
+    // Two scatters take consecutive slices of the values; a later
+    // gather of both lines returns them concatenated in command order.
+    std::vector<VectorCommand> writes(2);
+    for (unsigned k = 0; k < 2; ++k) {
+        writes[k].base = 500 + 7 * 32 * k;
+        writes[k].stride = 7;
+        writes[k].length = 32;
+        writes[k].isRead = false;
+    }
+    std::vector<Word> values(64);
+    for (unsigned i = 0; i < 64; ++i)
+        values[i] = 0x900 + i;
+
+    PvaUnit sys("pva", SystemConfig{});
+    Simulation sim;
+    sim.add(&sys);
+    EXPECT_TRUE(runCommands(sys, sim, writes, 100000, &values).empty());
+    std::vector<VectorCommand> reads = writes;
+    for (VectorCommand &c : reads)
+        c.isRead = true;
+    EXPECT_EQ(runCommands(sys, sim, reads, 100000), values);
+
+    test::expectSimError(
+        [&] { runCommands(sys, sim, writes, 100000); },
+        SimErrorKind::Config, "write values run out");
+    values.pop_back();
+    test::expectSimError(
+        [&] { runCommands(sys, sim, writes, 100000, &values); },
+        SimErrorKind::Config, "write values run out");
+}
+
+TEST(CommandUnit, RunReturnsTheLastCompletionCycle)
+{
+    KernelTrace trace;
+    trace.ops.push_back(makeRead(100, 3));
+    trace.ops.push_back(makeRead(9000, 5));
+    PvaUnit sys("pva", SystemConfig{});
+    Simulation sim;
+    sim.add(&sys);
+    VectorCommandUnit vcu(sys, trace);
+    const Cycle end = vcu.run(sim, 100000);
+    EXPECT_EQ(end, sim.now());
+    EXPECT_GT(end, 0u);
+    EXPECT_TRUE(vcu.done());
+
+    // A second unit on the same Simulation starts where the first
+    // stopped, and its budget counts from there.
+    VectorCommandUnit again(sys, trace);
+    test::expectSimError([&] { again.run(sim, 5); },
+                         SimErrorKind::Watchdog, "after 5 cycles");
 }
 
 TEST(Consistency, ReadAfterWriteThroughDependences)

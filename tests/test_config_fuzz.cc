@@ -50,7 +50,7 @@ pickRate(Random &rng)
 void
 mutate(Random &rng, SystemConfig &cfg)
 {
-    switch (rng.below(20)) {
+    switch (rng.below(19)) {
       case 0:
         cfg.geometry = Geometry(pickUnsigned(rng), pickUnsigned(rng));
         break;
@@ -99,20 +99,17 @@ mutate(Random &rng, SystemConfig &cfg)
         cfg.bc.fhcLatency = pickUnsigned(rng);
         break;
       case 15:
-        cfg.maxOutstanding = pickUnsigned(rng);
-        break;
-      case 16:
         cfg.faults.seed = rng.next();
         break;
-      case 17:
+      case 16:
         cfg.faults.refreshStallRate = pickRate(rng);
         cfg.faults.bcStallRate = pickRate(rng);
         break;
-      case 18:
+      case 17:
         cfg.faults.dropTransferRate = pickRate(rng);
         cfg.faults.corruptFirstHitRate = pickRate(rng);
         break;
-      case 19:
+      case 18:
         cfg.bc.bypassEnabled = rng.below(2) != 0;
         cfg.optimisticLineReuse = rng.below(2) != 0;
         cfg.timingCheck = rng.below(2) != 0;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/serial_system.hh"
 #include "core/bit_reversal.hh"
 #include "core/indirect.hh"
 #include "core/pva_unit.hh"
@@ -57,18 +58,25 @@ TEST(BitReversalCommandsDeath, RequiresPowerOfTwo)
 
 TEST(BitReversal, GatherPermutesThroughThePva)
 {
-    PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
-    constexpr std::uint32_t N = 256;
-    for (std::uint32_t i = 0; i < N; ++i)
-        sys.memory().write(5000 + i, 0xc000 + i);
+    // And through the cache-line baseline, with each system's exact
+    // cycle count.
+    PvaUnit pva("pva", SystemConfig{});
+    SerialSystem cacheline("cacheline", SerialSystem::Kind::CacheLine);
+    for (auto [sys, cycles] :
+         {std::pair<MemorySystem *, Cycle>{&pva, 158},
+          {&cacheline, 1448}}) {
+        Simulation sim;
+        sim.add(sys);
+        constexpr std::uint32_t N = 256;
+        for (std::uint32_t i = 0; i < N; ++i)
+            sys->memory().write(5000 + i, 0xc000 + i);
 
-    BitReversalResult r = runBitReversedGather(sys, sim, 5000, N);
-    ASSERT_EQ(r.data.size(), N);
-    for (std::uint32_t i = 0; i < N; ++i)
-        EXPECT_EQ(r.data[i], 0xc000 + bitReverse(i, 8)) << "i=" << i;
-    EXPECT_GT(r.cycles, 0u);
+        BitReversalResult r = runBitReversedGather(*sys, sim, 5000, N);
+        ASSERT_EQ(r.data.size(), N);
+        for (std::uint32_t i = 0; i < N; ++i)
+            EXPECT_EQ(r.data[i], 0xc000 + bitReverse(i, 8)) << "i=" << i;
+        EXPECT_EQ(r.cycles, cycles) << sys->name();
+    }
 }
 
 TEST(IndirectPhases, CommandConstruction)
@@ -109,6 +117,7 @@ TEST(Indirect, GatherThroughThePva)
     ASSERT_EQ(r.data.size(), N);
     for (std::uint32_t i = 0; i < N; ++i)
         EXPECT_EQ(r.data[i], 0xd000 + i) << "i=" << i;
+    EXPECT_EQ(r.cycles, 171u);
 }
 
 TEST(Indirect, ScatterThroughThePva)
@@ -126,7 +135,7 @@ TEST(Indirect, ScatterThroughThePva)
         sys.memory().write(4000 + i, static_cast<Word>(idx.back()));
     }
 
-    runIndirectScatter(sys, sim, 4000, N, 300000, values);
+    EXPECT_EQ(runIndirectScatter(sys, sim, 4000, N, 300000, values), 98u);
     for (std::uint32_t i = 0; i < N; ++i)
         EXPECT_EQ(sys.memory().read(300000 + idx[i]), values[i]);
 }

@@ -12,6 +12,7 @@
 
 #include "expect_sim_error.hh"
 #include "fleet/scenario.hh"
+#include "sim/json.hh"
 #include "sim/sim_error.hh"
 
 using namespace pva;
@@ -226,4 +227,30 @@ TEST(FleetScenario, ResultLineIsVersionedAndSingleLine)
               0u);
     EXPECT_EQ(line.back(), '\n');
     EXPECT_EQ(line.find('\n'), line.size() - 1); // exactly one line
+}
+
+TEST(FleetScenario, ResultLineEscapesTenantNames)
+{
+    // A tenant named a"b reports as a"b0: the result line must still
+    // parse, and give the name back intact.
+    fleet::Scenario sc = fleet::parseScenarioText(
+        R"({"kind": "fleet", "name": "esc", "tenants": [{"name": "a\"b",
+            "count": 1, "streamsPerTenant": 1,
+            "stream": {"requests": 4}}]})");
+    sc.config.jobs = 1;
+    std::ostringstream os;
+    fleet::writeScenarioResult(os, sc, fleet::runFleet(sc.config));
+
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse(os.str(), doc, error))
+        << error << "\n" << os.str();
+    const json::Value *fleet_result = doc.find("fleet");
+    ASSERT_NE(fleet_result, nullptr);
+    const json::Value *tenants = fleet_result->find("tenantResults");
+    ASSERT_NE(tenants, nullptr);
+    ASSERT_EQ(tenants->array().size(), 1u);
+    const json::Value *name = tenants->array()[0].find("name");
+    ASSERT_NE(name, nullptr);
+    EXPECT_EQ(name->string(), "a\"b0");
 }

@@ -71,7 +71,6 @@ everyFieldOffDefault()
     c.geometry = Geometry(8, 2, 8, 3, 12);
     c.timing = {3, 4, 3, 6, 9, 3, 781, 12};
     c.bc = {6, 2, 16, 7, 3, false, RowPolicy::AlwaysOpen};
-    c.maxOutstanding = 5;
     c.optimisticLineReuse = true;
     c.timingCheck = true;
     c.faults = {99, 0.125, 1.0 / 3.0, 0.1, 0.02};
@@ -170,7 +169,6 @@ TEST(SweepJournal, FingerprintCoversBehaviorDeterminingState)
         [](SystemConfig &c) { c.bc.fhcLatency += 1; },
         [](SystemConfig &c) { c.bc.bypassEnabled = false; },
         [](SystemConfig &c) { c.bc.rowPolicy = RowPolicy::AlwaysClose; },
-        [](SystemConfig &c) { c.maxOutstanding += 1; },
         [](SystemConfig &c) { c.optimisticLineReuse = true; },
         [](SystemConfig &c) { c.timingCheck = true; },
         [](SystemConfig &c) { c.faults.seed += 1; },
@@ -434,17 +432,24 @@ TEST(SweepJournal, CapsulesRejectUnknownKeysAndOlderSchemas)
     const std::string path = tempPath("capsule_strict.json");
 
     writeCapsuleFile(path, capsule);
-    rewrite(path, "\"schemaVersion\": 2", "\"schemaVersion\": 1");
+    rewrite(path, "\"schemaVersion\": 3", "\"schemaVersion\": 2");
     test::expectSimError([&] { loadCapsule(path); }, SimErrorKind::Config,
-                         "schemaVersion 1, expected 2");
+                         "schemaVersion 2, expected 3");
 
-    // A schema-1 knob smuggled into a schema-2 config is refused, not
-    // silently dropped.
+    // Knobs of older schemas smuggled into a schema-3 config are
+    // refused, not silently dropped: schema 1's batchTicking and
+    // schema 2's maxOutstanding.
     writeCapsuleFile(path, capsule);
     rewrite(path, "\"timingCheck\": false",
             "\"timingCheck\": false, \"batchTicking\": true");
     test::expectSimError([&] { loadCapsule(path); }, SimErrorKind::Config,
                          "unknown key 'batchTicking' in request.config");
+
+    writeCapsuleFile(path, capsule);
+    rewrite(path, "\"timingCheck\": false",
+            "\"timingCheck\": false, \"maxOutstanding\": 8");
+    test::expectSimError([&] { loadCapsule(path); }, SimErrorKind::Config,
+                         "unknown key 'maxOutstanding' in request.config");
 
     writeCapsuleFile(path, capsule);
     rewrite(path, "\"backend\": \"legacy\"", "\"backend\": \"hbm\"");
@@ -459,15 +464,15 @@ TEST(SweepJournal, CapsulesRejectUnknownKeysAndOlderSchemas)
 
 TEST(SweepJournal, RefusesOlderSchemaJournals)
 {
-    const std::string path = tempPath("journal_v1.jsonl");
+    const std::string path = tempPath("journal_v2.jsonl");
     std::remove(path.c_str());
     std::vector<SweepRequest> grid = {smallPoint(1)};
     const std::uint64_t fp = fingerprintGrid(grid);
     { SweepJournal journal(path, fp, grid.size()); }
-    rewrite(path, "\"schemaVersion\": 2", "\"schemaVersion\": 1");
+    rewrite(path, "\"schemaVersion\": 3", "\"schemaVersion\": 2");
     test::expectSimError(
         [&] { SweepJournal::load(path, fp, grid.size()); },
-        SimErrorKind::Config, "journal schemaVersion 1, expected 2");
+        SimErrorKind::Config, "journal schemaVersion 2, expected 3");
 }
 
 TEST(SweepJournal, WallClockCapsuleReplaysUnderItsBudget)

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "baselines/serial_system.hh"
 #include "core/pva_unit.hh"
+#include "kernels/sweep.hh"
 #include "kernels/trace_file.hh"
 
 namespace pva
@@ -27,6 +29,32 @@ mustParse(const std::string &text)
     EXPECT_TRUE(parseTrace(in, t, error)) << error;
     return t;
 }
+
+/** @name The TraceReplay suite's traces @{ */
+const char *const kWriteThenRead = "write 1000 19 32 500\n"
+                                   "barrier\n"
+                                   "read 1000 19 32\n";
+const char *const kPokeThenRead = "poke 64 7\n"
+                                  "read 64 1 1\n";
+const char *const kReadOnly = "read 64 1 1\n";
+const char *const kMixed = "poke 5 123\n"
+                           "write 2000 7 32 900\n"
+                           "barrier\n"
+                           "read 2000 7 32\n"
+                           "read 0 3 32\n"
+                           "barrier\n"
+                           "read 2000 7 16\n";
+
+/** 100 independent line reads: more than the 8 transactions. */
+std::string
+manyReads()
+{
+    std::ostringstream text;
+    for (int i = 0; i < 100; ++i)
+        text << "read " << i * 32 << " 1 32\n";
+    return text.str();
+}
+/** @} */
 
 std::string
 mustFail(const std::string &text)
@@ -77,9 +105,7 @@ TEST(TraceReplay, WriteThenReadThroughBarrier)
 {
     // The barrier orders the scatter before the gather, so the read
     // must see the written values.
-    TraceFile t = mustParse("write 1000 19 32 500\n"
-                            "barrier\n"
-                            "read 1000 19 32\n");
+    TraceFile t = mustParse(kWriteThenRead);
     PvaUnit sys("pva", SystemConfig{});
     ReplayResult r = replayTrace(sys, t);
     EXPECT_EQ(r.commands, 2u);
@@ -90,30 +116,43 @@ TEST(TraceReplay, WriteThenReadThroughBarrier)
 
 TEST(TraceReplay, PokeSeedsMemoryForReads)
 {
-    TraceFile t = mustParse("poke 64 7\n"
-                            "read 64 1 1\n");
+    TraceFile t = mustParse(kPokeThenRead);
     PvaUnit a("a", SystemConfig{});
     ReplayResult ra = replayTrace(a, t);
 
     // Same trace without the poke gathers different (background) data.
-    TraceFile t2 = mustParse("read 64 1 1\n");
+    TraceFile t2 = mustParse(kReadOnly);
     PvaUnit b("b", SystemConfig{});
     ReplayResult rb = replayTrace(b, t2);
     EXPECT_NE(ra.readChecksum, rb.readChecksum);
+}
+
+TEST(TraceReplay, PokesApplyAtTheStartOfTheirSegment)
+{
+    // Nine reads overfill the eight transactions. A poke written after
+    // them still lands before the first read gathers word 64, so it
+    // reads exactly as if the poke came first. (The unused poke keeps
+    // every read at the same trace index, which the checksum mixes.)
+    std::string reads;
+    for (int i = 0; i < 9; ++i)
+        reads += "read " + std::to_string(64 + 32 * i) + " 1 32\n";
+    auto checksum = [](const std::string &text) {
+        PvaUnit sys("pva", SystemConfig{});
+        return replayTrace(sys, mustParse(text)).readChecksum;
+    };
+    const std::uint64_t first = checksum("poke 64 7\n" + reads +
+                                         "poke 999999 0\n");
+    EXPECT_EQ(checksum("poke 999999 0\n" + reads + "poke 64 7\n"), first);
+    EXPECT_NE(checksum("poke 999999 0\n" + reads + "poke 999998 0\n"),
+              first)
+        << "the poke of word 64 must be visible to the reads";
 }
 
 TEST(TraceReplay, ChecksumAgreesAcrossSystems)
 {
     // Functional behaviour is system independent: the PVA and the
     // cache-line baseline must gather identical data.
-    const std::string text = "poke 5 123\n"
-                             "write 2000 7 32 900\n"
-                             "barrier\n"
-                             "read 2000 7 32\n"
-                             "read 0 3 32\n"
-                             "barrier\n"
-                             "read 2000 7 16\n";
-    TraceFile t = mustParse(text);
+    TraceFile t = mustParse(kMixed);
     PvaUnit pva("pva", SystemConfig{});
     SerialSystem cl("cl", SerialSystem::Kind::CacheLine);
     ReplayResult rp = replayTrace(pva, t);
@@ -125,15 +164,47 @@ TEST(TraceReplay, ChecksumAgreesAcrossSystems)
 
 TEST(TraceReplay, ManyCommandsRespectTransactionLimit)
 {
-    std::ostringstream text;
-    for (int i = 0; i < 100; ++i)
-        text << "read " << i * 32 << " 1 32\n";
-    TraceFile t = mustParse(text.str());
+    TraceFile t = mustParse(manyReads());
     PvaUnit sys("pva", SystemConfig{});
     ReplayResult r = replayTrace(sys, t);
     EXPECT_EQ(r.commands, 100u);
     // Bus-bound lower bound: 100 lines x 17 bus cycles.
     EXPECT_GT(r.cycles, 1700u);
+}
+
+TEST(TraceReplay, CyclesAndChecksumsArePinnedUnderBothClockings)
+{
+    // Exact results of the suite's traces, identical under event and
+    // exhaustive clocking. A change to issue order, to drain-versus-
+    // submit order within a cycle, or to the hand-off from one barrier
+    // segment to the next moves them.
+    struct Pin
+    {
+        std::string text;
+        SystemKind system;
+        Cycle cycles;
+        std::uint64_t checksum;
+    };
+    const Pin pins[] = {
+        {kWriteThenRead, SystemKind::PvaSdram, 51, 0x57e42d4cb9853b22},
+        {kPokeThenRead, SystemKind::PvaSdram, 23, 0x2a99679de90a8d42},
+        {kReadOnly, SystemKind::PvaSdram, 23, 0xb93452c852bfba57},
+        {kMixed, SystemKind::PvaSdram, 91, 0x307b59656593f0c1},
+        {kMixed, SystemKind::CacheLine, 484, 0x307b59656593f0c1},
+        {manyReads(), SystemKind::PvaSdram, 1802, 0xb2bbdb4d9b388ba7},
+    };
+    for (const Pin &pin : pins) {
+        TraceFile t = mustParse(pin.text);
+        for (ClockingMode mode :
+             {ClockingMode::Event, ClockingMode::Exhaustive}) {
+            auto sys = makeSystem(pin.system);
+            ReplayResult r = replayTrace(*sys, t, mode);
+            EXPECT_EQ(r.cycles, pin.cycles)
+                << pin.text << clockingModeName(mode);
+            EXPECT_EQ(r.readChecksum, pin.checksum)
+                << pin.text << clockingModeName(mode);
+        }
+    }
 }
 
 } // anonymous namespace
