@@ -13,32 +13,34 @@ VectorBus::VectorBus(unsigned line_words) : lineWords(line_words)
 }
 
 void
-VectorBus::drive(Cycle now, const BusRequest &req)
+VectorBus::drive(Cycle now, BusOpcode opcode, std::uint8_t txn,
+                 const VectorCommand &vec)
 {
     if (!requestFree(now))
         panic("vector bus driven while busy at cycle %llu",
               static_cast<unsigned long long>(now));
     lastRequestCycle = now;
-    lastRequest = req;
+    lastRequest.opcode = opcode;
+    lastRequest.txn = txn;
     ++statRequestCycles;
-    if (req.opcode == BusOpcode::StageRead ||
-        req.opcode == BusOpcode::StageWrite) {
+    if (opcode == BusOpcode::StageRead || opcode == BusOpcode::StageWrite) {
         freeAt = now + 1 + dataCycles();
         statDataCycles += dataCycles();
         PVA_TRACE_BLOCK(
             PVA_TRACE_BEGIN(traceTrackId, now,
-                            req.opcode == BusOpcode::StageRead
+                            opcode == BusOpcode::StageRead
                                 ? "stage_read" : "stage_write",
-                            "txn", req.txn);
+                            "txn", txn);
             PVA_TRACE_END(traceTrackId, freeAt,
-                          req.opcode == BusOpcode::StageRead
+                          opcode == BusOpcode::StageRead
                               ? "stage_read" : "stage_write"););
     } else {
+        lastRequest.vec = vec;
         freeAt = now + 1;
         PVA_TRACE_INSTANT(traceTrackId, now,
-                          req.opcode == BusOpcode::VecRead
+                          opcode == BusOpcode::VecRead
                               ? "vec_read" : "vec_write",
-                          "txn", req.txn);
+                          "txn", txn);
     }
 }
 

@@ -63,10 +63,14 @@ class VectorBus
     }
 
     /**
-     * Drive a one-cycle command broadcast. STAGE_READ / STAGE_WRITE also
-     * reserve the following dataCycles() cycles for the line transfer.
+     * Drive a one-cycle command broadcast of @p opcode for transaction
+     * @p txn. VEC_READ / VEC_WRITE latch @p vec into the snooped
+     * request in place (its index list reuses the latch's capacity);
+     * STAGE_READ / STAGE_WRITE ignore @p vec and reserve the following
+     * dataCycles() cycles for the line transfer.
      */
-    void drive(Cycle now, const BusRequest &req);
+    void drive(Cycle now, BusOpcode opcode, std::uint8_t txn,
+               const VectorCommand &vec);
 
     /** The request driven this cycle, if any (same-cycle snoop). */
     std::optional<BusRequest> snoop(Cycle now) const;

@@ -1,5 +1,7 @@
 #include "core/bank_controller.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
 #include "sim/trace.hh"
@@ -58,14 +60,13 @@ BankController::observeVecCommand(Cycle now, const VectorCommand &cmd)
     st.isRead = cmd.isRead;
     st.got = 0;
     if (injector)
-        st.cmd = cmd;
-    // A hit sets up the read line buffer; a miss never touches it (the
-    // front end collects read data from hit controllers only).
+        st.cmd = CommandHeader(cmd);
+    // A hit sizes the read line buffer (a write may have left it
+    // shorter); its slots need no clearing, since collectInto() copies
+    // only those drainDeviceReturns() marks gathered.
     auto stageRead = [&] {
-        if (cmd.isRead) {
-            st.line.assign(cfg.lineWords, 0);
-            st.valid.assign(cfg.lineWords, 0);
-        }
+        if (cmd.isRead)
+            st.line.resize(cfg.lineWords);
     };
 
     if (cmd.mode != VectorCommand::Mode::Stride || geo.interleave() > 1) {
@@ -77,6 +78,10 @@ BankController::observeVecCommand(Cycle now, const VectorCommand &cmd)
         // capacity circulates through the FIFO ring.
         scratchAddrs.clear();
         scratchSlots.clear();
+        // Room for the whole command: each list then grows once, not
+        // whenever a larger share first reaches it in the rotation.
+        scratchAddrs.reserve(cmd.length);
+        scratchSlots.reserve(cmd.length);
         if (cmd.mode != VectorCommand::Mode::Stride) {
             for (std::uint32_t i = 0; i < cmd.length; ++i) {
                 WordAddr a = cmd.element(i);
@@ -107,7 +112,7 @@ BankController::observeVecCommand(Cycle now, const VectorCommand &cmd)
             st.respSlots = scratchSlots;
         }
         Request &req = fifo.pushBack();
-        req.cmd = cmd;
+        req.cmd = CommandHeader(cmd);
         req.sub = SubVector{};
         req.explicitAddrs.swap(scratchAddrs);
         req.explicitSlots.swap(scratchSlots);
@@ -206,7 +211,7 @@ BankController::observeVecCommand(Cycle now, const VectorCommand &cmd)
     }
 
     Request &req = fifo.pushBack();
-    req.cmd = cmd;
+    req.cmd = CommandHeader(cmd);
     req.sub = sub;
     req.visibleAt = visible;
     req.explicitAddrs.clear();
@@ -228,9 +233,13 @@ void
 BankController::collectInto(std::uint8_t txn, std::vector<Word> &out) const
 {
     const Staging &st = staging[txn];
-    for (std::size_t i = 0; i < st.valid.size() && i < out.size(); ++i) {
-        if (st.valid[i])
-            out[i] = st.line[i];
+    for (std::size_t w = 0; w < st.gathered.size(); ++w) {
+        for (std::uint64_t bits = st.gathered[w]; bits != 0;
+             bits &= bits - 1) {
+            std::size_t i = w * 64 + std::countr_zero(bits);
+            if (i < out.size())
+                out[i] = st.line[i];
+        }
     }
 }
 
@@ -259,7 +268,7 @@ BankController::drainDeviceReturns(Cycle now)
                                     "%u", r.txn));
         }
         st.line[r.slot] = r.data;
-        st.valid[r.slot] = 1;
+        st.markGathered(r.slot);
         if (++st.got == st.expected) {
             sharesCompleted.push_back(r.txn);
             PVA_TRACE_INSTANT(traceTrack(), now, "sub_complete", "txn",
@@ -310,7 +319,7 @@ BankController::maybeRecover(Cycle now)
         vc.explicitAddrs.clear();
         vc.explicitSlots.clear();
         for (std::size_t i = 0; i < st.respSlots.size(); ++i) {
-            if (!st.valid[st.respSlots[i]]) {
+            if (!st.isGathered(st.respSlots[i])) {
                 vc.explicitAddrs.push_back(st.respAddrs[i]);
                 vc.explicitSlots.push_back(st.respSlots[i]);
             }

@@ -71,6 +71,11 @@ enum class RowPolicy
 /** Structural configuration of a bank controller. */
 struct BcConfig
 {
+    /** Line slots are 8 bits wide (DeviceOp::slot, ReadReturn::slot,
+     *  a controller's explicit slot lists), so a line holds at most
+     *  256 words; SystemConfig::validate() refuses longer lines. */
+    static constexpr unsigned kMaxLineWords = 256;
+
     unsigned fifoEntries = 8;     ///< Request FIFO / Register File depth
     unsigned vectorContexts = 4;  ///< VC window size
     unsigned lineWords = 32;      ///< Elements per cache-line command
@@ -95,20 +100,23 @@ class BankController final : public Component
      * Returns true iff the FirstHit predictor hit — some element lives
      * in this bank and a request was queued. A controller that misses
      * takes no part in the transaction: its share is complete at once
-     * and its schedule (and wake) are untouched.
+     * and its schedule (and wake) are untouched. The PVA front end
+     * calls only the controllers of the command's hit set and counts
+     * the others' misses in their statCommandsSeen itself.
      */
     bool observeVecCommand(Cycle now, const VectorCommand &cmd);
 
     /**
      * Deliver scattered write data for transaction @p txn (the full
-     * cache line as sent during the STAGE_WRITE data cycles; the BC
-     * keeps the words its sub-vector needs).
+     * cache line the STAGE_WRITE data cycles carried, handed over at
+     * the VEC_WRITE; the BC keeps the words its sub-vector needs).
      */
     void loadWriteLine(std::uint8_t txn, const std::vector<Word> &line);
 
     /** Has this BC finished its share of transaction @p txn? (Its
      *  contribution to the wired-OR transaction-complete line, whose
-     *  edges the front end takes from completedShares().) */
+     *  edges the front end takes from completedShares().) False for a
+     *  transaction it was never handed by observeVecCommand(). */
     bool
     txnComplete(std::uint8_t txn) const
     {
@@ -117,8 +125,8 @@ class BankController final : public Component
     }
 
     /** Copy this BC's gathered words for @p txn into the line buffer
-     *  @p out (indexed by vector element position). Only meaningful on
-     *  a controller whose observeVecCommand() hit for @p txn. */
+     *  @p out (indexed by vector element position), visiting only the
+     *  slots it gathered: none unless observeVecCommand() hit. */
     void collectInto(std::uint8_t txn, std::vector<Word> &out) const;
 
     /** Free the staging resources of @p txn after the line is staged. */
@@ -226,10 +234,27 @@ class BankController final : public Component
     void registerStats(StatSet &set, const std::string &prefix) const;
 
   private:
+    /** The fields of a broadcast command that the request FIFO, the
+     *  vector contexts and the staging units consult. Extension-mode
+     *  element lists are expanded into explicit arrays when the command
+     *  is observed, so no queue copies an index list. */
+    struct CommandHeader
+    {
+        WordAddr base = 0;
+        std::uint32_t stride = 1;
+        bool isRead = true;
+        std::uint8_t txn = 0;
+
+        CommandHeader() = default;
+        explicit CommandHeader(const VectorCommand &c)
+            : base(c.base), stride(c.stride), isRead(c.isRead), txn(c.txn)
+        {}
+    };
+
     /** A queued vector request (Register File entry). */
     struct Request
     {
-        VectorCommand cmd;
+        CommandHeader cmd;
         SubVector sub;
         Cycle visibleAt; ///< When the scheduler may dequeue it (ACC set)
         /** Explicit element list for Indirect/BitReversal commands
@@ -241,7 +266,7 @@ class BankController final : public Component
     /** A vector request being expanded by the access scheduler. */
     struct VectorContext
     {
-        VectorCommand cmd;
+        CommandHeader cmd;
         SubVector sub;
         std::uint32_t issued = 0; ///< Elements already sent to the device
         WordAddr firstAddr = 0;   ///< Address of the firsthit element
@@ -288,17 +313,32 @@ class BankController final : public Component
         bool isRead = true;
         std::uint32_t expected = 0;
         std::uint32_t got = 0;
-        std::vector<Word> line;  ///< Read gather / write scatter data
-        std::vector<std::uint8_t> valid; ///< Read slots gathered so far
+        /** Read gather / write scatter data. A read's words are valid
+         *  only in its gathered slots, so the line is never cleared. */
+        std::vector<Word> line;
+        /** Read slots gathered so far, one bit per line slot. */
+        std::array<std::uint64_t, BcConfig::kMaxLineWords / 64> gathered{};
         bool haveWriteData = false;
         /** The command and sub-vector this BC committed to, captured
          *  at observe time for drop-recovery (populated only under
          *  fault injection; parallel arrays addr/slot). */
-        VectorCommand cmd;
+        CommandHeader cmd;
         std::vector<WordAddr> respAddrs;
         std::vector<std::uint8_t> respSlots;
 
         bool complete() const { return !active || got >= expected; }
+
+        bool
+        isGathered(unsigned slot) const
+        {
+            return (gathered[slot / 64] >> (slot % 64)) & 1;
+        }
+
+        void
+        markGathered(unsigned slot)
+        {
+            gathered[slot / 64] |= std::uint64_t{1} << (slot % 64);
+        }
 
         /** Return to the inactive state keeping buffer capacity. */
         void
@@ -308,6 +348,7 @@ class BankController final : public Component
             isRead = true;
             expected = 0;
             got = 0;
+            gathered.fill(0);
             haveWriteData = false;
             respAddrs.clear();
             respSlots.clear();

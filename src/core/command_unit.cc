@@ -1,5 +1,9 @@
 #include "core/command_unit.hh"
 
+#include <algorithm>
+#include <functional>
+
+#include "sim/logging.hh"
 #include "sim/sim_error.hh"
 
 namespace pva
@@ -7,15 +11,43 @@ namespace pva
 
 VectorCommandUnit::VectorCommandUnit(MemorySystem &sys_,
                                      const KernelTrace &trace_)
-    : sys(sys_), trace(trace_),
-      state(trace_.ops.size(), OpState::Waiting),
-      gathered(trace_.ops.size())
+    : sys(sys_), trace(trace_), gathered(trace_.ops.size()),
+      depsLeft(trace_.ops.size(), 0),
+      dependentsAt(trace_.ops.size() + 1, 0)
 {
-    // Pre-size the per-op result buffers so the issue/complete loop
-    // below never allocates (construction is the warmup phase).
-    for (std::size_t i = 0; i < trace.ops.size(); ++i) {
-        if (trace.ops[i].cmd.isRead)
-            gathered[i].reserve(trace.ops[i].cmd.length);
+    // Pre-size every per-op buffer so the issue/complete loop below
+    // never allocates (construction is the warmup phase). The
+    // dependents lists are laid out flat: count each op's dependents,
+    // turn the counts into range ends, then fill every range from its
+    // end, which leaves dependentsAt[i] at the start of op i's range.
+    const std::size_t n = trace.ops.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        const KernelOp &op = trace.ops[i];
+        if (op.cmd.isRead)
+            gathered[i].reserve(op.cmd.length);
+        depsLeft[i] = op.deps.size();
+        for (std::size_t d : op.deps) {
+            if (d >= n) {
+                throw SimError(SimErrorKind::Config, "command_unit",
+                               kNeverCycle,
+                               csprintf("op %zu depends on op %zu of a "
+                                        "%zu-op trace", i, d, n));
+            }
+            ++dependentsAt[d];
+        }
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        dependentsAt[i + 1] += dependentsAt[i];
+    dependents.resize(dependentsAt[n]);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t d : trace.ops[i].deps)
+            dependents[--dependentsAt[d]] = i;
+    }
+    // Ascending order is already a valid min-heap.
+    ready.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (depsLeft[i] == 0)
+            ready.push_back(i);
     }
     drained.reserve(16);
 }
@@ -26,35 +58,29 @@ VectorCommandUnit::service()
     sys.drainCompletionsInto(drained);
     for (Completion &c : drained) {
         std::size_t i = static_cast<std::size_t>(c.tag);
-        state[i] = OpState::Completed;
         gathered[i].assign(c.data.begin(), c.data.end());
         sys.recycleLine(std::move(c.data));
         ++completedCount;
-    }
-
-    while (scanFrom < trace.ops.size() &&
-           state[scanFrom] == OpState::Completed) {
-        ++scanFrom;
-    }
-
-    for (std::size_t i = scanFrom; i < trace.ops.size(); ++i) {
-        if (state[i] != OpState::Waiting)
-            continue;
-        bool ready = true;
-        for (std::size_t d : trace.ops[i].deps) {
-            if (state[d] != OpState::Completed) {
-                ready = false;
-                break;
+        for (std::size_t k = dependentsAt[i]; k < dependentsAt[i + 1]; ++k) {
+            if (--depsLeft[dependents[k]] == 0) {
+                ready.push_back(dependents[k]);
+                std::push_heap(ready.begin(), ready.end(), std::greater<>{});
             }
         }
-        if (!ready)
-            continue;
-        const KernelOp &op = trace.ops[i];
+    }
+    if (!drained.empty())
+        refused = false;
+
+    while (!refused && !ready.empty()) {
+        const KernelOp &op = trace.ops[ready.front()];
         const std::vector<Word> *wd =
             op.cmd.isRead ? nullptr : &op.writeData;
-        if (!sys.trySubmit(op.cmd, i, wd))
-            break; // transaction resources exhausted this cycle
-        state[i] = OpState::Submitted;
+        if (!sys.trySubmit(op.cmd, ready.front(), wd)) {
+            refused = true; // transaction resources exhausted
+            break;
+        }
+        std::pop_heap(ready.begin(), ready.end(), std::greater<>{});
+        ready.pop_back();
     }
 
     return done();

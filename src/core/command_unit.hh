@@ -7,6 +7,12 @@
  * soon as possible (subject to availability of bus resources)": every
  * cycle it submits, out of order, any trace operation whose dependences
  * have completed, until the memory system's transaction resources fill.
+ * Each op counts its dependences still outstanding; a completion counts
+ * down its dependents', and an op whose count reaches zero joins a
+ * min-heap of ready ops, so submission goes lowest index first and no
+ * cycle rescans the waiting ops. A refused submission is remembered
+ * until the next drained completion (MemorySystem::trySubmit's
+ * contract), so a full system is not asked again every cycle.
  * Every driver that feeds a command list to a MemorySystem (runTrace,
  * trace replay, the indirect and bit-reversed gathers, the L2 cache,
  * the examples) builds a KernelTrace and runs a unit over it.
@@ -47,6 +53,8 @@ struct KernelTrace
 class VectorCommandUnit
 {
   public:
+    /** SimError(Config) if an op depends on an op index outside
+     *  @p trace. */
     VectorCommandUnit(MemorySystem &sys, const KernelTrace &trace);
 
     /**
@@ -76,19 +84,26 @@ class VectorCommandUnit
     }
 
   private:
-    enum class OpState { Waiting, Submitted, Completed };
-
     MemorySystem &sys;
     const KernelTrace &trace;
-    std::vector<OpState> state;
     std::vector<std::vector<Word>> gathered;
+    /** Per op: dependences not yet completed. */
+    std::vector<std::size_t> depsLeft;
+    /** The ops depending on op i are dependents[dependentsAt[i] ..
+     *  dependentsAt[i + 1]) (one entry per listed dependence). */
+    std::vector<std::size_t> dependentsAt;
+    std::vector<std::size_t> dependents;
+    /** Ready, unsubmitted ops: a min-heap on the op index. */
+    std::vector<std::size_t> ready;
+    /** The memory system refused a submission and has completed
+     *  nothing since. */
+    bool refused = false;
     /** Drain buffer reused across service() calls: completions shuttle
      *  between this vector and the memory system's without touching
      *  the allocator (drainCompletionsInto swaps storage), and each
      *  consumed line buffer is handed back via recycleLine(). */
     std::vector<Completion> drained;
     std::size_t completedCount = 0;
-    std::size_t scanFrom = 0; ///< First op not yet completed
 };
 
 /**

@@ -42,6 +42,12 @@ class MemorySystem : public Component
      * system has no free transaction resources this cycle; the caller
      * retries later.
      *
+     * Refusal contract: a refusal holds, for every command, until one
+     * of this system's completions has been drained. Resources free
+     * only as transactions complete, so a caller may skip retrying
+     * until drainCompletionsInto() hands it a completion
+     * (VectorCommandUnit does). A refused call changes no state.
+     *
      * @param tag caller identifier reported back in the Completion.
      */
     virtual bool trySubmit(const VectorCommand &cmd, std::uint64_t tag,

@@ -1,6 +1,7 @@
 #include "core/pva_unit.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sdram/sram_device.hh"
 #include "sdram/timing_checker.hh"
@@ -45,6 +46,7 @@ PvaUnit::PvaUnit(std::string name, const SystemConfig &config,
             bcs.back()->enableFaults(cfg.faults, b * 2 + 1);
     }
     bcWake.assign(banks, 0);
+    hitBank.assign(banks, 0);
     for (Txn &t : txns)
         t.hitBcs.reserve(banks);
     submitOrder.reserve(cfg.bc.transactions);
@@ -115,6 +117,8 @@ PvaUnit::trySubmit(const VectorCommand &cmd, std::uint64_t tag,
         throw SimError(SimErrorKind::Config, name(), lastTickCycle,
                        "write command lacks write data");
     }
+    if (activeTxns == txns.size())
+        return false; // every slot busy until a completion drains
 
     for (std::uint8_t id = 0; id < txns.size(); ++id) {
         if (txns[id].state != TxnState::Free)
@@ -144,20 +148,55 @@ PvaUnit::trySubmit(const VectorCommand &cmd, std::uint64_t tag,
 }
 
 void
-PvaUnit::broadcast(std::uint8_t id, const VectorCommand &cmd, Cycle now)
+PvaUnit::broadcast(std::uint8_t id, Cycle now)
 {
+    Txn &t = txns[id];
+    const VectorCommand &cmd = t.cmd;
     if (checker)
         checker->beginTxn(cmd);
-    Txn &t = txns[id];
+
+    // The hit set: the banks of the first n elements. Under word
+    // interleave a stride of 2^s times an odd number returns to a bank
+    // every NextHit = 2^(m-s) elements (Theorem 4.4), so the first
+    // min(L, 2^(m-s)) elements name each hit bank exactly once; block
+    // interleave and the extension modes take every element.
+    const Geometry &geo = cfg.geometry;
+    std::uint32_t n = cmd.length;
+    if (cmd.mode == VectorCommand::Mode::Stride && geo.interleave() == 1) {
+        const unsigned m = geo.bankBits();
+        const unsigned s = std::countr_zero(cmd.stride | (1u << m));
+        n = std::min(n, std::uint32_t{1} << (m - s));
+    }
+    for (std::uint32_t i = 0; i < n; ++i)
+        hitBank[geo.bankOf(cmd.element(i))] = 1;
+
+    // Only the hit controllers snoop the command; every other one's
+    // FirstHit predictor would miss, which costs it nothing but the
+    // count. A called controller may still miss (an injected FirstHit
+    // corruption), so the list holds every controller called and the
+    // complete line counts only those that queued a request.
     t.hitBcs.clear();
+    t.outstanding = 0;
     for (unsigned b = 0; b < bcs.size(); ++b) {
-        if (bcs[b]->observeVecCommand(now, cmd)) {
-            t.hitBcs.push_back(b);
+        BankController &bc = *bcs[b];
+        if (!hitBank[b]) {
+            ++bc.statCommandsSeen;
+            continue;
+        }
+        hitBank[b] = 0;
+        t.hitBcs.push_back(b);
+        if (bc.observeVecCommand(now, cmd)) {
+            ++t.outstanding;
             bcWake[b] = now; // new work: it must tick this cycle
             minBcWake = now;
         }
+        // The STAGE_WRITE data cycles are over; a controller can use
+        // the words only from its VEC_WRITE on.
+        if (!cmd.isRead)
+            bc.loadWriteLine(id, t.writeData);
     }
-    t.outstanding = t.hitBcs.size();
+    if (t.outstanding == 0)
+        step1Due = std::min(step1Due, now + 1); // nothing to wait for
 }
 
 void
@@ -175,8 +214,8 @@ PvaUnit::finishRead(std::uint8_t id, Cycle now)
         checker->verifyGather(t.cmd, c.data, now);
         checker->releaseTxn(id);
     }
-    for (const auto &bc : bcs)
-        bc->releaseTxn(id);
+    for (unsigned b : t.hitBcs)
+        bcs[b]->releaseTxn(id);
     t.state = TxnState::Free;
     --activeTxns;
     PVA_TRACE_END(txnTrack(id), now, "read", "latency",
@@ -195,8 +234,8 @@ PvaUnit::finishWrite(std::uint8_t id, Cycle now)
     Completion &c = completions.emplace_back();
     c.tag = t.tag;
     c.data.clear();
-    for (const auto &bc : bcs)
-        bc->releaseTxn(id);
+    for (unsigned b : t.hitBcs)
+        bcs[b]->releaseTxn(id);
     t.state = TxnState::Free;
     --activeTxns;
     PVA_TRACE_END(txnTrack(id), now, "write", "latency",
@@ -217,37 +256,46 @@ PvaUnit::tick(Cycle now)
     // contribution is zero.
 
     // --- 1. Untimed/timed state transitions (observing BC state as of
-    //        the end of the previous cycle). ---------------------------
-    for (std::uint8_t id = 0; id < txns.size(); ++id) {
-        Txn &t = txns[id];
-        switch (t.state) {
-          case TxnState::Gathering:
-            if (t.outstanding == 0) {
-                t.state = TxnState::StagePending;
-                tickActivity = true;
-                PVA_TRACE_INSTANT(txnTrack(id), now, "gathered");
+    //        the end of the previous cycle). They can happen no earlier
+    //        than step1Due: the first data-cycle end still ahead, or
+    //        the cycle after a transaction-complete line deasserted. --
+    if (now >= step1Due) {
+        step1Due = kNeverCycle;
+        for (std::uint8_t id = 0; id < txns.size(); ++id) {
+            Txn &t = txns[id];
+            switch (t.state) {
+              case TxnState::Gathering:
+                if (t.outstanding == 0) {
+                    t.state = TxnState::StagePending;
+                    tickActivity = true;
+                    PVA_TRACE_INSTANT(txnTrack(id), now, "gathered");
+                }
+                break;
+              case TxnState::Staging:
+                if (now >= t.readyAt) {
+                    finishRead(id, now);
+                    tickActivity = true;
+                } else {
+                    step1Due = std::min(step1Due, t.readyAt);
+                }
+                break;
+              case TxnState::WriteData:
+                if (now >= t.readyAt) {
+                    t.state = TxnState::VecWritePending;
+                    tickActivity = true;
+                } else {
+                    step1Due = std::min(step1Due, t.readyAt);
+                }
+                break;
+              case TxnState::Scattering:
+                if (t.outstanding == 0) {
+                    finishWrite(id, now);
+                    tickActivity = true;
+                }
+                break;
+              default:
+                break;
             }
-            break;
-          case TxnState::Staging:
-            if (now >= t.readyAt) {
-                finishRead(id, now);
-                tickActivity = true;
-            }
-            break;
-          case TxnState::WriteData:
-            if (now >= t.readyAt) {
-                t.state = TxnState::VecWritePending;
-                tickActivity = true;
-            }
-            break;
-          case TxnState::Scattering:
-            if (t.outstanding == 0) {
-                finishWrite(id, now);
-                tickActivity = true;
-            }
-            break;
-          default:
-            break;
         }
     }
 
@@ -264,10 +312,11 @@ PvaUnit::tick(Cycle now)
             }
         }
         if (found) {
-            vectorBus.drive(now, {BusOpcode::StageRead, txns[chosen].cmd,
-                                  chosen});
+            vectorBus.drive(now, BusOpcode::StageRead, chosen,
+                            txns[chosen].cmd);
             txns[chosen].state = TxnState::Staging;
             txns[chosen].readyAt = now + vectorBus.dataCycles();
+            step1Due = std::min(step1Due, txns[chosen].readyAt);
             tickActivity = true;
             PVA_TRACE_INSTANT(txnTrack(chosen), now, "stage");
         } else {
@@ -282,8 +331,8 @@ PvaUnit::tick(Cycle now)
             }
             if (found) {
                 Txn &t = txns[chosen];
-                vectorBus.drive(now, {BusOpcode::VecWrite, t.cmd, chosen});
-                broadcast(chosen, t.cmd, now);
+                vectorBus.drive(now, BusOpcode::VecWrite, chosen, t.cmd);
+                broadcast(chosen, now);
                 t.state = TxnState::Scattering;
                 tickActivity = true;
                 PVA_TRACE_INSTANT(txnTrack(chosen), now, "scatter");
@@ -293,20 +342,19 @@ PvaUnit::tick(Cycle now)
                 Txn &t = txns[id];
                 if (t.state == TxnState::QueuedRead) {
                     submitOrder.popFront();
-                    vectorBus.drive(now, {BusOpcode::VecRead, t.cmd, id});
-                    broadcast(id, t.cmd, now);
+                    vectorBus.drive(now, BusOpcode::VecRead, id, t.cmd);
+                    broadcast(id, now);
                     t.state = TxnState::Gathering;
                     tickActivity = true;
                     PVA_TRACE_INSTANT(txnTrack(id), now, "broadcast");
                 } else if (t.state == TxnState::QueuedWrite) {
                     submitOrder.popFront();
-                    vectorBus.drive(now,
-                                    {BusOpcode::StageWrite, t.cmd, id});
-                    // No BC wake: only the VEC_WRITE gives them work.
-                    for (const auto &bc : bcs)
-                        bc->loadWriteLine(id, t.writeData);
+                    // No BC wake or line load: only the VEC_WRITE gives
+                    // the controllers work (broadcast()).
+                    vectorBus.drive(now, BusOpcode::StageWrite, id, t.cmd);
                     t.state = TxnState::WriteData;
                     t.readyAt = now + vectorBus.dataCycles();
+                    step1Due = std::min(step1Due, t.readyAt);
                     tickActivity = true;
                     PVA_TRACE_INSTANT(txnTrack(id), now, "write_data");
                 }
@@ -335,8 +383,10 @@ PvaUnit::tick(Cycle now)
             // The wired-OR line deasserts with the last hit BC's share;
             // step 1 acts on it in the next cycle.
             for (std::uint8_t id : bc.completedShares()) {
-                if (--txns[id].outstanding == 0)
+                if (--txns[id].outstanding == 0) {
                     tickActivity = true;
+                    step1Due = now + 1;
+                }
             }
         }
         minBcWake = min_wake;

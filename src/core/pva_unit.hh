@@ -4,19 +4,34 @@
  * memory-controller front end of section 5.2.6.
  *
  * Read transaction lifecycle:
- *   VEC_READ broadcast (1 request cycle) -> every BC gathers its
- *   sub-vector into its staging unit -> wired-OR transaction-complete
- *   line deasserts -> front end issues STAGE_READ -> 16 data cycles
- *   return the 128-byte line (2 words per cycle) -> completion.
+ *   VEC_READ broadcast (1 request cycle) -> every BC holding an
+ *   element gathers its sub-vector into its staging unit -> wired-OR
+ *   transaction-complete line deasserts -> front end issues
+ *   STAGE_READ -> 16 data cycles return the 128-byte line (2 words per
+ *   cycle) -> completion.
  *
  * Write transaction lifecycle:
- *   STAGE_WRITE (1 request cycle) -> 16 data cycles push the line into
- *   the BCs' write staging -> VEC_WRITE broadcast -> BCs scatter ->
- *   transaction-complete deasserts when all data is committed to SDRAM
- *   -> completion.
+ *   STAGE_WRITE (1 request cycle) -> 16 data cycles carry the line ->
+ *   VEC_WRITE broadcast; the BCs holding an element keep their words
+ *   of the line and scatter them -> transaction-complete deasserts
+ *   when all data is committed to SDRAM -> completion.
  *
  * The same unit instantiated over SramDevice banks is the paper's
  * "parallel vector access SRAM" comparison system.
+ *
+ * Hit-set broadcast (docs/PERFORMANCE.md): in the paper every BC
+ * snoops every VEC_READ/VEC_WRITE and its FirstHit predictor alone
+ * decides whether it takes part. The front end computes that decision
+ * once per broadcast instead: the banks of the first min(L, 2^(m-s))
+ * elements under word interleave with stride 2^s times an odd number
+ * (Theorem 4.4: NextHit = 2^(m-s), so each hit bank appears exactly
+ * once), otherwise the banks of all L elements. Only those controllers
+ * observe the command, in ascending bank order, and each other one is
+ * credited the miss in its commandsSeen count. A write's line is
+ * loaded into the hit controllers at its VEC_WRITE, the first cycle
+ * any of them can use it. The hit set may only err on the safe side:
+ * a controller called in vain (an injected FirstHit corruption) just
+ * misses, and every controller called is released with the slot.
  *
  * Wired-OR completion (docs/PERFORMANCE.md): each transaction counts
  * the hit controllers whose share is still outstanding. A ticked
@@ -24,21 +39,23 @@
  * (BankController::completedShares()) and the front end counts them
  * down; at zero the line deasserts and the front end processes the
  * next cycle, where the transaction leaves Gathering or Scattering.
- * No controller is polled.
+ * No controller is polled. The scan that moves transactions on runs
+ * only from the earliest cycle one can move (step1Due): that next
+ * cycle, or the first data-cycle end still ahead.
  *
  * Batched bank-controller ticking (docs/PERFORMANCE.md): the front end
  * caches each BC's wake cycle (the Component::nextWakeAfter contract:
  * the next cycle one of its queued SDRAM commands can issue, a read
  * return lands or a refresh falls due) and their minimum, and skips
  * ticking controllers until then. A VEC_READ/VEC_WRITE broadcast
- * resets the cached wake of the controllers whose FirstHit predictor
- * hit — the only ones it gives new work — to the current cycle;
- * controllers that miss keep sleeping. A STAGE_WRITE line delivery
- * resets none: no vector context can name a write transaction before
- * its VEC_WRITE. Cycle-exactness follows by the same argument as the
- * event clocking core. Exhaustive clocking is the reference and does
- * not batch: driven by an exhaustive Simulation, every controller
- * ticks every processed cycle (setClocking()).
+ * resets the cached wake of the controllers that queued a request —
+ * the only ones it gives new work — to the current cycle; the rest
+ * keep sleeping. A STAGE_WRITE resets none: no vector context can
+ * name a write transaction before its VEC_WRITE. Cycle-exactness
+ * follows by the same argument as the event clocking core. Exhaustive
+ * clocking is the reference and does not batch: driven by an
+ * exhaustive Simulation, every controller ticks every processed cycle
+ * (setClocking()).
  */
 
 #ifndef PVA_CORE_PVA_UNIT_HH
@@ -154,19 +171,21 @@ class PvaUnit : public MemorySystem
         std::vector<Word> writeData;
         Cycle readyAt = 0;   ///< Next state-transition time where timed
         Cycle acceptedAt = 0; ///< For the latency distributions
-        /** BCs whose FirstHit predictor hit this transaction's vector
-         *  command (capacity reserved for every bank up front). */
+        /** The BCs broadcast() handed the command, in ascending bank
+         *  order: its hit set (capacity reserved for every bank up
+         *  front). Released, and read lines collected, through it. */
         std::vector<unsigned> hitBcs;
         /** Hit BCs whose share is not yet complete: the wired-OR
          *  transaction-complete line deasserts when this reaches 0. */
         std::size_t outstanding = 0;
     };
 
-    /** Broadcast vector command @p cmd of transaction @p id to every
-     *  BC, recording the hits, arming the transaction-complete count
-     *  and waking the hit BCs in cycle @p now. With no hit the line is
-     *  already deasserted. */
-    void broadcast(std::uint8_t id, const VectorCommand &cmd, Cycle now);
+    /** Broadcast transaction @p id's vector command to the BCs of its
+     *  hit set (loading a write's line into them), credit the others'
+     *  commandsSeen, arm the transaction-complete count and wake the
+     *  BCs that queued a request in cycle @p now. With no such BC the
+     *  line is already deasserted. */
+    void broadcast(std::uint8_t id, Cycle now);
 
     /** Trace track for transaction slot @p id (0 when untraced). */
     std::uint32_t
@@ -208,6 +227,8 @@ class PvaUnit : public MemorySystem
      *  both clockings, consulted by the tick loop only under Event. */
     std::vector<Cycle> bcWake;
     Cycle minBcWake = 0; ///< min(bcWake), kept current by tick/broadcast
+    /** broadcast()'s per-bank hit marks; all clear between calls. */
+    std::vector<std::uint8_t> hitBank;
     bool tickEveryBc = false; ///< Exhaustive reference (setClocking)
     std::size_t activeTxns = 0; ///< Txn slots not Free
 
@@ -224,6 +245,9 @@ class PvaUnit : public MemorySystem
     Cycle lastProcessedTick = 0; ///< Last cycle tick() actually ran
     bool tickedYet = false;
     bool tickActivity = false; ///< Did the last tick change state?
+    /** Earliest cycle step 1 of tick() can move a transaction on (a
+     *  data-cycle end, or the cycle after a complete line deasserts). */
+    Cycle step1Due = 0;
 
     /** Per-transaction-slot trace tracks; empty when untraced. */
     std::vector<std::uint32_t> txnTracks;

@@ -122,6 +122,10 @@ struct SystemConfig
         if (bc.lineWords % 2 != 0)
             reject(csprintf("bc.lineWords %u must be even (two words "
                             "per bus data cycle)", bc.lineWords));
+        if (bc.lineWords > BcConfig::kMaxLineWords)
+            reject(csprintf("bc.lineWords %u exceeds %u (line slots are "
+                            "8-bit)", bc.lineWords,
+                            BcConfig::kMaxLineWords));
         if (bc.transactions == 0 || bc.transactions > 255)
             reject(csprintf("bc.transactions %u must be in 1..255 "
                             "(8-bit transaction ids; 256 would wrap "

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <ostream>
+#include <unordered_map>
 #include <utility>
 
 #include "fleet/fleet_arbiter.hh"
@@ -109,8 +110,12 @@ runFleet(const FleetConfig &config)
 
     // Lay the fleet out flat: tenant and stream indices are global,
     // assigned spec by spec, so seeds and regions are a pure function
-    // of the scenario (not of sharding or scheduling).
+    // of the scenario (not of sharding or scheduling). A tenant is
+    // named by its spec name and global index with no separator, so
+    // spec "a1" and an 11-tenant spec "a" would both name a tenant
+    // "a10": such a layout is refused.
     std::vector<TenantLayout> layout;
+    std::unordered_map<std::string, std::size_t> specOfName;
     std::uint64_t globalStream = 0;
     for (std::size_t si = 0; si < config.tenants.size(); ++si) {
         const TenantSpec &spec = config.tenants[si];
@@ -120,6 +125,15 @@ runFleet(const FleetConfig &config)
             tl.firstStream = globalStream;
             tl.name = csprintf("%s%zu", spec.name.c_str(),
                                layout.size());
+            auto [named, fresh] = specOfName.emplace(tl.name, si);
+            if (!fresh) {
+                throw SimError(
+                    SimErrorKind::Config, "fleet", kNeverCycle,
+                    csprintf("tenant specs '%s' and '%s' both name a "
+                             "tenant '%s'",
+                             config.tenants[named->second].name.c_str(),
+                             spec.name.c_str(), tl.name.c_str()));
+            }
             layout.push_back(std::move(tl));
             globalStream += spec.streamsPerTenant;
         }

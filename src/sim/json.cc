@@ -386,6 +386,12 @@ escape(const std::string &s)
     return out;
 }
 
+std::string
+quote(const std::string &s)
+{
+    return '"' + escape(s) + '"';
+}
+
 Reader::Reader(const Value &v, std::string path, Errors errs)
     : obj(v), where(std::move(path)), errors(std::move(errs))
 {

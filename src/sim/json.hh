@@ -104,6 +104,9 @@ bool parse(const std::string &input, Value &out, std::string &error);
  *  included). The writer-side counterpart of parse(). */
 std::string escape(const std::string &s);
 
+/** @p s as a JSON string literal: escape() inside double quotes. */
+std::string quote(const std::string &s);
+
 /**
  * Strict typed reads over one JSON object. Required reads fail on a
  * missing key, defaulted reads return the fallback, any present value

@@ -1,0 +1,107 @@
+/**
+ * @file
+ * Stat conservation laws of a PVA memory system: identities between
+ * counters that different components keep, which every drained run
+ * must satisfy. With transactions = frontend.reads + frontend.writes:
+ *
+ *  - bus.requestCycles = 2 x transactions (VEC_READ + STAGE_READ, or
+ *    STAGE_WRITE + VEC_WRITE);
+ *  - bus.dataCycles = lineWords/2 x transactions;
+ *  - sum of bcN.commandsSeen = banks x transactions (every controller
+ *    snoops every broadcast, hit or miss);
+ *  - sum of bcN.commandsHit = sum over the commands of the banks that
+ *    hold one of their elements (fault-free runs: an injected FirstHit
+ *    corruption may drop a hit);
+ *  - the frontend.readLatency / writeLatency sample counts equal
+ *    frontend.reads / writes.
+ *
+ * A broken law moves no cycle count, so no golden sees it: a front
+ * end that stops crediting the controllers it does not call changes
+ * only commandsSeen.
+ */
+
+#ifndef PVA_TESTS_STAT_LAWS_HH
+#define PVA_TESTS_STAT_LAWS_HH
+
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "core/system_config.hh"
+#include "core/vector_command.hh"
+#include "sim/logging.hh"
+#include "sim/stats.hh"
+
+namespace pva::test
+{
+
+/** The hit-set size of @p cmd by brute force: the distinct banks
+ *  DecodeBank() gives its elements. */
+inline std::uint64_t
+bruteForceHitBanks(const Geometry &geo, const VectorCommand &cmd)
+{
+    std::vector<bool> hit(geo.banks(), false);
+    std::uint64_t n = 0;
+    for (std::uint32_t i = 0; i < cmd.length; ++i) {
+        unsigned b = geo.bankOf(cmd.element(i));
+        if (!hit[b]) {
+            hit[b] = true;
+            ++n;
+        }
+    }
+    return n;
+}
+
+/**
+ * Check every law on @p stats, the StatSet of a drained PVA system
+ * built from @p config. @p hits is the brute-force hit-set total of
+ * the commands the system ran; pass nullopt under fault injection to
+ * skip that law. A failure names each broken law and both its sides.
+ */
+inline ::testing::AssertionResult
+statLawsHold(const StatSet &stats, const SystemConfig &config,
+             std::optional<std::uint64_t> hits)
+{
+    std::string broken;
+    auto law = [&](const char *name, std::uint64_t lhs,
+                   std::uint64_t rhs) {
+        if (lhs != rhs) {
+            broken += csprintf("\n  %s: %llu != %llu", name,
+                               static_cast<unsigned long long>(lhs),
+                               static_cast<unsigned long long>(rhs));
+        }
+    };
+    const std::uint64_t reads = stats.scalar("frontend.reads");
+    const std::uint64_t writes = stats.scalar("frontend.writes");
+    const std::uint64_t txns = reads + writes;
+    const unsigned banks = config.geometry.banks();
+    std::uint64_t seen = 0;
+    std::uint64_t hit = 0;
+    for (unsigned b = 0; b < banks; ++b) {
+        seen += stats.scalar(csprintf("bc%u.commandsSeen", b));
+        hit += stats.scalar(csprintf("bc%u.commandsHit", b));
+    }
+
+    law("bus.requestCycles = 2 x transactions",
+        stats.scalar("bus.requestCycles"), 2 * txns);
+    law("bus.dataCycles = lineWords/2 x transactions",
+        stats.scalar("bus.dataCycles"), config.bc.lineWords / 2 * txns);
+    law("sum bcN.commandsSeen = banks x transactions", seen, banks * txns);
+    if (hits)
+        law("sum bcN.commandsHit = brute-force hit-set total", hit, *hits);
+    law("frontend.readLatency samples = frontend.reads",
+        stats.distribution("frontend.readLatency").samples(), reads);
+    law("frontend.writeLatency samples = frontend.writes",
+        stats.distribution("frontend.writeLatency").samples(), writes);
+
+    if (broken.empty())
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << "broken stat laws:" << broken;
+}
+
+} // namespace pva::test
+
+#endif // PVA_TESTS_STAT_LAWS_HH

@@ -13,7 +13,9 @@
  * full kernel on the same simulation clock and asserts the count of
  * global operator new calls (alloc_counter.hh) did not move between
  * the start of the second run and its last completion. A second test
- * bounds the allocations one makeSystem() call makes.
+ * does the same for a batch of Indirect gathers, whose index lists
+ * must not be copied per bus request or per bank controller, and a
+ * third bounds the allocations one makeSystem() call makes.
  *
  * The counting replacements serve the whole test binary; the other
  * tests are unaffected beyond the one relaxed increment.
@@ -23,8 +25,10 @@
 
 #include "alloc_counter.hh"
 #include "core/command_unit.hh"
+#include "core/indirect.hh"
 #include "kernels/runner.hh"
 #include "kernels/sweep.hh"
+#include "sim/random.hh"
 #include "sim/simulation.hh"
 
 namespace pva
@@ -75,6 +79,58 @@ TEST(AllocFree, SaturatedTickPathAllocatesNothingAfterWarmup)
         << "the saturated tick path heap-allocated "
         << (after - before) << " times after warmup";
     EXPECT_EQ(verifyTrace(trace, sys->memory()), 0u);
+}
+
+/** 200 32-element Indirect reads of target_base + indices[i] (see
+ *  core/indirect.hh), with the indices drawn from @p seed. */
+KernelTrace
+indirectReads(WordAddr target_base, std::uint64_t seed)
+{
+    Random rng(seed);
+    std::vector<WordAddr> indices(200 * 32);
+    for (WordAddr &i : indices)
+        i = rng.below(1 << 20);
+    KernelTrace trace;
+    for (VectorCommand &c :
+         indirectPhase2(target_base, indices, 32, /*is_read=*/true))
+        trace.ops.emplace_back().cmd = std::move(c);
+    return trace;
+}
+
+TEST(AllocFree, IndirectGatherAllocatesNothingAfterWarmup)
+{
+    SystemConfig config;
+    auto sys = makeSystem(SystemKind::PvaSdram, config);
+    Simulation sim(ClockingMode::Event);
+    sim.add(sys.get());
+    const WordAddr target = WordAddr{1} << 22;
+
+    // Warmup: one batch grows the bus latch's, the transaction slots'
+    // and every controller's element lists to an index list's size.
+    {
+        KernelTrace warm = indirectReads(target, 1);
+        VectorCommandUnit vcu(*sys, warm);
+        vcu.run(sim, 10000000);
+    }
+
+    KernelTrace trace = indirectReads(target, 2);
+    VectorCommandUnit vcu(*sys, trace);
+    std::uint64_t before = test::allocationCount();
+    vcu.run(sim, 10000000);
+    std::uint64_t after = test::allocationCount();
+
+    EXPECT_EQ(after - before, 0u)
+        << "200 Indirect reads heap-allocated " << (after - before)
+        << " times after warmup";
+    for (std::size_t k = 0; k < trace.ops.size(); ++k) {
+        const VectorCommand &c = trace.ops[k].cmd;
+        ASSERT_EQ(vcu.readData()[k].size(), c.length);
+        for (std::uint32_t i = 0; i < c.length; ++i) {
+            ASSERT_EQ(vcu.readData()[k][i],
+                      SparseMemory::backgroundPattern(c.element(i)))
+                << "op " << k << " element " << i;
+        }
+    }
 }
 
 /** Heap allocations one makeSystem(@p kind) call makes, counted on a

@@ -11,6 +11,7 @@
 #include "core/pva_unit.hh"
 #include "expect_sim_error.hh"
 #include "kernels/runner.hh"
+#include "recording_system.hh"
 #include "sim/simulation.hh"
 
 namespace pva
@@ -110,6 +111,41 @@ TEST(CommandUnit, IssuesPastBlockedOps)
 
     sim.runUntil([&] { return vcu.service(); });
     EXPECT_EQ(sys.stats().scalar("frontend.writes"), 1u);
+}
+
+TEST(CommandUnit, ARefusalHoldsUntilACompletionDrains)
+{
+    // Two transaction slots and twelve independent reads: the unit
+    // fills both slots and is refused. It may offer again only after
+    // a completion drains, and it submits lowest index first.
+    SystemConfig config;
+    config.bc.transactions = 2;
+    PvaUnit pva("pva", config);
+    test::RecordingSystem sys(pva);
+    KernelTrace trace;
+    for (unsigned i = 0; i < 12; ++i)
+        trace.ops.push_back(makeRead(i * 4096, 1 + i % 5));
+    Simulation sim;
+    sim.add(&pva);
+    VectorCommandUnit vcu(sys, trace);
+    vcu.run(sim, 1000000);
+
+    EXPECT_GT(sys.refusals, 0u);
+    EXPECT_EQ(sys.offersBeforeDrain, 0u);
+    ASSERT_EQ(sys.acceptedTags.size(), trace.ops.size());
+    for (std::size_t i = 0; i < trace.ops.size(); ++i)
+        EXPECT_EQ(sys.acceptedTags[i], i);
+}
+
+TEST(CommandUnit, ADependenceOutsideTheTraceIsRefused)
+{
+    KernelTrace trace;
+    trace.ops.push_back(makeRead(0));
+    trace.ops.push_back(makeWrite(4096, 1, {0, 5}));
+    PvaUnit sys("pva", SystemConfig{});
+    test::expectSimError([&] { VectorCommandUnit vcu(sys, trace); },
+                         SimErrorKind::Config,
+                         "op 1 depends on op 5 of a 2-op trace");
 }
 
 TEST(CommandUnit, CapturesGatheredData)

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/json.hh"
 #include "sim/trace.hh"
 #include "tool_app.hh"
 
@@ -31,7 +32,7 @@ TEST(JsonEnvelope, CarriesSchemaVersionToolAndConfig)
     std::ostringstream os;
     {
         JsonEnvelope env(os, app, config,
-                         {{"kernel", jsonQuote("copy")}});
+                         {{"kernel", json::quote("copy")}});
         env.section("run") << "{\"cycles\": 42}";
     }
     const std::string out = os.str();
@@ -47,9 +48,26 @@ TEST(JsonEnvelope, CarriesSchemaVersionToolAndConfig)
 
 TEST(JsonEnvelope, QuoteEscapesSpecials)
 {
-    EXPECT_EQ(jsonQuote("plain"), "\"plain\"");
-    EXPECT_EQ(jsonQuote("a\"b\\c"), "\"a\\\"b\\\\c\"");
-    EXPECT_EQ(jsonQuote(std::string("x\ny")), "\"x y\"");
+    // Strings reach the envelope through json::escape, so quotes,
+    // backslashes and control characters all come back intact.
+    ToolApp app("enveloped");
+    std::ostringstream os;
+    {
+        JsonEnvelope env(os, app, SystemConfig{},
+                         {{"a\"b", json::quote("a\"b\\c")},
+                          {"path", json::quote("x\ny")}});
+    }
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse(os.str(), doc, error)) << error << os.str();
+    const json::Value *config = doc.find("config");
+    ASSERT_NE(config, nullptr);
+    const json::Value *quoted = config->find("a\"b");
+    ASSERT_NE(quoted, nullptr);
+    EXPECT_EQ(quoted->string(), "a\"b\\c");
+    const json::Value *path = config->find("path");
+    ASSERT_NE(path, nullptr);
+    EXPECT_EQ(path->string(), "x\ny");
 }
 
 } // anonymous namespace

@@ -254,3 +254,20 @@ TEST(FleetScenario, ResultLineEscapesTenantNames)
     ASSERT_NE(name, nullptr);
     EXPECT_EQ(name->string(), "a\"b0");
 }
+
+TEST(FleetScenario, ClashingTenantNamesAreRefused)
+{
+    // Spec "a1" names its one tenant "a1" + index 0, and the eleventh
+    // tenant of spec "a" is "a" + index 10: both "a10".
+    fleet::Scenario sc = fleet::parseScenarioText(
+        R"({"kind": "fleet", "tenants": [
+            {"name": "a1", "count": 1, "streamsPerTenant": 1,
+             "stream": {"requests": 2}},
+            {"name": "a", "count": 11, "streamsPerTenant": 1,
+             "stream": {"requests": 2}}]})");
+    sc.config.jobs = 1;
+    test::expectSimError([&] { fleet::runFleet(sc.config); },
+                         SimErrorKind::Config,
+                         "tenant specs 'a1' and 'a' both name a tenant "
+                         "'a10'");
+}

@@ -14,6 +14,7 @@
 
 #include "core/pva_unit.hh"
 #include "expect_sim_error.hh"
+#include "kernels/sweep.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
 
@@ -532,6 +533,58 @@ TEST_P(WiredOr, TheWidestUnitCompletesEverySlotOnce)
 INSTANTIATE_TEST_SUITE_P(BothClockings, WiredOr,
                          ::testing::Values(ClockingMode::Event,
                                            ClockingMode::Exhaustive));
+
+/** Line slots are 8-bit, so 256 words is the longest line there is. */
+class LongestLine : public ::testing::TestWithParam<ClockingMode>
+{
+};
+
+TEST_P(LongestLine, GathersEverySlotWithTheCheckerOn)
+{
+    SystemConfig config;
+    config.bc.lineWords = BcConfig::kMaxLineWords;
+    config.timingCheck = true;
+    config.clocking = GetParam();
+    std::unique_ptr<MemorySystem> sys =
+        makeSystem(SystemKind::PvaSdram, config);
+    Simulation sim(GetParam());
+    sim.add(sys.get());
+
+    const std::uint32_t len = BcConfig::kMaxLineWords;
+    std::vector<Word> payload(len);
+    for (std::uint32_t i = 0; i < len; ++i)
+        payload[i] = 0x5100 + i;
+    const VectorCommand wr = writeCmd(1 << 16, 3, len);
+    ASSERT_TRUE(sys->trySubmit(wr, 0, &payload));
+    ASSERT_TRUE(sys->trySubmit(readCmd(4096, 1, len), 1, nullptr));
+    VectorCommand back = wr;
+    back.isRead = true;
+    ASSERT_TRUE(sys->trySubmit(back, 2, nullptr));
+    auto done = collectN(*sys, sim, 3);
+
+    ASSERT_EQ(done.size(), 3u);
+    const std::vector<Word> &line = done.at(1).data;
+    ASSERT_EQ(line.size(), len);
+    for (std::uint32_t i = 0; i < len; ++i)
+        EXPECT_EQ(line[i], SparseMemory::backgroundPattern(4096 + i))
+            << "slot " << i;
+    EXPECT_EQ(done.at(2).data, payload);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothClockings, LongestLine,
+                         ::testing::Values(ClockingMode::Event,
+                                           ClockingMode::Exhaustive));
+
+TEST(LongestLine, A512WordLineIsRefused)
+{
+    // Slot 256 would alias slot 0: every word of a stride-1 read would
+    // land in the wrong place, silently unless the checker is on.
+    SystemConfig config;
+    config.bc.lineWords = 512;
+    test::expectSimError(
+        [&] { makeSystem(SystemKind::PvaSdram, config); },
+        SimErrorKind::Config, "line slots are 8-bit");
+}
 
 TEST(PvaUnitDeath, BadSubmitsAreFatal)
 {

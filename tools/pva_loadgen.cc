@@ -36,6 +36,7 @@
 
 #include "core/system_config.hh"
 #include "fleet/scenario.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
 #include "tool_app.hh"
@@ -304,8 +305,8 @@ runSweep(const ToolApp &app, const LoadgenOptions &opts)
     std::vector<LoadPoint> points = runLoadSweep(sc);
     if (opts.json) {
         JsonEnvelope env(std::cout, app, opts.config,
-                         {{"loads", jsonQuote(opts.loads)},
-                          {"systems", jsonQuote(opts.systems)},
+                         {{"loads", json::quote(opts.loads)},
+                          {"systems", json::quote(opts.systems)},
                           {"streams", std::to_string(opts.streams)}});
         writeLoadJson(env.section("loadSweep"), points);
         env.traceSection(app);
@@ -336,9 +337,9 @@ runOnce(const ToolApp &app, const LoadgenOptions &opts)
     if (opts.json) {
         JsonEnvelope env(
             std::cout, app, opts.config,
-            {{"system", jsonQuote(opts.system)},
-             {"policy", jsonQuote(opts.policy)},
-             {"mode", jsonQuote(opts.mode)},
+            {{"system", json::quote(opts.system)},
+             {"policy", json::quote(opts.policy)},
+             {"mode", json::quote(opts.mode)},
              {"streams", std::to_string(opts.streams)},
              {"requests", std::to_string(opts.requests)}});
         r.dumpJson(env.section("traffic"));
@@ -455,8 +456,8 @@ runFleetOnce(const ToolApp &app, const LoadgenOptions &opts)
     if (opts.json) {
         JsonEnvelope env(
             std::cout, app, opts.config,
-            {{"system", jsonQuote(opts.system)},
-             {"policy", jsonQuote(opts.policy)},
+            {{"system", json::quote(opts.system)},
+             {"policy", json::quote(opts.policy)},
              {"tenants", std::to_string(opts.tenants)},
              {"streamsPerTenant",
               std::to_string(opts.streamsPerTenant)},

@@ -19,6 +19,7 @@
 #include "kernels/repro_capsule.hh"
 #include "kernels/trace_file.hh"
 #include "options.hh"
+#include "sim/json.hh"
 #include "sim/sim_error.hh"
 #include "tool_app.hh"
 
@@ -49,14 +50,14 @@ runReplay(const ToolApp &app, const ToolOptions &opts)
     ReplayResult r = replayTrace(*sys, trace, opts.config.clocking);
     if (opts.json) {
         JsonEnvelope env(std::cout, app, opts.config,
-                         {{"system", jsonQuote(opts.system)},
-                          {"traceFile", jsonQuote(opts.tracePath)}});
+                         {{"system", json::quote(opts.system)},
+                          {"traceFile", json::quote(opts.tracePath)}});
         env.section("replay")
             << "{\"commands\": " << r.commands
             << ", \"cycles\": " << r.cycles << ", \"readChecksum\": "
-            << jsonQuote(csprintf("%016llx",
-                                  static_cast<unsigned long long>(
-                                      r.readChecksum)))
+            << json::quote(csprintf("%016llx",
+                                    static_cast<unsigned long long>(
+                                        r.readChecksum)))
             << "}";
         sys->stats().dumpJson(env.section("stats"));
         env.traceSection(app);
@@ -103,12 +104,12 @@ runRepro(const ToolApp &app, const ToolOptions &opts)
                                 : sameSimError(observed, capsule.error);
     if (opts.json) {
         JsonEnvelope env(std::cout, app, capsule.request.config,
-                         {{"capsule", jsonQuote(opts.reproPath)}});
+                         {{"capsule", json::quote(opts.reproPath)}});
         env.section("repro")
             << "{\"reproduced\": " << (reproduced ? "true" : "false")
             << ", \"completed\": " << (completed ? "true" : "false")
-            << ", \"recordedError\": " << jsonQuote(capsule.error)
-            << ", \"observedError\": " << jsonQuote(observed) << "}";
+            << ", \"recordedError\": " << json::quote(capsule.error)
+            << ", \"observedError\": " << json::quote(observed) << "}";
         env.traceSection(app);
     } else if (completed) {
         std::printf("replay completed cleanly (%llu cycles, %zu "

@@ -28,6 +28,7 @@
 #include "kernels/runner.hh"
 #include "kernels/sweep_executor.hh"
 #include "options.hh"
+#include "sim/json.hh"
 #include "tool_app.hh"
 
 using namespace pva;
@@ -99,8 +100,8 @@ runOnce(const ToolApp &app, const ToolOptions &opts)
     if (opts.json) {
         JsonEnvelope env(
             std::cout, app, opts.config,
-            {{"kernel", jsonQuote(spec.name)},
-             {"system", jsonQuote(opts.system)},
+            {{"kernel", json::quote(spec.name)},
+             {"system", json::quote(opts.system)},
              {"stride", std::to_string(opts.stride)},
              {"alignment", std::to_string(opts.alignment)},
              {"elements", std::to_string(opts.elements)}});

@@ -9,6 +9,7 @@
 #include <optional>
 #include <utility>
 
+#include "sim/json.hh"
 #include "sim/sim_error.hh"
 #include "sim/trace.hh"
 
@@ -443,21 +444,6 @@ ToolApp::traceDropped() const
     return traceState->dropped;
 }
 
-std::string
-jsonQuote(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    out += '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += (c >= 0 && c < 0x20) ? ' ' : c;
-    }
-    out += '"';
-    return out;
-}
-
 JsonEnvelope::JsonEnvelope(
     std::ostream &stream, const ToolApp &app,
     const SystemConfig &config,
@@ -466,23 +452,23 @@ JsonEnvelope::JsonEnvelope(
     : os(stream)
 {
     os << "{\"schemaVersion\": " << kJsonSchemaVersion
-       << ", \"tool\": " << jsonQuote(app.toolName())
+       << ", \"tool\": " << json::quote(app.toolName())
        << ", \"config\": {\"banks\": " << config.geometry.banks()
        << ", \"interleave\": " << config.geometry.interleave()
        << ", \"lineWords\": " << config.bc.lineWords
        << ", \"vectorContexts\": " << config.bc.vectorContexts
        << ", \"rowPolicy\": "
-       << jsonQuote(rowPolicyName(config.bc.rowPolicy))
+       << json::quote(rowPolicyName(config.bc.rowPolicy))
        << ", \"refreshInterval\": " << config.timing.tREFI
-       << ", \"backend\": " << jsonQuote(backendName(config.backend))
+       << ", \"backend\": " << json::quote(backendName(config.backend))
        << ", \"clocking\": "
-       << jsonQuote(clockingModeName(config.clocking))
+       << json::quote(clockingModeName(config.clocking))
        << ", \"timingCheck\": "
        << (config.timingCheck ? "true" : "false")
        << ", \"faultsEnabled\": "
        << (config.faults.enabled() ? "true" : "false");
     for (const auto &[key, raw] : config_extras)
-        os << ", " << jsonQuote(key) << ": " << raw;
+        os << ", " << json::quote(key) << ": " << raw;
     os << "}";
 }
 
@@ -504,7 +490,7 @@ JsonEnvelope::traceSection(const ToolApp &app)
     if (!app.traceOptions().active())
         return;
     section("trace")
-        << "{\"out\": " << jsonQuote(app.traceOptions().outPath)
+        << "{\"out\": " << json::quote(app.traceOptions().outPath)
         << ", \"recorded\": " << app.traceRecorded()
         << ", \"dropped\": " << app.traceDropped() << "}";
 }

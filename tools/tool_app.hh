@@ -181,7 +181,7 @@ class JsonEnvelope
   public:
     /**
      * @param config_extras  extra key/value pairs merged into the
-     *        "config" object; values are raw JSON (use jsonQuote for
+     *        "config" object; values are raw JSON (json::quote
      *        strings).
      */
     JsonEnvelope(std::ostream &os, const ToolApp &app,
@@ -206,9 +206,6 @@ class JsonEnvelope
   private:
     std::ostream &os;
 };
-
-/** Quote + escape @p s as a JSON string literal. */
-std::string jsonQuote(const std::string &s);
 
 } // namespace pva::tools
 
