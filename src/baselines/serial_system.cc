@@ -10,7 +10,7 @@ namespace pva
 
 SerialSystem::SerialSystem(std::string name, Kind kind,
                            const SystemConfig &config)
-    : MemorySystem(std::move(name)), kind(kind), cfg(config)
+    : MemorySystem(std::move(name)), kind(kind), cfg(config.validate())
 {
     statSet.addScalar("commands", &statCommands);
     statSet.addScalar(kind == Kind::CacheLine ? "lineFills" : "elements",

@@ -14,7 +14,7 @@ namespace pva
 
 PvaUnit::PvaUnit(std::string name, const SystemConfig &config,
                  bool use_sram)
-    : MemorySystem(std::move(name)), cfg(config), sram(use_sram),
+    : MemorySystem(std::move(name)), cfg(config.validate()), sram(use_sram),
       vectorBus(config.bc.lineWords), txns(config.bc.transactions)
 {
     const unsigned banks = cfg.geometry.banks();

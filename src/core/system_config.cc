@@ -1,5 +1,7 @@
 #include "core/system_config.hh"
 
+#include <sstream>
+
 #include "sim/json.hh"
 
 namespace pva
@@ -37,34 +39,35 @@ configToJson(const SystemConfig &c)
 {
     const Geometry &g = c.geometry;
     const SdramTiming &t = c.timing;
+    const BcConfig &b = c.bc;
     const FaultPlan &f = c.faults;
-    auto flag = [](bool b) { return b ? "true" : "false"; };
-    return csprintf(
-        "{\"geometry\": {\"banks\": %u, \"interleave\": %u, "
-        "\"colBits\": %u, \"ibankBits\": %u, \"rowBits\": %u}, "
-        "\"timing\": {\"tRCD\": %u, \"tCL\": %u, \"tRP\": %u, "
-        "\"tRAS\": %u, \"tRC\": %u, \"tWR\": %u, \"tREFI\": %u, "
-        "\"tRFC\": %u}, "
-        "\"bc\": {\"fifoEntries\": %u, \"vectorContexts\": %u, "
-        "\"lineWords\": %u, \"transactions\": %u, \"fhcLatency\": %u, "
-        "\"bypassEnabled\": %s, \"rowPolicy\": \"%s\"}, "
-        "\"optimisticLineReuse\": %s, "
-        "\"timingCheck\": %s, \"clocking\": \"%s\", "
-        "\"backend\": \"%s\", \"salpSubarrays\": %u, "
-        "\"refreshDeferWindow\": %u, "
-        "\"faults\": {\"seed\": %llu, \"refreshStallRate\": %.17g, "
-        "\"bcStallRate\": %.17g, \"dropTransferRate\": %.17g, "
-        "\"corruptFirstHitRate\": %.17g}}",
-        g.banks(), g.interleave(), g.colBits(), g.internalBankBits(),
-        g.rowBits(), t.tRCD, t.tCL, t.tRP, t.tRAS, t.tRC, t.tWR,
-        t.tREFI, t.tRFC, c.bc.fifoEntries, c.bc.vectorContexts,
-        c.bc.lineWords, c.bc.transactions, c.bc.fhcLatency,
-        flag(c.bc.bypassEnabled), rowPolicyName(c.bc.rowPolicy),
-        flag(c.optimisticLineReuse),
-        flag(c.timingCheck), clockingModeName(c.clocking),
-        backendName(c.backend), c.salpSubarrays, c.refreshDeferWindow,
-        static_cast<unsigned long long>(f.seed), f.refreshStallRate,
-        f.bcStallRate, f.dropTransferRate, f.corruptFirstHitRate);
+    std::ostringstream os;
+    json::Writer w(os);
+    w.beginObject().key("geometry").beginObject();
+    w.field("banks", g.banks()).field("interleave", g.interleave());
+    w.field("colBits", g.colBits()).field("ibankBits", g.internalBankBits());
+    w.field("rowBits", g.rowBits()).end().key("timing").beginObject();
+    w.field("tRCD", t.tRCD).field("tCL", t.tCL).field("tRP", t.tRP);
+    w.field("tRAS", t.tRAS).field("tRC", t.tRC).field("tWR", t.tWR);
+    w.field("tREFI", t.tREFI).field("tRFC", t.tRFC).end();
+    w.key("bc").beginObject().field("fifoEntries", b.fifoEntries);
+    w.field("vectorContexts", b.vectorContexts);
+    w.field("lineWords", b.lineWords).field("transactions", b.transactions);
+    w.field("fhcLatency", b.fhcLatency);
+    w.field("bypassEnabled", b.bypassEnabled);
+    w.field("rowPolicy", rowPolicyName(b.rowPolicy)).end();
+    w.field("optimisticLineReuse", c.optimisticLineReuse);
+    w.field("timingCheck", c.timingCheck);
+    w.field("clocking", clockingModeName(c.clocking));
+    w.field("backend", backendName(c.backend));
+    w.field("salpSubarrays", c.salpSubarrays);
+    w.field("refreshDeferWindow", c.refreshDeferWindow);
+    w.key("faults").beginObject().field("seed", f.seed);
+    w.key("refreshStallRate").exact(f.refreshStallRate);
+    w.key("bcStallRate").exact(f.bcStallRate);
+    w.key("dropTransferRate").exact(f.dropTransferRate);
+    w.key("corruptFirstHitRate").exact(f.corruptFirstHitRate).end().end();
+    return os.str();
 }
 
 SystemConfig

@@ -103,14 +103,16 @@ struct SystemConfig
 
     /**
      * Reject unsupportable configurations with a SimError(Config)
-     * naming the offending knob. Called by makeSystem() so every
-     * construction path — tools, benches, sweep points — fails fast
-     * with a message instead of misbehaving downstream.
+     * naming the offending knob; return this config otherwise. Every
+     * memory system validates the config it is given in its first
+     * member initializer, so every construction path — tools, benches,
+     * sweep points, direct construction — fails fast with a message
+     * instead of misbehaving downstream.
      *
      * (Geometry's own constructor already rejects non-power-of-two
      * bank counts and interleave factors.)
      */
-    void
+    const SystemConfig &
     validate() const
     {
         auto reject = [](const std::string &detail) {
@@ -160,6 +162,7 @@ struct SystemConfig
         checkRate(faults.dropTransferRate, "dropTransferRate");
         checkRate(faults.corruptFirstHitRate, "corruptFirstHitRate");
         checkRefreshRoom(timing, backendPolicy());
+        return *this;
     }
 };
 

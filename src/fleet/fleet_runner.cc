@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <ostream>
 #include <unordered_map>
 #include <utility>
 
@@ -48,43 +47,32 @@ struct ShardOutcome
 void
 FleetResult::dumpJson(std::ostream &os) const
 {
-    os << "{\"cycles\": " << cycles << ", \"shards\": " << shards
-       << ", \"tenants\": " << tenants << ", \"streams\": " << streams
-       << ", \"completed\": " << completed << ", \"words\": " << words
-       << ", \"grants\": " << grants << ", \"shed\": " << shed
-       << ", \"shedRate\": " << shedRate
-       << ", \"requestsPerKilocycle\": " << requestsPerKilocycle
-       << ", \"wordsPerCycle\": " << wordsPerCycle
-       << ", \"meanInFlight\": " << meanInFlight
-       << ", \"simTicks\": " << simTicks
-       << ", \"cyclesSkipped\": " << cyclesSkipped
-       << ", \"busGrants\": " << busGrants
-       << ", \"busSheds\": " << busSheds << ", ";
-    jsonSummary(os, "queueDelay", queueDelay);
-    os << ", ";
-    jsonSummary(os, "serviceLatency", serviceLatency);
-    os << ", ";
-    jsonSummary(os, "totalLatency", totalLatency);
-    os << ", \"tenantResults\": [";
-    for (std::size_t i = 0; i < tenantResults.size(); ++i) {
-        const TenantResult &t = tenantResults[i];
-        os << (i ? ", " : "") << "{\"name\": \""
-           << json::escape(t.name) << "\", \"shard\": " << t.shard
-           << ", \"arrivals\": " << t.arrivals
-           << ", \"completed\": " << t.completed
-           << ", \"deferrals\": " << t.deferrals
-           << ", \"shedDeadline\": " << t.shedDeadline
-           << ", \"shedOverload\": " << t.shedOverload
-           << ", \"queuePeak\": " << t.queuePeak
-           << ", \"words\": " << t.words << ", ";
-        jsonSummary(os, "queueDelay", t.queueDelay);
-        os << ", ";
-        jsonSummary(os, "serviceLatency", t.serviceLatency);
-        os << ", ";
-        jsonSummary(os, "totalLatency", t.totalLatency);
-        os << "}";
+    json::Writer w(os);
+    w.beginObject().field("cycles", cycles).field("shards", shards);
+    w.field("tenants", tenants).field("streams", streams);
+    w.field("completed", completed).field("words", words);
+    w.field("grants", grants).field("shed", shed).field("shedRate", shedRate);
+    w.field("requestsPerKilocycle", requestsPerKilocycle);
+    w.field("wordsPerCycle", wordsPerCycle).field("meanInFlight", meanInFlight);
+    w.field("simTicks", simTicks).field("cyclesSkipped", cyclesSkipped);
+    w.field("busGrants", busGrants).field("busSheds", busSheds);
+    jsonSummary(w, "queueDelay", queueDelay);
+    jsonSummary(w, "serviceLatency", serviceLatency);
+    jsonSummary(w, "totalLatency", totalLatency);
+    w.key("tenantResults").beginArray();
+    for (const TenantResult &t : tenantResults) {
+        w.beginObject().field("name", t.name).field("shard", t.shard);
+        w.field("arrivals", t.arrivals).field("completed", t.completed);
+        w.field("deferrals", t.deferrals);
+        w.field("shedDeadline", t.shedDeadline);
+        w.field("shedOverload", t.shedOverload);
+        w.field("queuePeak", t.queuePeak).field("words", t.words);
+        jsonSummary(w, "queueDelay", t.queueDelay);
+        jsonSummary(w, "serviceLatency", t.serviceLatency);
+        jsonSummary(w, "totalLatency", t.totalLatency);
+        w.end();
     }
-    os << "]}";
+    w.end().end();
 }
 
 FleetResult

@@ -1,7 +1,6 @@
 #include "fleet/scenario.hh"
 
 #include <fstream>
-#include <ostream>
 #include <sstream>
 
 #include "kernels/sweep.hh"
@@ -199,11 +198,11 @@ void
 writeScenarioResult(std::ostream &os, const Scenario &scenario,
                     const FleetResult &result)
 {
-    os << "{\"schemaVersion\": 1, \"tool\": \"pva_loadgen\", "
-          "\"scenario\": \""
-       << json::escape(scenario.name) << "\", \"fleet\": ";
-    result.dumpJson(os);
-    os << "}\n";
+    json::Writer w(os);
+    w.beginObject().field("schemaVersion", 1).field("tool", "pva_loadgen");
+    w.field("scenario", scenario.name);
+    result.dumpJson(w.key("fleet").nested());
+    w.end().newline();
 }
 
 } // namespace pva::fleet

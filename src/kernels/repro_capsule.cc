@@ -28,29 +28,22 @@ void
 writeCapsule(std::ostream &os, const ReproCapsule &capsule)
 {
     const SweepRequest &req = capsule.request;
-    os << "{\n"
-       << "  \"schemaVersion\": " << ReproCapsule::kSchemaVersion
-       << ",\n"
-       << "  \"kind\": \"" << ReproCapsule::kKind << "\",\n"
-       << "  \"fingerprint\": \""
-       << csprintf("%016llx", static_cast<unsigned long long>(
-                                  capsule.fingerprint))
-       << "\",\n"
-       << "  \"attempts\": " << capsule.attempts << ",\n"
-       << "  \"error\": \"" << json::escape(capsule.error) << "\",\n"
-       << "  \"request\": {\n"
-       << "    \"system\": \"" << systemShortName(req.system)
-       << "\",\n"
-       << "    \"kernel\": \"" << kernelSpec(req.kernel).name
-       << "\",\n"
-       << "    \"stride\": " << req.stride << ",\n"
-       << "    \"alignment\": " << req.alignment << ",\n"
-       << "    \"elements\": " << req.elements << ",\n"
-       << "    \"maxCycles\": " << req.limits.maxCycles << ",\n"
-       << "    \"timeoutMillis\": "
-       << csprintf("%.17g", req.limits.timeoutMillis) << ",\n"
-       << "    \"config\": " << configToJson(req.config) << "\n"
-       << "  }\n}\n";
+    constexpr auto block = json::Writer::Layout::Block;
+    json::Writer w(os);
+    w.beginObject(block).field("schemaVersion", ReproCapsule::kSchemaVersion);
+    w.field("kind", ReproCapsule::kKind).key("fingerprint");
+    w.value(csprintf("%016llx",
+                     static_cast<unsigned long long>(capsule.fingerprint)));
+    w.field("attempts", capsule.attempts).field("error", capsule.error);
+    w.key("request").beginObject(block);
+    w.field("system", systemShortName(req.system));
+    w.field("kernel", kernelSpec(req.kernel).name);
+    w.field("stride", req.stride).field("alignment", req.alignment);
+    w.field("elements", req.elements);
+    w.field("maxCycles", req.limits.maxCycles);
+    w.key("timeoutMillis").exact(req.limits.timeoutMillis);
+    w.key("config").nested() << configToJson(req.config);
+    w.end().end().newline();
 }
 
 void

@@ -68,7 +68,6 @@ parseSystemKind(const std::string &name, SystemKind &out)
 std::unique_ptr<MemorySystem>
 makeSystem(SystemKind kind, const SystemConfig &config)
 {
-    config.validate();
     const std::string name = systemShortName(kind);
     switch (kind) {
       case SystemKind::PvaSdram:

@@ -44,36 +44,29 @@ ensureDirectory(const std::string &path)
 void
 SweepReport::dumpJson(std::ostream &os) const
 {
-    os << "{\n"
-       << "  \"points\": " << points.size() << ",\n"
-       << "  \"ok\": " << ok << ",\n"
-       << "  \"retried\": " << retried << ",\n"
-       << "  \"failed\": " << failed << ",\n"
-       << "  \"simTicks\": " << simTicks << ",\n"
-       << "  \"cyclesSkipped\": " << cyclesSkipped << ",\n"
-       << "  \"failures\": [";
-    for (std::size_t i = 0; i < failures.size(); ++i) {
-        const PointFailure &f = failures[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"index\": " << f.index
-           << ", \"system\": \"" << systemShortName(f.system)
-           << "\", \"kernel\": \"" << kernelSpec(f.kernel).name
-           << "\", \"stride\": " << f.stride
-           << ", \"alignment\": " << f.alignment
-           << ", \"attempts\": " << f.attempts << ", \"error\": \""
-           << json::escape(f.error) << "\"}";
+    constexpr auto block = json::Writer::Layout::Block;
+    json::Writer w(os);
+    w.beginObject(block).field("points", points.size()).field("ok", ok);
+    w.field("retried", retried).field("failed", failed);
+    w.field("simTicks", simTicks).field("cyclesSkipped", cyclesSkipped);
+    w.key("failures").beginArray(block);
+    for (const PointFailure &f : failures) {
+        w.beginObject().field("index", f.index);
+        w.field("system", systemShortName(f.system));
+        w.field("kernel", kernelSpec(f.kernel).name);
+        w.field("stride", f.stride).field("alignment", f.alignment);
+        w.field("attempts", f.attempts).field("error", f.error).end();
     }
-    os << (failures.empty() ? "],\n" : "\n  ],\n") << "  \"quarantine\": [";
-    for (std::size_t i = 0; i < quarantine.size(); ++i) {
-        const QuarantineRecord &q = quarantine[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"index\": " << q.index
-           << ", \"attempts\": " << q.attempts << ", \"fingerprint\": \""
-           << csprintf("%016llx",
-                       static_cast<unsigned long long>(q.fingerprint))
-           << "\", \"faultSeed\": " << q.faultSeed << ", \"capsule\": \""
-           << json::escape(q.capsulePath) << "\", \"error\": \""
-           << json::escape(q.error) << "\"}";
+    w.end().key("quarantine").beginArray(block);
+    for (const QuarantineRecord &q : quarantine) {
+        w.beginObject().field("index", q.index);
+        w.field("attempts", q.attempts).key("fingerprint");
+        w.value(csprintf("%016llx",
+                         static_cast<unsigned long long>(q.fingerprint)));
+        w.field("faultSeed", q.faultSeed).field("capsule", q.capsulePath);
+        w.field("error", q.error).end();
     }
-    os << (quarantine.empty() ? "]\n" : "\n  ]\n") << "}\n";
+    w.end().end().newline();
 }
 
 SweepExecutor::SweepExecutor(unsigned jobs) : workerCount(jobs)

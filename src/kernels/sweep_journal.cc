@@ -76,30 +76,32 @@ journalError(const std::string &path, SimErrorKind kind,
 std::string
 headerLine(std::uint64_t fingerprint, std::size_t points)
 {
-    return csprintf("{\"schemaVersion\": %d, \"kind\": \"%s\", "
-                    "\"fingerprint\": \"%016llx\", \"points\": %zu}\n",
-                    SweepJournal::kSchemaVersion, SweepJournal::kKind,
-                    static_cast<unsigned long long>(fingerprint),
-                    points);
+    std::ostringstream os;
+    json::Writer w(os);
+    w.beginObject().field("schemaVersion", SweepJournal::kSchemaVersion);
+    w.field("kind", SweepJournal::kKind).key("fingerprint");
+    w.value(csprintf("%016llx", static_cast<unsigned long long>(fingerprint)));
+    w.field("points", points).end().newline();
+    return os.str();
 }
 
 std::string
 recordLine(const JournalRecord &record)
 {
     const SweepPoint &p = record.point;
-    return csprintf(
-        "{\"index\": %zu, \"system\": \"%s\", \"kernel\": \"%s\", "
-        "\"stride\": %u, \"alignment\": %u, \"cycles\": %llu, "
-        "\"mismatches\": %zu, \"simTicks\": %llu, "
-        "\"cyclesSkipped\": %llu, \"status\": \"%s\", "
-        "\"attempts\": %u, \"error\": \"%s\"}\n",
-        record.index, systemShortName(p.system),
-        kernelSpec(p.kernel).name.c_str(), p.stride, p.alignment,
-        static_cast<unsigned long long>(p.cycles), p.mismatches,
-        static_cast<unsigned long long>(p.simTicks),
-        static_cast<unsigned long long>(p.cyclesSkipped),
-        pointStatusName(p.status), p.attempts,
-        json::escape(record.error).c_str());
+    std::ostringstream os;
+    json::Writer w(os);
+    w.beginObject().field("index", record.index);
+    w.field("system", systemShortName(p.system));
+    w.field("kernel", kernelSpec(p.kernel).name);
+    w.field("stride", p.stride).field("alignment", p.alignment);
+    w.field("cycles", p.cycles).field("mismatches", p.mismatches);
+    w.field("simTicks", p.simTicks);
+    w.field("cyclesSkipped", p.cyclesSkipped);
+    w.field("status", pointStatusName(p.status));
+    w.field("attempts", p.attempts).field("error", record.error);
+    w.end().newline();
+    return os.str();
 }
 
 /** Extract one journal record; any missing or ill-typed field throws

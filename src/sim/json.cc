@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <ostream>
 
 #include "sim/logging.hh"
 
@@ -232,67 +233,33 @@ class Parser
             }
             if (pos + 1 >= in.size())
                 return fail("unterminated escape");
-            char esc = in[pos + 1];
+            const char esc = in[pos + 1];
             pos += 2;
-            switch (esc) {
-              case '"':
-                out += '"';
-                break;
-              case '\\':
-                out += '\\';
-                break;
-              case '/':
-                out += '/';
-                break;
-              case 'b':
-                out += '\b';
-                break;
-              case 'f':
-                out += '\f';
-                break;
-              case 'n':
-                out += '\n';
-                break;
-              case 'r':
-                out += '\r';
-                break;
-              case 't':
-                out += '\t';
-                break;
-              case 'u': {
-                if (pos + 4 > in.size())
-                    return fail("truncated \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = in[pos + i];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= h - '0';
-                    else if (h >= 'a' && h <= 'f')
-                        code |= h - 'a' + 10;
-                    else if (h >= 'A' && h <= 'F')
-                        code |= h - 'A' + 10;
-                    else
-                        return fail("invalid \\u escape digit");
-                }
-                pos += 4;
-                // The writers only escape control characters, so
-                // basic-plane UTF-8 encoding suffices here.
-                if (code < 0x80) {
-                    out += static_cast<char>(code);
-                } else if (code < 0x800) {
-                    out += static_cast<char>(0xc0 | (code >> 6));
-                    out += static_cast<char>(0x80 | (code & 0x3f));
-                } else {
-                    out += static_cast<char>(0xe0 | (code >> 12));
-                    out +=
-                        static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-                    out += static_cast<char>(0x80 | (code & 0x3f));
-                }
-                break;
-              }
-              default:
+            static constexpr std::string_view coded = "\"\\/bfnrt";
+            static constexpr std::string_view raw = "\"\\/\b\f\n\r\t";
+            if (const auto k = coded.find(esc); k != coded.npos) {
+                out += raw[k];
+                continue;
+            }
+            if (esc != 'u')
                 return fail("unknown escape character");
+            unsigned code = 0;
+            const char *hex = in.data() + pos;
+            if (pos + 4 > in.size() ||
+                std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4)
+                return fail("invalid \\u escape");
+            pos += 4;
+            // The writer emits hex escapes for control characters
+            // only, so basic-plane UTF-8 encoding suffices here.
+            if (code < 0x80) {
+                out += static_cast<char>(code);
+            } else if (code < 0x800) {
+                out += static_cast<char>(0xc0 | (code >> 6));
+                out += static_cast<char>(0x80 | (code & 0x3f));
+            } else {
+                out += static_cast<char>(0xe0 | (code >> 12));
+                out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+                out += static_cast<char>(0x80 | (code & 0x3f));
             }
         }
         return fail("unterminated string");
@@ -349,47 +316,103 @@ parse(const std::string &input, Value &out, std::string &error)
     return Parser(input, error).parseDocument(out);
 }
 
-std::string
-escape(const std::string &s)
+namespace
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
+
+/** Append @p s to @p out as a JSON string literal: the one escaper. */
+void
+appendString(std::string &out, std::string_view s)
+{
+    static constexpr std::string_view raw = "\"\\\n\r\t", coded = "\"\\nrt";
+    out += '"';
+    std::size_t run = 0; // start of the pending run of plain bytes
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.substr(run, i - run));
+        run = i + 1;
+        char esc[8];
+        if (const auto k = raw.find(s[i]); k != raw.npos)
+            std::snprintf(esc, sizeof(esc), "\\%c", coded[k]);
+        else
+            std::snprintf(esc, sizeof(esc), "\\u%04x", c);
+        out += esc;
     }
-    return out;
+    out.append(s.substr(run));
+    out += '"';
 }
 
-std::string
-quote(const std::string &s)
+} // anonymous namespace
+
+void
+Writer::separate()
 {
-    return '"' + escape(s) + '"';
+    if (std::exchange(afterKey, false) || frames.empty())
+        return;
+    Frame &f = frames.back();
+    if (!f.empty)
+        buf += f.layout == Layout::Block ? "," : ", ";
+    if (f.layout == Layout::Block)
+        buf.append(1, '\n').append(blockDepth * indentWidth, ' ');
+    f.empty = false;
+}
+
+Writer &
+Writer::flush(bool always)
+{
+    if (always || frames.empty() || buf.size() >= kFlushBytes) {
+        os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+        buf.clear();
+    }
+    return *this;
+}
+
+Writer &
+Writer::open(char bracket, char close, Layout layout)
+{
+    separate();
+    buf += bracket;
+    frames.push_back({close, layout, true});
+    blockDepth += layout == Layout::Block;
+    return *this;
+}
+
+Writer &
+Writer::end()
+{
+    const Frame f = frames.back();
+    frames.pop_back();
+    blockDepth -= f.layout == Layout::Block;
+    if (f.layout == Layout::Block && !f.empty)
+        buf.append(1, '\n').append(blockDepth * indentWidth, ' ');
+    buf += f.close;
+    return flush();
+}
+
+Writer &
+Writer::key(std::string_view name)
+{
+    value(name);
+    buf += ": ";
+    afterKey = true;
+    return *this;
+}
+
+Writer &
+Writer::value(std::string_view s)
+{
+    separate();
+    appendString(buf, s);
+    return flush();
+}
+
+Writer &
+Writer::number(const char *format, double d)
+{
+    char text[32];
+    std::snprintf(text, sizeof(text), format, d);
+    return put(text);
 }
 
 Reader::Reader(const Value &v, std::string path, Errors errs)

@@ -1,32 +1,40 @@
 /**
  * @file
- * A minimal JSON reader for the durability layer.
+ * The simulator's JSON codec: one reader and one writer.
  *
- * The checkpoint journal (kernels/sweep_journal.hh) and the repro
- * capsules (kernels/repro_capsule.hh) persist simulator state as JSON
- * and must read it back without any external dependency, so this file
- * provides the small recursive-descent parser they share. It parses
- * the full JSON grammar into a Value tree; numbers keep their source
- * text so 64-bit integers (seeds, fingerprints, cycle counts) round
- * trip exactly instead of passing through a double.
+ * Every document the simulator persists or reports is JSON: the
+ * checkpoint journal (kernels/sweep_journal.hh), the repro capsules
+ * (kernels/repro_capsule.hh), the SystemConfig codec, fleet scenarios,
+ * the tools' --json envelope, stat dumps, traffic and fleet results
+ * and the Perfetto export. All of them are read and written here,
+ * without any external dependency.
  *
- * Reader layers strict typed field access over a parsed object; the
- * journal, the capsules, the SystemConfig codec and the scenario
- * parser all read through it, so every document reports a missing,
- * ill-typed or unknown key the same way.
+ * parse() is a small recursive-descent parser over the full JSON
+ * grammar into a Value tree; numbers keep their source text so 64-bit
+ * integers (seeds, fingerprints, cycle counts) round trip exactly
+ * instead of passing through a double. Reader layers strict typed
+ * field access over a parsed object, so every document reports a
+ * missing, ill-typed or unknown key the same way.
  *
- * This is a reader for trusted, tool-generated input with clear
- * diagnostics on corruption — not a general-purpose JSON library. The
- * writers stay hand-rolled ostream code as everywhere else in the
- * repo (deterministic byte-for-byte output is part of their contract).
+ * Writer streams a document to a std::ostream without building a
+ * tree. It alone escapes strings, places separators and line breaks,
+ * and formats numbers, so the byte-for-byte output every golden and
+ * fingerprint depends on is decided in one file.
+ *
+ * This is a codec for trusted, tool-generated documents with clear
+ * diagnostics on corruption — not a general-purpose JSON library.
  */
 
 #ifndef PVA_SIM_JSON_HH
 #define PVA_SIM_JSON_HH
 
+#include <charconv>
 #include <cstdint>
 #include <initializer_list>
+#include <iosfwd>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -100,12 +108,88 @@ class Value
  */
 bool parse(const std::string &input, Value &out, std::string &error);
 
-/** Escape @p s for embedding inside a JSON string literal (quotes not
- *  included). The writer-side counterpart of parse(). */
-std::string escape(const std::string &s);
+/**
+ * Streaming JSON writer, the counterpart of parse(). The writer alone
+ * escapes strings (keys included), places separators and line breaks,
+ * and formats numbers. It buffers its text and writes it to the stream
+ * once the top-level value is complete, when nested() hands the stream
+ * out, and every kFlushBytes in between.
+ *
+ * Layout is per container. Inline keeps its members on the current
+ * line: {"a": 1, "b": [2, 3]}. Block puts each member on a line of its
+ * own, indented @p indent spaces per open Block container, and closes
+ * on a line of its own ("[]" when empty).
+ *
+ * Integers print exactly. value(double) prints as a default
+ * std::ostream does, six significant digits (reported rates and
+ * means); exact(double) prints %.17g, which reads back bit for bit.
+ */
+class Writer
+{
+  public:
+    enum class Layout { Inline, Block };
 
-/** @p s as a JSON string literal: escape() inside double quotes. */
-std::string quote(const std::string &s);
+    explicit Writer(std::ostream &out, unsigned indent = 2)
+        : os(out), indentWidth(indent) {}
+
+    Writer &beginObject(Layout l = Layout::Inline) { return open('{', '}', l); }
+    Writer &beginArray(Layout l = Layout::Inline) { return open('[', ']', l); }
+    /** Close the innermost open object or array. */
+    Writer &end();
+    /** Start member @p name; the next call writes its value. */
+    Writer &key(std::string_view name);
+
+    Writer &value(std::string_view s);
+    Writer &value(const char *s) { return value(std::string_view(s)); }
+    Writer &value(bool b) { return put(b ? "true" : "false"); }
+    Writer &value(double d) { return number("%g", d); }
+    Writer &exact(double d) { return number("%.17g", d); }
+    template <typename T, std::enable_if_t<std::is_integral_v<T>, int> = 0>
+    Writer &value(T n)
+    {
+        char digits[24];
+        return put({digits, std::to_chars(digits, digits + 24, n).ptr});
+    }
+
+    /** key(@p name).value(@p v) */
+    template <typename T>
+    Writer &field(std::string_view name, const T &v)
+    {
+        return key(name).value(v);
+    }
+
+    /** Place the next value and hand back the stream for another
+     *  Writer to write it (a nested document, such as a stat dump). */
+    std::ostream &nested() { separate(); flush(true); return os; }
+    /** End the line after the last value written. */
+    Writer &newline() { buf += '\n'; return flush(); }
+
+  private:
+    struct Frame { char close; Layout layout; bool empty; };
+    static constexpr std::size_t kFlushBytes = 1 << 14;
+
+    Writer &open(char bracket, char close, Layout layout);
+    /** The next value, verbatim. */
+    Writer &
+    put(std::string_view text)
+    {
+        separate();
+        buf += text;
+        return flush();
+    }
+    Writer &number(const char *format, double d);
+    void separate();
+    /** Write the buffer out when @p always, at the top level, or once
+     *  it holds kFlushBytes. */
+    Writer &flush(bool always = false);
+
+    std::ostream &os;
+    unsigned indentWidth;
+    unsigned blockDepth = 0;
+    bool afterKey = false;
+    std::vector<Frame> frames;
+    std::string buf; ///< Text not yet written to os
+};
 
 /**
  * Strict typed reads over one JSON object. Required reads fail on a

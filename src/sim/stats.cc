@@ -1,5 +1,6 @@
 #include "sim/stats.hh"
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace pva
@@ -276,56 +277,31 @@ StatSet::dump(std::ostream &os) const
 }
 
 void
-StatSet::dumpCsv(std::ostream &os) const
-{
-    os << "stat,value\n";
-    for (const auto &[name, stat] : scalars)
-        os << name << "," << stat->value() << "\n";
-}
-
-void
 StatSet::dumpJson(std::ostream &os) const
 {
-    os << "{\"scalars\": {";
-    bool first = true;
-    for (const auto &[name, stat] : scalars) {
-        os << (first ? "" : ", ") << '"' << name
-           << "\": " << stat->value();
-        first = false;
-    }
-    os << "}, \"distributions\": {";
-    first = true;
+    json::Writer w(os);
+    w.beginObject().key("scalars").beginObject();
+    for (const auto &[name, stat] : scalars)
+        w.field(name, stat->value());
+    w.end().key("distributions").beginObject();
     for (const auto &[name, stat] : distributions) {
-        os << (first ? "" : ", ") << '"' << name << "\": {"
-           << "\"samples\": " << stat->samples()
-           << ", \"min\": " << stat->minValue()
-           << ", \"max\": " << stat->maxValue()
-           << ", \"mean\": " << stat->mean()
-           << ", \"bucketWidth\": " << stat->bucketWidth()
-           << ", \"buckets\": [";
-        bool first_bucket = true;
-        for (std::uint64_t b : stat->buckets()) {
-            os << (first_bucket ? "" : ", ") << b;
-            first_bucket = false;
-        }
-        os << "]}";
-        first = false;
+        w.key(name).beginObject().field("samples", stat->samples());
+        w.field("min", stat->minValue()).field("max", stat->maxValue());
+        w.field("mean", stat->mean());
+        w.field("bucketWidth", stat->bucketWidth()).key("buckets").beginArray();
+        for (std::uint64_t b : stat->buckets())
+            w.value(b);
+        w.end().end();
     }
-    os << "}, \"histograms\": {";
-    first = true;
+    w.end().key("histograms").beginObject();
     for (const auto &[name, stat] : histograms) {
-        os << (first ? "" : ", ") << '"' << name << "\": {"
-           << "\"samples\": " << stat->samples()
-           << ", \"min\": " << stat->minValue()
-           << ", \"max\": " << stat->maxValue()
-           << ", \"mean\": " << stat->mean()
-           << ", \"p50\": " << stat->p50()
-           << ", \"p95\": " << stat->p95()
-           << ", \"p99\": " << stat->p99()
-           << ", \"p999\": " << stat->p999() << "}";
-        first = false;
+        w.key(name).beginObject().field("samples", stat->samples());
+        w.field("min", stat->minValue()).field("max", stat->maxValue());
+        w.field("mean", stat->mean()).field("p50", stat->p50());
+        w.field("p95", stat->p95()).field("p99", stat->p99());
+        w.field("p999", stat->p999()).end();
     }
-    os << "}}\n";
+    w.end().end().newline();
 }
 
 } // namespace pva

@@ -3,7 +3,7 @@
  * Minimal gem5-flavoured statistics package.
  *
  * Components own Scalar and Distribution stats registered with a StatSet;
- * harnesses dump the set as text or CSV at the end of a run.
+ * harnesses dump the set as text or JSON at the end of a run.
  */
 
 #ifndef PVA_SIM_STATS_HH
@@ -178,9 +178,6 @@ class StatSet
 
     /** Dump all stats, one per line, "name value" sorted by name. */
     void dump(std::ostream &os) const;
-
-    /** Dump as CSV with a header row. */
-    void dumpCsv(std::ostream &os) const;
 
     /**
      * Dump as a JSON object for structured harness export:

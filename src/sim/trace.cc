@@ -4,7 +4,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <ostream>
+
+#include "sim/json.hh"
 
 namespace pva::trace
 {
@@ -13,29 +14,6 @@ namespace
 {
 
 std::atomic<TraceSession *> currentSession{nullptr};
-
-/** Escape a registry string for JSON (names in events are literals). */
-void
-writeJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                os << ' ';
-            else
-                os << c;
-        }
-    }
-    os << '"';
-}
 
 } // anonymous namespace
 
@@ -214,58 +192,47 @@ TraceSession::exportChromeJson(std::ostream &os) const
                          return buffer[a].ts < buffer[b].ts;
                      });
 
-    os << "{\n\"traceEvents\": [";
-    bool first = true;
-    auto sep = [&]() {
-        os << (first ? "\n" : ",\n");
-        first = false;
-    };
+    // One event per line from column 0: a Block layout indented by 0.
+    constexpr auto block = json::Writer::Layout::Block;
+    json::Writer w(os, 0);
+    w.beginObject(block).key("traceEvents").beginArray(block);
 
     // Metadata: names for every process and enabled track.
     for (std::size_t p = 0; p < processes.size(); ++p) {
-        sep();
-        os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": "
-           << (p + 1) << ", \"tid\": 0, \"args\": {\"name\": ";
-        writeJsonString(os, processes[p]);
-        os << "}}";
+        w.beginObject().field("name", "process_name").field("ph", "M");
+        w.field("pid", p + 1).field("tid", 0).key("args").beginObject();
+        w.field("name", processes[p]).end().end();
     }
     for (std::size_t t = 0; t < tracks.size(); ++t) {
-        sep();
-        os << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": "
-           << tracks[t].pid << ", \"tid\": " << (t + 1)
-           << ", \"args\": {\"name\": ";
-        writeJsonString(os, tracks[t].track);
-        os << "}}";
+        w.beginObject().field("name", "thread_name").field("ph", "M");
+        w.field("pid", tracks[t].pid).field("tid", t + 1).key("args");
+        w.beginObject().field("name", tracks[t].track).end().end();
     }
 
     for (std::uint32_t idx : order) {
         const Event &e = buffer[idx];
         if (e.track == 0 || e.track > tracks.size())
             continue; // defensive: never emit an unmapped tid
-        const TrackMeta &meta = tracks[e.track - 1];
-        sep();
-        os << "{\"name\": \"" << (e.name ? e.name : "?")
-           << "\", \"ph\": \"" << static_cast<char>(e.phase)
-           << "\", \"ts\": " << e.ts << ", \"pid\": " << meta.pid
-           << ", \"tid\": " << e.track;
+        const char phase = static_cast<char>(e.phase);
+        w.beginObject().field("name", e.name ? e.name : "?");
+        w.field("ph", std::string_view(&phase, 1)).field("ts", e.ts);
+        w.field("pid", tracks[e.track - 1].pid).field("tid", e.track);
         if (e.phase == Phase::Instant)
-            os << ", \"s\": \"t\"";
+            w.field("s", "t");
         if (e.key1 || e.key2) {
-            os << ", \"args\": {";
+            w.key("args").beginObject();
             if (e.key1)
-                os << "\"" << e.key1 << "\": " << e.val1;
+                w.field(e.key1, e.val1);
             if (e.key2)
-                os << (e.key1 ? ", " : "") << "\"" << e.key2
-                   << "\": " << e.val2;
-            os << "}";
+                w.field(e.key2, e.val2);
+            w.end();
         }
-        os << "}";
+        w.end();
     }
-
-    os << "\n],\n\"displayTimeUnit\": \"ms\",\n\"pvaTrace\": "
-       << "{\"schemaVersion\": 1, \"recorded\": " << recorded()
-       << ", \"dropped\": " << dropped()
-       << ", \"tracks\": " << tracks.size() << "}\n}\n";
+    w.end().field("displayTimeUnit", "ms").key("pvaTrace").beginObject();
+    w.field("schemaVersion", 1).field("recorded", recorded());
+    w.field("dropped", dropped()).field("tracks", tracks.size());
+    w.end().end().newline();
 }
 
 } // namespace pva::trace

@@ -1,6 +1,6 @@
 #include "traffic/service_stats.hh"
 
-#include <ostream>
+#include "sim/json.hh"
 
 namespace pva
 {
@@ -21,13 +21,12 @@ summarize(const LogHistogram &h)
 }
 
 void
-jsonSummary(std::ostream &os, const char *key, const LatencySummary &s)
+jsonSummary(json::Writer &w, const char *key, const LatencySummary &s)
 {
-    os << '"' << key << "\": {\"samples\": " << s.samples
-       << ", \"min\": " << s.min << ", \"max\": " << s.max
-       << ", \"mean\": " << s.mean << ", \"p50\": " << s.p50
-       << ", \"p95\": " << s.p95 << ", \"p99\": " << s.p99
-       << ", \"p999\": " << s.p999 << "}";
+    w.key(key).beginObject().field("samples", s.samples);
+    w.field("min", s.min).field("max", s.max).field("mean", s.mean);
+    w.field("p50", s.p50).field("p95", s.p95).field("p99", s.p99);
+    w.field("p999", s.p999).end();
 }
 
 ServiceStats::ServiceStats(const std::vector<std::string> &names,

@@ -22,11 +22,11 @@
 #define PVA_TRAFFIC_SERVICE_STATS_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -48,10 +48,9 @@ struct LatencySummary
 
 LatencySummary summarize(const LogHistogram &h);
 
-/** Write `"<key>": {"samples": ..., "p999": ...}` — the one JSON shape
- *  of a summary in every traffic and fleet result. */
-void jsonSummary(std::ostream &os, const char *key,
-                 const LatencySummary &s);
+/** Write member @p key as {"samples": ..., "p999": ...}: the one JSON
+ *  shape of a summary in every traffic and fleet result. */
+void jsonSummary(json::Writer &w, const char *key, const LatencySummary &s);
 
 /** Per-stream and aggregate service accounting. */
 class ServiceStats

@@ -16,40 +16,31 @@ namespace pva
 void
 TrafficResult::dumpJson(std::ostream &os) const
 {
-    os << "{\"cycles\": " << cycles << ", \"completed\": " << completed
-       << ", \"words\": " << words
-       << ", \"requestsPerKilocycle\": " << requestsPerKilocycle
-       << ", \"wordsPerCycle\": " << wordsPerCycle
-       << ", \"meanInFlight\": " << meanInFlight
-       << ", \"bcUtilization\": " << bcUtilization
-       << ", \"shed\": " << shed << ", \"shedRate\": " << shedRate
-       << ", \"simTicks\": " << simTicks
-       << ", \"cyclesSkipped\": " << cyclesSkipped
-       << ", \"bcTicks\": " << bcTicks << ", ";
-    jsonSummary(os, "queueDelay", queueDelay);
-    os << ", ";
-    jsonSummary(os, "serviceLatency", serviceLatency);
-    os << ", ";
-    jsonSummary(os, "totalLatency", totalLatency);
-    os << ", \"streams\": [";
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-        const StreamResult &s = streams[i];
-        os << (i ? ", " : "") << "{\"name\": \""
-           << json::escape(s.name) << "\", \"requests\": " << s.requests
-           << ", \"completed\": " << s.completed
-           << ", \"deferrals\": " << s.deferrals
-           << ", \"shedDeadline\": " << s.shedDeadline
-           << ", \"shedOverload\": " << s.shedOverload
-           << ", \"queuePeak\": " << s.queuePeak
-           << ", \"words\": " << s.words << ", ";
-        jsonSummary(os, "queueDelay", s.queueDelay);
-        os << ", ";
-        jsonSummary(os, "serviceLatency", s.serviceLatency);
-        os << ", ";
-        jsonSummary(os, "totalLatency", s.totalLatency);
-        os << "}";
+    json::Writer w(os);
+    w.beginObject().field("cycles", cycles).field("completed", completed);
+    w.field("words", words);
+    w.field("requestsPerKilocycle", requestsPerKilocycle);
+    w.field("wordsPerCycle", wordsPerCycle);
+    w.field("meanInFlight", meanInFlight).field("bcUtilization", bcUtilization);
+    w.field("shed", shed).field("shedRate", shedRate);
+    w.field("simTicks", simTicks).field("cyclesSkipped", cyclesSkipped);
+    w.field("bcTicks", bcTicks);
+    jsonSummary(w, "queueDelay", queueDelay);
+    jsonSummary(w, "serviceLatency", serviceLatency);
+    jsonSummary(w, "totalLatency", totalLatency);
+    w.key("streams").beginArray();
+    for (const StreamResult &s : streams) {
+        w.beginObject().field("name", s.name).field("requests", s.requests);
+        w.field("completed", s.completed).field("deferrals", s.deferrals);
+        w.field("shedDeadline", s.shedDeadline);
+        w.field("shedOverload", s.shedOverload);
+        w.field("queuePeak", s.queuePeak).field("words", s.words);
+        jsonSummary(w, "queueDelay", s.queueDelay);
+        jsonSummary(w, "serviceLatency", s.serviceLatency);
+        jsonSummary(w, "totalLatency", s.totalLatency);
+        w.end();
     }
-    os << "]}";
+    w.end().end();
 }
 
 TrafficResult
@@ -265,17 +256,15 @@ writeLoadCsv(std::ostream &os, const std::vector<LoadPoint> &points)
 void
 writeLoadJson(std::ostream &os, const std::vector<LoadPoint> &points)
 {
-    os << "{\"points\": [";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const LoadPoint &p = points[i];
-        os << (i ? ",\n  " : "\n  ") << "{\"system\": \""
-           << systemShortName(p.system)
-           << "\", \"offered\": " << p.offered << ", \"failed\": "
-           << (p.failed ? "true" : "false") << ", \"result\": ";
-        p.result.dumpJson(os);
-        os << "}";
+    json::Writer w(os);
+    w.beginObject().key("points").beginArray(json::Writer::Layout::Block);
+    for (const LoadPoint &p : points) {
+        w.beginObject().field("system", systemShortName(p.system));
+        w.field("offered", p.offered).field("failed", p.failed);
+        p.result.dumpJson(w.key("result").nested());
+        w.end();
     }
-    os << (points.empty() ? "]}\n" : "\n]}\n");
+    w.end().end().newline();
 }
 
 } // namespace pva

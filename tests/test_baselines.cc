@@ -10,6 +10,8 @@
 #include <sstream>
 
 #include "baselines/serial_system.hh"
+#include "core/pva_unit.hh"
+#include "expect_sim_error.hh"
 #include "sim/simulation.hh"
 
 namespace pva
@@ -47,6 +49,23 @@ runOne(MemorySystem &sys, const VectorCommand &c,
         return true;
     });
     return sim.now();
+}
+
+TEST(SystemConstruction, EveryConstructorValidatesItsConfig)
+{
+    // Direct construction, not only makeSystem, must refuse a line
+    // past the 8-bit slots: built unchecked, a PVA returns every word
+    // of a stride-1 read wrong.
+    SystemConfig config;
+    config.bc.lineWords = 512;
+    test::expectSimError([&] { PvaUnit("pva", config); },
+                         SimErrorKind::Config, "bc.lineWords");
+    test::expectSimError([&] { PvaUnit("sram", config, true); },
+                         SimErrorKind::Config, "bc.lineWords");
+    for (Kind kind : {Kind::CacheLine, Kind::Gathering}) {
+        test::expectSimError([&] { SerialSystem("s", kind, config); },
+                             SimErrorKind::Config, "bc.lineWords");
+    }
 }
 
 TEST(CacheLineSystem, DistinctLineCounting)

@@ -31,9 +31,8 @@ TEST(JsonEnvelope, CarriesSchemaVersionToolAndConfig)
     SystemConfig config;
     std::ostringstream os;
     {
-        JsonEnvelope env(os, app, config,
-                         {{"kernel", json::quote("copy")}});
-        env.section("run") << "{\"cycles\": 42}";
+        JsonEnvelope env(os, app, config, {{"kernel", "copy"}});
+        env.section("run").beginObject().field("cycles", 42).end();
     }
     const std::string out = os.str();
     EXPECT_EQ(out.rfind("{\"schemaVersion\": 1, \"tool\": "
@@ -48,14 +47,13 @@ TEST(JsonEnvelope, CarriesSchemaVersionToolAndConfig)
 
 TEST(JsonEnvelope, QuoteEscapesSpecials)
 {
-    // Strings reach the envelope through json::escape, so quotes,
+    // Strings reach the envelope through json::Writer, so quotes,
     // backslashes and control characters all come back intact.
     ToolApp app("enveloped");
     std::ostringstream os;
     {
         JsonEnvelope env(os, app, SystemConfig{},
-                         {{"a\"b", json::quote("a\"b\\c")},
-                          {"path", json::quote("x\ny")}});
+                         {{"a\"b", "a\"b\\c"}, {"path", "x\ny"}});
     }
     json::Value doc;
     std::string error;

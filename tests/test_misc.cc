@@ -72,17 +72,6 @@ TEST(SweepApi, SystemNames)
     EXPECT_STREQ(systemName(SystemKind::PvaSram), "PVA SRAM");
 }
 
-TEST(Stats, CsvDump)
-{
-    Scalar a;
-    a += 5;
-    StatSet set;
-    set.addScalar("x.y", &a);
-    std::ostringstream os;
-    set.dumpCsv(os);
-    EXPECT_EQ(os.str(), "stat,value\nx.y,5\n");
-}
-
 TEST(Stats, DistributionTailCollapsesIntoLastBucket)
 {
     Distribution d(1);

@@ -534,6 +534,31 @@ TEST(SweepJournal, NameTablesRoundTripEveryValue)
     EXPECT_FALSE(parseKernelId("daxpy", kernel));
 }
 
+TEST(SweepJournal, PersistedBytesArePinned)
+{
+    // Journals and capsules embed this text, and a grid's fingerprint
+    // hashes it: a moved byte makes every journal an older binary
+    // wrote refuse --resume. The fingerprint is the default sweep's,
+    // as docs/ROBUSTNESS.md shows it.
+    EXPECT_EQ(configToJson(SystemConfig{}),
+              "{\"geometry\": {\"banks\": 16, \"interleave\": 1, "
+              "\"colBits\": 9, \"ibankBits\": 2, \"rowBits\": 13}, "
+              "\"timing\": {\"tRCD\": 2, \"tCL\": 2, \"tRP\": 2, "
+              "\"tRAS\": 5, \"tRC\": 7, \"tWR\": 2, \"tREFI\": 0, "
+              "\"tRFC\": 10}, \"bc\": {\"fifoEntries\": 8, "
+              "\"vectorContexts\": 4, \"lineWords\": 32, "
+              "\"transactions\": 8, \"fhcLatency\": 2, "
+              "\"bypassEnabled\": true, \"rowPolicy\": \"managed\"}, "
+              "\"optimisticLineReuse\": false, \"timingCheck\": false, "
+              "\"clocking\": \"event\", \"backend\": \"legacy\", "
+              "\"salpSubarrays\": 4, \"refreshDeferWindow\": 0, "
+              "\"faults\": {\"seed\": 24301, \"refreshStallRate\": 0, "
+              "\"bcStallRate\": 0, \"dropTransferRate\": 0, "
+              "\"corruptFirstHitRate\": 0}}");
+    EXPECT_EQ(fingerprintGrid(SweepExecutor::chapter6Grid()),
+              0xe9b1ea6176289a6bULL);
+}
+
 TEST(SweepJournal, SameSimErrorToleratesWallClockVariance)
 {
     EXPECT_TRUE(sameSimError(

@@ -36,7 +36,6 @@
 
 #include "core/system_config.hh"
 #include "fleet/scenario.hh"
-#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
 #include "tool_app.hh"
@@ -305,10 +304,10 @@ runSweep(const ToolApp &app, const LoadgenOptions &opts)
     std::vector<LoadPoint> points = runLoadSweep(sc);
     if (opts.json) {
         JsonEnvelope env(std::cout, app, opts.config,
-                         {{"loads", json::quote(opts.loads)},
-                          {"systems", json::quote(opts.systems)},
-                          {"streams", std::to_string(opts.streams)}});
-        writeLoadJson(env.section("loadSweep"), points);
+                         {{"loads", opts.loads},
+                          {"systems", opts.systems},
+                          {"streams", opts.streams}});
+        writeLoadJson(env.section("loadSweep").nested(), points);
         env.traceSection(app);
     } else {
         writeLoadCsv(std::cout, points);
@@ -335,14 +334,13 @@ runOnce(const ToolApp &app, const LoadgenOptions &opts)
         runTraffic(tc, opts.stats ? &std::cerr : nullptr);
 
     if (opts.json) {
-        JsonEnvelope env(
-            std::cout, app, opts.config,
-            {{"system", json::quote(opts.system)},
-             {"policy", json::quote(opts.policy)},
-             {"mode", json::quote(opts.mode)},
-             {"streams", std::to_string(opts.streams)},
-             {"requests", std::to_string(opts.requests)}});
-        r.dumpJson(env.section("traffic"));
+        JsonEnvelope env(std::cout, app, opts.config,
+                         {{"system", opts.system},
+                          {"policy", opts.policy},
+                          {"mode", opts.mode},
+                          {"streams", opts.streams},
+                          {"requests", opts.requests}});
+        r.dumpJson(env.section("traffic").nested());
         env.traceSection(app);
         return 0;
     }
@@ -454,15 +452,13 @@ runFleetOnce(const ToolApp &app, const LoadgenOptions &opts)
     const fleet::FleetResult r = fleet::runFleet(fc);
 
     if (opts.json) {
-        JsonEnvelope env(
-            std::cout, app, opts.config,
-            {{"system", json::quote(opts.system)},
-             {"policy", json::quote(opts.policy)},
-             {"tenants", std::to_string(opts.tenants)},
-             {"streamsPerTenant",
-              std::to_string(opts.streamsPerTenant)},
-             {"shards", std::to_string(fc.shards)}});
-        r.dumpJson(env.section("fleet"));
+        JsonEnvelope env(std::cout, app, opts.config,
+                         {{"system", opts.system},
+                          {"policy", opts.policy},
+                          {"tenants", opts.tenants},
+                          {"streamsPerTenant", opts.streamsPerTenant},
+                          {"shards", fc.shards}});
+        r.dumpJson(env.section("fleet").nested());
         env.traceSection(app);
         return 0;
     }

@@ -50,16 +50,15 @@ runReplay(const ToolApp &app, const ToolOptions &opts)
     ReplayResult r = replayTrace(*sys, trace, opts.config.clocking);
     if (opts.json) {
         JsonEnvelope env(std::cout, app, opts.config,
-                         {{"system", json::quote(opts.system)},
-                          {"traceFile", json::quote(opts.tracePath)}});
-        env.section("replay")
-            << "{\"commands\": " << r.commands
-            << ", \"cycles\": " << r.cycles << ", \"readChecksum\": "
-            << json::quote(csprintf("%016llx",
-                                    static_cast<unsigned long long>(
-                                        r.readChecksum)))
-            << "}";
-        sys->stats().dumpJson(env.section("stats"));
+                         {{"system", opts.system},
+                          {"traceFile", opts.tracePath}});
+        json::Writer &w = env.section("replay").beginObject();
+        w.field("commands", r.commands).field("cycles", r.cycles);
+        w.field("readChecksum",
+                csprintf("%016llx",
+                         static_cast<unsigned long long>(r.readChecksum)));
+        w.end();
+        sys->stats().dumpJson(env.section("stats").nested());
         env.traceSection(app);
     } else {
         std::printf("%llu commands in %llu cycles, read checksum "
@@ -104,12 +103,11 @@ runRepro(const ToolApp &app, const ToolOptions &opts)
                                 : sameSimError(observed, capsule.error);
     if (opts.json) {
         JsonEnvelope env(std::cout, app, capsule.request.config,
-                         {{"capsule", json::quote(opts.reproPath)}});
-        env.section("repro")
-            << "{\"reproduced\": " << (reproduced ? "true" : "false")
-            << ", \"completed\": " << (completed ? "true" : "false")
-            << ", \"recordedError\": " << json::quote(capsule.error)
-            << ", \"observedError\": " << json::quote(observed) << "}";
+                         {{"capsule", opts.reproPath}});
+        json::Writer &w = env.section("repro").beginObject();
+        w.field("reproduced", reproduced).field("completed", completed);
+        w.field("recordedError", capsule.error);
+        w.field("observedError", observed).end();
         env.traceSection(app);
     } else if (completed) {
         std::printf("replay completed cleanly (%llu cycles, %zu "

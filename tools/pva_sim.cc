@@ -74,9 +74,9 @@ runSweep(const ToolApp &app, const ToolOptions &opts)
         // The CSV owns stdout under --sweep; the envelope goes to
         // stderr so both can be captured independently.
         JsonEnvelope env(std::cerr, app, opts.config,
-                         {{"elements", std::to_string(opts.elements)}});
-        executor.stats().dumpJson(env.section("stats"));
-        report.dumpJson(env.section("sweep"));
+                         {{"elements", opts.elements}});
+        executor.stats().dumpJson(env.section("stats").nested());
+        report.dumpJson(env.section("sweep").nested());
         env.traceSection(app);
     }
     bool clean = report.allOk() &&
@@ -98,20 +98,18 @@ runOnce(const ToolApp &app, const ToolOptions &opts)
         limits.timeoutMillis = opts.pointTimeout;
     RunResult r = runKernelOn(*sys, kernel, wl, limits);
     if (opts.json) {
-        JsonEnvelope env(
-            std::cout, app, opts.config,
-            {{"kernel", json::quote(spec.name)},
-             {"system", json::quote(opts.system)},
-             {"stride", std::to_string(opts.stride)},
-             {"alignment", std::to_string(opts.alignment)},
-             {"elements", std::to_string(opts.elements)}});
-        env.section("run")
-            << "{\"cycles\": " << r.cycles
-            << ", \"mismatches\": " << r.mismatches
-            << ", \"simTicks\": " << r.simTicks
-            << ", \"cyclesSkipped\": " << r.cyclesSkipped
-            << ", \"cyclesPerSecond\": " << r.cyclesPerSecond << "}";
-        sys->stats().dumpJson(env.section("stats"));
+        JsonEnvelope env(std::cout, app, opts.config,
+                         {{"kernel", spec.name},
+                          {"system", opts.system},
+                          {"stride", opts.stride},
+                          {"alignment", opts.alignment},
+                          {"elements", opts.elements}});
+        json::Writer &w = env.section("run").beginObject();
+        w.field("cycles", r.cycles).field("mismatches", r.mismatches);
+        w.field("simTicks", r.simTicks);
+        w.field("cyclesSkipped", r.cyclesSkipped);
+        w.field("cyclesPerSecond", r.cyclesPerSecond).end();
+        sys->stats().dumpJson(env.section("stats").nested());
         env.traceSection(app);
     } else {
         std::printf("%s stride=%u alignment=%s system=%s elements=%u: "

@@ -9,7 +9,6 @@
 #include <optional>
 #include <utility>
 
-#include "sim/json.hh"
 #include "sim/sim_error.hh"
 #include "sim/trace.hh"
 
@@ -444,44 +443,26 @@ ToolApp::traceDropped() const
     return traceState->dropped;
 }
 
-JsonEnvelope::JsonEnvelope(
-    std::ostream &stream, const ToolApp &app,
-    const SystemConfig &config,
-    const std::vector<std::pair<std::string, std::string>>
-        &config_extras)
-    : os(stream)
+JsonEnvelope::JsonEnvelope(std::ostream &os, const ToolApp &app,
+                           const SystemConfig &config,
+                           const std::vector<ConfigExtra> &config_extras)
+    : w(os)
 {
-    os << "{\"schemaVersion\": " << kJsonSchemaVersion
-       << ", \"tool\": " << json::quote(app.toolName())
-       << ", \"config\": {\"banks\": " << config.geometry.banks()
-       << ", \"interleave\": " << config.geometry.interleave()
-       << ", \"lineWords\": " << config.bc.lineWords
-       << ", \"vectorContexts\": " << config.bc.vectorContexts
-       << ", \"rowPolicy\": "
-       << json::quote(rowPolicyName(config.bc.rowPolicy))
-       << ", \"refreshInterval\": " << config.timing.tREFI
-       << ", \"backend\": " << json::quote(backendName(config.backend))
-       << ", \"clocking\": "
-       << json::quote(clockingModeName(config.clocking))
-       << ", \"timingCheck\": "
-       << (config.timingCheck ? "true" : "false")
-       << ", \"faultsEnabled\": "
-       << (config.faults.enabled() ? "true" : "false");
-    for (const auto &[key, raw] : config_extras)
-        os << ", " << json::quote(key) << ": " << raw;
-    os << "}";
-}
-
-JsonEnvelope::~JsonEnvelope()
-{
-    os << "}\n";
-}
-
-std::ostream &
-JsonEnvelope::section(const char *key)
-{
-    os << ", \"" << key << "\": ";
-    return os;
+    w.beginObject().field("schemaVersion", kJsonSchemaVersion);
+    w.field("tool", app.toolName()).key("config").beginObject();
+    w.field("banks", config.geometry.banks());
+    w.field("interleave", config.geometry.interleave());
+    w.field("lineWords", config.bc.lineWords);
+    w.field("vectorContexts", config.bc.vectorContexts);
+    w.field("rowPolicy", rowPolicyName(config.bc.rowPolicy));
+    w.field("refreshInterval", config.timing.tREFI);
+    w.field("backend", backendName(config.backend));
+    w.field("clocking", clockingModeName(config.clocking));
+    w.field("timingCheck", config.timingCheck);
+    w.field("faultsEnabled", config.faults.enabled());
+    for (const auto &[key, value] : config_extras)
+        std::visit([&](const auto &v) { w.field(key, v); }, value);
+    w.end();
 }
 
 void
@@ -489,10 +470,10 @@ JsonEnvelope::traceSection(const ToolApp &app)
 {
     if (!app.traceOptions().active())
         return;
-    section("trace")
-        << "{\"out\": " << json::quote(app.traceOptions().outPath)
-        << ", \"recorded\": " << app.traceRecorded()
-        << ", \"dropped\": " << app.traceDropped() << "}";
+    section("trace").beginObject();
+    w.field("out", app.traceOptions().outPath);
+    w.field("recorded", app.traceRecorded());
+    w.field("dropped", app.traceDropped()).end();
 }
 
 } // namespace pva::tools

@@ -33,10 +33,13 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/system_config.hh"
 #include "options.hh"
+#include "sim/json.hh"
 
 namespace pva::tools
 {
@@ -172,30 +175,29 @@ class ToolApp
 
 /**
  * Versioned JSON envelope (docs/API.md). The constructor opens the
- * object and writes schemaVersion/tool/config; section() appends
- * ', "<key>": ' and hands back the stream for the caller to write the
- * payload; the destructor closes the object.
+ * object and writes schemaVersion/tool/config; section() starts a
+ * member and hands back the envelope's writer for its value; the
+ * destructor closes the object.
  */
 class JsonEnvelope
 {
   public:
-    /**
-     * @param config_extras  extra key/value pairs merged into the
-     *        "config" object; values are raw JSON (json::quote
-     *        strings).
-     */
+    /** An extra "config" member: a string or an unsigned number. */
+    using ConfigExtra =
+        std::pair<const char *, std::variant<std::string, std::uint64_t>>;
+
+    /** @param config_extras  members appended to the "config" object. */
     JsonEnvelope(std::ostream &os, const ToolApp &app,
                  const SystemConfig &config,
-                 const std::vector<std::pair<std::string, std::string>>
-                     &config_extras = {});
-    ~JsonEnvelope();
+                 const std::vector<ConfigExtra> &config_extras = {});
+    ~JsonEnvelope() { w.end().newline(); }
 
     JsonEnvelope(const JsonEnvelope &) = delete;
     JsonEnvelope &operator=(const JsonEnvelope &) = delete;
 
-    /** Start section @p key; caller writes one JSON value to the
-     *  returned stream. */
-    std::ostream &section(const char *key);
+    /** Start section @p key; the caller writes one value through the
+     *  returned writer (nested() for an ostream entry point). */
+    json::Writer &section(const char *key) { return w.key(key); }
 
     /**
      * Append the "trace" accounting section (out path, recorded,
@@ -204,7 +206,7 @@ class JsonEnvelope
     void traceSection(const ToolApp &app);
 
   private:
-    std::ostream &os;
+    json::Writer w;
 };
 
 } // namespace pva::tools
