@@ -195,15 +195,6 @@ class BankController final : public Component
     /** Nothing queued, scheduled, or in flight. */
     bool idle() const;
 
-    /** Vector Contexts currently holding a request (0..vectorContexts). */
-    unsigned vcsInUse() const { return static_cast<unsigned>(vcs.size()); }
-
-    /** Request FIFO entries currently occupied (0..fifoEntries). */
-    unsigned fifoDepth() const
-    {
-        return static_cast<unsigned>(fifo.size());
-    }
-
     /**
      * Enable fault injection for this BC (scheduler stalls, dropped
      * read returns, corrupted FirstHit results) on stream @p stream.
@@ -211,8 +202,6 @@ class BankController final : public Component
      * logic in tick(); corruption is left for the TimingChecker.
      */
     void enableFaults(const FaultPlan &plan, std::uint64_t stream);
-
-    const Geometry &geometry() const { return geo; }
     BankDevice &device() { return dev; }
 
     /** @name Statistics @{ */

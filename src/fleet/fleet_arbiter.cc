@@ -15,13 +15,11 @@ constexpr std::uint32_t kNotDeferred = 0xffffffffu;
 // TenantArbiter
 // ---------------------------------------------------------------------
 
-TenantArbiter::TenantArbiter(unsigned index, unsigned global_base,
-                             const ArbiterConfig &config,
+TenantArbiter::TenantArbiter(unsigned index, const ArbiterConfig &config,
                              std::vector<StreamSource> sources_,
-                             ServiceStats &stats_, MessageBus &bus_)
-    : tenantIndex(index), globalBase(global_base), cfg(config),
-      sources(std::move(sources_)), stats(stats_), bus(bus_),
-      shedChannel(&bus_.channel<ShedEvent>()), queues(sources.size()),
+                             ServiceStats &stats_, FleetArbiter &root_)
+    : tenantIndex(index), cfg(config), sources(std::move(sources_)),
+      stats(stats_), root(root_), queues(sources.size()),
       admitStamp(sources.size(), 0),
       deferredPos(sources.size(), kNotDeferred),
       hasArrivalEntry(sources.size(), 0), retired(sources.size(), 0)
@@ -50,13 +48,6 @@ TenantArbiter::TenantArbiter(unsigned index, unsigned global_base,
     admitWork.reserve(sources.size());
     for (unsigned i = 0; i < sources.size(); ++i)
         admitWork.push_back(i);
-}
-
-void
-TenantArbiter::applyPokes(SparseMemory &mem) const
-{
-    for (const StreamSource &s : sources)
-        s.applyPokes(mem);
 }
 
 void
@@ -103,7 +94,7 @@ TenantArbiter::checkRetired(unsigned local)
         return;
     }
     retired[local] = 1;
-    bus.publish(StreamRetired{tenantIndex});
+    root.streamRetired();
 }
 
 void
@@ -125,7 +116,7 @@ TenantArbiter::newHead(unsigned local)
     }
     if (cfg.shed.enabled && shedDeadline[local] > 0)
         expiryHeap.emplace(req.arrival + shedDeadline[local] + 1, local);
-    bus.publish(TenantDirty{tenantIndex});
+    root.markDirty(tenantIndex);
 }
 
 void
@@ -134,8 +125,8 @@ TenantArbiter::queueBecameEmpty(unsigned local)
     if (cfg.policy == ArbPolicy::RoundRobin)
         rrSet.erase(local);
     if (--nonEmptyCount == 0)
-        bus.publish(TenantActivation{tenantIndex, false});
-    bus.publish(TenantDirty{tenantIndex});
+        root.setNonEmpty(tenantIndex, false);
+    root.markDirty(tenantIndex);
 }
 
 void
@@ -162,9 +153,7 @@ TenantArbiter::processAdmission(unsigned local, Cycle now, bool &changed)
             stats.onArrival(local);
             stats.onShedOverload(local);
             src.onComplete();
-            if (shedChannel->hasSubscribers())
-                shedChannel->publish(
-                    ShedEvent{tenantIndex, local, false});
+            root.shedChannel.publish(ShedEvent{tenantIndex, local, false});
             changed = true;
             nextStepWork.push_back(local);
             break;
@@ -176,7 +165,7 @@ TenantArbiter::processAdmission(unsigned local, Cycle now, bool &changed)
         changed = true;
         if (wasEmpty) {
             if (++nonEmptyCount == 1)
-                bus.publish(TenantActivation{tenantIndex, true});
+                root.setNonEmpty(tenantIndex, true);
             if (cfg.policy == ArbPolicy::RoundRobin)
                 rrSet.insert(local);
             newHead(local);
@@ -243,11 +232,10 @@ TenantArbiter::shedExpired(Cycle now)
             q.pop_front();
             stats.onShedDeadline(local);
             sources[local].onComplete();
-            if (shedChannel->hasSubscribers())
-                shedChannel->publish(ShedEvent{tenantIndex, local, true});
+            root.shedChannel.publish(ShedEvent{tenantIndex, local, true});
             changed = true;
         }
-        // The released window slot can re-admit a closed-loop/trace
+        // The released window slot can re-admit a closed-loop
         // arrival, but only at the next step (the flat phase order
         // runs admission before deadline shed).
         if (sources[local].config().mode != ArrivalMode::OpenLoop)
@@ -269,9 +257,8 @@ TenantArbiter::onComplete(unsigned local, Cycle service_latency,
     stats.onComplete(local, service_latency, total_latency, words,
                      is_read);
     sources[local].onComplete();
-    // A freed window slot (or released trace barrier) can make a
-    // closed-loop/trace stream ready this very step: completions are
-    // phase 1, admission phase 2.
+    // A freed window slot can make a closed-loop stream ready this
+    // very step: completions are phase 1, admission phase 2.
     if (sources[local].config().mode != ArrivalMode::OpenLoop)
         admitWork.push_back(local);
 }
@@ -366,8 +353,9 @@ TenantArbiter::minExpiry()
 
 FleetArbiter::FleetArbiter(const ArbiterConfig &config,
                            std::vector<TenantSeat> seats,
-                           MessageBus &bus_)
-    : cfg(config), bus(bus_)
+                           MessageBus &bus)
+    : cfg(config), grantChannel(bus.channel<GrantEvent>()),
+      shedChannel(bus.channel<ShedEvent>())
 {
     tenants.reserve(seats.size());
     bases.reserve(seats.size());
@@ -377,7 +365,7 @@ FleetArbiter::FleetArbiter(const ArbiterConfig &config,
         bases.push_back(base);
         const unsigned n = static_cast<unsigned>(seat.sources.size());
         tenants.push_back(std::make_unique<TenantArbiter>(
-            t, base, cfg, std::move(seat.sources), *seat.stats, bus));
+            t, cfg, std::move(seat.sources), *seat.stats, *this));
         base += n;
     }
     totalStreams = base;
@@ -392,25 +380,6 @@ FleetArbiter::FleetArbiter(const ArbiterConfig &config,
     arrivalCache.assign(tn, kNeverCycle);
     expiryCache.assign(tn, kNeverCycle);
     pendingTenants.reserve(tn);
-
-    // The root tier learns about tenant state changes the same way a
-    // telemetry sink would: by subscribing. (Handlers capture `this`;
-    // the bus must not outlive the arbiter's last use.)
-    bus.subscribe<TenantDirty>([this](const TenantDirty &m) {
-        if (!dirtyFlag[m.tenant]) {
-            dirtyFlag[m.tenant] = 1;
-            dirtyList.push_back(m.tenant);
-        }
-    });
-    bus.subscribe<TenantActivation>([this](const TenantActivation &m) {
-        if (m.nonEmpty)
-            nonEmptyTenants.insert(m.tenant);
-        else
-            nonEmptyTenants.erase(m.tenant);
-    });
-    bus.subscribe<StreamRetired>(
-        [this](const StreamRetired &) { --activeStreams; });
-
     for (unsigned t = 0; t < tn; ++t)
         markPending(t);
 }
@@ -418,10 +387,21 @@ FleetArbiter::FleetArbiter(const ArbiterConfig &config,
 FleetArbiter::~FleetArbiter() = default;
 
 void
-FleetArbiter::applyPokes(SparseMemory &mem) const
+FleetArbiter::markDirty(unsigned t)
 {
-    for (const auto &t : tenants)
-        t->applyPokes(mem);
+    if (!dirtyFlag[t]) {
+        dirtyFlag[t] = 1;
+        dirtyList.push_back(t);
+    }
+}
+
+void
+FleetArbiter::setNonEmpty(unsigned t, bool non_empty)
+{
+    if (non_empty)
+        nonEmptyTenants.insert(t);
+    else
+        nonEmptyTenants.erase(t);
 }
 
 unsigned
@@ -484,8 +464,8 @@ FleetArbiter::refreshCandidate(unsigned t)
         break;
       }
       case ArbPolicy::RoundRobin:
-        // The nonEmptyTenants set (activation messages) is the only
-        // root-side candidate state round-robin needs.
+        // The nonEmptyTenants set (setNonEmpty) is the only root-side
+        // candidate state round-robin needs.
         break;
     }
 }
@@ -672,7 +652,6 @@ FleetArbiter::service(MemorySystem &sys, Cycle now)
     // --- 3. Grant: submit queue heads until the system refuses. ------
     drainDirty();
     if (totalStreams > 0) {
-        Channel<GrantEvent> &grantChan = bus.channel<GrantEvent>();
         while (true) {
             unsigned t = 0, local = 0;
             Cycle arrival = 0;
@@ -702,9 +681,7 @@ FleetArbiter::service(MemorySystem &sys, Cycle now)
                                            req.cmd.isRead});
             ++nextTag;
             ++grantCount;
-            if (grantChan.hasSubscribers())
-                grantChan.publish(
-                    GrantEvent{t, local, now - req.arrival});
+            grantChannel.publish(GrantEvent{t, local, now - req.arrival});
             ten.popGranted(local, now);
             reprimeExpiry(t);
             lastGrantedGid = bases[t] + local;

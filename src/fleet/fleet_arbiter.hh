@@ -18,12 +18,13 @@
  *    across tenants and picks grants globally through root-level
  *    lazy heaps over per-tenant candidates, O(log) per grant.
  *
- * The tiers never call each other directly for notifications: tenants
- * publish TenantDirty / TenantActivation / arrival and expiry
- * schedules on a MessageBus (fleet/message_bus.hh), and the root tier
- * (or any telemetry sink) subscribes. That keeps candidate caching,
- * round-robin occupancy sets, and stat sinks decoupled from the
- * tenant implementation.
+ * A tenant tells its root about state changes by direct call: its
+ * grant candidate may have changed (markDirty), its queues went empty
+ * or non-empty (setNonEmpty), or a stream retired (streamRetired).
+ * The root pulls arrival and expiry schedules from the tenant after
+ * each step it runs there. The MessageBus (fleet/message_bus.hh)
+ * carries only telemetry: the root publishes each grant and the
+ * tenants each shed request, for whatever sink subscribed.
  *
  * Semantics contract: with one tenant, a FleetArbiter is cycle-exact
  * against the flat StreamArbiter — same grant order, same tags, same
@@ -57,6 +58,8 @@
 namespace pva::fleet
 {
 
+class FleetArbiter;
+
 /** One tenant's streams and name, ready to seat in a FleetArbiter. */
 struct TenantSeat
 {
@@ -73,19 +76,9 @@ struct TenantSeat
 class TenantArbiter
 {
   public:
-    TenantArbiter(unsigned index, unsigned global_base,
-                  const ArbiterConfig &config,
+    TenantArbiter(unsigned index, const ArbiterConfig &config,
                   std::vector<StreamSource> sources_,
-                  ServiceStats &stats_, MessageBus &bus_);
-
-    unsigned index() const { return tenantIndex; }
-    unsigned base() const { return globalBase; }
-    std::size_t streamCount() const { return sources.size(); }
-    const StreamSource &source(unsigned local) const
-    {
-        return sources[local];
-    }
-    void applyPokes(SparseMemory &mem) const;
+                  ServiceStats &stats_, FleetArbiter &root_);
 
     /** @name Per-step phases (called by FleetArbiter) @{ */
     /** Credit @p gap skipped cycles of backpressure to every stream
@@ -138,7 +131,7 @@ class TenantArbiter
   private:
     void processAdmission(unsigned local, Cycle now, bool &changed);
     /** The queue of @p local gained a (new) head: refresh candidate
-     *  structures and publish the change. */
+     *  structures and tell the root. */
     void newHead(unsigned local);
     void queueBecameEmpty(unsigned local);
     /** Retire @p local once it is exhausted with an empty queue. */
@@ -148,12 +141,10 @@ class TenantArbiter
     void removeDeferred(unsigned local);
 
     unsigned tenantIndex;
-    unsigned globalBase;
     ArbiterConfig cfg;
     std::vector<StreamSource> sources;
     ServiceStats &stats;
-    MessageBus &bus;
-    Channel<ShedEvent> *shedChannel; ///< Cached for the subscriber check
+    FleetArbiter &root;
 
     /** Precomputed per-stream shed thresholds (traffic/arbiter.cc). */
     std::vector<Cycle> shedDeadline;
@@ -234,11 +225,11 @@ class TenantArbiter
 class FleetArbiter
 {
   public:
-    /** Seats the tenants (taking ownership of their sources) and
-     *  subscribes the root tier on @p bus_. The seats' ServiceStats
-     *  must outlive the arbiter. */
+    /** Seats the tenants (taking ownership of their sources). Grants
+     *  and shed requests are published on @p bus, which must outlive
+     *  the arbiter, as must the seats' ServiceStats. */
     FleetArbiter(const ArbiterConfig &config,
-                 std::vector<TenantSeat> seats, MessageBus &bus_);
+                 std::vector<TenantSeat> seats, MessageBus &bus);
     ~FleetArbiter();
 
     /**
@@ -256,16 +247,6 @@ class FleetArbiter
      * flat arbiter would report.
      */
     Cycle nextWake(Cycle now);
-
-    void applyPokes(SparseMemory &mem) const;
-
-    std::size_t tenantCount() const { return tenants.size(); }
-    std::size_t streamCount() const { return totalStreams; }
-    TenantArbiter &tenant(unsigned t) { return *tenants[t]; }
-    const TenantArbiter &tenant(unsigned t) const
-    {
-        return *tenants[t];
-    }
 
     /** @name Fleet-level occupancy sampling
      * Owned here (not per-tenant) so merged tenant stats never
@@ -294,6 +275,18 @@ class FleetArbiter
         bool isRead = true;
     };
 
+    /** @name Tenant-to-root notifications (called by TenantArbiter) @{ */
+    /** Tenant @p t's grant candidate may have changed (head enqueue,
+     *  grant, or shed); its root entries refresh before the next pick. */
+    void markDirty(unsigned t);
+    /** Tenant @p t crossed the empty <-> non-empty boundary (any
+     *  queued request at all): the round-robin occupancy set. */
+    void setNonEmpty(unsigned t, bool non_empty);
+    /** A stream retired (exhausted with an empty queue): counted down
+     *  to detect fleet drain in O(1). */
+    void streamRetired() { --activeStreams; }
+    /** @} */
+
     unsigned tenantOf(unsigned gid) const;
     void markPending(unsigned t);
     void markShedPending(unsigned t);
@@ -308,7 +301,8 @@ class FleetArbiter
     bool pickRoundRobin(unsigned &t, unsigned &local);
 
     ArbiterConfig cfg;
-    MessageBus &bus;
+    Channel<GrantEvent> &grantChannel;
+    Channel<ShedEvent> &shedChannel;
     std::vector<std::unique_ptr<TenantArbiter>> tenants;
     std::vector<unsigned> bases; ///< bases[t] = first global id of t
     std::size_t totalStreams = 0;
@@ -383,6 +377,8 @@ class FleetArbiter
     Cycle lastServiceAt = 0;
     std::size_t lastInFlightSample = 0;
     /** @} */
+
+    friend class TenantArbiter;
 };
 
 } // namespace pva::fleet

@@ -180,14 +180,13 @@ runFleet(const FleetConfig &config)
         // bus, never touching the arbiter (FleetResult cross-checks it
         // against the arbiter's own counters).
         std::uint64_t busGrants = 0, busSheds = 0;
-        bus.subscribe<GrantEvent>(
+        bus.channel<GrantEvent>().subscribe(
             [&busGrants](const GrantEvent &) { ++busGrants; });
-        bus.subscribe<ShedEvent>(
+        bus.channel<ShedEvent>().subscribe(
             [&busSheds](const ShedEvent &) { ++busSheds; });
 
         auto sys = makeSystem(config.system, sys_cfg);
         FleetArbiter arbiter(config.arbiter, std::move(seats), bus);
-        arbiter.applyPokes(sys->memory());
 
         Simulation sim(sys_cfg.clocking);
         sim.add(sys.get());

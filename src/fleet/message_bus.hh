@@ -1,15 +1,14 @@
 /**
  * @file
- * A minimal typed publish/subscribe bus for the fleet layer.
+ * The fleet layer's telemetry bus: one channel per telemetry message.
  *
- * The hierarchical arbiter (fleet/fleet_arbiter.hh) has two tiers —
- * per-tenant arbiters and a root arbiter — plus optional statistics
- * sinks, and none of them should hard-couple: a tenant announcing
- * "my best candidate changed" must not know whether a root heap, a
- * telemetry counter, or nothing at all is listening. The MessageBus
- * gives each message type its own Channel of subscribers; publishing
- * to a channel nobody subscribed to is one branch, so hot-path
- * notifications (per-grant, per-head-change) stay cheap.
+ * A FleetArbiter (fleet/fleet_arbiter.hh) publishes every grant and
+ * every shed request on the MessageBus it is built with; a sink that
+ * wants them (runFleet's FleetResult::busGrants/busSheds cross-check)
+ * subscribes a handler before the run. The arbiter's own tiers do not
+ * talk over the bus: a tenant calls its root directly. Publishing to a
+ * channel nobody subscribed to loops over no handlers, so the
+ * per-grant publish stays cheap when no sink listens.
  *
  * Everything is single-threaded by design: one FleetArbiter and its
  * tenants live on one simulation thread (shard parallelism happens at
@@ -21,14 +20,28 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <typeindex>
-#include <unordered_map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 namespace pva::fleet
 {
+
+/** One request granted to the memory system. */
+struct GrantEvent
+{
+    unsigned tenant;
+    unsigned stream; ///< Tenant-local stream index
+    std::uint64_t waited; ///< Queueing delay at grant (cycles)
+};
+
+/** One request shed. */
+struct ShedEvent
+{
+    unsigned tenant;
+    unsigned stream;  ///< Tenant-local stream index
+    bool deadline;    ///< true = deadline shed, false = overload shed
+};
 
 /** Subscribers of one message type, invoked in subscription order. */
 template <typename Message>
@@ -48,104 +61,27 @@ class Channel
             h(msg);
     }
 
-    bool hasSubscribers() const { return !handlers.empty(); }
-
   private:
     std::vector<Handler> handlers;
 };
 
-/** Type-indexed registry of channels; one per message type. */
+/** The telemetry channels, one per message type above. */
 class MessageBus
 {
   public:
     template <typename Message>
     Channel<Message> &channel()
     {
-        auto it = channels.find(std::type_index(typeid(Message)));
-        if (it == channels.end()) {
-            it = channels
-                     .emplace(std::type_index(typeid(Message)),
-                              Entry{new Channel<Message>(),
-                                    [](void *p) {
-                                        delete static_cast<
-                                            Channel<Message> *>(p);
-                                    }})
-                     .first;
-        }
-        return *static_cast<Channel<Message> *>(it->second.ptr);
-    }
-
-    template <typename Message>
-    void subscribe(std::function<void(const Message &)> handler)
-    {
-        channel<Message>().subscribe(std::move(handler));
-    }
-
-    template <typename Message>
-    void publish(const Message &msg)
-    {
-        channel<Message>().publish(msg);
+        return std::get<Channel<Message>>(channels);
     }
 
     MessageBus() = default;
     MessageBus(const MessageBus &) = delete;
     MessageBus &operator=(const MessageBus &) = delete;
-    ~MessageBus()
-    {
-        for (auto &[type, entry] : channels)
-            entry.deleter(entry.ptr);
-    }
 
   private:
-    struct Entry
-    {
-        void *ptr;
-        void (*deleter)(void *);
-    };
-    std::unordered_map<std::type_index, Entry> channels;
+    std::tuple<Channel<GrantEvent>, Channel<ShedEvent>> channels;
 };
-
-/** @name Fleet arbitration messages (fleet/fleet_arbiter.hh) @{ */
-
-/** A tenant's grant candidate may have changed (head enqueue, grant,
- *  or shed); the root tier refreshes its cached entry. */
-struct TenantDirty
-{
-    unsigned tenant;
-};
-
-/** A tenant crossed the empty <-> non-empty boundary (any queued
- *  request at all); drives the root round-robin occupancy set. */
-struct TenantActivation
-{
-    unsigned tenant;
-    bool nonEmpty;
-};
-
-/** One request granted to the memory system (telemetry sinks). */
-struct GrantEvent
-{
-    unsigned tenant;
-    unsigned stream; ///< Tenant-local stream index
-    std::uint64_t waited; ///< Queueing delay at grant (cycles)
-};
-
-/** One request shed (telemetry sinks). */
-struct ShedEvent
-{
-    unsigned tenant;
-    unsigned stream;  ///< Tenant-local stream index
-    bool deadline;    ///< true = deadline shed, false = overload shed
-};
-
-/** A stream retired: exhausted with an empty queue. The root tier
- *  counts these down to detect fleet drain in O(1). */
-struct StreamRetired
-{
-    unsigned tenant;
-};
-
-/** @} */
 
 } // namespace pva::fleet
 

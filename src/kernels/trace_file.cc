@@ -1,6 +1,8 @@
 #include "kernels/trace_file.hh"
 
+#include <charconv>
 #include <istream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -14,18 +16,24 @@ namespace pva
 namespace
 {
 
+/** Strides, poke values and write seeds are 32-bit fields. */
+constexpr std::uint64_t kMaxField =
+    std::numeric_limits<std::uint32_t>::max();
+
+/** A token of the format's number grammar: 64-bit unsigned decimal
+ *  without a sign or a leading zero (C would read "010" as octal), or
+ *  0x-prefixed hex. */
 bool
 parseNumber(const std::string &tok, std::uint64_t &out)
 {
-    if (tok.empty())
+    const bool hex = tok.size() > 2 && tok[0] == '0' &&
+                     (tok[1] == 'x' || tok[1] == 'X');
+    if (!hex && tok.size() > 1 && tok[0] == '0')
         return false;
-    try {
-        std::size_t pos = 0;
-        out = std::stoull(tok, &pos, 0); // base 0: decimal or 0x hex
-        return pos == tok.size();
-    } catch (...) {
-        return false;
-    }
+    const char *first = tok.data() + (hex ? 2 : 0);
+    const char *last = tok.data() + tok.size();
+    const auto [end, ec] = std::from_chars(first, last, out, hex ? 16 : 10);
+    return ec == std::errc() && end == last;
 }
 
 } // anonymous namespace
@@ -46,8 +54,8 @@ parseTrace(std::istream &in, TraceFile &out, std::string &error)
         if (!(ss >> verb))
             continue; // blank / comment-only line
 
-        auto fail = [&](const char *what) {
-            error = csprintf("line %u: %s", line_no, what);
+        auto fail = [&](const std::string &what) {
+            error = csprintf("line %u: %s", line_no, what.c_str());
             return false;
         };
 
@@ -56,7 +64,7 @@ parseTrace(std::istream &in, TraceFile &out, std::string &error)
         while (ss >> tok) {
             std::uint64_t v;
             if (!parseNumber(tok, v))
-                return fail("malformed number");
+                return fail("malformed number '" + tok + "'");
             args.push_back(v);
         }
 
@@ -64,6 +72,8 @@ parseTrace(std::istream &in, TraceFile &out, std::string &error)
         if (verb == "poke") {
             if (args.size() != 2)
                 return fail("poke needs <addr> <value>");
+            if (args[1] > kMaxField)
+                return fail("poke value exceeds 2^32-1");
             op.kind = TraceOp::Kind::Poke;
             op.addr = args[0];
             op.value = static_cast<Word>(args[1]);
@@ -77,8 +87,16 @@ parseTrace(std::istream &in, TraceFile &out, std::string &error)
                                   "<seed>");
             if (args[1] == 0)
                 return fail("stride must be >= 1");
+            if (args[1] > kMaxField)
+                return fail("stride exceeds 2^32-1");
             if (args[2] == 0 || args[2] > 32)
                 return fail("length must be in 1..32");
+            if (!is_read && args[3] > kMaxField)
+                return fail("write seed exceeds 2^32-1");
+            if ((std::numeric_limits<WordAddr>::max() - args[0]) /
+                    args[1] < args[2] - 1) {
+                return fail("last element address exceeds 2^64-1");
+            }
             op.kind = is_read ? TraceOp::Kind::Read
                               : TraceOp::Kind::Write;
             op.cmd.base = args[0];

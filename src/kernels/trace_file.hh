@@ -11,8 +11,9 @@
  *                                         carries the value seed + i
  *     barrier                             wait for all prior commands
  *
- * Numbers are decimal or 0x-prefixed hex; addresses and strides are in
- * words.
+ * Numbers are unsigned decimal (no leading zeros) or 0x-prefixed hex;
+ * addresses and strides are in words. Strides, poke values and write
+ * seeds must fit 32 bits, and a vector's last element address 64.
  *
  * Barriers cut the trace into segments that run one after another.
  * Every poke of a segment applies when the segment starts, before any

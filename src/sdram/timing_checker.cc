@@ -233,15 +233,6 @@ TimingChecker::onRefresh(unsigned bank, Cycle now, Cycle busy_until,
 {
     DeviceState &d = devs.at(bank);
     d.refreshBusyUntil = std::max(d.refreshBusyUntil, busy_until);
-    if (covered == kInferCovered) {
-        // Legacy inference for callers without coverage info: a
-        // refresh on a tREFI boundary is the scheduled one (injected
-        // refreshes land on arbitrary cycles and satisfy nothing).
-        covered = (times.tREFI != 0 && now != 0 &&
-                   now % times.tREFI == 0)
-                      ? now
-                      : 0;
-    }
     if (covered != 0 && times.tREFI != 0) {
         if (pol.kind == MemBackend::DeferredRefresh) {
             // Coverage must be in order (no boundary skipped) and the

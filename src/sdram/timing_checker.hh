@@ -44,10 +44,6 @@ namespace pva
 class TimingChecker
 {
   public:
-    /** Sentinel for onRefresh's @p covered: infer coverage from the
-     *  cycle (the legacy rule), for callers predating backends. */
-    static constexpr Cycle kInferCovered = kNeverCycle;
-
     /** @p policy selects the per-backend rule set (subarray-scoped
      *  row-cycle rules for SALP, debt-window refresh audit for
      *  DeferredRefresh); the default is the legacy part. */
@@ -63,12 +59,12 @@ class TimingChecker
                    const DeviceOp &op, Cycle now);
     /** A refresh closed every row slot of @p bank and holds the device
      *  busy until @p busy_until. @p covered names the tREFI boundary
-     *  this refresh satisfies: 0 for an injected refresh (satisfies
-     *  none), kInferCovered to infer legacy-style from the cycle. On a
-     *  DeferredRefresh backend, coverage must be in order and within
-     *  the policy window of the boundary, or SimError(Protocol). */
+     *  this refresh satisfies, 0 for an injected refresh (satisfies
+     *  none). On a DeferredRefresh backend, coverage must be in order
+     *  and within the policy window of the boundary, or
+     *  SimError(Protocol). */
     void onRefresh(unsigned bank, Cycle now, Cycle busy_until,
-                   Cycle covered = kInferCovered);
+                   Cycle covered);
     /** @} */
 
     /** @name Data shadow layer (all devices)

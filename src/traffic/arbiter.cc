@@ -64,13 +64,6 @@ StreamArbiter::StreamArbiter(const ArbiterConfig &config,
     }
 }
 
-void
-StreamArbiter::applyPokes(SparseMemory &mem) const
-{
-    for (const StreamSource &s : sources)
-        s.applyPokes(mem);
-}
-
 bool
 StreamArbiter::pick(Cycle now, unsigned &out) const
 {

@@ -127,8 +127,8 @@ class StreamArbiter
      *    grant): now + 1, since follow-on admission/grant decisions may
      *    cascade next cycle;
      *  - otherwise the earliest pending open-loop arrival, the only
-     *    arrival discipline with a clock of its own (closed-loop and
-     *    trace arrivals are unblocked by completions, which the memory
+     *    arrival discipline with a clock of its own (closed-loop
+     *    arrivals are unblocked by completions, which the memory
      *    system's own wakes cover);
      *  - otherwise kNeverCycle.
      *
@@ -139,15 +139,7 @@ class StreamArbiter
      */
     Cycle nextWake(Cycle now) const;
 
-    /** Apply all trace-stream pokes to the system's memory. */
-    void applyPokes(SparseMemory &mem) const;
-
-    std::size_t streamCount() const { return sources.size(); }
     const StreamSource &source(unsigned i) const { return sources[i]; }
-    std::size_t queueDepth(unsigned i) const
-    {
-        return queues[i].size();
-    }
 
     /** @name Trace track handle (see sim/trace.hh; 0 = untraced) @{ */
     void setTraceTrack(std::uint32_t id) { traceTrackId = id; }

@@ -1,7 +1,5 @@
 #include "traffic/stream.hh"
 
-#include <fstream>
-
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
 
@@ -49,38 +47,11 @@ StreamSource::StreamSource(const StreamConfig &config, unsigned id,
     if (cfg.queueCapacity == 0)
         reject("queueCapacity must be nonzero");
     if (cfg.mode != ArrivalMode::OpenLoop && cfg.window == 0)
-        reject("window must be nonzero for closed-loop/trace streams");
+        reject("window must be nonzero for closed-loop streams");
     if (cfg.mode == ArrivalMode::OpenLoop &&
         !(cfg.requestsPerKilocycle > 0.0)) {
         reject("requestsPerKilocycle must be positive for open-loop "
                "streams");
-    }
-
-    if (cfg.mode == ArrivalMode::Trace) {
-        std::ifstream in(cfg.tracePath);
-        if (!in)
-            reject(csprintf("cannot open trace '%s'",
-                            cfg.tracePath.c_str()));
-        TraceFile parsed;
-        std::string error;
-        if (!parseTrace(in, parsed, error))
-            reject(csprintf("trace '%s': %s", cfg.tracePath.c_str(),
-                            error.c_str()));
-        for (const TraceOp &op : parsed.ops) {
-            if (op.kind == TraceOp::Kind::Poke) {
-                tracePokes.emplace_back(op.addr, op.value);
-                continue;
-            }
-            if (op.kind != TraceOp::Kind::Barrier &&
-                op.cmd.length > lineWords) {
-                reject(csprintf("trace '%s' command length %u exceeds "
-                                "the %u-word line",
-                                cfg.tracePath.c_str(), op.cmd.length,
-                                lineWords));
-            }
-            trace.ops.push_back(op);
-        }
-        return;
     }
 
     const PatternConfig &p = cfg.pattern;
@@ -118,28 +89,8 @@ StreamSource::StreamSource(const StreamConfig &config, unsigned id,
 }
 
 bool
-StreamSource::traceHeadReady() const
-{
-    std::size_t i = traceNext;
-    while (i < trace.ops.size() &&
-           trace.ops[i].kind == TraceOp::Kind::Barrier) {
-        if (outstanding > 0)
-            return false;
-        ++i;
-    }
-    return i < trace.ops.size();
-}
-
-bool
 StreamSource::exhausted() const
 {
-    if (cfg.mode == ArrivalMode::Trace) {
-        for (std::size_t i = traceNext; i < trace.ops.size(); ++i) {
-            if (trace.ops[i].kind != TraceOp::Kind::Barrier)
-                return false;
-        }
-        return true;
-    }
     return emittedCount >= cfg.requests;
 }
 
@@ -151,21 +102,12 @@ StreamSource::arrivalReady(Cycle now) const
         return emittedCount < cfg.requests && outstanding < cfg.window;
       case ArrivalMode::OpenLoop:
         return emittedCount < cfg.requests && nextArrival <= now;
-      case ArrivalMode::Trace:
-        return outstanding < cfg.window && traceHeadReady();
     }
     return false;
 }
 
 TrafficRequest
 StreamSource::emit(Cycle now)
-{
-    return cfg.mode == ArrivalMode::Trace ? makeTraceRequest(now)
-                                          : makePatternRequest(now);
-}
-
-TrafficRequest
-StreamSource::makePatternRequest(Cycle now)
 {
     const PatternConfig &p = cfg.pattern;
     TrafficRequest req;
@@ -216,40 +158,11 @@ StreamSource::makePatternRequest(Cycle now)
     return req;
 }
 
-TrafficRequest
-StreamSource::makeTraceRequest(Cycle now)
-{
-    while (trace.ops[traceNext].kind == TraceOp::Kind::Barrier)
-        ++traceNext; // traceHeadReady() guaranteed outstanding == 0
-    const TraceOp &op = trace.ops[traceNext++];
-
-    TrafficRequest req;
-    req.stream = streamId;
-    req.seqNo = emittedCount;
-    req.arrival = now;
-    req.cmd = op.cmd;
-    if (op.kind == TraceOp::Kind::Write) {
-        req.writeData.resize(op.cmd.length);
-        for (std::uint32_t i = 0; i < op.cmd.length; ++i)
-            req.writeData[i] = op.value + i;
-    }
-    ++outstanding;
-    ++emittedCount;
-    return req;
-}
-
 void
 StreamSource::onComplete()
 {
     if (cfg.mode != ArrivalMode::OpenLoop && outstanding > 0)
         --outstanding;
-}
-
-void
-StreamSource::applyPokes(SparseMemory &mem) const
-{
-    for (const auto &[addr, value] : tracePokes)
-        mem.write(addr, value);
 }
 
 } // namespace pva

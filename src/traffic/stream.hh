@@ -4,7 +4,7 @@
  * subsystem (docs/TRAFFIC.md).
  *
  * A StreamSource produces a deterministic sequence of vector commands
- * under one of three arrival disciplines:
+ * under one of two arrival disciplines:
  *
  *  - ClosedLoop: a fixed window of outstanding requests; a new request
  *    arrives the moment a slot frees (classic think-time-zero closed
@@ -13,8 +13,10 @@
  *    the seeded splitmix64 streams (sim/random.hh), independent of
  *    completion — the discipline that exposes queueing and tail
  *    latency at a given offered load.
- *  - Trace: replay of a kernels/trace_file script, issued closed-loop
- *    with the stream's window and honouring barriers.
+ *
+ * Trace files (kernels/trace_file.hh) are replayed by replayTrace, not
+ * by a stream: a trace is one program with barriers and pokes, not a
+ * request distribution.
  *
  * Two RNG streams are derived from the stream seed: one for the
  * command pattern (<B,S,L> draws, read/write mix, write data), one for
@@ -32,8 +34,6 @@
 #include <vector>
 
 #include "core/vector_command.hh"
-#include "kernels/trace_file.hh"
-#include "sim/memory.hh"
 #include "sim/random.hh"
 #include "sim/types.hh"
 
@@ -45,7 +45,6 @@ enum class ArrivalMode
 {
     ClosedLoop, ///< Fixed outstanding-request window
     OpenLoop,   ///< Seeded deterministic arrival schedule
-    Trace,      ///< kernels/trace_file replay (closed-loop + barriers)
 };
 
 /** The <B,S,L> distribution one stream draws its commands from. */
@@ -67,9 +66,9 @@ struct StreamConfig
 {
     std::string name;            ///< Defaults to "s<id>" when empty
     ArrivalMode mode = ArrivalMode::ClosedLoop;
-    unsigned window = 4;         ///< Closed-loop/trace outstanding limit
+    unsigned window = 4;         ///< Closed-loop outstanding limit
     double requestsPerKilocycle = 10.0; ///< Open-loop offered rate
-    std::uint64_t requests = 256; ///< Requests to generate (non-trace)
+    std::uint64_t requests = 256; ///< Requests to generate
     unsigned priority = 0;       ///< Larger = more urgent (Priority policy)
     unsigned queueCapacity = 16; ///< Arbiter per-stream queue bound
     /** Queueing-delay budget before a queued request is shed (cycles;
@@ -78,7 +77,6 @@ struct StreamConfig
     Cycle deadline = 0;
     std::uint64_t seed = 1;      ///< Pattern + arrival RNG seed
     PatternConfig pattern;
-    std::string tracePath;       ///< Trace mode input file
 };
 
 /** One generated request travelling through the arbiter. */
@@ -98,8 +96,7 @@ class StreamSource
     /**
      * @param line_words the target system's cache-line element count
      *        (command lengths are validated against it).
-     * Throws SimError(Config) on unsupportable configuration or an
-     * unreadable/malformed trace file.
+     * Throws SimError(Config) on unsupportable configuration.
      */
     StreamSource(const StreamConfig &config, unsigned id,
                  unsigned line_words);
@@ -123,25 +120,12 @@ class StreamSource
     /** Requests generated so far. */
     std::uint64_t emitted() const { return emittedCount; }
 
-    /** Requests currently outstanding (closed-loop accounting). */
-    std::uint64_t inWindow() const { return outstanding; }
-
     /** Open-loop schedule head: when the next arrival is due (may be
      *  in the past while backpressured). Meaningful only in OpenLoop
-     *  mode; closed-loop/trace arrivals are completion-driven. */
+     *  mode; closed-loop arrivals are completion-driven. */
     Cycle nextArrivalCycle() const { return nextArrival; }
 
-    /** Apply the trace's poke preamble to the functional memory
-     *  (no-op for non-trace streams). */
-    void applyPokes(SparseMemory &mem) const;
-
   private:
-    TrafficRequest makePatternRequest(Cycle now);
-    TrafficRequest makeTraceRequest(Cycle now);
-    /** Advance past satisfied barriers; the next emittable trace op
-     *  (if any) ends up at traceNext. */
-    bool traceHeadReady() const;
-
     StreamConfig cfg;
     unsigned streamId;
     unsigned lineWords;
@@ -150,12 +134,8 @@ class StreamSource
     Random arrivalRng; ///< Open-loop inter-arrival gaps
 
     std::uint64_t emittedCount = 0;
-    std::uint64_t outstanding = 0; ///< Closed-loop / trace window
+    std::uint64_t outstanding = 0; ///< Closed-loop window
     Cycle nextArrival = 0;         ///< Open-loop schedule head
-
-    TraceFile trace;               ///< Trace mode ops (pokes stripped)
-    std::size_t traceNext = 0;
-    std::vector<std::pair<WordAddr, Word>> tracePokes;
 };
 
 } // namespace pva

@@ -73,7 +73,6 @@ runTraffic(const TrafficConfig &config, std::ostream *stats_dump)
     auto sys = makeSystem(config.system, config.config);
     ServiceStats stats(names);
     StreamArbiter arbiter(config.arbiter, std::move(sources), stats);
-    arbiter.applyPokes(sys->memory());
     PVA_TRACE_BLOCK(
         if (trace::TraceSession *ts = trace::session())
             arbiter.setTraceTrack(

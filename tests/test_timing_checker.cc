@@ -140,7 +140,7 @@ TEST_F(TimingCheckerTest, DoubleCommandBusDriveIsCaught)
 
 TEST_F(TimingCheckerTest, CommandDuringRefreshIsCaught)
 {
-    checker.onRefresh(0, 0, 10);
+    checker.onRefresh(0, 0, 10, 0);
     test::expectSimError(
         [&] { checker.onCommand("dev0", 0, activate(at(3)), 5); },
         SimErrorKind::Protocol, "refresh");

@@ -9,6 +9,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "baselines/serial_system.hh"
 #include "core/pva_unit.hh"
@@ -44,6 +45,23 @@ const char *const kMixed = "poke 5 123\n"
                            "read 0 3 32\n"
                            "barrier\n"
                            "read 2000 7 16\n";
+/** Pokes first, then barrier-separated segments whose commands touch
+ *  disjoint words, so no issue order inside a segment can change the
+ *  memory image the trace leaves. */
+const char *const kSegments = "poke 3000 11\n"
+                              "poke 3019 12\n"
+                              "poke 6000 13\n"
+                              "write 1000 19 32 500\n"
+                              "write 5000 3 16 900\n"
+                              "barrier\n"
+                              "write 1000 19 8 700\n"
+                              "read 5000 3 16\n"
+                              "read 3000 19 2\n"
+                              "barrier\n"
+                              "write 3000 19 32 100\n"
+                              "read 1000 19 32\n"
+                              "barrier\n"
+                              "write 4096 1 32 42\n";
 
 /** 100 independent line reads: more than the 8 transactions. */
 std::string
@@ -83,6 +101,16 @@ TEST(TraceParser, AcceptsFullGrammar)
     EXPECT_EQ(t.ops[2].kind, TraceOp::Kind::Barrier);
     EXPECT_EQ(t.ops[3].kind, TraceOp::Kind::Write);
     EXPECT_EQ(t.ops[3].value, 0xdeadu);
+
+    // Each field at its widest: a bare 0, 32-bit values and a vector
+    // whose last element sits at address 2^64-1.
+    t = mustParse("poke 0 4294967295\n"
+                  "write 0 0xFFFFFFFF 1 4294967295\n"
+                  "read 18446744073709551584 1 32\n");
+    ASSERT_EQ(t.ops.size(), 3u);
+    EXPECT_EQ(t.ops[0].value, 0xffffffffu);
+    EXPECT_EQ(t.ops[1].cmd.stride, 0xffffffffu);
+    EXPECT_EQ(t.ops[2].cmd.element(31), ~0ull);
 }
 
 TEST(TraceParser, RejectsWithLineNumbers)
@@ -99,6 +127,30 @@ TEST(TraceParser, RejectsWithLineNumbers)
     EXPECT_NE(mustFail("barrier 1\n").find("barrier"),
               std::string::npos);
     EXPECT_NE(mustFail("write 0 1 8\n").find("seed"), std::string::npos);
+
+    // Numbers their field cannot hold, and tokens outside the grammar:
+    // a sign, or a leading zero (which C would read as octal).
+    const std::pair<const char *, const char *> refused[] = {
+        {"read 4096 4294967296 32", "stride"},
+        {"read 0 1 4294967296", "length"},
+        {"poke 0 4294967296", "poke value"},
+        {"write 0 1 8 4294967296", "write seed"},
+        {"poke 18446744073709551616 1", "number"},
+        {"poke -1 5", "number"},
+        {"poke +1 5", "number"},
+        {"read 0x-1 1 1", "number"},
+        {"poke 010 77", "number"},
+        {"poke 00 77", "number"},
+        {"read 18446744073709551615 2 2", "last element"},
+    };
+    for (const auto &[line, what] : refused) {
+        const std::string error =
+            mustFail(std::string("barrier\n") + line + "\n");
+        EXPECT_NE(error.find("line 2"), std::string::npos)
+            << line << ": " << error;
+        EXPECT_NE(error.find(what), std::string::npos)
+            << line << ": " << error;
+    }
 }
 
 TEST(TraceReplay, WriteThenReadThroughBarrier)
@@ -146,6 +198,25 @@ TEST(TraceReplay, PokesApplyAtTheStartOfTheirSegment)
     EXPECT_NE(checksum("poke 999999 0\n" + reads + "poke 999998 0\n"),
               first)
         << "the poke of word 64 must be visible to the reads";
+}
+
+TEST(TraceReplay, SegmentsLeaveTheirMemoryImage)
+{
+    auto sys = makeSystem(SystemKind::PvaSdram);
+    replayTrace(*sys, mustParse(kSegments));
+    EXPECT_EQ(sys->memory().read(1000), 700u);
+    EXPECT_EQ(sys->memory().read(1000 + 19 * 8), 508u);
+    EXPECT_EQ(sys->memory().read(3019), 101u);
+    EXPECT_EQ(sys->memory().read(6000), 13u);
+
+    // A poke lands at the start of its own segment, after every write
+    // of the segments before it.
+    auto later = makeSystem(SystemKind::PvaSdram);
+    replayTrace(*later, mustParse("write 100 1 1 7\n"
+                                  "barrier\n"
+                                  "poke 100 5\n"
+                                  "read 100 1 1\n"));
+    EXPECT_EQ(later->memory().read(100), 5u);
 }
 
 TEST(TraceReplay, ChecksumAgreesAcrossSystems)

@@ -5,7 +5,6 @@
  * composition with the fault-injection/retry harness.
  */
 
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,10 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "kernels/sweep_executor.hh"
-#include "kernels/trace_file.hh"
 #include "sim/json.hh"
 #include "sim/sim_error.hh"
-#include "sim/simulation.hh"
 #include "traffic/traffic_runner.hh"
 
 using namespace pva;
@@ -299,82 +296,4 @@ TEST(TrafficJson, StreamNamesAreEscaped)
     const json::Value *name = streams->array()[0].find("name");
     ASSERT_NE(name, nullptr);
     EXPECT_EQ(name->string(), "a\"b\\c");
-}
-
-TEST(TrafficStream, TraceModeLeavesTheReplayMemoryImage)
-{
-    // Pokes first, then barrier-separated segments whose commands
-    // touch disjoint words, so no issue order inside a segment can
-    // change the outcome: the closed-loop trace stream of
-    // `pva_loadgen --trace` and replayTrace must leave the same image.
-    const std::string text = "poke 3000 11\n"
-                             "poke 3019 12\n"
-                             "poke 6000 13\n"
-                             "write 1000 19 32 500\n"
-                             "write 5000 3 16 900\n"
-                             "barrier\n"
-                             "write 1000 19 8 700\n"
-                             "read 5000 3 16\n"
-                             "read 3000 19 2\n"
-                             "barrier\n"
-                             "write 3000 19 32 100\n"
-                             "read 1000 19 32\n"
-                             "barrier\n"
-                             "write 4096 1 32 42\n";
-    const std::string path = ::testing::TempDir() + "trace_mode.trace";
-    std::ofstream(path) << text;
-
-    std::istringstream in(text);
-    TraceFile trace;
-    std::string error;
-    ASSERT_TRUE(parseTrace(in, trace, error)) << error;
-    auto replayed = makeSystem(SystemKind::PvaSdram);
-    const ReplayResult rr = replayTrace(*replayed, trace);
-    EXPECT_EQ(replayed->memory().read(1000), 700u);
-    EXPECT_EQ(replayed->memory().read(1000 + 19 * 8), 508u);
-    EXPECT_EQ(replayed->memory().read(3019), 101u);
-    EXPECT_EQ(replayed->memory().read(6000), 13u);
-
-    // One trace stream, arbitrated and clocked the way runTraffic
-    // does, with the system kept for inspection.
-    StreamConfig stream;
-    stream.mode = ArrivalMode::Trace;
-    stream.tracePath = path;
-    std::vector<StreamSource> sources;
-    sources.emplace_back(stream, 0, 32);
-    ServiceStats stats({sources.back().name()});
-    StreamArbiter arbiter(ArbiterConfig{}, std::move(sources), stats);
-    auto sys = makeSystem(SystemKind::PvaSdram);
-    arbiter.applyPokes(sys->memory());
-    Simulation sim;
-    sim.add(sys.get());
-    sim.runUntil(
-        [&] {
-            bool done = arbiter.service(*sys, sim.now());
-            if (!done)
-                sim.requestWake(arbiter.nextWake(sim.now()));
-            return done;
-        },
-        1000000);
-    EXPECT_EQ(stats.completedTotal(), rr.commands);
-
-    for (const TraceOp &op : trace.ops) {
-        if (op.kind == TraceOp::Kind::Poke) {
-            EXPECT_EQ(sys->memory().read(op.addr),
-                      replayed->memory().read(op.addr))
-                << "poked word " << op.addr;
-        } else if (op.kind == TraceOp::Kind::Write) {
-            for (std::uint32_t i = 0; i < op.cmd.length; ++i) {
-                WordAddr a = op.cmd.element(i);
-                EXPECT_EQ(sys->memory().read(a),
-                          replayed->memory().read(a))
-                    << "written word " << a;
-            }
-        }
-    }
-
-    // The same stream through runTraffic completes every command.
-    TrafficConfig tc;
-    tc.streams = {stream};
-    EXPECT_EQ(runTraffic(tc).completed, rr.commands);
 }

@@ -67,7 +67,6 @@ struct LoadgenOptions
     bool deadlineSet = false;
     bool watermarkSet = false;
     bool priorityRamp = false;
-    std::string tracePath;
     PatternConfig pattern;
     std::string system = "pva";
     std::string systems = "pva,cacheline,gathering";
@@ -172,8 +171,6 @@ addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
              [&opts] {
                  opts.pattern.mode = VectorCommand::Mode::Indirect;
              });
-    app.option("--trace", "FILE", "replay stream arrivals from FILE",
-               [&opts](const std::string &v) { opts.tracePath = v; });
     app.option("--system", "pva|cacheline|gathering|sram",
                "memory system under test",
                [&opts](const std::string &v) { opts.system = v; });
@@ -230,11 +227,6 @@ validateOptions(const LoadgenOptions &opts)
                        "--fleet and --load-sweep are separate modes; "
                        "pick one");
     }
-    if (!opts.tracePath.empty() && opts.fleet) {
-        throw SimError(SimErrorKind::Config, "loadgen", kNeverCycle,
-                       "--trace replay is not available in fleet "
-                       "mode");
-    }
 }
 
 TrafficConfig
@@ -261,8 +253,6 @@ trafficConfigFor(const LoadgenOptions &opts)
     else
         fatal("unknown mode '%s' (try: closed open)",
               opts.mode.c_str());
-    if (!opts.tracePath.empty())
-        mode = ArrivalMode::Trace;
 
     for (unsigned i = 0; i < opts.streams; ++i) {
         StreamConfig s;
@@ -277,7 +267,6 @@ trafficConfigFor(const LoadgenOptions &opts)
         // Disjoint regions keep the streams from aliasing each other.
         s.pattern.regionBase =
             opts.pattern.regionBase + i * opts.pattern.regionWords;
-        s.tracePath = opts.tracePath;
         tc.streams.push_back(std::move(s));
     }
     return tc;

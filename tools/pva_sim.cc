@@ -12,7 +12,8 @@
  * the vocabulary matches pva_replay and pva_loadgen; run `pva_sim
  * --help` for the generated list. --json replaces the human-readable
  * lines with one versioned JSON envelope (docs/API.md) on stdout
- * (single run) or stderr (--sweep, keeping the CSV on stdout);
+ * (single run) or stderr (--sweep, keeping the CSV on stdout; the
+ * sweep's progress, failure and --stats lines are left out);
  * --trace-out writes a Chrome/Perfetto event trace of the run
  * (docs/OBSERVABILITY.md, needs a PVA_TRACE=ON build).
  *
@@ -45,39 +46,44 @@ runSweep(const ToolApp &app, const ToolOptions &opts)
     executor.setPointTimeout(opts.pointTimeout);
     executor.setCheckpoint(
         {opts.checkpointPath, opts.resume, opts.quarantineDir});
-    executor.onProgress([](const SweepProgress &p) {
-        if (p.done % 160 == 0 || p.done == p.total)
-            inform("sweep: %zu/%zu points done", p.done, p.total);
-    });
+    if (!opts.json) {
+        executor.onProgress([](const SweepProgress &p) {
+            if (p.done % 160 == 0 || p.done == p.total)
+                inform("sweep: %zu/%zu points done", p.done, p.total);
+        });
+    }
     SweepReport report = executor.runReport(
         SweepExecutor::chapter6Grid(opts.elements, opts.config));
-    if (report.resumed > 0) {
+    if (report.resumed > 0 && !opts.json) {
         inform("sweep: restored %zu completed points from '%s'",
                report.resumed, opts.checkpointPath.c_str());
     }
     writeCsv(std::cout, report.points);
-    for (const PointFailure &f : report.failures) {
-        warn("sweep point %zu (%s/%s stride %u alignment %u) failed "
-             "after %u attempts: %s",
-             f.index, systemShortName(f.system),
-             kernelSpec(f.kernel).name.c_str(), f.stride, f.alignment,
-             f.attempts, f.error.c_str());
-    }
-    for (const QuarantineRecord &q : report.quarantine) {
-        inform("quarantined point %zu: repro capsule %s "
-               "(pva_replay --repro)",
-               q.index, q.capsulePath.c_str());
-    }
-    if (opts.stats)
-        executor.stats().dump(std::cerr);
     if (opts.json) {
         // The CSV owns stdout under --sweep; the envelope goes to
-        // stderr so both can be captured independently.
+        // stderr so both can be captured independently. It is all of
+        // stderr: its stats and sweep sections carry what the text
+        // lines below would say.
         JsonEnvelope env(std::cerr, app, opts.config,
                          {{"elements", opts.elements}});
         executor.stats().dumpJson(env.section("stats").nested());
         report.dumpJson(env.section("sweep").nested());
         env.traceSection(app);
+    } else {
+        for (const PointFailure &f : report.failures) {
+            warn("sweep point %zu (%s/%s stride %u alignment %u) "
+                 "failed after %u attempts: %s",
+                 f.index, systemShortName(f.system),
+                 kernelSpec(f.kernel).name.c_str(), f.stride,
+                 f.alignment, f.attempts, f.error.c_str());
+        }
+        for (const QuarantineRecord &q : report.quarantine) {
+            inform("quarantined point %zu: repro capsule %s "
+                   "(pva_replay --repro)",
+                   q.index, q.capsulePath.c_str());
+        }
+        if (opts.stats)
+            executor.stats().dump(std::cerr);
     }
     bool clean = report.allOk() &&
                  executor.stats().scalar("sweep.mismatches") == 0;
