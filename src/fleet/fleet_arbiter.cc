@@ -1,7 +1,7 @@
 #include "fleet/fleet_arbiter.hh"
 
 #include <algorithm>
-#include <cmath>
+#include <numeric>
 
 namespace pva::fleet
 {
@@ -11,266 +11,208 @@ namespace
 constexpr std::uint32_t kNotDeferred = 0xffffffffu;
 } // namespace
 
-// ---------------------------------------------------------------------
-// TenantArbiter
-// ---------------------------------------------------------------------
-
-TenantArbiter::TenantArbiter(unsigned index, const ArbiterConfig &config,
-                             std::vector<StreamSource> sources_,
-                             ServiceStats &stats_, FleetArbiter &root_)
-    : tenantIndex(index), cfg(config), sources(std::move(sources_)),
-      stats(stats_), root(root_), queues(sources.size()),
-      admitStamp(sources.size(), 0),
-      deferredPos(sources.size(), kNotDeferred),
-      hasArrivalEntry(sources.size(), 0), retired(sources.size(), 0)
+FleetArbiter::FleetArbiter(const ArbiterConfig &config,
+                           std::vector<TenantSeat> seats,
+                           MessageBus &bus)
+    : cfg(config), grantChannel(bus.channel<GrantEvent>()),
+      shedChannel(bus.channel<ShedEvent>())
 {
+    std::size_t n = 0;
+    for (const TenantSeat &seat : seats)
+        n += seat.sources.size();
+    sources.reserve(n);
+    tenantOf.reserve(n);
+    tenantBase.reserve(seats.size());
+    tenantStats.reserve(seats.size());
+    for (unsigned t = 0; t < seats.size(); ++t) {
+        tenantBase.push_back(static_cast<unsigned>(sources.size()));
+        tenantStats.push_back(seats[t].stats);
+        for (StreamSource &s : seats[t].sources) {
+            sources.push_back(std::move(s));
+            tenantOf.push_back(t);
+        }
+    }
+
+    queues.resize(n);
+    admitStamp.assign(n, 0);
+    deferredPos.assign(n, kNotDeferred);
+    hasArrivalEntry.assign(n, 0);
+    retired.assign(n, 0);
+    activeStreams = n;
+    if (n > 0)
+        lastGranted = static_cast<unsigned>(n) - 1;
     if (cfg.shed.enabled) {
-        shedDeadline.reserve(sources.size());
-        shedDepth.reserve(sources.size());
+        shedDeadline.reserve(n);
+        shedDepth.reserve(n);
         for (const StreamSource &s : sources) {
-            shedDeadline.push_back(s.config().deadline > 0
-                                       ? s.config().deadline
-                                       : cfg.shed.defaultDeadline);
-            const std::size_t cap = s.config().queueCapacity;
-            std::size_t depth = cap;
-            if (cfg.shed.queueHighWatermark < 1.0) {
-                depth = static_cast<std::size_t>(std::ceil(
-                    cfg.shed.queueHighWatermark *
-                    static_cast<double>(cap)));
-                depth = std::max<std::size_t>(1, std::min(depth, cap));
-            }
-            shedDepth.push_back(depth);
+            shedDeadline.push_back(shedDeadlineOf(cfg, s.config()));
+            shedDepth.push_back(shedDepthOf(cfg, s.config()));
         }
     }
     // Every stream gets one initial admission pass (the flat arbiter's
     // first full scan); quiescent streams retire there and never cost
     // another cycle of work.
-    admitWork.reserve(sources.size());
-    for (unsigned i = 0; i < sources.size(); ++i)
-        admitWork.push_back(i);
+    admitWork.resize(n);
+    std::iota(admitWork.begin(), admitWork.end(), 0u);
 }
 
 void
-TenantArbiter::creditDeferredGap(Cycle gap)
+FleetArbiter::setDeferred(unsigned g, bool deferred)
 {
-    for (unsigned local : deferredList)
-        stats.onDeferredGap(local, gap);
-}
-
-void
-TenantArbiter::addDeferred(unsigned local)
-{
-    if (deferredPos[local] != kNotDeferred)
+    const std::uint32_t pos = deferredPos[g];
+    if (deferred == (pos != kNotDeferred))
         return;
-    deferredPos[local] = static_cast<std::uint32_t>(deferredList.size());
-    deferredList.push_back(local);
-}
-
-void
-TenantArbiter::removeDeferred(unsigned local)
-{
-    const std::uint32_t pos = deferredPos[local];
-    if (pos == kNotDeferred)
+    if (deferred) {
+        deferredPos[g] = static_cast<std::uint32_t>(deferredList.size());
+        deferredList.push_back(g);
         return;
+    }
     const unsigned last = deferredList.back();
     deferredList[pos] = last;
     deferredPos[last] = pos;
     deferredList.pop_back();
-    deferredPos[local] = kNotDeferred;
+    deferredPos[g] = kNotDeferred;
 }
 
 void
-TenantArbiter::pushArrivalEntry(Cycle arrival, unsigned local)
+FleetArbiter::checkRetired(unsigned g)
 {
-    arrivalHeap.emplace(arrival, local);
-    hasArrivalEntry[local] = 1;
-}
-
-void
-TenantArbiter::checkRetired(unsigned local)
-{
-    if (retired[local] || !sources[local].exhausted() ||
-        !queues[local].empty()) {
+    if (retired[g] || !sources[g].exhausted() || !queues[g].empty())
         return;
-    }
-    retired[local] = 1;
-    root.streamRetired();
+    retired[g] = 1;
+    --activeStreams;
 }
 
 void
-TenantArbiter::newHead(unsigned local)
+FleetArbiter::newHead(unsigned g)
 {
-    const TrafficRequest &req = queues[local].front();
+    const Cycle arrival = queues[g].front().arrival;
     switch (cfg.policy) {
       case ArbPolicy::Fifo:
-        headHeap.emplace(req.arrival, local);
+        headHeap.emplace(arrival, g);
         break;
       case ArbPolicy::Priority:
         // The head heap doubles as the aging (oldest-first) index.
-        headHeap.emplace(req.arrival, local);
-        prioHeap.emplace(sources[local].config().priority, req.arrival,
-                         local);
+        headHeap.emplace(arrival, g);
+        prioHeap.emplace(sources[g].config().priority, arrival, g);
         break;
       case ArbPolicy::RoundRobin:
+        rrSet.insert(g);
         break;
     }
-    if (cfg.shed.enabled && shedDeadline[local] > 0)
-        expiryHeap.emplace(req.arrival + shedDeadline[local] + 1, local);
-    root.markDirty(tenantIndex);
+    if (cfg.shed.enabled && shedDeadline[g] > 0)
+        expiryHeap.emplace(arrival + shedDeadline[g] + 1, g);
 }
 
 void
-TenantArbiter::queueBecameEmpty(unsigned local)
+FleetArbiter::headPopped(unsigned g)
 {
-    if (cfg.policy == ArbPolicy::RoundRobin)
-        rrSet.erase(local);
-    if (--nonEmptyCount == 0)
-        root.setNonEmpty(tenantIndex, false);
-    root.markDirty(tenantIndex);
+    if (!queues[g].empty())
+        newHead(g);
+    else if (cfg.policy == ArbPolicy::RoundRobin)
+        rrSet.erase(g);
 }
 
 void
-TenantArbiter::processAdmission(unsigned local, Cycle now, bool &changed)
+FleetArbiter::admit(unsigned g, Cycle now, bool &changed)
 {
     // At most one admission pass per stream per step, however many
     // worklists name it (completion + due arrival + deferred retry).
-    if (admitStamp[local] == now + 1)
+    if (admitStamp[g] == now + 1)
         return;
-    admitStamp[local] = now + 1;
+    admitStamp[g] = now + 1;
 
-    StreamSource &src = sources[local];
-    std::deque<TrafficRequest> &q = queues[local];
+    StreamSource &src = sources[g];
+    RingDeque<TrafficRequest> &q = queues[g];
+    ServiceStats &stats = statsOf(g);
+    const unsigned local = localOf(g);
     bool deferred = false;
     while (src.arrivalReady(now)) {
         if (q.size() >= src.config().queueCapacity) {
             deferred = true;
             break;
         }
-        if (cfg.shed.enabled && q.size() >= shedDepth[local]) {
+        if (cfg.shed.enabled && q.size() >= shedDepth[g]) {
             // Overload shed; one drop per stream per step, so the
             // retry rides the next-step worklist, not this one.
             src.emit(now);
             stats.onArrival(local);
             stats.onShedOverload(local);
             src.onComplete();
-            root.shedChannel.publish(ShedEvent{tenantIndex, local, false});
+            shedChannel.publish(ShedEvent{tenantOf[g], local, false});
             changed = true;
-            nextStepWork.push_back(local);
+            nextStepWork.push_back(g);
             break;
         }
-        const bool wasEmpty = q.empty();
-        q.push_back(src.emit(now));
+        q.pushBack() = src.emit(now);
         stats.onArrival(local);
         stats.onQueueDepth(local, q.size());
         changed = true;
-        if (wasEmpty) {
-            if (++nonEmptyCount == 1)
-                root.setNonEmpty(tenantIndex, true);
-            if (cfg.policy == ArbPolicy::RoundRobin)
-                rrSet.insert(local);
-            newHead(local);
-        }
+        if (q.size() == 1)
+            newHead(g);
     }
+    setDeferred(g, deferred);
     if (deferred) {
         stats.onDeferred(local);
-        addDeferred(local);
-    } else {
-        removeDeferred(local);
-        if (src.config().mode == ArrivalMode::OpenLoop &&
-            !src.exhausted()) {
-            const Cycle a = src.nextArrivalCycle();
-            if (a > now && !hasArrivalEntry[local])
-                pushArrivalEntry(a, local);
+        return;
+    }
+    if (src.config().mode == ArrivalMode::OpenLoop && !src.exhausted()) {
+        const Cycle a = src.nextArrivalCycle();
+        if (a > now && !hasArrivalEntry[g]) {
+            arrivalHeap.emplace(a, g);
+            hasArrivalEntry[g] = 1;
         }
-        checkRetired(local);
     }
+    checkRetired(g);
 }
 
-bool
-TenantArbiter::admitStep(Cycle now)
+Cycle
+FleetArbiter::liveExpiry()
 {
-    bool changed = false;
-    if (!nextStepWork.empty()) {
-        admitWork.insert(admitWork.end(), nextStepWork.begin(),
-                         nextStepWork.end());
-        nextStepWork.clear();
-    }
-    while (!arrivalHeap.empty() && arrivalHeap.top().first <= now) {
-        const unsigned local = arrivalHeap.top().second;
-        arrivalHeap.pop();
-        hasArrivalEntry[local] = 0;
-        admitWork.push_back(local);
-    }
-    for (std::size_t i = 0; i < admitWork.size(); ++i)
-        processAdmission(admitWork[i], now, changed);
-    admitWork.clear();
-    if (!deferredList.empty()) {
-        // Deferred streams retry every step (and take their onDeferred
-        // sample there), exactly like the flat arbiter's full scan.
-        // Copy first: a successful retry mutates deferredList.
-        deferredScratch.assign(deferredList.begin(), deferredList.end());
-        for (unsigned local : deferredScratch)
-            processAdmission(local, now, changed);
-    }
-    return changed;
-}
-
-bool
-TenantArbiter::shedExpired(Cycle now)
-{
-    bool changed = false;
-    while (!expiryHeap.empty() && expiryHeap.top().first <= now) {
-        const auto [e, local] = expiryHeap.top();
+    while (!expiryHeap.empty()) {
+        const auto [e, g] = expiryHeap.top();
+        if (headArrivedAt(g, e - shedDeadline[g] - 1))
+            return e;
         expiryHeap.pop();
-        std::deque<TrafficRequest> &q = queues[local];
-        const Cycle budget = shedDeadline[local];
-        // Live iff the current head still carries this expiry (every
-        // head change pushed a fresh entry, so no live one is missed).
-        if (q.empty() || q.front().arrival + budget + 1 != e)
-            continue;
-        while (!q.empty() && now - q.front().arrival > budget) {
-            q.pop_front();
-            stats.onShedDeadline(local);
-            sources[local].onComplete();
-            root.shedChannel.publish(ShedEvent{tenantIndex, local, true});
+    }
+    return kNeverCycle;
+}
+
+bool
+FleetArbiter::shedExpired(Cycle now)
+{
+    bool changed = false;
+    while (liveExpiry() <= now) {
+        const unsigned g = expiryHeap.top().second;
+        expiryHeap.pop();
+        RingDeque<TrafficRequest> &q = queues[g];
+        const unsigned local = localOf(g);
+        while (!q.empty() && now - q.front().arrival > shedDeadline[g]) {
+            q.popFront();
+            statsOf(g).onShedDeadline(local);
+            sources[g].onComplete();
+            shedChannel.publish(ShedEvent{tenantOf[g], local, true});
             changed = true;
         }
         // The released window slot can re-admit a closed-loop
         // arrival, but only at the next step (the flat phase order
         // runs admission before deadline shed).
-        if (sources[local].config().mode != ArrivalMode::OpenLoop)
-            nextStepWork.push_back(local);
-        if (q.empty())
-            queueBecameEmpty(local);
-        else
-            newHead(local);
-        checkRetired(local);
+        if (sources[g].config().mode != ArrivalMode::OpenLoop)
+            nextStepWork.push_back(g);
+        headPopped(g);
+        checkRetired(g);
     }
     return changed;
 }
 
-void
-TenantArbiter::onComplete(unsigned local, Cycle service_latency,
-                          Cycle total_latency, std::uint32_t words,
-                          bool is_read)
-{
-    stats.onComplete(local, service_latency, total_latency, words,
-                     is_read);
-    sources[local].onComplete();
-    // A freed window slot can make a closed-loop stream ready this
-    // very step: completions are phase 1, admission phase 2.
-    if (sources[local].config().mode != ArrivalMode::OpenLoop)
-        admitWork.push_back(local);
-}
-
 bool
-TenantArbiter::fifoBest(Cycle &arrival, unsigned &local)
+FleetArbiter::oldestHead(unsigned &g, Cycle &arrival)
 {
     while (!headHeap.empty()) {
-        const auto [a, l] = headHeap.top();
-        if (!queues[l].empty() && queues[l].front().arrival == a) {
+        const auto [a, h] = headHeap.top();
+        if (headArrivedAt(h, a)) {
+            g = h;
             arrival = a;
-            local = l;
             return true;
         }
         headHeap.pop();
@@ -279,295 +221,41 @@ TenantArbiter::fifoBest(Cycle &arrival, unsigned &local)
 }
 
 bool
-TenantArbiter::prioBest(unsigned &prio, Cycle &arrival, unsigned &local)
+FleetArbiter::pick(Cycle now, unsigned &g)
 {
-    while (!prioHeap.empty()) {
-        const auto [p, a, l] = prioHeap.top();
-        if (!queues[l].empty() && queues[l].front().arrival == a) {
-            prio = p;
-            arrival = a;
-            local = l;
-            return true;
-        }
-        prioHeap.pop();
-    }
-    return false;
-}
-
-bool
-TenantArbiter::rrFirstAtLeast(unsigned from_local, unsigned &local) const
-{
-    auto it = rrSet.lower_bound(from_local);
-    if (it == rrSet.end())
-        return false;
-    local = *it;
-    return true;
-}
-
-bool
-TenantArbiter::rrFirst(unsigned &local) const
-{
-    if (rrSet.empty())
-        return false;
-    local = *rrSet.begin();
-    return true;
-}
-
-void
-TenantArbiter::popGranted(unsigned local, Cycle now)
-{
-    std::deque<TrafficRequest> &q = queues[local];
-    stats.onSubmit(local, now - q.front().arrival);
-    q.pop_front();
-    if (q.empty())
-        queueBecameEmpty(local);
-    else
-        newHead(local);
-    checkRetired(local);
-}
-
-Cycle
-TenantArbiter::minArrival() const
-{
-    // Arrival entries never go stale: at most one per stream, popped
-    // exactly when due.
-    return arrivalHeap.empty() ? kNeverCycle : arrivalHeap.top().first;
-}
-
-Cycle
-TenantArbiter::minExpiry()
-{
-    while (!expiryHeap.empty()) {
-        const auto [e, local] = expiryHeap.top();
-        const std::deque<TrafficRequest> &q = queues[local];
-        if (!q.empty() && q.front().arrival + shedDeadline[local] + 1 == e)
-            return e;
-        expiryHeap.pop();
-    }
-    return kNeverCycle;
-}
-
-// ---------------------------------------------------------------------
-// FleetArbiter
-// ---------------------------------------------------------------------
-
-FleetArbiter::FleetArbiter(const ArbiterConfig &config,
-                           std::vector<TenantSeat> seats,
-                           MessageBus &bus)
-    : cfg(config), grantChannel(bus.channel<GrantEvent>()),
-      shedChannel(bus.channel<ShedEvent>())
-{
-    tenants.reserve(seats.size());
-    bases.reserve(seats.size());
-    unsigned base = 0;
-    for (unsigned t = 0; t < seats.size(); ++t) {
-        TenantSeat &seat = seats[t];
-        bases.push_back(base);
-        const unsigned n = static_cast<unsigned>(seat.sources.size());
-        tenants.push_back(std::make_unique<TenantArbiter>(
-            t, cfg, std::move(seat.sources), *seat.stats, *this));
-        base += n;
-    }
-    totalStreams = base;
-    activeStreams = totalStreams;
-    if (totalStreams > 0)
-        lastGrantedGid = static_cast<unsigned>(totalStreams) - 1;
-
-    const unsigned tn = static_cast<unsigned>(tenants.size());
-    dirtyFlag.assign(tn, 0);
-    pendingFlag.assign(tn, 0);
-    shedPendingFlag.assign(tn, 0);
-    arrivalCache.assign(tn, kNeverCycle);
-    expiryCache.assign(tn, kNeverCycle);
-    pendingTenants.reserve(tn);
-    for (unsigned t = 0; t < tn; ++t)
-        markPending(t);
-}
-
-FleetArbiter::~FleetArbiter() = default;
-
-void
-FleetArbiter::markDirty(unsigned t)
-{
-    if (!dirtyFlag[t]) {
-        dirtyFlag[t] = 1;
-        dirtyList.push_back(t);
-    }
-}
-
-void
-FleetArbiter::setNonEmpty(unsigned t, bool non_empty)
-{
-    if (non_empty)
-        nonEmptyTenants.insert(t);
-    else
-        nonEmptyTenants.erase(t);
-}
-
-unsigned
-FleetArbiter::tenantOf(unsigned gid) const
-{
-    // Empty tenants repeat a base value; upper_bound lands past all of
-    // them, on the (sole) tenant that actually owns the id range.
-    auto it = std::upper_bound(bases.begin(), bases.end(), gid);
-    return static_cast<unsigned>((it - bases.begin()) - 1);
-}
-
-void
-FleetArbiter::markPending(unsigned t)
-{
-    if (!pendingFlag[t]) {
-        pendingFlag[t] = 1;
-        pendingTenants.push_back(t);
-    }
-}
-
-void
-FleetArbiter::markShedPending(unsigned t)
-{
-    if (!shedPendingFlag[t]) {
-        shedPendingFlag[t] = 1;
-        shedPending.push_back(t);
-    }
-}
-
-void
-FleetArbiter::drainDirty()
-{
-    for (unsigned t : dirtyList) {
-        dirtyFlag[t] = 0;
-        refreshCandidate(t);
-    }
-    dirtyList.clear();
-}
-
-void
-FleetArbiter::refreshCandidate(unsigned t)
-{
-    TenantArbiter &ten = *tenants[t];
     switch (cfg.policy) {
       case ArbPolicy::Fifo: {
-        Cycle a;
-        unsigned l;
-        if (ten.fifoBest(a, l))
-            rootFifo.emplace(a, bases[t] + l);
-        break;
+        Cycle arrival;
+        return oldestHead(g, arrival);
       }
       case ArbPolicy::Priority: {
-        Cycle a;
-        unsigned l;
-        if (ten.fifoBest(a, l))
-            rootFifo.emplace(a, bases[t] + l);
-        unsigned p;
-        if (ten.prioBest(p, a, l))
-            rootPrio.emplace(p, a, bases[t] + l);
-        break;
-      }
-      case ArbPolicy::RoundRobin:
-        // The nonEmptyTenants set (setNonEmpty) is the only root-side
-        // candidate state round-robin needs.
-        break;
-    }
-}
-
-void
-FleetArbiter::reprimeArrival(unsigned t)
-{
-    const Cycle m = tenants[t]->minArrival();
-    if (m != kNeverCycle && m < arrivalCache[t]) {
-        fleetArrival.emplace(m, t);
-        arrivalCache[t] = m;
-    }
-}
-
-void
-FleetArbiter::reprimeExpiry(unsigned t)
-{
-    if (!cfg.shed.enabled)
-        return;
-    const Cycle m = tenants[t]->minExpiry();
-    if (m != kNeverCycle && m < expiryCache[t]) {
-        fleetExpiry.emplace(m, t);
-        expiryCache[t] = m;
-    }
-}
-
-bool
-FleetArbiter::pickFifo(unsigned &t, unsigned &local, Cycle &arrival)
-{
-    while (!rootFifo.empty()) {
-        const auto [a, gid] = rootFifo.top();
-        const unsigned tt = tenantOf(gid);
-        const unsigned ll = gid - bases[tt];
-        Cycle a2;
-        unsigned l2;
-        // A stale entry that happens to match the tenant's current
-        // best carries the exact (arrival, global id) pick key, so
-        // granting through it is still the flat arbiter's choice.
-        if (tenants[tt]->fifoBest(a2, l2) && a2 == a && l2 == ll) {
-            t = tt;
-            local = ll;
-            arrival = a;
+        // Starvation guard: the oldest head is the aged pick if any
+        // head is aged at all (max age = now - min arrival).
+        Cycle arrival;
+        if (oldestHead(g, arrival) && now - arrival >= cfg.agingThreshold)
             return true;
+        while (!prioHeap.empty()) {
+            const auto [p, a, h] = prioHeap.top();
+            if (headArrivedAt(h, a)) {
+                g = h;
+                return true;
+            }
+            prioHeap.pop();
         }
-        rootFifo.pop();
-    }
-    return false;
-}
-
-bool
-FleetArbiter::pickPriority(Cycle now, unsigned &t, unsigned &local)
-{
-    // Starvation guard: the globally oldest head is the aged pick if
-    // any head is aged at all (max age = now - min arrival).
-    unsigned tf, lf;
-    Cycle af;
-    if (pickFifo(tf, lf, af) && now - af >= cfg.agingThreshold) {
-        t = tf;
-        local = lf;
-        return true;
-    }
-    while (!rootPrio.empty()) {
-        const auto [p, a, gid] = rootPrio.top();
-        const unsigned tt = tenantOf(gid);
-        const unsigned ll = gid - bases[tt];
-        unsigned p2, l2;
-        Cycle a2;
-        if (tenants[tt]->prioBest(p2, a2, l2) && p2 == p && a2 == a &&
-            l2 == ll) {
-            t = tt;
-            local = ll;
-            return true;
-        }
-        rootPrio.pop();
-    }
-    return false;
-}
-
-bool
-FleetArbiter::pickRoundRobin(unsigned &t, unsigned &local)
-{
-    if (nonEmptyTenants.empty())
         return false;
-    const unsigned cursor =
-        (lastGrantedGid + 1) % static_cast<unsigned>(totalStreams);
-    const unsigned t0 = tenantOf(cursor);
-    // First non-empty stream at or after the cursor within its tenant,
-    // then the first non-empty tenant after it, then wrap.
-    if (tenants[t0]->rrFirstAtLeast(cursor - bases[t0], local)) {
-        t = t0;
+      }
+      case ArbPolicy::RoundRobin: {
+        if (rrSet.empty())
+            return false;
+        // First non-empty id after the last grant, wrapping around.
+        const unsigned cursor =
+            (lastGranted + 1) % static_cast<unsigned>(sources.size());
+        auto it = rrSet.lower_bound(cursor);
+        g = it != rrSet.end() ? *it : *rrSet.begin();
         return true;
+      }
     }
-    auto it = nonEmptyTenants.lower_bound(t0 + 1);
-    if (it != nonEmptyTenants.end()) {
-        t = *it;
-        tenants[t]->rrFirst(local);
-        return true;
-    }
-    it = nonEmptyTenants.begin();
-    t = *it;
-    tenants[t]->rrFirst(local);
-    return true;
+    return false;
 }
 
 bool
@@ -580,8 +268,8 @@ FleetArbiter::service(MemorySystem &sys, Cycle now)
         const Cycle gap = now - lastServiceAt - 1;
         occCycles += gap;
         occSum += static_cast<std::uint64_t>(lastInFlightSample) * gap;
-        for (unsigned t : deferredTenants)
-            tenants[t]->creditDeferredGap(gap);
+        for (unsigned g : deferredList)
+            statsOf(g).onDeferredGap(localOf(g), gap);
     }
     bool changed = false;
 
@@ -592,102 +280,67 @@ FleetArbiter::service(MemorySystem &sys, Cycle now)
         auto it = inFlight.find(c.tag);
         if (it == inFlight.end())
             continue; // not ours (defensive; tags are arbiter-issued)
-        const FleetInFlight &f = it->second;
-        tenants[f.tenant]->onComplete(f.local, now - f.submitted,
-                                      now - f.arrival, f.words,
-                                      f.isRead);
-        markPending(f.tenant);
+        const InFlight &f = it->second;
+        statsOf(f.stream).onComplete(localOf(f.stream),
+                                     now - f.submitted, now - f.arrival,
+                                     f.words, f.isRead);
+        sources[f.stream].onComplete();
+        // A freed window slot can make a closed-loop stream ready this
+        // very step: completions are phase 1, admission phase 2.
+        if (sources[f.stream].config().mode != ArrivalMode::OpenLoop)
+            admitWork.push_back(f.stream);
         inFlight.erase(it);
         changed = true;
     }
 
-    // --- 2. Admission, only for tenants with due or queued work. -----
-    while (!fleetArrival.empty() && fleetArrival.top().first <= now) {
-        const auto [cyc, t] = fleetArrival.top();
-        fleetArrival.pop();
-        if (arrivalCache[t] == cyc)
-            arrivalCache[t] = kNeverCycle;
-        markPending(t);
+    // --- 2. Admission: worklists, due arrivals, deferred retries. ----
+    admitWork.insert(admitWork.end(), nextStepWork.begin(),
+                     nextStepWork.end());
+    nextStepWork.clear();
+    while (!arrivalHeap.empty() && arrivalHeap.top().first <= now) {
+        const unsigned g = arrivalHeap.top().second;
+        arrivalHeap.pop();
+        hasArrivalEntry[g] = 0;
+        admitWork.push_back(g);
     }
-    if (!pendingTenants.empty()) {
-        pendingScratch.swap(pendingTenants);
-        for (unsigned t : pendingScratch) {
-            pendingFlag[t] = 0;
-            TenantArbiter &ten = *tenants[t];
-            changed |= ten.admitStep(now);
-            reprimeArrival(t);
-            reprimeExpiry(t);
-            if (ten.hasDeferred())
-                deferredTenants.insert(t);
-            else
-                deferredTenants.erase(t);
-            if (ten.admissionPending())
-                markPending(t);
-        }
-        pendingScratch.clear();
+    for (unsigned g : admitWork)
+        admit(g, now, changed);
+    admitWork.clear();
+    if (!deferredList.empty()) {
+        // Deferred streams retry every step (and take their onDeferred
+        // sample there), exactly like the flat arbiter's full scan.
+        // Copy first: a successful retry mutates deferredList.
+        deferredScratch.assign(deferredList.begin(), deferredList.end());
+        for (unsigned g : deferredScratch)
+            admit(g, now, changed);
     }
 
     // --- 2b. Deadline shed: drop queue heads past their budget. ------
-    if (cfg.shed.enabled) {
-        while (!fleetExpiry.empty() && fleetExpiry.top().first <= now) {
-            const auto [cyc, t] = fleetExpiry.top();
-            fleetExpiry.pop();
-            if (expiryCache[t] == cyc)
-                expiryCache[t] = kNeverCycle;
-            markShedPending(t);
-        }
-        if (!shedPending.empty()) {
-            for (unsigned t : shedPending) {
-                shedPendingFlag[t] = 0;
-                TenantArbiter &ten = *tenants[t];
-                changed |= ten.shedExpired(now);
-                reprimeExpiry(t);
-                if (ten.admissionPending())
-                    markPending(t);
-            }
-            shedPending.clear();
-        }
-    }
+    if (cfg.shed.enabled)
+        changed |= shedExpired(now);
 
     // --- 3. Grant: submit queue heads until the system refuses. ------
-    drainDirty();
-    if (totalStreams > 0) {
-        while (true) {
-            unsigned t = 0, local = 0;
-            Cycle arrival = 0;
-            bool found = false;
-            switch (cfg.policy) {
-              case ArbPolicy::Fifo:
-                found = pickFifo(t, local, arrival);
-                break;
-              case ArbPolicy::Priority:
-                found = pickPriority(now, t, local);
-                break;
-              case ArbPolicy::RoundRobin:
-                found = pickRoundRobin(t, local);
-                break;
-            }
-            if (!found)
-                break;
-            TenantArbiter &ten = *tenants[t];
-            const TrafficRequest &req = ten.head(local);
-            const std::vector<Word> *wd =
-                req.cmd.isRead ? nullptr : &req.writeData;
-            if (!sys.trySubmit(req.cmd, nextTag, wd))
-                break; // transaction resources exhausted this cycle
-            inFlight.emplace(nextTag,
-                             FleetInFlight{t, local, req.arrival, now,
+    unsigned g = 0;
+    while (pick(now, g)) {
+        RingDeque<TrafficRequest> &q = queues[g];
+        const TrafficRequest &req = q.front();
+        const std::vector<Word> *wd =
+            req.cmd.isRead ? nullptr : &req.writeData;
+        if (!sys.trySubmit(req.cmd, nextTag, wd))
+            break; // transaction resources exhausted this cycle
+        const Cycle waited = now - req.arrival;
+        const unsigned local = localOf(g);
+        inFlight.emplace(nextTag, InFlight{g, req.arrival, now,
                                            req.cmd.length,
                                            req.cmd.isRead});
-            ++nextTag;
-            ++grantCount;
-            grantChannel.publish(GrantEvent{t, local, now - req.arrival});
-            ten.popGranted(local, now);
-            reprimeExpiry(t);
-            lastGrantedGid = bases[t] + local;
-            changed = true;
-            drainDirty();
-        }
+        ++nextTag;
+        grantChannel.publish(GrantEvent{tenantOf[g], local, waited});
+        statsOf(g).onSubmit(local, waited);
+        q.popFront();
+        headPopped(g);
+        checkRetired(g);
+        lastGranted = g;
+        changed = true;
     }
 
     // --- 4. Occupancy sample (end-of-step in-flight count). ----------
@@ -707,50 +360,9 @@ FleetArbiter::nextWake(Cycle now)
 {
     if (changedLastService)
         return now + 1;
-    Cycle wake = kNeverCycle;
-
-    // Validate heap tops against the owning tenant's true minimum so
-    // the reported wake is exact (never a stale, earlier entry).
-    while (!fleetArrival.empty()) {
-        const auto [cyc, t] = fleetArrival.top();
-        const Cycle m = tenants[t]->minArrival();
-        if (m == cyc && cyc > now) {
-            wake = cyc;
-            break;
-        }
-        if (m != kNeverCycle && m <= now)
-            return now + 1; // due work pending (defensive)
-        fleetArrival.pop();
-        if (arrivalCache[t] == cyc)
-            arrivalCache[t] = kNeverCycle;
-        if (m != kNeverCycle && m < arrivalCache[t]) {
-            fleetArrival.emplace(m, t);
-            arrivalCache[t] = m;
-        }
-    }
-
-    if (cfg.shed.enabled) {
-        while (!fleetExpiry.empty()) {
-            const auto [cyc, t] = fleetExpiry.top();
-            if (cyc >= wake)
-                break; // cannot improve; prune lazily later
-            const Cycle m = tenants[t]->minExpiry();
-            if (m == cyc && cyc > now) {
-                wake = cyc;
-                break;
-            }
-            if (m != kNeverCycle && m <= now)
-                return now + 1; // due shed pending (defensive)
-            fleetExpiry.pop();
-            if (expiryCache[t] == cyc)
-                expiryCache[t] = kNeverCycle;
-            if (m != kNeverCycle && m < expiryCache[t]) {
-                fleetExpiry.emplace(m, t);
-                expiryCache[t] = m;
-            }
-        }
-    }
-    return wake;
+    const Cycle arrival =
+        arrivalHeap.empty() ? kNeverCycle : arrivalHeap.top().first;
+    return std::min(arrival, liveExpiry());
 }
 
 } // namespace pva::fleet

@@ -5,14 +5,14 @@
  * A FleetArbiter (fleet/fleet_arbiter.hh) publishes every grant and
  * every shed request on the MessageBus it is built with; a sink that
  * wants them (runFleet's FleetResult::busGrants/busSheds cross-check)
- * subscribes a handler before the run. The arbiter's own tiers do not
- * talk over the bus: a tenant calls its root directly. Publishing to a
- * channel nobody subscribed to loops over no handlers, so the
- * per-grant publish stays cheap when no sink listens.
+ * subscribes a handler before the run. Nothing in the arbiter listens:
+ * it is one arbiter over all of its streams, so the bus carries only
+ * telemetry. Publishing to a channel nobody subscribed to loops over no
+ * handlers, so the per-grant publish stays cheap when no sink listens.
  *
- * Everything is single-threaded by design: one FleetArbiter and its
- * tenants live on one simulation thread (shard parallelism happens at
- * the SweepExecutor level, one fleet per task), so no locking.
+ * Everything is single-threaded by design: one FleetArbiter lives on
+ * one simulation thread (shard parallelism happens at the
+ * SweepExecutor level, one fleet per task), so no locking.
  */
 
 #ifndef PVA_FLEET_MESSAGE_BUS_HH

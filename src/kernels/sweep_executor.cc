@@ -64,6 +64,8 @@ SweepReport::dumpJson(std::ostream &os) const
         w.value(csprintf("%016llx",
                          static_cast<unsigned long long>(q.fingerprint)));
         w.field("faultSeed", q.faultSeed).field("capsule", q.capsulePath);
+        if (!q.capsuleError.empty())
+            w.field("capsuleError", q.capsuleError);
         w.field("error", q.error).end();
     }
     w.end().end().newline();
@@ -257,11 +259,7 @@ SweepExecutor::runReport(const std::vector<SweepRequest> &grid)
                 checkpoint.journalPath, gridFp, grid.size());
             if (loaded.exists) {
                 resumeFrom = loaded.validBytes;
-                if (loaded.tornTail) {
-                    warn("checkpoint journal '%s' has a torn final "
-                         "record (crash mid-append); discarding it",
-                         checkpoint.journalPath.c_str());
-                }
+                report.tornJournalTail = loaded.tornTail;
                 // Last record wins per index, though a well-formed
                 // journal never repeats one.
                 std::vector<const JournalRecord *> byIndex(grid.size(),
@@ -292,6 +290,8 @@ SweepExecutor::runReport(const std::vector<SweepRequest> &grid)
             pending.push_back(i);
     }
 
+    // Per grid index, so workers never share a slot.
+    std::vector<std::string> capsuleErrors(grid.size());
     auto task = [&](std::size_t j, unsigned attempt) {
         const std::size_t i = pending[j];
         SweepRequest req = effectiveRequest(i, attempt);
@@ -310,8 +310,7 @@ SweepExecutor::runReport(const std::vector<SweepRequest> &grid)
                     writeCapsuleFile(capsulePathFor(i),
                                      {req, attempt + 1, e.what(), fp});
                 } catch (const SimError &werr) {
-                    warn("cannot write repro capsule for point %zu: %s",
-                         i, werr.what());
+                    capsuleErrors[i] = werr.what();
                 }
             }
             // The fingerprint and effective seed name the capsule from
@@ -376,10 +375,12 @@ SweepExecutor::runReport(const std::vector<SweepRequest> &grid)
     if (quarantining) {
         for (const PointFailure &f : report.failures) {
             SweepRequest eff = effectiveRequest(f.index, f.attempts - 1);
+            const std::string &capsuleError = capsuleErrors[f.index];
             report.quarantine.push_back(
                 {f.index, f.attempts, fingerprintRequest(eff),
                  eff.config.faults.seed, f.error,
-                 capsulePathFor(f.index)});
+                 capsuleError.empty() ? capsulePathFor(f.index) : "",
+                 capsuleError});
         }
     }
     return report;

@@ -106,7 +106,9 @@ struct QuarantineRecord
     std::uint64_t fingerprint = 0;
     std::uint64_t faultSeed = 0; ///< Effective fault seed of that attempt
     std::string error;           ///< As reported in failures[]
-    std::string capsulePath;     ///< The written repro capsule
+    /** The written repro capsule; empty when writing it failed. */
+    std::string capsulePath;
+    std::string capsuleError; ///< Why the capsule was not written
 };
 
 /** Outcome of a resilient sweep: every point accounted for. */
@@ -131,6 +133,10 @@ struct SweepReport
      * checkpoint layer's core guarantee.
      */
     std::size_t resumed = 0;
+    /** The resumed journal ended in a torn record (a crash
+     *  mid-append), which was discarded. Absent from dumpJson() for
+     *  the same reason as resumed. */
+    bool tornJournalTail = false;
 
     bool allOk() const { return failed == 0; }
 

@@ -286,14 +286,6 @@ SdramDevice::issue(const DeviceOp &op, Cycle now)
 }
 
 void
-SdramDevice::throwClosedRowQuery(unsigned ibank) const
-{
-    throw SimError(SimErrorKind::Protocol, name(), kNeverCycle,
-                   csprintf("openRow queried on closed internal bank %u",
-                            ibank));
-}
-
-void
 SdramDevice::registerStats(StatSet &set, const std::string &prefix) const
 {
     set.addScalar(prefix + ".activates", &statActivates);

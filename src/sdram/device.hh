@@ -140,19 +140,8 @@ class BankDevice : public Component
     /** Attach the redundant protocol/data checker (may be null). */
     void setChecker(TimingChecker *c) { checker = c; }
 
-    /** Is some row open (bank active) in internal bank @p ibank? */
-    virtual bool anyRowOpen(unsigned ibank) const = 0;
-
     /** Is row @p row open (in its row slot of internal bank @p ibank)? */
     virtual bool isRowOpen(unsigned ibank, std::uint32_t row) const = 0;
-
-    /** The row currently open in @p ibank (valid iff anyRowOpen()).
-     *  On a multi-slot backend: the first open slot's row. */
-    virtual std::uint32_t openRow(unsigned ibank) const = 0;
-
-    /** Row last opened in @p ibank (valid even after close; for the
-     *  autoprecharge predictor's "last row address" input). */
-    virtual std::uint32_t lastRow(unsigned ibank) const = 0;
 
     /** @name Row-slot predicates
      * The scheduler's view: all three address the row slot that holds
@@ -252,8 +241,9 @@ class SdramDevice final : public BankDevice
         return pol.slotOf(ibank, row);
     }
 
+    /** Is some row open (bank active) in internal bank @p ibank? */
     bool
-    anyRowOpen(unsigned ibank) const override
+    anyRowOpen(unsigned ibank) const
     {
         const unsigned base = ibank << pol.subBits;
         for (unsigned s = base; s < base + pol.subarrays(); ++s) {
@@ -268,28 +258,6 @@ class SdramDevice final : public BankDevice
     {
         const unsigned s = slotIndex(ibank, row);
         return rowOpen[s] != 0 && openRows[s] == row;
-    }
-
-    std::uint32_t
-    openRow(unsigned ibank) const override
-    {
-        const unsigned base = ibank << pol.subBits;
-        for (unsigned s = base; s < base + pol.subarrays(); ++s) {
-            if (rowOpen[s] != 0)
-                return openRows[s];
-        }
-        throwClosedRowQuery(ibank);
-    }
-
-    std::uint32_t
-    lastRow(unsigned ibank) const override
-    {
-        const unsigned base = ibank << pol.subBits;
-        for (unsigned s = base; s < base + pol.subarrays(); ++s) {
-            if (everOpened[s])
-                return lastOpenedRows[s];
-        }
-        return 0xffffffffu;
     }
 
     bool
@@ -464,8 +432,6 @@ class SdramDevice final : public BankDevice
         }
         return false;
     }
-
-    [[noreturn]] void throwClosedRowQuery(unsigned ibank) const;
 
     SdramTiming times;
 

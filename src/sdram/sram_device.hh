@@ -33,10 +33,7 @@ class SramDevice final : public BankDevice
     }
 
     void issue(const DeviceOp &op, Cycle now) override;
-    bool anyRowOpen(unsigned) const override { return true; }
     bool isRowOpen(unsigned, std::uint32_t) const override { return true; }
-    std::uint32_t openRow(unsigned) const override { return 0; }
-    std::uint32_t lastRow(unsigned) const override { return 0; }
     bool slotRowOpen(unsigned, std::uint32_t) const override
     {
         return true;

@@ -1,5 +1,6 @@
 #include "traffic/arbiter.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "sim/trace.hh"
@@ -36,6 +37,26 @@ parseArbPolicy(const std::string &name, ArbPolicy &out)
     return true;
 }
 
+Cycle
+shedDeadlineOf(const ArbiterConfig &config, const StreamConfig &stream)
+{
+    return stream.deadline > 0 ? stream.deadline
+                               : config.shed.defaultDeadline;
+}
+
+std::size_t
+shedDepthOf(const ArbiterConfig &config, const StreamConfig &stream)
+{
+    const std::size_t cap = stream.queueCapacity;
+    std::size_t depth = cap;
+    if (config.shed.queueHighWatermark < 1.0) {
+        depth = static_cast<std::size_t>(std::ceil(
+            config.shed.queueHighWatermark * static_cast<double>(cap)));
+        depth = std::max<std::size_t>(1, std::min(depth, cap));
+    }
+    return depth;
+}
+
 StreamArbiter::StreamArbiter(const ArbiterConfig &config,
                              std::vector<StreamSource> sources_,
                              ServiceStats &stats_)
@@ -48,18 +69,8 @@ StreamArbiter::StreamArbiter(const ArbiterConfig &config,
         shedDeadline.reserve(sources.size());
         shedDepth.reserve(sources.size());
         for (const StreamSource &s : sources) {
-            shedDeadline.push_back(s.config().deadline > 0
-                                       ? s.config().deadline
-                                       : cfg.shed.defaultDeadline);
-            const std::size_t cap = s.config().queueCapacity;
-            std::size_t depth = cap;
-            if (cfg.shed.queueHighWatermark < 1.0) {
-                depth = static_cast<std::size_t>(std::ceil(
-                    cfg.shed.queueHighWatermark *
-                    static_cast<double>(cap)));
-                depth = std::max<std::size_t>(1, std::min(depth, cap));
-            }
-            shedDepth.push_back(depth);
+            shedDeadline.push_back(shedDeadlineOf(cfg, s.config()));
+            shedDepth.push_back(shedDepthOf(cfg, s.config()));
         }
     }
 }

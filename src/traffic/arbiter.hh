@@ -98,6 +98,16 @@ struct ArbiterConfig
     ShedConfig shed;
 };
 
+/** @name A stream's shedding thresholds under ArbiterConfig::shed @{ */
+/** Queueing-delay budget of @p stream (cycles; 0 = no deadline). */
+Cycle shedDeadlineOf(const ArbiterConfig &config,
+                     const StreamConfig &stream);
+/** Queue depth at which @p stream's arrivals are shed (its queue
+ *  capacity when the watermark is off). */
+std::size_t shedDepthOf(const ArbiterConfig &config,
+                        const StreamConfig &stream);
+/** @} */
+
 /** Multiplexes stream sources onto one MemorySystem. */
 class StreamArbiter
 {

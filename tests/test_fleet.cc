@@ -2,11 +2,13 @@
  * @file
  * Fleet subsystem tests.
  *
- * The load-bearing one is the differential: a single-tenant fleet
- * under the hierarchical FleetArbiter must be cycle-exact against the
- * flat StreamArbiter across systems, policies, clocking modes, and
- * shed configurations — same drain cycle, same latency distributions,
- * same counters. That is what licenses every fleet-scale number the
+ * The load-bearing one is the differential: a fleet's FleetArbiter,
+ * which picks over all of its streams by global id, must be
+ * cycle-exact against the flat StreamArbiter over the same streams in
+ * global order, across systems, policies, clocking modes, and shed
+ * configurations — same drain cycle, same latency distributions, same
+ * counters — both for one tenant and for unequal tenants stamped from
+ * several specs. That is what licenses every fleet-scale number the
  * capacity-planning recipes produce.
  *
  * The rest holds the sharded runner to its determinism contract
@@ -70,48 +72,101 @@ templateStream(bool shed)
     return s;
 }
 
+/** The arbiter knobs every differential twin shares. */
+ArbiterConfig
+arbiterFor(const Variant &v)
+{
+    ArbiterConfig a;
+    a.policy = v.policy;
+    a.agingThreshold = 512;
+    a.shed.enabled = v.shed;
+    a.shed.defaultDeadline = 400;
+    a.shed.queueHighWatermark = 0.75;
+    return a;
+}
+
+/** A fleet of tenants stamped from @p specs, under @p v. */
 fleet::FleetConfig
-fleetConfig(const Variant &v, unsigned streams)
+fleetOf(const Variant &v, std::vector<fleet::TenantSpec> specs)
 {
     fleet::FleetConfig fc;
     fc.system = v.system;
     fc.config.clocking = v.clocking;
-    fc.arbiter.policy = v.policy;
-    fc.arbiter.agingThreshold = 512;
-    fc.arbiter.shed.enabled = v.shed;
-    fc.arbiter.shed.defaultDeadline = 400;
-    fc.arbiter.shed.queueHighWatermark = 0.75;
+    fc.arbiter = arbiterFor(v);
+    fc.tenants = std::move(specs);
+    return fc;
+}
 
+/** One tenant of @p streams template streams with disjoint regions. */
+fleet::FleetConfig
+fleetConfig(const Variant &v, unsigned streams)
+{
     fleet::TenantSpec spec;
     spec.count = 1;
     spec.streamsPerTenant = streams;
     spec.stream = templateStream(v.shed);
     spec.regionStrideWords = spec.stream.pattern.regionWords;
-    fc.tenants.push_back(spec);
-    return fc;
+    return fleetOf(v, {spec});
 }
 
-/** The flat twin: same streams, same seeds, same regions. */
+/**
+ * Three specs of unequal tenant counts (2/1/3), streams per tenant
+ * (3/2/2) and priorities (1/3/0), open- and closed-loop mixed: every
+ * tenant boundary, and every spec boundary, falls between two global
+ * stream ids the flat twin sees as neighbours.
+ */
+fleet::FleetConfig
+multiTenantFleet(const Variant &v)
+{
+    fleet::TenantSpec a;
+    a.name = "a";
+    a.count = 2;
+    a.streamsPerTenant = 3;
+    a.stream = templateStream(v.shed);
+    a.stream.priority = 1;
+
+    fleet::TenantSpec b = a;
+    b.name = "b";
+    b.count = 1;
+    b.streamsPerTenant = 2;
+    b.stream.mode = ArrivalMode::ClosedLoop;
+    b.stream.window = 2;
+    b.stream.priority = 3;
+    b.stream.seed = 17;
+
+    fleet::TenantSpec c = a;
+    c.name = "c";
+    c.count = 3;
+    c.streamsPerTenant = 2;
+    c.stream.requestsPerKilocycle *= 0.5;
+    c.stream.priority = 0;
+    c.stream.seed = 23;
+
+    for (fleet::TenantSpec *spec : {&a, &b, &c})
+        spec->regionStrideWords = spec->stream.pattern.regionWords;
+    return fleetOf(v, {a, b, c});
+}
+
+/** The flat twin: the fleet's streams in global order, with the seeds
+ *  and regions runFleet stamps on them. */
 TrafficConfig
-flatTwin(const Variant &v, unsigned streams)
+flatTwin(const fleet::FleetConfig &fc)
 {
     TrafficConfig tc;
-    tc.system = v.system;
-    tc.config.clocking = v.clocking;
-    tc.arbiter.policy = v.policy;
-    tc.arbiter.agingThreshold = 512;
-    tc.arbiter.shed.enabled = v.shed;
-    tc.arbiter.shed.defaultDeadline = 400;
-    tc.arbiter.shed.queueHighWatermark = 0.75;
-    const StreamConfig base = templateStream(v.shed);
-    for (unsigned g = 0; g < streams; ++g) {
-        StreamConfig s = base;
-        s.seed = base.seed + kSeedStep * (g + 1);
-        s.pattern.regionBase =
-            base.pattern.regionBase + g * base.pattern.regionWords;
-        if (v.policy == ArbPolicy::Priority)
-            s.priority = 0;
-        tc.streams.push_back(std::move(s));
+    tc.system = fc.system;
+    tc.config = fc.config;
+    tc.arbiter = fc.arbiter;
+    std::uint64_t g = 0;
+    for (const fleet::TenantSpec &spec : fc.tenants) {
+        for (unsigned t = 0; t < spec.count; ++t) {
+            for (unsigned k = 0; k < spec.streamsPerTenant; ++k, ++g) {
+                StreamConfig s = spec.stream;
+                s.seed = spec.stream.seed + kSeedStep * (g + 1);
+                s.pattern.regionBase = spec.stream.pattern.regionBase +
+                                       g * spec.regionStrideWords;
+                tc.streams.push_back(std::move(s));
+            }
+        }
     }
     return tc;
 }
@@ -140,9 +195,8 @@ jsonOf(const fleet::FleetResult &r)
 
 } // anonymous namespace
 
-TEST(FleetDifferential, SingleTenantMatchesFlatArbiterExactly)
+TEST(FleetDifferential, FleetMatchesFlatArbiterExactly)
 {
-    const unsigned streams = 6;
     for (SystemKind system :
          {SystemKind::PvaSdram, SystemKind::CacheLine}) {
         for (ArbPolicy policy : {ArbPolicy::Fifo, ArbPolicy::RoundRobin,
@@ -151,27 +205,33 @@ TEST(FleetDifferential, SingleTenantMatchesFlatArbiterExactly)
                  {ClockingMode::Exhaustive, ClockingMode::Event}) {
                 for (bool shed : {false, true}) {
                     const Variant v{system, policy, clocking, shed};
-                    SCOPED_TRACE(variantName(v));
-                    const TrafficResult flat =
-                        runTraffic(flatTwin(v, streams));
-                    const fleet::FleetResult hier =
-                        fleet::runFleet(fleetConfig(v, streams));
+                    for (const fleet::FleetConfig &fc :
+                         {fleetConfig(v, 6), multiTenantFleet(v)}) {
+                        SCOPED_TRACE(variantName(v) + "/" +
+                                     std::to_string(fc.tenants.size()) +
+                                     " specs");
+                        const TrafficResult flat =
+                            runTraffic(flatTwin(fc));
+                        const fleet::FleetResult hier =
+                            fleet::runFleet(fc);
 
-                    EXPECT_EQ(hier.cycles, flat.cycles);
-                    EXPECT_EQ(hier.completed, flat.completed);
-                    EXPECT_EQ(hier.words, flat.words);
-                    EXPECT_EQ(hier.shed, flat.shed);
-                    expectSummaryEq(hier.queueDelay, flat.queueDelay,
-                                    "queueDelay");
-                    expectSummaryEq(hier.serviceLatency,
-                                    flat.serviceLatency,
-                                    "serviceLatency");
-                    expectSummaryEq(hier.totalLatency,
-                                    flat.totalLatency, "totalLatency");
-                    // Telemetry observed on the bus must agree with
-                    // the counters the arbiter kept itself.
-                    EXPECT_EQ(hier.busGrants, hier.grants);
-                    EXPECT_EQ(hier.busSheds, hier.shed);
+                        EXPECT_EQ(hier.cycles, flat.cycles);
+                        EXPECT_EQ(hier.completed, flat.completed);
+                        EXPECT_EQ(hier.words, flat.words);
+                        EXPECT_EQ(hier.shed, flat.shed);
+                        expectSummaryEq(hier.queueDelay,
+                                        flat.queueDelay, "queueDelay");
+                        expectSummaryEq(hier.serviceLatency,
+                                        flat.serviceLatency,
+                                        "serviceLatency");
+                        expectSummaryEq(hier.totalLatency,
+                                        flat.totalLatency,
+                                        "totalLatency");
+                        // Telemetry observed on the bus must agree
+                        // with the counters the arbiter kept itself.
+                        EXPECT_EQ(hier.busGrants, hier.grants);
+                        EXPECT_EQ(hier.busSheds, hier.shed);
+                    }
                 }
             }
         }
@@ -180,8 +240,8 @@ TEST(FleetDifferential, SingleTenantMatchesFlatArbiterExactly)
 
 TEST(FleetDifferential, PriorityRampMatchesFlatUnderAging)
 {
-    // Distinct priorities exercise the aged-head starvation guard in
-    // the hierarchical root arbiter.
+    // Distinct priorities, one per tenant, exercise the aged-head
+    // starvation guard across tenant boundaries.
     Variant v{SystemKind::PvaSdram, ArbPolicy::Priority,
               ClockingMode::Event, false};
     const unsigned streams = 5;

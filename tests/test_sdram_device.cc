@@ -190,11 +190,11 @@ TEST_F(SdramDeviceTest, InternalBanksAreIndependent)
 
 TEST_F(SdramDeviceTest, LastRowTracksAcrossCloses)
 {
-    EXPECT_EQ(dev.lastRow(0), 0xffffffffu) << "never opened";
+    EXPECT_EQ(dev.lastRowAt(0, 5), 0xffffffffu) << "never opened";
     WordAddr row5 = geo.compose(0, {0, 5, 0});
     dev.issue(activate(row5), 0);
     dev.issue(precharge(0), 5);
-    EXPECT_EQ(dev.lastRow(0), 5u);
+    EXPECT_EQ(dev.lastRowAt(0, 5), 5u);
 }
 
 TEST_F(SdramDeviceTest, StatsCountOperations)
@@ -229,7 +229,7 @@ TEST(SramDevice, SingleCycleAccessNoRowState)
     SparseMemory mem;
     SramDevice dev("sram", 0, geo, mem);
 
-    EXPECT_TRUE(dev.anyRowOpen(0));
+    EXPECT_TRUE(dev.slotRowOpen(0, 0));
     EXPECT_TRUE(dev.isRowOpen(3, 12345));
 
     DeviceOp rd;

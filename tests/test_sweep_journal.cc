@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -386,6 +387,43 @@ TEST(SweepJournal, QuarantinedPointYieldsAReplayableCapsule)
     ASSERT_FALSE(observed.empty()) << "failure did not reproduce";
     EXPECT_TRUE(sameSimError(observed, capsule.error))
         << observed << " vs " << capsule.error;
+}
+
+TEST(SweepJournal, TornTailAndUnwritableCapsuleAreReportedNotPrinted)
+{
+    // pva_sim --sweep --json makes its envelope all of stderr, so the
+    // executor itself must print nothing: both facts go in the report.
+    std::vector<SweepRequest> grid = mixedGrid();
+    const std::string path = tempPath("journal_quiet.jsonl");
+    std::remove(path.c_str());
+    runGrid(grid, 1, {path, false, ""});
+    const std::string full = slurp(path);
+    spit(path, full.substr(0, full.size() - 20));
+
+    testing::internal::CaptureStderr();
+    const RunOutput resumed = runGrid(grid, 1, {path, true, ""});
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_TRUE(resumed.report.tornJournalTail);
+    EXPECT_EQ(resumed.report.resumed, grid.size() - 1);
+    EXPECT_EQ(resumed.json.find("torn"), std::string::npos)
+        << "dumpJson stays byte-identical to the uninterrupted run";
+
+    // A directory squatting on the failing point's capsule path makes
+    // the capsule write fail.
+    const std::string dir = tempPath("quarantine_blocked");
+    const std::string blocker = dir + "/capsule-8.json";
+    std::filesystem::create_directories(blocker);
+    testing::internal::CaptureStderr();
+    const RunOutput blocked = runGrid(grid, 1, {"", false, dir});
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    ASSERT_EQ(blocked.report.quarantine.size(), 1u);
+    const QuarantineRecord &q = blocked.report.quarantine[0];
+    EXPECT_EQ(q.index, 8u);
+    EXPECT_EQ(q.capsulePath, "");
+    EXPECT_NE(q.capsuleError.find(blocker), std::string::npos)
+        << q.capsuleError;
+    EXPECT_NE(blocked.json.find("\"capsuleError\": "), std::string::npos);
+    EXPECT_TRUE(std::filesystem::is_directory(blocker));
 }
 
 TEST(SweepJournal, CapsuleRoundTripsEveryConfigField)

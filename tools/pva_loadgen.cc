@@ -32,6 +32,7 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/system_config.hh"
@@ -188,8 +189,7 @@ addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
 
     // Fleet mode (docs/TRAFFIC.md "Fleet-scale traffic").
     app.flag("--fleet",
-             "run a sharded tenant fleet under hierarchical "
-             "arbitration instead of a single flat run",
+             "run a sharded tenant fleet instead of a single flat run",
              [&opts] { opts.fleet = true; });
     app.numOption("--tenants", "N", "tenants in the fleet", opts.tenants);
     app.numOption("--streams-per-tenant", "N",
@@ -229,30 +229,45 @@ validateOptions(const LoadgenOptions &opts)
     }
 }
 
+ArbiterConfig
+arbiterConfigFor(const LoadgenOptions &opts)
+{
+    ArbiterConfig a;
+    if (!parseArbPolicy(opts.policy, a.policy))
+        fatal("unknown policy '%s' (try: fifo rr priority)",
+              opts.policy.c_str());
+    a.agingThreshold = opts.aging;
+    a.shed.enabled = opts.shed;
+    a.shed.defaultDeadline = opts.deadline;
+    a.shed.queueHighWatermark = opts.shedWatermark;
+    return a;
+}
+
+RunLimits
+limitsFor(const LoadgenOptions &opts)
+{
+    return {.maxCycles = opts.maxCycles, .timeoutMillis = opts.pointTimeout};
+}
+
+ArrivalMode
+arrivalModeFor(const LoadgenOptions &opts)
+{
+    if (opts.mode == "closed")
+        return ArrivalMode::ClosedLoop;
+    if (opts.mode == "open")
+        return ArrivalMode::OpenLoop;
+    fatal("unknown mode '%s' (try: closed open)", opts.mode.c_str());
+}
+
 TrafficConfig
 trafficConfigFor(const LoadgenOptions &opts)
 {
     TrafficConfig tc;
     tc.system = systemKindFor(opts.system);
     tc.config = opts.config;
-    if (!parseArbPolicy(opts.policy, tc.arbiter.policy))
-        fatal("unknown policy '%s' (try: fifo rr priority)",
-              opts.policy.c_str());
-    tc.arbiter.agingThreshold = opts.aging;
-    tc.arbiter.shed.enabled = opts.shed;
-    tc.arbiter.shed.defaultDeadline = opts.deadline;
-    tc.arbiter.shed.queueHighWatermark = opts.shedWatermark;
-    tc.limits.maxCycles = opts.maxCycles;
-    tc.limits.timeoutMillis = opts.pointTimeout;
-
-    ArrivalMode mode;
-    if (opts.mode == "closed")
-        mode = ArrivalMode::ClosedLoop;
-    else if (opts.mode == "open")
-        mode = ArrivalMode::OpenLoop;
-    else
-        fatal("unknown mode '%s' (try: closed open)",
-              opts.mode.c_str());
+    tc.arbiter = arbiterConfigFor(opts);
+    tc.limits = limitsFor(opts);
+    const ArrivalMode mode = arrivalModeFor(opts);
 
     for (unsigned i = 0; i < opts.streams; ++i) {
         StreamConfig s;
@@ -270,6 +285,27 @@ trafficConfigFor(const LoadgenOptions &opts)
         tc.streams.push_back(std::move(s));
     }
     return tc;
+}
+
+/** The queue/service/total latency rows of a traffic or fleet result. */
+template <typename Result>
+void
+printLatencyTable(const Result &r)
+{
+    const std::pair<const char *, const LatencySummary *> rows[] = {
+        {"queue", &r.queueDelay},
+        {"service", &r.serviceLatency},
+        {"total", &r.totalLatency}};
+    for (const auto &[name, s] : rows) {
+        std::printf("  %-8s mean %8.1f  p50 %6llu  p95 %6llu  "
+                    "p99 %6llu  p999 %6llu  max %6llu\n",
+                    name, s->mean,
+                    static_cast<unsigned long long>(s->p50),
+                    static_cast<unsigned long long>(s->p95),
+                    static_cast<unsigned long long>(s->p99),
+                    static_cast<unsigned long long>(s->p999),
+                    static_cast<unsigned long long>(s->max));
+    }
 }
 
 int
@@ -366,19 +402,7 @@ runOnce(const ToolApp &app, const LoadgenOptions &opts)
                 static_cast<unsigned long long>(r.simTicks),
                 static_cast<unsigned long long>(r.cyclesSkipped),
                 static_cast<unsigned long long>(r.cyclesPerSecond));
-    auto line = [](const char *name, const LatencySummary &s) {
-        std::printf("  %-8s mean %8.1f  p50 %6llu  p95 %6llu  "
-                    "p99 %6llu  p999 %6llu  max %6llu\n",
-                    name, s.mean,
-                    static_cast<unsigned long long>(s.p50),
-                    static_cast<unsigned long long>(s.p95),
-                    static_cast<unsigned long long>(s.p99),
-                    static_cast<unsigned long long>(s.p999),
-                    static_cast<unsigned long long>(s.max));
-    };
-    line("queue", r.queueDelay);
-    line("service", r.serviceLatency);
-    line("total", r.totalLatency);
+    printLatencyTable(r);
     for (const StreamResult &s : r.streams) {
         std::printf("  %s: %llu/%llu done, deferrals %llu, "
                     "queue peak %llu, total p99 %llu\n",
@@ -399,15 +423,8 @@ fleetConfigFor(const LoadgenOptions &opts)
     fleet::FleetConfig fc;
     fc.system = systemKindFor(opts.system);
     fc.config = opts.config;
-    if (!parseArbPolicy(opts.policy, fc.arbiter.policy))
-        fatal("unknown policy '%s' (try: fifo rr priority)",
-              opts.policy.c_str());
-    fc.arbiter.agingThreshold = opts.aging;
-    fc.arbiter.shed.enabled = opts.shed;
-    fc.arbiter.shed.defaultDeadline = opts.deadline;
-    fc.arbiter.shed.queueHighWatermark = opts.shedWatermark;
-    fc.limits.maxCycles = opts.maxCycles;
-    fc.limits.timeoutMillis = opts.pointTimeout;
+    fc.arbiter = arbiterConfigFor(opts);
+    fc.limits = limitsFor(opts);
     fc.shards = opts.shards;
     fc.jobs = opts.jobs;
     fc.retries = opts.retries;
@@ -421,13 +438,7 @@ fleetConfigFor(const LoadgenOptions &opts)
     spec.stream.queueCapacity = opts.queueCap;
     spec.stream.seed = opts.seed;
     spec.stream.pattern = opts.pattern;
-    if (opts.mode == "closed")
-        spec.stream.mode = ArrivalMode::ClosedLoop;
-    else if (opts.mode == "open")
-        spec.stream.mode = ArrivalMode::OpenLoop;
-    else
-        fatal("unknown mode '%s' (try: closed open)",
-              opts.mode.c_str());
+    spec.stream.mode = arrivalModeFor(opts);
     // Disjoint per-stream regions, same policy as the flat path.
     spec.regionStrideWords = opts.pattern.regionWords;
     fc.tenants.push_back(std::move(spec));
@@ -473,19 +484,7 @@ runFleetOnce(const ToolApp &app, const LoadgenOptions &opts)
                     static_cast<unsigned long long>(r.shed),
                     100.0 * r.shedRate);
     }
-    auto line = [](const char *name, const LatencySummary &s) {
-        std::printf("  %-8s mean %8.1f  p50 %6llu  p95 %6llu  "
-                    "p99 %6llu  p999 %6llu  max %6llu\n",
-                    name, s.mean,
-                    static_cast<unsigned long long>(s.p50),
-                    static_cast<unsigned long long>(s.p95),
-                    static_cast<unsigned long long>(s.p99),
-                    static_cast<unsigned long long>(s.p999),
-                    static_cast<unsigned long long>(s.max));
-    };
-    line("queue", r.queueDelay);
-    line("service", r.serviceLatency);
-    line("total", r.totalLatency);
+    printLatencyTable(r);
     if (opts.stats) {
         for (const fleet::TenantResult &t : r.tenantResults) {
             std::printf("  %s (shard %u): %llu arrivals, %llu done, "

@@ -54,22 +54,33 @@ runSweep(const ToolApp &app, const ToolOptions &opts)
     }
     SweepReport report = executor.runReport(
         SweepExecutor::chapter6Grid(opts.elements, opts.config));
-    if (report.resumed > 0 && !opts.json) {
-        inform("sweep: restored %zu completed points from '%s'",
-               report.resumed, opts.checkpointPath.c_str());
-    }
     writeCsv(std::cout, report.points);
     if (opts.json) {
         // The CSV owns stdout under --sweep; the envelope goes to
         // stderr so both can be captured independently. It is all of
-        // stderr: its stats and sweep sections carry what the text
-        // lines below would say.
+        // stderr: its stats, sweep and checkpoint sections carry what
+        // the text lines below would say.
         JsonEnvelope env(std::cerr, app, opts.config,
                          {{"elements", opts.elements}});
         executor.stats().dumpJson(env.section("stats").nested());
         report.dumpJson(env.section("sweep").nested());
+        if (!opts.checkpointPath.empty()) {
+            json::Writer &w = env.section("checkpoint").beginObject();
+            w.field("journal", opts.checkpointPath);
+            w.field("restored", report.resumed);
+            w.field("tornTail", report.tornJournalTail).end();
+        }
         env.traceSection(app);
     } else {
+        if (report.tornJournalTail) {
+            warn("checkpoint journal '%s' has a torn final record "
+                 "(crash mid-append); discarding it",
+                 opts.checkpointPath.c_str());
+        }
+        if (report.resumed > 0) {
+            inform("sweep: restored %zu completed points from '%s'",
+                   report.resumed, opts.checkpointPath.c_str());
+        }
         for (const PointFailure &f : report.failures) {
             warn("sweep point %zu (%s/%s stride %u alignment %u) "
                  "failed after %u attempts: %s",
@@ -78,9 +89,14 @@ runSweep(const ToolApp &app, const ToolOptions &opts)
                  f.alignment, f.attempts, f.error.c_str());
         }
         for (const QuarantineRecord &q : report.quarantine) {
-            inform("quarantined point %zu: repro capsule %s "
-                   "(pva_replay --repro)",
-                   q.index, q.capsulePath.c_str());
+            if (q.capsulePath.empty()) {
+                warn("cannot write repro capsule for point %zu: %s",
+                     q.index, q.capsuleError.c_str());
+            } else {
+                inform("quarantined point %zu: repro capsule %s "
+                       "(pva_replay --repro)",
+                       q.index, q.capsulePath.c_str());
+            }
         }
         if (opts.stats)
             executor.stats().dump(std::cerr);

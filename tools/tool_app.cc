@@ -49,6 +49,11 @@ parseReal(const std::string &flag, const std::string &value)
     return d;
 }
 
+#if PVA_TRACE_ENABLED
+/** Sampling-profile rows a tool reports, as text or as JSON. */
+constexpr std::size_t kProfileRows = 20;
+#endif
+
 } // anonymous namespace
 
 /**
@@ -61,8 +66,6 @@ struct ToolApp::TraceState
 #if PVA_TRACE_ENABLED
     std::optional<trace::TraceSession> session;
 #endif
-    std::uint64_t recorded = 0;
-    std::uint64_t dropped = 0;
 };
 
 ToolApp::ToolApp(std::string tool_name)
@@ -252,6 +255,7 @@ ToolApp::addOutputFlags(bool &stats, bool &json)
          [&stats] { stats = true; });
     flag("--json", "emit the versioned JSON envelope (docs/API.md)",
          [&json] { json = true; });
+    jsonFlag = &json;
 }
 
 void
@@ -382,9 +386,9 @@ ToolApp::run(const std::function<int()> &body)
     if (traceState->session) {
         trace::setSession(nullptr);
         trace::TraceSession &s = *traceState->session;
-        traceState->recorded = s.recorded();
-        traceState->dropped = s.dropped();
-        if (trace.profiling()) {
+        // Under --json the envelope's trace section said all this.
+        const bool text = !(jsonFlag && *jsonFlag);
+        if (text && trace.profiling()) {
             // The sampling profile: where the simulation's activity
             // (as seen by the PVA_TRACE instrumentation) concentrated.
             std::vector<trace::ProfileEntry> report =
@@ -393,9 +397,9 @@ ToolApp::run(const std::function<int()> &body)
                    "of %zu (track/event: samples ~events)",
                    static_cast<unsigned long long>(s.profileSamples()),
                    s.profilePeriod(),
-                   std::min<std::size_t>(report.size(), 20),
-                   report.size());
-            for (std::size_t i = 0; i < report.size() && i < 20; ++i) {
+                   std::min(report.size(), kProfileRows), report.size());
+            for (std::size_t i = 0;
+                 i < report.size() && i < kProfileRows; ++i) {
                 const trace::ProfileEntry &e = report[i];
                 inform("  %s/%s %s: %llu ~%llu", e.process.c_str(),
                        e.track.c_str(), e.name ? e.name : "?",
@@ -409,13 +413,13 @@ ToolApp::run(const std::function<int()> &body)
             if (!out)
                 fatal("cannot open '%s'", trace.outPath.c_str());
             s.exportChromeJson(out);
-            inform("trace: %llu events (%llu dropped) on %zu tracks "
-                   "-> %s",
-                   static_cast<unsigned long long>(
-                       traceState->recorded),
-                   static_cast<unsigned long long>(
-                       traceState->dropped),
-                   s.trackCount(), trace.outPath.c_str());
+            if (text) {
+                inform("trace: %llu events (%llu dropped) on %zu "
+                       "tracks -> %s",
+                       static_cast<unsigned long long>(s.recorded()),
+                       static_cast<unsigned long long>(s.dropped()),
+                       s.trackCount(), trace.outPath.c_str());
+            }
         }
         traceState->session.reset();
     }
@@ -423,24 +427,38 @@ ToolApp::run(const std::function<int()> &body)
     return rc;
 }
 
-std::uint64_t
-ToolApp::traceRecorded() const
+void
+ToolApp::dumpTraceJson(json::Writer &w) const
 {
+    std::uint64_t recorded = 0, dropped = 0, tracks = 0;
 #if PVA_TRACE_ENABLED
-    if (traceState->session)
-        return traceState->session->recorded();
+    const trace::TraceSession *s =
+        traceState->session ? &*traceState->session : nullptr;
+    if (s) {
+        recorded = s->recorded();
+        dropped = s->dropped();
+        tracks = s->trackCount();
+    }
 #endif
-    return traceState->recorded;
-}
-
-std::uint64_t
-ToolApp::traceDropped() const
-{
+    w.beginObject().field("out", trace.outPath);
+    w.field("recorded", recorded).field("dropped", dropped);
+    w.field("tracks", tracks);
 #if PVA_TRACE_ENABLED
-    if (traceState->session)
-        return traceState->session->dropped();
+    if (s && trace.profiling()) {
+        std::vector<trace::ProfileEntry> report = s->profileReport();
+        if (report.size() > kProfileRows)
+            report.resize(kProfileRows);
+        w.key("profile").beginArray(json::Writer::Layout::Block);
+        for (const trace::ProfileEntry &e : report) {
+            w.beginObject().field("process", e.process);
+            w.field("track", e.track).field("event", e.name ? e.name : "?");
+            w.field("samples", e.samples);
+            w.field("estimatedEvents", e.estimatedEvents).end();
+        }
+        w.end();
+    }
 #endif
-    return traceState->dropped;
+    w.end();
 }
 
 JsonEnvelope::JsonEnvelope(std::ostream &os, const ToolApp &app,
@@ -468,12 +486,9 @@ JsonEnvelope::JsonEnvelope(std::ostream &os, const ToolApp &app,
 void
 JsonEnvelope::traceSection(const ToolApp &app)
 {
-    if (!app.traceOptions().active())
-        return;
-    section("trace").beginObject();
-    w.field("out", app.traceOptions().outPath);
-    w.field("recorded", app.traceRecorded());
-    w.field("dropped", app.traceDropped()).end();
+    const TraceOptions &opts = app.traceOptions();
+    if (opts.active() || opts.profiling())
+        app.dumpTraceJson(section("trace"));
 }
 
 } // namespace pva::tools

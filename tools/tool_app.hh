@@ -138,15 +138,18 @@ class ToolApp
      * std::exception exit 1 with a one-line diagnostic) and the trace
      * session lifecycle: when --trace-out is set, a TraceSession is
      * installed before @p body and the Chrome trace JSON is written
-     * (with an event/drop summary on stderr) after it. In a build
+     * after it. The event/drop summary and the --profile rows go to
+     * stderr, unless --json was given: then the envelope's trace
+     * section (JsonEnvelope::traceSection) carries them. In a build
      * without PVA_TRACE, --trace-out is a fatal error instead of a
      * silent no-op.
      */
     int run(const std::function<int()> &body);
 
-    /** Recorded/dropped counts of the active session (0 when off). */
-    std::uint64_t traceRecorded() const;
-    std::uint64_t traceDropped() const;
+    /** Write the trace accounting object: out path, recorded/dropped
+     *  events and tracks of the live session (0 when none), and the
+     *  top --profile rows. */
+    void dumpTraceJson(json::Writer &w) const;
 
   private:
     struct Spec
@@ -166,6 +169,7 @@ class ToolApp
     std::string positionalMetavar;
     std::function<void(const std::string &)> positionalHandler;
     SystemConfig *configToValidate = nullptr;
+    const bool *jsonFlag = nullptr; ///< addOutputFlags' --json
     TraceOptions trace;
     bool traceFlagsAdded = false;
 
@@ -200,8 +204,8 @@ class JsonEnvelope
     json::Writer &section(const char *key) { return w.key(key); }
 
     /**
-     * Append the "trace" accounting section (out path, recorded,
-     * dropped); no-op when the app traced nothing.
+     * Append the "trace" section (ToolApp::dumpTraceJson); no-op
+     * unless --trace-out or --profile was given.
      */
     void traceSection(const ToolApp &app);
 
