@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <numeric>
 
+#include "kernels/runner.hh"
+#include "sim/simulation.hh"
+#include "sim/trace.hh"
+
 namespace pva::fleet
 {
 
@@ -49,11 +53,14 @@ FleetArbiter::FleetArbiter(const ArbiterConfig &config,
             shedDepth.push_back(shedDepthOf(cfg, s.config()));
         }
     }
-    // Every stream gets one initial admission pass (the flat arbiter's
+    // Every stream gets one initial admission pass (the reference's
     // first full scan); quiescent streams retire there and never cost
     // another cycle of work.
     admitWork.resize(n);
     std::iota(admitWork.begin(), admitWork.end(), 0u);
+    PVA_TRACE_BLOCK(
+        if (trace::TraceSession *ts = trace::session())
+            traceTrackId = ts->registerTrack("traffic", "arbiter"););
 }
 
 void
@@ -100,7 +107,10 @@ FleetArbiter::newHead(unsigned g)
         rrSet.insert(g);
         break;
     }
-    if (cfg.shed.enabled && shedDeadline[g] > 0)
+    // A head whose expiry would pass 2^64-1 never expires, so it gets
+    // no entry (the sum would wrap to a cycle already due).
+    if (cfg.shed.enabled && shedDeadline[g] > 0 &&
+        shedDeadline[g] < kNeverCycle - arrival)
         expiryHeap.emplace(arrival + shedDeadline[g] + 1, g);
 }
 
@@ -140,6 +150,8 @@ FleetArbiter::admit(unsigned g, Cycle now, bool &changed)
             stats.onShedOverload(local);
             src.onComplete();
             shedChannel.publish(ShedEvent{tenantOf[g], local, false});
+            PVA_TRACE_INSTANT(traceTrackId, now, "shed-overload",
+                              "stream", g);
             changed = true;
             nextStepWork.push_back(g);
             break;
@@ -147,6 +159,8 @@ FleetArbiter::admit(unsigned g, Cycle now, bool &changed)
         q.pushBack() = src.emit(now);
         stats.onArrival(local);
         stats.onQueueDepth(local, q.size());
+        PVA_TRACE_INSTANT(traceTrackId, now, "enqueue", "stream", g,
+                          "depth", q.size());
         changed = true;
         if (q.size() == 1)
             newHead(g);
@@ -154,6 +168,7 @@ FleetArbiter::admit(unsigned g, Cycle now, bool &changed)
     setDeferred(g, deferred);
     if (deferred) {
         stats.onDeferred(local);
+        PVA_TRACE_INSTANT(traceTrackId, now, "defer", "stream", g);
         return;
     }
     if (src.config().mode == ArrivalMode::OpenLoop && !src.exhausted()) {
@@ -192,11 +207,13 @@ FleetArbiter::shedExpired(Cycle now)
             statsOf(g).onShedDeadline(local);
             sources[g].onComplete();
             shedChannel.publish(ShedEvent{tenantOf[g], local, true});
+            PVA_TRACE_INSTANT(traceTrackId, now, "shed-deadline",
+                              "stream", g);
             changed = true;
         }
         // The released window slot can re-admit a closed-loop
-        // arrival, but only at the next step (the flat phase order
-        // runs admission before deadline shed).
+        // arrival, but only at the next step (the reference's phase
+        // order runs admission before deadline shed).
         if (sources[g].config().mode != ArrivalMode::OpenLoop)
             nextStepWork.push_back(g);
         headPopped(g);
@@ -262,8 +279,9 @@ bool
 FleetArbiter::service(MemorySystem &sys, Cycle now)
 {
     // --- 0. Credit any skipped span [lastServiceAt+1, now-1]. --------
-    // (See traffic/arbiter.cc: the span is only skipped when nothing
-    // could change, so the last step's samples held throughout it.)
+    // Event clocking skips a span only when neither the system nor
+    // the arbiter could change during it, so the in-flight sample and
+    // the deferred set of the last step held on every skipped cycle.
     if (everServiced && now > lastServiceAt + 1) {
         const Cycle gap = now - lastServiceAt - 1;
         occCycles += gap;
@@ -285,6 +303,8 @@ FleetArbiter::service(MemorySystem &sys, Cycle now)
                                      now - f.submitted, now - f.arrival,
                                      f.words, f.isRead);
         sources[f.stream].onComplete();
+        PVA_TRACE_INSTANT(traceTrackId, now, "complete", "stream",
+                          f.stream, "latency", now - f.arrival);
         // A freed window slot can make a closed-loop stream ready this
         // very step: completions are phase 1, admission phase 2.
         if (sources[f.stream].config().mode != ArrivalMode::OpenLoop)
@@ -308,7 +328,7 @@ FleetArbiter::service(MemorySystem &sys, Cycle now)
     admitWork.clear();
     if (!deferredList.empty()) {
         // Deferred streams retry every step (and take their onDeferred
-        // sample there), exactly like the flat arbiter's full scan.
+        // sample there), exactly like the reference's full scan.
         // Copy first: a successful retry mutates deferredList.
         deferredScratch.assign(deferredList.begin(), deferredList.end());
         for (unsigned g : deferredScratch)
@@ -336,6 +356,8 @@ FleetArbiter::service(MemorySystem &sys, Cycle now)
         ++nextTag;
         grantChannel.publish(GrantEvent{tenantOf[g], local, waited});
         statsOf(g).onSubmit(local, waited);
+        PVA_TRACE_INSTANT(traceTrackId, now, "grant", "stream", g,
+                          "waited", waited);
         q.popFront();
         headPopped(g);
         checkRetired(g);
@@ -363,6 +385,23 @@ FleetArbiter::nextWake(Cycle now)
     const Cycle arrival =
         arrivalHeap.empty() ? kNeverCycle : arrivalHeap.top().first;
     return std::min(arrival, liveExpiry());
+}
+
+void
+runToDrain(Simulation &sim, FleetArbiter &arbiter, MemorySystem &sys,
+           const RunLimits &limits)
+{
+    sim.runUntil(
+        [&] {
+            const bool done = arbiter.service(sys, sim.now());
+            // The arbiter is not a Component; its self-scheduled work
+            // is posted as external wakes (a no-op under exhaustive
+            // clocking).
+            if (!done)
+                sim.requestWake(arbiter.nextWake(sim.now()));
+            return done;
+        },
+        limits.maxCycles, limits.timeoutMillis);
 }
 
 } // namespace pva::fleet

@@ -1,32 +1,39 @@
 /**
  * @file
- * Stream arbitration for fleet-scale traffic.
+ * The traffic layer's one production arbiter: admission control and
+ * multiplexing of streams onto one memory system's limited
+ * transaction resources.
  *
- * The flat StreamArbiter (traffic/arbiter.hh) scans every stream every
- * service step, which is perfect at paper scale (a handful of streams)
- * and hopeless at fleet scale (10^4-10^6 modeled streams). FleetArbiter
- * keeps the same arbitration semantics over one array of streams
- * indexed by global id (its seats' streams, seat after seat) and
- * replaces every scan with an event worklist or a lazy-deletion heap:
- * an admission worklist, an open-loop arrival heap, head and priority
+ * Every traffic run grants through a FleetArbiter: runFleet seats
+ * each shard's tenants on one, and runTraffic seats a flat run's
+ * streams as a single tenant. It keeps one array of streams indexed
+ * by global id (its seats' streams, seat after seat) and replaces
+ * every scan with an event worklist or a lazy-deletion heap: an
+ * admission worklist, an open-loop arrival heap, head and priority
  * heaps for grant candidates, a round-robin set of non-empty queues
- * and a deadline-expiry heap. A quiescent stream costs nothing, and
- * every mutation is O(log n).
+ * and a deadline-expiry heap. A quiescent stream costs nothing, every
+ * mutation is O(log n), and nextWake lets event clocking skip every
+ * cycle on which nothing can change.
  *
  * Tenants are a statistics partition, not an arbitration tier: each
  * stream records into its tenant's ServiceStats under its tenant-local
  * index, and grants pick over all streams alike. The MessageBus
  * (fleet/message_bus.hh) carries only telemetry: the arbiter publishes
- * each grant and each shed request for whatever sink subscribed.
+ * each grant and each shed request for whatever sink subscribed. In
+ * traced builds the arbiter's lifecycle instants (enqueue, defer,
+ * shed-overload, shed-deadline, grant, complete, each naming the
+ * global stream id) go to the "traffic/arbiter" track.
  *
- * Semantics contract: a FleetArbiter is cycle-exact against the flat
- * StreamArbiter over the same streams in global-id order — same grant
- * order, same tags, same per-stream statistics, same drain cycle —
- * across all policies, shedding configurations, and both clocking
- * modes (the differential test in tests/test_fleet.cc holds this). The
- * phase order, policy tie-breaking, deferral accounting, and nextWake
- * contract below are therefore deliberate replicas of
- * traffic/arbiter.cc; change them together or not at all.
+ * Semantics contract: a FleetArbiter is cycle-exact against the O(n)
+ * reference StreamArbiter (traffic/arbiter.hh), which scans every
+ * stream on every cycle, over the same streams in global-id order —
+ * same grant order, same tags, same per-stream statistics, same
+ * occupancy, same drain cycle — across all policies, shedding
+ * configurations, and both clocking modes (the differential test in
+ * tests/test_fleet.cc holds this). The phase order, policy
+ * tie-breaking and deferral accounting below are therefore
+ * deliberate replicas of the reference; change them together or not
+ * at all.
  */
 
 #ifndef PVA_FLEET_FLEET_ARBITER_HH
@@ -48,6 +55,12 @@
 #include "traffic/arbiter.hh"
 #include "traffic/service_stats.hh"
 #include "traffic/stream.hh"
+
+namespace pva
+{
+class Simulation;
+struct RunLimits;
+} // namespace pva
 
 namespace pva::fleet
 {
@@ -71,22 +84,31 @@ class FleetArbiter
                  std::vector<TenantSeat> seats, MessageBus &bus);
 
     /**
-     * One service step at cycle @p now, same contract as
-     * StreamArbiter::service: returns true when every stream is
-     * exhausted, every queue empty, and nothing is in flight.
+     * One service step at cycle @p now: drain completions, admit
+     * arrivals, shed expired heads, grant until the system refuses
+     * (StreamArbiter::service's phases). Returns true when every
+     * stream is exhausted, every queue empty, and nothing is in
+     * flight.
      */
     bool service(MemorySystem &sys, Cycle now);
 
     /**
      * Earliest cycle after @p now with self-scheduled arbiter work
-     * (StreamArbiter::nextWake contract): now + 1 after a step that
-     * changed something, otherwise the earlier of the next open-loop
-     * arrival and the next live deadline expiry. Non-const: finding
-     * the live expiry prunes stale heap entries.
+     * (for Simulation::requestWake under ClockingMode::Event): now + 1
+     * after a step that changed something (completion, admission,
+     * shed or grant), since admissions and grants may cascade;
+     * otherwise the earlier of the next open-loop arrival and the
+     * next live deadline expiry. Closed-loop arrivals need no wake of
+     * their own: only a completion unblocks them, and completions
+     * ride the memory system's wakes. The next service credits the
+     * skipped cycles (occupancy samples, deferrals), exact because
+     * arbiter and system state are frozen over the span. Non-const:
+     * finding the live expiry prunes stale heap entries.
      */
     Cycle nextWake(Cycle now);
 
-    /** @name Fleet-level occupancy sampling
+    /** @name Occupancy: the memory system's in-flight count, sampled
+     * at the end of every step and credited over skipped cycles.
      * Owned here (not per tenant) so merged tenant stats never
      * multiply the cycle count by the tenant count. @{ */
     std::uint64_t occupancyCycles() const { return occCycles; }
@@ -170,7 +192,7 @@ class FleetArbiter
     /** @name Admission worklists
      * A stream is admitted at most once per step (admitStamp).
      * nextStepWork holds streams that must retry at the next step: an
-     * overload shed (the flat arbiter's per-step one-drop bound) or a
+     * overload shed (the reference's per-step one-drop bound) or a
      * deadline shed that freed a closed-loop window slot. @{ */
     std::vector<unsigned> admitWork;
     std::vector<unsigned> nextStepWork;
@@ -178,7 +200,7 @@ class FleetArbiter
 
     /** @name Deferred (backpressured) streams
      * Swap-removable list; retried every step and credited every
-     * skipped cycle, exactly like the flat arbiter's full scan. @{ */
+     * skipped cycle, exactly like the reference's full scan. @{ */
     std::vector<unsigned> deferredList;
     std::vector<unsigned> deferredScratch;
     /** @} */
@@ -225,7 +247,17 @@ class FleetArbiter
     Cycle lastServiceAt = 0;
     std::size_t lastInFlightSample = 0;
     /** @} */
+    std::uint32_t traceTrackId = 0; ///< "traffic/arbiter"; 0 = untraced
 };
+
+/**
+ * Service @p arbiter against @p sys at every cycle @p sim processes,
+ * posting the arbiter's own wakes, until it drains. The caller adds
+ * the system to @p sim. Throws SimError(Watchdog) when @p limits
+ * expire.
+ */
+void runToDrain(Simulation &sim, FleetArbiter &arbiter,
+                MemorySystem &sys, const RunLimits &limits);
 
 } // namespace pva::fleet
 

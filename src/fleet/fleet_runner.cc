@@ -190,14 +190,7 @@ runFleet(const FleetConfig &config)
 
         Simulation sim(sys_cfg.clocking);
         sim.add(sys.get());
-        sim.runUntil(
-            [&] {
-                bool done = arbiter.service(*sys, sim.now());
-                if (!done)
-                    sim.requestWake(arbiter.nextWake(sim.now()));
-                return done;
-            },
-            config.limits.maxCycles, config.limits.timeoutMillis);
+        runToDrain(sim, arbiter, *sys, config.limits);
 
         ShardOutcome out;
         out.cycles = sim.now();
@@ -215,20 +208,11 @@ runFleet(const FleetConfig &config)
         for (std::size_t j = 0; j < tenantStats.size(); ++j) {
             const ServiceStats &st = *tenantStats[j];
             out.merged->mergeFrom(st);
-            TenantResult tr;
+            TenantResult &tr = out.tenantResults.emplace_back();
             tr.name = layout[s + j * shards].name;
             tr.shard = static_cast<unsigned>(s);
-            tr.arrivals = st.arrivalsTotal();
-            tr.completed = st.completedTotal();
-            tr.deferrals = st.deferralsTotal();
-            tr.shedDeadline = st.shedDeadlineTotal();
-            tr.shedOverload = st.shedOverloadTotal();
-            tr.queuePeak = st.queuePeakTotal();
-            tr.words = st.wordsTotal();
-            tr.queueDelay = st.aggregateQueueDelay();
-            tr.serviceLatency = st.aggregateServiceLatency();
-            tr.totalLatency = st.aggregateTotalLatency();
-            out.tenantResults.push_back(std::move(tr));
+            tr.arrivals = st.total().arrivals.value();
+            copyCounters(st.total(), tr);
         }
         outcomes[s] = std::move(out);
     };
@@ -271,27 +255,7 @@ runFleet(const FleetConfig &config)
                 std::move(out.tenantResults[j]);
         }
     }
-    r.completed = fleetStats.completedTotal();
-    r.words = fleetStats.wordsTotal();
-    r.shed = fleetStats.shedTotal();
-    if (r.completed + r.shed > 0) {
-        r.shedRate = static_cast<double>(r.shed) /
-                     static_cast<double>(r.completed + r.shed);
-    }
-    if (r.cycles > 0) {
-        r.requestsPerKilocycle = static_cast<double>(r.completed) *
-                                 1000.0 /
-                                 static_cast<double>(r.cycles);
-        r.wordsPerCycle = static_cast<double>(r.words) /
-                          static_cast<double>(r.cycles);
-    }
-    if (occCycles > 0) {
-        r.meanInFlight = static_cast<double>(occSum) /
-                         static_cast<double>(occCycles);
-    }
-    r.queueDelay = fleetStats.aggregateQueueDelay();
-    r.serviceLatency = fleetStats.aggregateServiceLatency();
-    r.totalLatency = fleetStats.aggregateTotalLatency();
+    copyTotals(fleetStats.total(), occSum, occCycles, r);
     return r;
 }
 

@@ -179,7 +179,6 @@ class SweepExecutor
 
     /** Attempt budget per point (>= 1; default 3). */
     void setMaxAttempts(unsigned attempts);
-    unsigned maxAttempts() const { return attemptBudget; }
 
     /** Default per-point wall-clock watchdog, applied to requests
      *  that do not set RunLimits::timeoutMillis themselves.
@@ -191,10 +190,6 @@ class SweepExecutor
     void setCheckpoint(CheckpointOptions options)
     {
         checkpoint = std::move(options);
-    }
-    const CheckpointOptions &checkpointOptions() const
-    {
-        return checkpoint;
     }
 
     using ProgressFn = std::function<void(const SweepProgress &)>;

@@ -60,7 +60,6 @@ class Value
     Kind kind() const { return valueKind; }
     bool isNull() const { return valueKind == Kind::Null; }
     bool isBool() const { return valueKind == Kind::Bool; }
-    bool isNumber() const { return valueKind == Kind::Number; }
     bool isString() const { return valueKind == Kind::String; }
     bool isArray() const { return valueKind == Kind::Array; }
     bool isObject() const { return valueKind == Kind::Object; }

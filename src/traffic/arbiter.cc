@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/trace.hh"
-
 namespace pva
 {
 
@@ -61,7 +59,7 @@ StreamArbiter::StreamArbiter(const ArbiterConfig &config,
                              std::vector<StreamSource> sources_,
                              ServiceStats &stats_)
     : cfg(config), sources(std::move(sources_)), stats(stats_),
-      queues(sources.size()), wasDeferred(sources.size(), false)
+      queues(sources.size())
 {
     if (!sources.empty())
         lastGranted = static_cast<unsigned>(sources.size()) - 1;
@@ -147,21 +145,6 @@ StreamArbiter::pick(Cycle now, unsigned &out) const
 bool
 StreamArbiter::service(MemorySystem &sys, Cycle now)
 {
-    // --- 0. Credit any skipped span [lastServiceAt+1, now-1]. --------
-    // Event clocking only reaches here with a gap when neither the
-    // system nor the arbiter could change during it, so the occupancy
-    // sample and per-stream backpressure flags recorded at the last
-    // step held on every skipped cycle.
-    if (everServiced && now > lastServiceAt + 1) {
-        Cycle gap = now - lastServiceAt - 1;
-        stats.onCycleGap(gap, lastInFlightSample);
-        for (unsigned i = 0; i < sources.size(); ++i) {
-            if (wasDeferred[i])
-                stats.onDeferredGap(i, gap);
-        }
-    }
-    bool changed = false;
-
     // --- 1. Completions. ---------------------------------------------
     sys.drainCompletionsInto(drainedCompletions);
     for (Completion &c : drainedCompletions) {
@@ -173,23 +156,18 @@ StreamArbiter::service(MemorySystem &sys, Cycle now)
         stats.onComplete(f.stream, now - f.submitted, now - f.arrival,
                          f.words, f.isRead);
         sources[f.stream].onComplete();
-        PVA_TRACE_INSTANT(traceTrackId, now, "complete", "stream",
-                          f.stream, "latency", now - f.arrival);
         inFlight.erase(it);
-        changed = true;
     }
 
     // --- 2. Admission: pull arrivals into the bounded queues. --------
     for (unsigned i = 0; i < sources.size(); ++i) {
         StreamSource &src = sources[i];
-        bool deferred = false;
         while (src.arrivalReady(now)) {
-            if (queues[i].size() >=
-                src.config().queueCapacity) {
+            if (queues[i].size() >= src.config().queueCapacity) {
                 // Backpressure: the arrival stays pending in the
                 // source; open-loop requests keep their scheduled
                 // arrival stamp so the wait is visible as queue delay.
-                deferred = true;
+                stats.onDeferred(i);
                 break;
             }
             if (cfg.shed.enabled && queues[i].size() >= shedDepth[i]) {
@@ -202,23 +180,12 @@ StreamArbiter::service(MemorySystem &sys, Cycle now)
                 stats.onArrival(i);
                 stats.onShedOverload(i);
                 src.onComplete();
-                PVA_TRACE_INSTANT(traceTrackId, now, "shed-overload",
-                                  "stream", i);
-                changed = true;
                 break;
             }
             queues[i].push_back(src.emit(now));
             stats.onArrival(i);
             stats.onQueueDepth(i, queues[i].size());
-            PVA_TRACE_INSTANT(traceTrackId, now, "enqueue", "stream",
-                              i, "depth", queues[i].size());
-            changed = true;
         }
-        if (deferred) {
-            stats.onDeferred(i);
-            PVA_TRACE_INSTANT(traceTrackId, now, "defer", "stream", i);
-        }
-        wasDeferred[i] = deferred;
     }
 
     // --- 2b. Deadline shed: drop queue heads past their budget. ------
@@ -235,9 +202,6 @@ StreamArbiter::service(MemorySystem &sys, Cycle now)
                 queues[i].pop_front();
                 stats.onShedDeadline(i);
                 sources[i].onComplete();
-                PVA_TRACE_INSTANT(traceTrackId, now, "shed-deadline",
-                                  "stream", i);
-                changed = true;
             }
         }
     }
@@ -256,56 +220,14 @@ StreamArbiter::service(MemorySystem &sys, Cycle now)
             tag, InFlight{chosen, req.arrival, now, req.cmd.length,
                           req.cmd.isRead});
         stats.onSubmit(chosen, now - req.arrival);
-        PVA_TRACE_INSTANT(traceTrackId, now, "grant", "stream",
-                          chosen, "waited", now - req.arrival);
         queues[chosen].pop_front();
         lastGranted = chosen;
-        changed = true;
     }
-
-    // --- 4. Occupancy sample (end-of-step in-flight count). ----------
-    stats.onCycle(sys.inFlight());
-
-    changedLastService = changed;
-    everServiced = true;
-    lastServiceAt = now;
-    lastInFlightSample = sys.inFlight();
 
     bool drained = inFlight.empty();
     for (unsigned i = 0; drained && i < sources.size(); ++i)
         drained = sources[i].exhausted() && queues[i].empty();
     return drained;
-}
-
-Cycle
-StreamArbiter::nextWake(Cycle now) const
-{
-    if (changedLastService)
-        return now + 1;
-    Cycle wake = kNeverCycle;
-    for (const StreamSource &s : sources) {
-        if (s.config().mode != ArrivalMode::OpenLoop || s.exhausted())
-            continue;
-        Cycle a = s.nextArrivalCycle();
-        // An arrival already due but deferred needs no wake of its
-        // own: only a completion can free queue space, and completions
-        // ride the memory system's wakes (via changedLastService).
-        if (a > now && a < wake)
-            wake = a;
-    }
-    // A queued head's deadline expiry is a state change with a clock
-    // of its own: nothing else need happen for the shed to become due.
-    if (cfg.shed.enabled) {
-        for (unsigned i = 0; i < sources.size(); ++i) {
-            if (shedDeadline[i] == 0 || queues[i].empty())
-                continue;
-            Cycle expiry =
-                queues[i].front().arrival + shedDeadline[i] + 1;
-            if (expiry > now && expiry < wake)
-                wake = expiry;
-        }
-    }
-    return wake;
 }
 
 } // namespace pva

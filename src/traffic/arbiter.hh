@@ -1,9 +1,11 @@
 /**
  * @file
- * The StreamArbiter: admission control and multiplexing of N traffic
- * streams onto one memory system's limited transaction resources.
+ * The arbitration vocabulary of the traffic layer — policies, shedding
+ * knobs, per-stream shed thresholds — and StreamArbiter, the O(n)
+ * reference arbiter the production FleetArbiter (fleet/fleet_arbiter.hh)
+ * is checked against.
  *
- * Each stream owns a bounded queue. Every service cycle the arbiter
+ * Each stream owns a bounded queue. Every service step an arbiter
  *
  *  1. drains completions, crediting service/total latency to the
  *     owning stream and releasing closed-loop window slots;
@@ -11,6 +13,7 @@
  *     queue defers the arrival (backpressure, counted per deferred
  *     cycle; open-loop requests keep their scheduled arrival stamp, so
  *     deferral shows up as queueing delay, not lost load);
+ *  2b. with shedding on, drops queue heads past their deadline;
  *  3. submits queue heads to MemorySystem::trySubmit under the
  *     configured policy until the system refuses (its Vector Contexts
  *     / transaction slots are full).
@@ -22,6 +25,12 @@
  *    request that has waited longer than agingThreshold cycles is
  *    served oldest-first regardless of priority, which bounds every
  *    stream's wait (starvation-freedom).
+ *
+ * StreamArbiter spells those phases out as plain scans over every
+ * stream and has no wake of its own: nextWake is always now + 1, so
+ * it is stepped on every cycle and needs no skipped-span credit. Only
+ * tests and benchmark probes build it; every traffic run grants
+ * through a FleetArbiter.
  *
  * All decisions are pure functions of (config, stream seeds, cycle),
  * so a traffic run is bit-reproducible anywhere, including under the
@@ -108,7 +117,7 @@ std::size_t shedDepthOf(const ArbiterConfig &config,
                         const StreamConfig &stream);
 /** @} */
 
-/** Multiplexes stream sources onto one MemorySystem. */
+/** The reference arbiter: every phase a scan over every stream. */
 class StreamArbiter
 {
   public:
@@ -119,42 +128,17 @@ class StreamArbiter
                   ServiceStats &stats);
 
     /**
-     * One service step at cycle @p now (call once per simulated
-     * cycle, before the system's tick if driven manually, or from a
-     * Simulation::runUntil predicate).
+     * One service step at cycle @p now. Call it on every cycle, before
+     * the system's tick (from a Simulation::runUntil predicate, with
+     * nextWake posted as a wake under event clocking).
      *
      * @return true when every stream is exhausted, every queue is
      *         empty, and no request is in flight.
      */
     bool service(MemorySystem &sys, Cycle now);
 
-    /**
-     * Earliest cycle after @p now at which the arbiter itself has work
-     * that no system wake covers (for Simulation::requestWake under
-     * ClockingMode::Event). Three cases:
-     *
-     *  - the last service changed something (completion, admission, or
-     *    grant): now + 1, since follow-on admission/grant decisions may
-     *    cascade next cycle;
-     *  - otherwise the earliest pending open-loop arrival, the only
-     *    arrival discipline with a clock of its own (closed-loop
-     *    arrivals are unblocked by completions, which the memory
-     *    system's own wakes cover);
-     *  - otherwise kNeverCycle.
-     *
-     * Skipped cycles are credited to the per-cycle counters (occupancy
-     * samples, deferrals) at the next service via ServiceStats'
-     * onCycleGap/onDeferredGap — exact because arbiter and system
-     * state are provably frozen over the span.
-     */
-    Cycle nextWake(Cycle now) const;
-
-    const StreamSource &source(unsigned i) const { return sources[i]; }
-
-    /** @name Trace track handle (see sim/trace.hh; 0 = untraced) @{ */
-    void setTraceTrack(std::uint32_t id) { traceTrackId = id; }
-    std::uint32_t traceTrack() const { return traceTrackId; }
-    /** @} */
+    /** Always @p now + 1: the reference is stepped on every cycle. */
+    Cycle nextWake(Cycle now) const { return now + 1; }
 
   private:
     /** Pick the next stream to grant; returns false if all empty. */
@@ -184,17 +168,6 @@ class StreamArbiter
     std::vector<Completion> drainedCompletions;
     std::uint64_t nextTag = 0;
     unsigned lastGranted = 0; ///< RoundRobin cursor
-    std::uint32_t traceTrackId = 0;
-
-    /** @name Event-clocking bookkeeping
-     * service() records what the step did so nextWake() and the next
-     * step's gap credit can reconstruct the skipped cycles. @{ */
-    bool changedLastService = false; ///< Completion/admission/grant seen
-    bool everServiced = false;
-    Cycle lastServiceAt = 0;
-    std::size_t lastInFlightSample = 0; ///< sys.inFlight() at last step
-    std::vector<bool> wasDeferred;      ///< Per-stream backpressure flag
-    /** @} */
 };
 
 } // namespace pva

@@ -31,14 +31,12 @@ jsonSummary(json::Writer &w, const char *key, const LatencySummary &s)
 
 ServiceStats::ServiceStats(const std::vector<std::string> &names,
                            Detail detail, const std::string &prefix)
-    : streamCount(names.size())
 {
     // All traffic metrics live under the "traffic." namespace so the
     // tools' JSON envelope carries one predictable key shape (see
     // docs/API.md). Histograms are preallocated here so the per-cycle
     // hooks (onSubmit/onComplete, gap credits) never allocate.
-    auto registerOne = [&](const std::string &prefix,
-                           StreamCounters &c) {
+    auto registerOne = [&](const std::string &prefix, Counters &c) {
         statSet.addScalar(prefix + ".arrivals", &c.arrivals);
         statSet.addScalar(prefix + ".submitted", &c.submitted);
         statSet.addScalar(prefix + ".completed", &c.completed);
@@ -60,41 +58,39 @@ ServiceStats::ServiceStats(const std::vector<std::string> &names,
     if (detail == Detail::PerStream) {
         perStream.reserve(names.size());
         for (const std::string &name : names) {
-            perStream.push_back(std::make_unique<StreamCounters>());
+            perStream.push_back(std::make_unique<Counters>());
             registerOne(prefix + "." + name, *perStream.back());
         }
     }
     registerOne(prefix + ".agg", aggregate);
-    statSet.addScalar(prefix + ".agg.cycles", &statCycles);
-    statSet.addScalar(prefix + ".agg.occupancySum", &statOccupancySum);
+}
+
+void
+ServiceStats::Counters::merge(const Counters &from)
+{
+    arrivals += from.arrivals.value();
+    submitted += from.submitted.value();
+    completed += from.completed.value();
+    deferrals += from.deferrals.value();
+    shedDeadline += from.shedDeadline.value();
+    shedOverload += from.shedOverload.value();
+    if (from.queuePeak.value() > queuePeak.value())
+        queuePeak.set(from.queuePeak.value());
+    wordsRead += from.wordsRead.value();
+    wordsWritten += from.wordsWritten.value();
+    queueDelay.merge(from.queueDelay);
+    serviceLatency.merge(from.serviceLatency);
+    totalLatency.merge(from.totalLatency);
 }
 
 void
 ServiceStats::mergeFrom(const ServiceStats &other)
 {
-    auto mergeCounters = [](StreamCounters &into,
-                            const StreamCounters &from) {
-        into.arrivals += from.arrivals.value();
-        into.submitted += from.submitted.value();
-        into.completed += from.completed.value();
-        into.deferrals += from.deferrals.value();
-        into.shedDeadline += from.shedDeadline.value();
-        into.shedOverload += from.shedOverload.value();
-        if (from.queuePeak.value() > into.queuePeak.value())
-            into.queuePeak.set(from.queuePeak.value());
-        into.wordsRead += from.wordsRead.value();
-        into.wordsWritten += from.wordsWritten.value();
-        into.queueDelay.merge(from.queueDelay);
-        into.serviceLatency.merge(from.serviceLatency);
-        into.totalLatency.merge(from.totalLatency);
-    };
-    mergeCounters(aggregate, other.aggregate);
+    aggregate.merge(other.aggregate);
     if (perStream.size() == other.perStream.size()) {
         for (std::size_t i = 0; i < perStream.size(); ++i)
-            mergeCounters(*perStream[i], *other.perStream[i]);
+            perStream[i]->merge(*other.perStream[i]);
     }
-    statCycles += other.statCycles.value();
-    statOccupancySum += other.statOccupancySum.value();
 }
 
 void
@@ -133,7 +129,7 @@ void
 ServiceStats::onQueueDepth(unsigned stream, std::size_t depth)
 {
     if (!perStream.empty()) {
-        StreamCounters &c = *perStream[stream];
+        Counters &c = *perStream[stream];
         if (depth > c.queuePeak.value())
             c.queuePeak += depth - c.queuePeak.value();
     }
@@ -145,7 +141,7 @@ void
 ServiceStats::onSubmit(unsigned stream, Cycle queue_delay)
 {
     if (!perStream.empty()) {
-        StreamCounters &c = *perStream[stream];
+        Counters &c = *perStream[stream];
         ++c.submitted;
         c.queueDelay.sample(queue_delay);
     }
@@ -167,7 +163,7 @@ ServiceStats::onComplete(unsigned stream, Cycle service_latency,
         aggregate.wordsWritten += words;
     if (perStream.empty())
         return;
-    StreamCounters &c = *perStream[stream];
+    Counters &c = *perStream[stream];
     ++c.completed;
     c.serviceLatency.sample(service_latency);
     c.totalLatency.sample(total_latency);
@@ -178,149 +174,11 @@ ServiceStats::onComplete(unsigned stream, Cycle service_latency,
 }
 
 void
-ServiceStats::onCycle(std::size_t in_flight)
-{
-    ++statCycles;
-    statOccupancySum += in_flight;
-}
-
-void
-ServiceStats::onCycleGap(Cycle cycles, std::size_t in_flight)
-{
-    statCycles += cycles;
-    statOccupancySum += in_flight * cycles;
-}
-
-void
 ServiceStats::onDeferredGap(unsigned stream, Cycle cycles)
 {
     if (!perStream.empty())
         perStream[stream]->deferrals += cycles;
     aggregate.deferrals += cycles;
-}
-
-std::uint64_t
-ServiceStats::completed(unsigned stream) const
-{
-    return perStream[stream]->completed.value();
-}
-
-std::uint64_t
-ServiceStats::completedTotal() const
-{
-    return aggregate.completed.value();
-}
-
-std::uint64_t
-ServiceStats::arrivalsTotal() const
-{
-    return aggregate.arrivals.value();
-}
-
-std::uint64_t
-ServiceStats::deferralsTotal() const
-{
-    return aggregate.deferrals.value();
-}
-
-std::uint64_t
-ServiceStats::shedDeadlineTotal() const
-{
-    return aggregate.shedDeadline.value();
-}
-
-std::uint64_t
-ServiceStats::shedOverloadTotal() const
-{
-    return aggregate.shedOverload.value();
-}
-
-std::uint64_t
-ServiceStats::queuePeakTotal() const
-{
-    return aggregate.queuePeak.value();
-}
-
-std::uint64_t
-ServiceStats::wordsTotal() const
-{
-    return aggregate.wordsRead.value() + aggregate.wordsWritten.value();
-}
-
-std::uint64_t
-ServiceStats::deferrals(unsigned stream) const
-{
-    return perStream[stream]->deferrals.value();
-}
-
-std::uint64_t
-ServiceStats::shedDeadline(unsigned stream) const
-{
-    return perStream[stream]->shedDeadline.value();
-}
-
-std::uint64_t
-ServiceStats::shedOverload(unsigned stream) const
-{
-    return perStream[stream]->shedOverload.value();
-}
-
-std::uint64_t
-ServiceStats::shedTotal() const
-{
-    return aggregate.shedDeadline.value() +
-           aggregate.shedOverload.value();
-}
-
-std::uint64_t
-ServiceStats::queuePeak(unsigned stream) const
-{
-    return perStream[stream]->queuePeak.value();
-}
-
-LatencySummary
-ServiceStats::queueDelay(unsigned stream) const
-{
-    return summarize(perStream[stream]->queueDelay);
-}
-
-LatencySummary
-ServiceStats::serviceLatency(unsigned stream) const
-{
-    return summarize(perStream[stream]->serviceLatency);
-}
-
-LatencySummary
-ServiceStats::totalLatency(unsigned stream) const
-{
-    return summarize(perStream[stream]->totalLatency);
-}
-
-LatencySummary
-ServiceStats::aggregateQueueDelay() const
-{
-    return summarize(aggregate.queueDelay);
-}
-
-LatencySummary
-ServiceStats::aggregateServiceLatency() const
-{
-    return summarize(aggregate.serviceLatency);
-}
-
-LatencySummary
-ServiceStats::aggregateTotalLatency() const
-{
-    return summarize(aggregate.totalLatency);
-}
-
-double
-ServiceStats::meanInFlight() const
-{
-    return statCycles.value() == 0
-        ? 0.0
-        : static_cast<double>(statOccupancySum.value()) /
-              static_cast<double>(statCycles.value());
 }
 
 } // namespace pva

@@ -4,18 +4,19 @@
  *
  * ServiceStats owns, per stream and in aggregate, the counters a
  * serving stack would report: arrivals, admissions, completions,
- * backpressure deferrals, queue-depth peaks, words moved, and three
- * log-scale latency histograms with percentile queries —
+ * backpressure deferrals, sheds, queue-depth peaks, words moved, and
+ * three log-scale latency histograms with percentile queries —
  *
  *   queueDelay      arrival -> submit (admission + arbitration wait)
  *   serviceLatency  submit -> completion (the memory system itself)
  *   totalLatency    arrival -> completion (what a client observes)
  *
- * — plus per-cycle samples of the memory system's in-flight
- * transaction count (Vector Context occupancy on the PVA). Everything
- * registers into one StatSet ("traffic.<name>.*" per stream,
- * "traffic.agg.*" aggregate), so text/JSON dumps come for free and
- * tests can assert on named values.
+ * Everything registers into one StatSet ("<prefix>.<name>.*" per
+ * stream, "<prefix>.agg.*" aggregate), so text/JSON dumps come for
+ * free and tests can assert on named values. Readers take a stream's
+ * or the aggregate's Counters through stream(i) and total().
+ * Occupancy is not a per-stream quantity; the arbiter samples it
+ * (FleetArbiter::occupancySum/occupancyCycles).
  */
 
 #ifndef PVA_TRAFFIC_SERVICE_STATS_HH
@@ -60,8 +61,8 @@ class ServiceStats
      * How much per-stream state to keep. A fleet-scale tenant
      * (src/fleet/) modeling 10^4+ streams keeps AggregateOnly stats —
      * three preallocated histograms per *stream* would dominate its
-     * memory footprint — while the classic traffic path keeps the
-     * full per-stream registry.
+     * memory footprint — while a flat traffic run (runTraffic) keeps
+     * the full per-stream registry.
      */
     enum class Detail
     {
@@ -72,96 +73,18 @@ class ServiceStats
     /**
      * @param names one display name per stream (used as stat prefix).
      * @param detail per-stream registry or aggregate-only (see Detail).
-     * @param prefix stat-name namespace ("traffic" for the classic
-     *        arbiter; tenants use their own name so merged registries
-     *        cannot collide).
+     * @param prefix stat-name namespace ("traffic" for a flat run;
+     *        tenants use their own name so merged registries cannot
+     *        collide).
      */
     explicit ServiceStats(const std::vector<std::string> &names,
                           Detail detail = Detail::PerStream,
                           const std::string &prefix = "traffic");
 
-    /** @name Event hooks (called by the StreamArbiter) @{ */
-    void onArrival(unsigned stream);
-    void onDeferred(unsigned stream);       ///< Backpressure: queue full
-    void onShedDeadline(unsigned stream);   ///< Dropped: deadline missed
-    void onShedOverload(unsigned stream);   ///< Dropped: high watermark
-    void onQueueDepth(unsigned stream, std::size_t depth);
-    void onSubmit(unsigned stream, Cycle queue_delay);
-    void onComplete(unsigned stream, Cycle service_latency,
-                    Cycle total_latency, std::uint32_t words,
-                    bool is_read);
-    void onCycle(std::size_t in_flight); ///< Context-occupancy sample
-    /** @} */
-
-    /** @name Skipped-span credit (event clocking)
-     * Under ClockingMode::Event the arbiter is not called on cycles
-     * where nothing can change; these credit the per-cycle counters
-     * for @p cycles skipped cycles whose state was frozen. @{ */
-    void onCycleGap(Cycle cycles, std::size_t in_flight);
-    void onDeferredGap(unsigned stream, Cycle cycles);
-    /** @} */
-
-    std::size_t streams() const { return streamCount; }
-
-    /**
-     * Fold @p other into this instance: aggregate counters add,
-     * aggregate histograms merge bucket-wise, occupancy samples add,
-     * and — when both sides keep per-stream detail with the same
-     * stream count — per-stream slots merge index-wise. Associative
-     * and order-independent (see LogHistogram::merge), which is what
-     * makes sharded fleet runs reduce to one deterministic result.
-     */
-    void mergeFrom(const ServiceStats &other);
-
-    /** @name Aggregate histogram access (for cross-shard merging) @{ */
-    const LogHistogram &aggregateQueueDelayHist() const
+    /** One stream's, or the aggregate's, counters and histograms. */
+    struct Counters
     {
-        return aggregate.queueDelay;
-    }
-    const LogHistogram &aggregateServiceLatencyHist() const
-    {
-        return aggregate.serviceLatency;
-    }
-    const LogHistogram &aggregateTotalLatencyHist() const
-    {
-        return aggregate.totalLatency;
-    }
-    /** @} */
-
-    /** The registered stat registry (for dump/dumpJson/queries). */
-    StatSet &set() { return statSet; }
-    const StatSet &set() const { return statSet; }
-
-    /** @name Convenience queries
-     * The per-stream overloads require Detail::PerStream; the *Total
-     * forms work in either mode. @{ */
-    std::uint64_t completed(unsigned stream) const;
-    std::uint64_t completedTotal() const;
-    std::uint64_t arrivalsTotal() const;
-    std::uint64_t deferralsTotal() const;
-    std::uint64_t shedDeadlineTotal() const;
-    std::uint64_t shedOverloadTotal() const;
-    std::uint64_t queuePeakTotal() const; ///< Deepest queue, any stream
-    std::uint64_t wordsTotal() const;
-    std::uint64_t deferrals(unsigned stream) const;
-    std::uint64_t shedDeadline(unsigned stream) const;
-    std::uint64_t shedOverload(unsigned stream) const;
-    std::uint64_t shedTotal() const; ///< All streams, both causes
-    std::uint64_t queuePeak(unsigned stream) const;
-    LatencySummary queueDelay(unsigned stream) const;
-    LatencySummary serviceLatency(unsigned stream) const;
-    LatencySummary totalLatency(unsigned stream) const;
-    LatencySummary aggregateQueueDelay() const;
-    LatencySummary aggregateServiceLatency() const;
-    LatencySummary aggregateTotalLatency() const;
-    /** Mean in-flight transactions over the sampled cycles. */
-    double meanInFlight() const;
-    /** @} */
-
-  private:
-    struct StreamCounters
-    {
-        Scalar arrivals;
+        Scalar arrivals; ///< Emitted requests, queued or shed
         Scalar submitted;
         Scalar completed;
         Scalar deferrals;
@@ -173,17 +96,122 @@ class ServiceStats
         LogHistogram queueDelay;
         LogHistogram serviceLatency;
         LogHistogram totalLatency;
+
+        /** Elements moved, read plus written. */
+        std::uint64_t
+        words() const
+        {
+            return wordsRead.value() + wordsWritten.value();
+        }
+        /** Requests dropped, both causes. */
+        std::uint64_t
+        shed() const
+        {
+            return shedDeadline.value() + shedOverload.value();
+        }
+
+        /** Fold @p from in: counts add, the queue peak is the larger,
+         *  histograms merge bucket-wise. */
+        void merge(const Counters &from);
     };
 
+    /** @name Event hooks (called by the arbiters) @{ */
+    void onArrival(unsigned stream);
+    void onDeferred(unsigned stream);       ///< Backpressure: queue full
+    void onShedDeadline(unsigned stream);   ///< Dropped: deadline missed
+    void onShedOverload(unsigned stream);   ///< Dropped: high watermark
+    void onQueueDepth(unsigned stream, std::size_t depth);
+    void onSubmit(unsigned stream, Cycle queue_delay);
+    void onComplete(unsigned stream, Cycle service_latency,
+                    Cycle total_latency, std::uint32_t words,
+                    bool is_read);
+    /** Skipped-span credit: under ClockingMode::Event the arbiter is
+     *  not called on cycles where nothing can change, so a stream
+     *  deferred across @p cycles skipped cycles is credited here. */
+    void onDeferredGap(unsigned stream, Cycle cycles);
+    /** @} */
+
+    /**
+     * Fold @p other into this instance: aggregate counters add,
+     * aggregate histograms merge bucket-wise, and — when both sides
+     * keep per-stream detail with the same stream count — per-stream
+     * slots merge index-wise. Associative
+     * and order-independent (see LogHistogram::merge), which is what
+     * makes sharded fleet runs reduce to one deterministic result.
+     */
+    void mergeFrom(const ServiceStats &other);
+
+    /** Stream @p i's counters (Detail::PerStream only). */
+    const Counters &stream(unsigned i) const { return *perStream[i]; }
+    /** The aggregate over all streams (either Detail). */
+    const Counters &total() const { return aggregate; }
+    /** total().completed, the count perfbench's arbiter probe reads. */
+    std::uint64_t completedTotal() const
+    {
+        return aggregate.completed.value();
+    }
+
+    /** The registered stat registry (for dump/dumpJson/queries). */
+    StatSet &set() { return statSet; }
+    const StatSet &set() const { return statSet; }
+
+  private:
     StatSet statSet;
-    std::size_t streamCount = 0;
     /** unique_ptr keeps registered stat addresses stable. Empty under
      *  Detail::AggregateOnly. */
-    std::vector<std::unique_ptr<StreamCounters>> perStream;
-    StreamCounters aggregate;
-    Scalar statCycles;          ///< Occupancy samples taken
-    Scalar statOccupancySum;    ///< Sum of sampled in-flight counts
+    std::vector<std::unique_ptr<Counters>> perStream;
+    Counters aggregate;
 };
+
+/** Copy @p c into the fields a result row (StreamResult, TenantResult)
+ *  shares with it. */
+template <typename Row>
+void
+copyCounters(const ServiceStats::Counters &c, Row &row)
+{
+    row.completed = c.completed.value();
+    row.deferrals = c.deferrals.value();
+    row.shedDeadline = c.shedDeadline.value();
+    row.shedOverload = c.shedOverload.value();
+    row.queuePeak = c.queuePeak.value();
+    row.words = c.words();
+    row.queueDelay = summarize(c.queueDelay);
+    row.serviceLatency = summarize(c.serviceLatency);
+    row.totalLatency = summarize(c.totalLatency);
+}
+
+/**
+ * Fill the run-level figures a result (TrafficResult, FleetResult)
+ * derives from the aggregate @p total over its r.cycles, and its mean
+ * occupancy from @p occupancy_sum over @p occupancy_cycles samples.
+ */
+template <typename Result>
+void
+copyTotals(const ServiceStats::Counters &total,
+           std::uint64_t occupancy_sum, std::uint64_t occupancy_cycles,
+           Result &r)
+{
+    r.completed = total.completed.value();
+    r.words = total.words();
+    r.shed = total.shed();
+    if (r.completed + r.shed > 0) {
+        r.shedRate = static_cast<double>(r.shed) /
+                     static_cast<double>(r.completed + r.shed);
+    }
+    if (r.cycles > 0) {
+        r.requestsPerKilocycle = static_cast<double>(r.completed) *
+                                 1000.0 / static_cast<double>(r.cycles);
+        r.wordsPerCycle = static_cast<double>(r.words) /
+                          static_cast<double>(r.cycles);
+    }
+    if (occupancy_cycles > 0) {
+        r.meanInFlight = static_cast<double>(occupancy_sum) /
+                         static_cast<double>(occupancy_cycles);
+    }
+    r.queueDelay = summarize(total.queueDelay);
+    r.serviceLatency = summarize(total.serviceLatency);
+    r.totalLatency = summarize(total.totalLatency);
+}
 
 } // namespace pva
 

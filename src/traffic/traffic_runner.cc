@@ -4,11 +4,11 @@
 #include <ostream>
 #include <set>
 
+#include "fleet/fleet_arbiter.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
 #include "sim/simulation.hh"
-#include "sim/trace.hh"
 
 namespace pva
 {
@@ -70,27 +70,20 @@ runTraffic(const TrafficConfig &config, std::ostream *stats_dump)
         names.push_back(name);
     }
 
+    // A flat run is a one-seat fleet: its streams are the tenant's,
+    // recorded per stream under "traffic". Nothing subscribes to the
+    // bus.
     auto sys = makeSystem(config.system, config.config);
     ServiceStats stats(names);
-    StreamArbiter arbiter(config.arbiter, std::move(sources), stats);
-    PVA_TRACE_BLOCK(
-        if (trace::TraceSession *ts = trace::session())
-            arbiter.setTraceTrack(
-                ts->registerTrack("traffic", "arbiter")););
+    std::vector<fleet::TenantSeat> seats(1);
+    seats[0].sources = std::move(sources);
+    seats[0].stats = &stats;
+    fleet::MessageBus bus;
+    fleet::FleetArbiter arbiter(config.arbiter, std::move(seats), bus);
 
     Simulation sim(config.config.clocking);
     sim.add(sys.get());
-    sim.runUntil(
-        [&] {
-            bool done = arbiter.service(*sys, sim.now());
-            // The arbiter is not a Component; its self-scheduled work
-            // (open-loop arrivals, post-change cascades) is posted as
-            // external wakes. No-op under exhaustive clocking.
-            if (!done)
-                sim.requestWake(arbiter.nextWake(sim.now()));
-            return done;
-        },
-        config.limits.maxCycles, config.limits.timeoutMillis);
+    fleet::runToDrain(sim, arbiter, *sys, config.limits);
 
     TrafficResult r;
     r.cycles = sim.now();
@@ -98,24 +91,8 @@ runTraffic(const TrafficConfig &config, std::ostream *stats_dump)
     r.cyclesSkipped = sim.cyclesSkipped();
     r.cyclesPerSecond = sim.cyclesPerSecond();
     sys->recordSimPerf(r.simTicks, r.cyclesSkipped, r.cyclesPerSecond);
-    r.completed = stats.completedTotal();
-    r.words = stats.wordsTotal();
-    if (r.cycles > 0) {
-        r.requestsPerKilocycle = static_cast<double>(r.completed) *
-                                 1000.0 /
-                                 static_cast<double>(r.cycles);
-        r.wordsPerCycle = static_cast<double>(r.words) /
-                          static_cast<double>(r.cycles);
-    }
-    r.meanInFlight = stats.meanInFlight();
-    r.shed = stats.shedTotal();
-    if (r.completed + r.shed > 0) {
-        r.shedRate = static_cast<double>(r.shed) /
-                     static_cast<double>(r.completed + r.shed);
-    }
-    r.queueDelay = stats.aggregateQueueDelay();
-    r.serviceLatency = stats.aggregateServiceLatency();
-    r.totalLatency = stats.aggregateTotalLatency();
+    copyTotals(stats.total(), arbiter.occupancySum(),
+               arbiter.occupancyCycles(), r);
 
     // Bank-controller work and utilization via the counters the PVA
     // systems register (sim.bcTicks, bc<i>.schedActiveCycles);
@@ -135,23 +112,12 @@ runTraffic(const TrafficConfig &config, std::ostream *stats_dump)
                                     static_cast<double>(r.cycles));
     }
 
-    r.streams.reserve(names.size());
+    r.streams.resize(names.size());
     for (unsigned i = 0; i < names.size(); ++i) {
-        StreamResult s;
+        StreamResult &s = r.streams[i];
         s.name = names[i];
-        s.requests = arbiter.source(i).emitted();
-        s.completed = stats.completed(i);
-        s.deferrals = stats.deferrals(i);
-        s.shedDeadline = stats.shedDeadline(i);
-        s.shedOverload = stats.shedOverload(i);
-        s.queuePeak = stats.queuePeak(i);
-        s.words =
-            stats.set().scalar("traffic." + names[i] + ".wordsRead") +
-            stats.set().scalar("traffic." + names[i] + ".wordsWritten");
-        s.queueDelay = stats.queueDelay(i);
-        s.serviceLatency = stats.serviceLatency(i);
-        s.totalLatency = stats.totalLatency(i);
-        r.streams.push_back(std::move(s));
+        s.requests = stats.stream(i).arrivals.value();
+        copyCounters(stats.stream(i), s);
     }
     if (stats_dump) {
         stats.set().dump(*stats_dump);

@@ -2,10 +2,13 @@
  * @file
  * Orchestration of traffic runs and offered-load sweeps.
  *
- * runTraffic() wires one TrafficConfig — N stream sources, a
- * StreamArbiter policy, one memory system — into a Simulation, runs it
- * to drain under the standard watchdogs, and reduces ServiceStats into
- * a TrafficResult (throughput, latency percentiles, occupancy,
+ * runTraffic() runs one TrafficConfig — N stream sources, an
+ * arbitration policy, one memory system — as a one-seat fleet: the
+ * streams are a single tenant of a fleet::FleetArbiter, the arbiter
+ * every traffic run grants through, driven to drain by
+ * fleet::runToDrain under the standard watchdogs. It reduces the
+ * per-stream ServiceStats and the arbiter's occupancy samples into a
+ * TrafficResult (throughput, latency percentiles, occupancy,
  * bank-controller utilization).
  *
  * runLoadSweep() evaluates a ladder of offered loads across memory
@@ -44,7 +47,7 @@ struct TrafficConfig
 struct StreamResult
 {
     std::string name;
-    std::uint64_t requests = 0;  ///< Generated (admitted) requests
+    std::uint64_t requests = 0;  ///< Emitted requests, queued or shed
     std::uint64_t completed = 0;
     std::uint64_t deferrals = 0; ///< Backpressured admission cycles
     std::uint64_t shedDeadline = 0; ///< Dropped past the deadline budget

@@ -2,14 +2,18 @@
  * @file
  * Fleet subsystem tests.
  *
- * The load-bearing one is the differential: a fleet's FleetArbiter,
- * which picks over all of its streams by global id, must be
- * cycle-exact against the flat StreamArbiter over the same streams in
- * global order, across systems, policies, clocking modes, and shed
- * configurations — same drain cycle, same latency distributions, same
- * counters — both for one tenant and for unequal tenants stamped from
- * several specs. That is what licenses every fleet-scale number the
- * capacity-planning recipes produce.
+ * The load-bearing one is the differential. Every traffic run grants
+ * through a FleetArbiter, which skips idle cycles and picks over its
+ * streams with worklists and heaps; the StreamArbiter reference scans
+ * every stream on every cycle. Over the same streams in global order,
+ * across systems, policies, clocking modes, and shed configurations,
+ * every row must match the reference's: each stream of a flat run
+ * (runTraffic, a one-seat fleet) and each tenant of a fleet run
+ * (runFleet, the reference's streams folded per tenant) — requests,
+ * completions, deferrals, sheds, queue peaks, words and latency
+ * distributions — plus the drain cycle and the mean occupancy. That
+ * is what licenses every traffic and fleet-scale number the tools
+ * report.
  *
  * The rest holds the sharded runner to its determinism contract
  * (byte-identical JSON at any worker count), checks conservation
@@ -17,6 +21,7 @@
  * against the arbiter's own counters.
  */
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +31,8 @@
 #include "expect_sim_error.hh"
 #include "fleet/fleet_runner.hh"
 #include "sim/sim_error.hh"
+#include "sim/simulation.hh"
+#include "traffic/arbiter.hh"
 #include "traffic/traffic_runner.hh"
 
 using namespace pva;
@@ -147,6 +154,20 @@ multiTenantFleet(const Variant &v)
     return fleetOf(v, {a, b, c});
 }
 
+/**
+ * Backpressure: two open-loop streams far past saturation into
+ * two-deep queues, so streams sit deferred across the cycles event
+ * clocking skips.
+ */
+fleet::FleetConfig
+backpressuredFleet(const Variant &v)
+{
+    fleet::FleetConfig fc = fleetConfig(v, 2);
+    fc.tenants[0].stream.requestsPerKilocycle = 200.0;
+    fc.tenants[0].stream.queueCapacity = 2;
+    return fc;
+}
+
 /** The flat twin: the fleet's streams in global order, with the seeds
  *  and regions runFleet stamps on them. */
 TrafficConfig
@@ -185,6 +206,153 @@ expectSummaryEq(const LatencySummary &a, const LatencySummary &b,
     EXPECT_EQ(a.p999, b.p999) << what;
 }
 
+/** What the reference arbiter reports for one flat run. */
+struct Reference
+{
+    std::unique_ptr<ServiceStats> stats; ///< Per stream, as runTraffic
+    Cycle cycles = 0;
+    double meanInFlight = 0.0;
+};
+
+/**
+ * Drive the reference StreamArbiter over @p tc's streams to drain. It
+ * asks to be woken every cycle, so no cycle is skipped, and the
+ * system's in-flight count is sampled after every step.
+ */
+Reference
+runReference(const TrafficConfig &tc)
+{
+    std::vector<StreamSource> sources;
+    std::vector<std::string> names;
+    for (unsigned i = 0; i < tc.streams.size(); ++i) {
+        sources.emplace_back(tc.streams[i], i, tc.config.bc.lineWords);
+        names.push_back(sources.back().name());
+    }
+    Reference ref;
+    ref.stats = std::make_unique<ServiceStats>(names);
+    StreamArbiter arbiter(tc.arbiter, std::move(sources), *ref.stats);
+    auto sys = makeSystem(tc.system, tc.config);
+    Simulation sim(tc.config.clocking);
+    sim.add(sys.get());
+    std::uint64_t steps = 0, inFlight = 0;
+    sim.runUntil(
+        [&] {
+            const bool done = arbiter.service(*sys, sim.now());
+            ++steps;
+            inFlight += sys->inFlight();
+            if (!done)
+                sim.requestWake(arbiter.nextWake(sim.now()));
+            return done;
+        },
+        tc.limits.maxCycles);
+    ref.cycles = sim.now();
+    ref.meanInFlight =
+        static_cast<double>(inFlight) / static_cast<double>(steps);
+    return ref;
+}
+
+/** The reference's streams [first, first + n) folded into one
+ *  tenant's row. */
+fleet::TenantResult
+tenantOf(const ServiceStats &stats, unsigned first, unsigned n)
+{
+    ServiceStats::Counters sum;
+    for (unsigned g = first; g < first + n; ++g)
+        sum.merge(stats.stream(g));
+    fleet::TenantResult t;
+    t.arrivals = sum.arrivals.value();
+    copyCounters(sum, t);
+    return t;
+}
+
+/** The counters and summaries StreamResult and TenantResult share. */
+template <typename Row>
+void
+expectRowEq(const Row &got, const Row &want, const std::string &what)
+{
+    EXPECT_EQ(got.completed, want.completed) << what;
+    EXPECT_EQ(got.deferrals, want.deferrals) << what;
+    EXPECT_EQ(got.shedDeadline, want.shedDeadline) << what;
+    EXPECT_EQ(got.shedOverload, want.shedOverload) << what;
+    EXPECT_EQ(got.queuePeak, want.queuePeak) << what;
+    EXPECT_EQ(got.words, want.words) << what;
+    expectSummaryEq(got.queueDelay, want.queueDelay, what + " queueDelay");
+    expectSummaryEq(got.serviceLatency, want.serviceLatency,
+                    what + " serviceLatency");
+    expectSummaryEq(got.totalLatency, want.totalLatency,
+                    what + " totalLatency");
+}
+
+/** The run-level figures TrafficResult and FleetResult share. */
+template <typename Result>
+void
+expectTotalsEq(const Result &got, const Reference &ref)
+{
+    const ServiceStats::Counters &total = ref.stats->total();
+    EXPECT_EQ(got.cycles, ref.cycles);
+    EXPECT_EQ(got.completed, total.completed.value());
+    EXPECT_EQ(got.words, total.words());
+    EXPECT_EQ(got.shed, total.shed());
+    EXPECT_EQ(got.meanInFlight, ref.meanInFlight);
+    expectSummaryEq(got.queueDelay, summarize(total.queueDelay),
+                    "queueDelay");
+    expectSummaryEq(got.serviceLatency, summarize(total.serviceLatency),
+                    "serviceLatency");
+    expectSummaryEq(got.totalLatency, summarize(total.totalLatency),
+                    "totalLatency");
+}
+
+/**
+ * Run @p fc flat (runTraffic over its streams in global order) and as
+ * a fleet (runFleet), and hold every row of both against the
+ * reference over the same streams.
+ */
+void
+expectMatchesReference(const fleet::FleetConfig &fc)
+{
+    const TrafficConfig tc = flatTwin(fc);
+    const Reference ref = runReference(tc);
+
+    const TrafficResult flat = runTraffic(tc);
+    {
+        SCOPED_TRACE("runTraffic");
+        expectTotalsEq(flat, ref);
+        ASSERT_EQ(flat.streams.size(), tc.streams.size());
+        for (unsigned g = 0; g < flat.streams.size(); ++g) {
+            const StreamResult &got = flat.streams[g];
+            const ServiceStats::Counters &c = ref.stats->stream(g);
+            StreamResult want;
+            copyCounters(c, want);
+            const std::string what = "stream " + got.name;
+            EXPECT_EQ(got.requests, c.arrivals.value()) << what;
+            expectRowEq(got, want, what);
+        }
+    }
+
+    const fleet::FleetResult hier = fleet::runFleet(fc);
+    {
+        SCOPED_TRACE("runFleet");
+        expectTotalsEq(hier, ref);
+        ASSERT_EQ(hier.tenantResults.size(), hier.tenants);
+        unsigned first = 0, t = 0;
+        for (const fleet::TenantSpec &spec : fc.tenants) {
+            for (unsigned k = 0; k < spec.count; ++k, ++t) {
+                const fleet::TenantResult &got = hier.tenantResults[t];
+                const fleet::TenantResult want =
+                    tenantOf(*ref.stats, first, spec.streamsPerTenant);
+                first += spec.streamsPerTenant;
+                const std::string what = "tenant " + got.name;
+                EXPECT_EQ(got.arrivals, want.arrivals) << what;
+                expectRowEq(got, want, what);
+            }
+        }
+        // Telemetry observed on the bus must agree with the counters
+        // the arbiter kept itself.
+        EXPECT_EQ(hier.busGrants, hier.grants);
+        EXPECT_EQ(hier.busSheds, hier.shed);
+    }
+}
+
 std::string
 jsonOf(const fleet::FleetResult &r)
 {
@@ -206,31 +374,15 @@ TEST(FleetDifferential, FleetMatchesFlatArbiterExactly)
                 for (bool shed : {false, true}) {
                     const Variant v{system, policy, clocking, shed};
                     for (const fleet::FleetConfig &fc :
-                         {fleetConfig(v, 6), multiTenantFleet(v)}) {
+                         {fleetConfig(v, 6), multiTenantFleet(v),
+                          backpressuredFleet(v)}) {
                         SCOPED_TRACE(variantName(v) + "/" +
                                      std::to_string(fc.tenants.size()) +
-                                     " specs");
-                        const TrafficResult flat =
-                            runTraffic(flatTwin(fc));
-                        const fleet::FleetResult hier =
-                            fleet::runFleet(fc);
-
-                        EXPECT_EQ(hier.cycles, flat.cycles);
-                        EXPECT_EQ(hier.completed, flat.completed);
-                        EXPECT_EQ(hier.words, flat.words);
-                        EXPECT_EQ(hier.shed, flat.shed);
-                        expectSummaryEq(hier.queueDelay,
-                                        flat.queueDelay, "queueDelay");
-                        expectSummaryEq(hier.serviceLatency,
-                                        flat.serviceLatency,
-                                        "serviceLatency");
-                        expectSummaryEq(hier.totalLatency,
-                                        flat.totalLatency,
-                                        "totalLatency");
-                        // Telemetry observed on the bus must agree
-                        // with the counters the arbiter kept itself.
-                        EXPECT_EQ(hier.busGrants, hier.grants);
-                        EXPECT_EQ(hier.busSheds, hier.shed);
+                                     " specs/" +
+                                     std::to_string(
+                                         fc.tenants[0].streamsPerTenant) +
+                                     " streams");
+                        expectMatchesReference(fc);
                     }
                 }
             }
@@ -242,15 +394,11 @@ TEST(FleetDifferential, PriorityRampMatchesFlatUnderAging)
 {
     // Distinct priorities, one per tenant, exercise the aged-head
     // starvation guard across tenant boundaries.
-    Variant v{SystemKind::PvaSdram, ArbPolicy::Priority,
-              ClockingMode::Event, false};
-    const unsigned streams = 5;
-
     fleet::FleetConfig fc;
-    fc.system = v.system;
-    fc.arbiter.policy = v.policy;
+    fc.system = SystemKind::PvaSdram;
+    fc.arbiter.policy = ArbPolicy::Priority;
     fc.arbiter.agingThreshold = 256;
-    for (unsigned g = 0; g < streams; ++g) {
+    for (unsigned g = 0; g < 5; ++g) {
         fleet::TenantSpec spec;
         spec.name = "p";
         spec.count = 1;
@@ -262,26 +410,7 @@ TEST(FleetDifferential, PriorityRampMatchesFlatUnderAging)
             static_cast<WordAddr>(g) << 14;
         fc.tenants.push_back(spec);
     }
-
-    TrafficConfig tc;
-    tc.system = v.system;
-    tc.arbiter.policy = v.policy;
-    tc.arbiter.agingThreshold = 256;
-    for (unsigned g = 0; g < streams; ++g) {
-        StreamConfig s = templateStream(false);
-        s.priority = g;
-        // Tenant g's only stream has global index g.
-        s.seed = (9 + 100 * g) + kSeedStep * (g + 1);
-        s.pattern.regionBase = static_cast<WordAddr>(g) << 14;
-        tc.streams.push_back(std::move(s));
-    }
-
-    const TrafficResult flat = runTraffic(tc);
-    const fleet::FleetResult hier = fleet::runFleet(fc);
-    EXPECT_EQ(hier.cycles, flat.cycles);
-    EXPECT_EQ(hier.completed, flat.completed);
-    expectSummaryEq(hier.totalLatency, flat.totalLatency,
-                    "totalLatency");
+    expectMatchesReference(fc);
 }
 
 TEST(FleetRunner, ResultsAreByteIdenticalAcrossWorkerCounts)

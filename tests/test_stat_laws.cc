@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fleet/fleet_arbiter.hh"
 #include "kernels/alignment.hh"
 #include "kernels/kernel.hh"
 #include "kernels/runner.hh"
@@ -22,9 +23,6 @@
 #include "recording_system.hh"
 #include "sim/logging.hh"
 #include "stat_laws.hh"
-#include "traffic/arbiter.hh"
-#include "traffic/service_stats.hh"
-#include "traffic/stream.hh"
 
 namespace pva
 {
@@ -119,26 +117,23 @@ TEST(StatLaws, HoldOverATrafficRunWithAnIndirectStream)
     streams[2].mode = ArrivalMode::OpenLoop;
     streams[2].requestsPerKilocycle = 40.0;
 
-    std::vector<StreamSource> sources;
+    // The production arbiter with the streams in one seat, as
+    // runTraffic seats them.
+    std::vector<fleet::TenantSeat> seats(1);
     std::vector<std::string> names;
     for (unsigned i = 0; i < streams.size(); ++i) {
-        sources.emplace_back(streams[i], i, config.bc.lineWords);
+        seats[0].sources.emplace_back(streams[i], i, config.bc.lineWords);
         names.push_back(streams[i].name);
     }
+    ServiceStats service(names);
+    seats[0].stats = &service;
     auto sys = makeSystem(SystemKind::PvaSdram, config);
     test::RecordingSystem recorder(*sys);
-    ServiceStats service(names);
-    StreamArbiter arbiter(ArbiterConfig{}, std::move(sources), service);
+    fleet::MessageBus bus;
+    fleet::FleetArbiter arbiter(ArbiterConfig{}, std::move(seats), bus);
     Simulation sim(config.clocking);
     sim.add(sys.get());
-    sim.runUntil(
-        [&] {
-            bool done = arbiter.service(recorder, sim.now());
-            if (!done)
-                sim.requestWake(arbiter.nextWake(sim.now()));
-            return done;
-        },
-        10000000);
+    fleet::runToDrain(sim, arbiter, recorder, RunLimits{10000000});
 
     ASSERT_EQ(recorder.accepted.size(), 900u);
     std::uint64_t hits = 0;

@@ -200,7 +200,6 @@ syntheticStats(std::uint64_t seed, unsigned events,
             break;
           }
         }
-        s.onCycle(next() % 4);
     }
     return s;
 }
@@ -208,19 +207,17 @@ syntheticStats(std::uint64_t seed, unsigned events,
 void
 expectServiceStatsEq(const ServiceStats &a, const ServiceStats &b)
 {
-    EXPECT_EQ(a.arrivalsTotal(), b.arrivalsTotal());
-    EXPECT_EQ(a.deferralsTotal(), b.deferralsTotal());
-    EXPECT_EQ(a.shedDeadlineTotal(), b.shedDeadlineTotal());
-    EXPECT_EQ(a.shedOverloadTotal(), b.shedOverloadTotal());
-    EXPECT_EQ(a.queuePeakTotal(), b.queuePeakTotal());
+    const ServiceStats::Counters &x = a.total(), &y = b.total();
+    EXPECT_EQ(x.arrivals.value(), y.arrivals.value());
+    EXPECT_EQ(x.deferrals.value(), y.deferrals.value());
+    EXPECT_EQ(x.shedDeadline.value(), y.shedDeadline.value());
+    EXPECT_EQ(x.shedOverload.value(), y.shedOverload.value());
+    EXPECT_EQ(x.queuePeak.value(), y.queuePeak.value());
     EXPECT_EQ(a.completedTotal(), b.completedTotal());
-    EXPECT_EQ(a.wordsTotal(), b.wordsTotal());
-    expectHistEq(a.aggregateQueueDelayHist(),
-                 b.aggregateQueueDelayHist());
-    expectHistEq(a.aggregateServiceLatencyHist(),
-                 b.aggregateServiceLatencyHist());
-    expectHistEq(a.aggregateTotalLatencyHist(),
-                 b.aggregateTotalLatencyHist());
+    EXPECT_EQ(x.words(), y.words());
+    expectHistEq(x.queueDelay, y.queueDelay);
+    expectHistEq(x.serviceLatency, y.serviceLatency);
+    expectHistEq(x.totalLatency, y.totalLatency);
 }
 
 } // anonymous namespace
@@ -263,8 +260,8 @@ TEST(ServiceStatsMerge, MergeIsOrderIndependent)
         reverse.mergeFrom(syntheticStats(*it, 200 + *it, detail));
 
     expectServiceStatsEq(forward, reverse);
-    const LatencySummary fs = forward.aggregateTotalLatency();
-    const LatencySummary rs = reverse.aggregateTotalLatency();
+    const LatencySummary fs = summarize(forward.total().totalLatency);
+    const LatencySummary rs = summarize(reverse.total().totalLatency);
     EXPECT_EQ(fs.p50, rs.p50);
     EXPECT_EQ(fs.p99, rs.p99);
     EXPECT_EQ(fs.p999, rs.p999);
@@ -275,10 +272,11 @@ TEST(ServiceStatsMerge, PerStreamCountersMergeIndexWise)
 {
     const auto detail = ServiceStats::Detail::PerStream;
     ServiceStats a = syntheticStats(7, 300, detail);
-    const std::uint64_t arrivals_before = a.arrivalsTotal();
+    const std::uint64_t arrivals_before = a.total().arrivals.value();
     ServiceStats b = syntheticStats(8, 200, detail);
     a.mergeFrom(b);
-    EXPECT_EQ(a.arrivalsTotal(), arrivals_before + b.arrivalsTotal());
+    EXPECT_EQ(a.total().arrivals.value(),
+              arrivals_before + b.total().arrivals.value());
     // The aggregate view over merged per-stream slots must agree with
     // the merged aggregate slot itself.
     ServiceStats agg({}, ServiceStats::Detail::AggregateOnly, "agg");

@@ -4,8 +4,9 @@
  * arbiter is bit-identical to a neutrally-configured shedding arbiter;
  * under saturation a deadline budget bounds the queueing delay of
  * every *served* request while shedding a nonzero remainder; overload
- * shedding keeps closed-loop runs draining; and the behavior is
- * cycle-exact across exhaustive and event clocking.
+ * shedding keeps closed-loop runs draining; a deadline whose expiry
+ * would pass 2^64-1 never sheds; and the behavior is cycle-exact
+ * across exhaustive and event clocking.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "fleet/fleet_runner.hh"
 #include "sim/clocking.hh"
 #include "traffic/traffic_runner.hh"
 
@@ -166,6 +168,45 @@ TEST(TrafficShed, EventClockingMatchesExhaustiveWithSheddingOn)
     EXPECT_GT(ev.cyclesSkipped, 0u)
         << "event clocking should actually skip cycles";
     EXPECT_GT(ex.shed, 0u);
+}
+
+TEST(TrafficShed, DeadlinesNearTheCycleLimitNeverExpire)
+{
+    // arrival + deadline + 1 passes 2^64-1 for every head at the first
+    // deadline, and for every head arriving after cycle 998 at the
+    // second (the run's arrivals span a few thousand cycles). Such a
+    // head never expires: both runs drain and shed nothing.
+    for (Cycle deadline : {kNeverCycle, kNeverCycle - 999}) {
+        SCOPED_TRACE(deadline);
+        TrafficConfig tc;
+        tc.arbiter.shed.enabled = true;
+        tc.arbiter.shed.defaultDeadline = deadline;
+        for (unsigned i = 0; i < 2; ++i) {
+            StreamConfig s;
+            s.mode = ArrivalMode::OpenLoop;
+            s.requestsPerKilocycle = 20.0;
+            s.requests = 48;
+            s.seed = 5 + i;
+            s.pattern.regionBase =
+                static_cast<WordAddr>(i) * s.pattern.regionWords;
+            tc.streams.push_back(std::move(s));
+        }
+        const TrafficResult flat = runTraffic(tc);
+        EXPECT_EQ(flat.completed, 96u);
+        EXPECT_EQ(flat.shed, 0u);
+        EXPECT_GT(flat.cycles, 1000u);
+
+        fleet::FleetConfig fc;
+        fc.arbiter = tc.arbiter;
+        fc.tenants.resize(1);
+        fc.tenants[0].streamsPerTenant = 2;
+        fc.tenants[0].stream = tc.streams[0];
+        fc.tenants[0].regionStrideWords =
+            tc.streams[0].pattern.regionWords;
+        const fleet::FleetResult fleet = fleet::runFleet(fc);
+        EXPECT_EQ(fleet.completed, 96u);
+        EXPECT_EQ(fleet.shed, 0u);
+    }
 }
 
 } // anonymous namespace
