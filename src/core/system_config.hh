@@ -18,8 +18,8 @@
  * message instead of as undefined behavior deep inside a run.
  *
  * configToJson()/configFromJson() are the one wire format of every
- * field (docs/ROBUSTNESS.md): repro capsules embed the object, sweep
- * journal fingerprints hash its text. A new knob is added to
+ * field (docs/ROBUSTNESS.md): repro capsules embed the object and
+ * their fingerprints hash its text. A new knob is added to
  * SystemConfig and to that codec, and nowhere else.
  */
 

@@ -22,7 +22,35 @@ capsuleError(const std::string &path, const std::string &detail)
                    path + ": " + detail);
 }
 
+/** FNV-1a over @p s. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (unsigned char c : s) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
 } // anonymous namespace
+
+std::uint64_t
+fingerprintRequest(const SweepRequest &request)
+{
+    // The codec's canonical text covers every field that determines
+    // simulated behavior, so a new knob reaches the fingerprint with
+    // no change here.
+    return fnv1a(csprintf(
+        "point:%s,%s,%u,%u,%u;maxCycles:%llu;config:%016llx",
+        systemShortName(request.system),
+        kernelSpec(request.kernel).name.c_str(), request.stride,
+        request.alignment, request.elements,
+        static_cast<unsigned long long>(request.limits.maxCycles),
+        static_cast<unsigned long long>(
+            fnv1a(configToJson(request.config)))));
+}
 
 void
 writeCapsule(std::ostream &os, const ReproCapsule &capsule)

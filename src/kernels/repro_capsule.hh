@@ -12,6 +12,13 @@
  * the point bit-exactly, so a failure logged by an overnight sweep is
  * reproducible at a desk from the capsule alone, with no knowledge of
  * the sweep's flags or grid position.
+ *
+ * Each capsule, and the sweep's failure text, names its attempt by
+ * fingerprintRequest(): an FNV-1a digest of everything that
+ * determines the point's outcome (system, kernel, stride, alignment,
+ * elements, the cycle budget and the full SystemConfig as
+ * configToJson writes it), but not the wall-clock budget, which
+ * bounds the host and never changes simulated behavior.
  */
 
 #ifndef PVA_KERNELS_REPRO_CAPSULE_HH
@@ -46,6 +53,10 @@ struct ReproCapsule
      *  line, which is how a log line names its capsule. */
     std::uint64_t fingerprint = 0;
 };
+
+/** Stable 64-bit digest of @p request's behavior-determining state
+ *  (see the file comment). */
+std::uint64_t fingerprintRequest(const SweepRequest &request);
 
 /** Serialize @p capsule as a standalone JSON document. */
 void writeCapsule(std::ostream &os, const ReproCapsule &capsule);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -15,7 +14,6 @@
 #endif
 
 #include "kernels/repro_capsule.hh"
-#include "kernels/sweep_journal.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
@@ -154,8 +152,7 @@ SweepExecutor::runTasks(std::size_t count, const TaskFn &task,
                 ++report.failed;
             }
             if (observer)
-                observer({i, attempts, succeeded, millis, done, count,
-                          last_error});
+                observer({i, attempts, succeeded, millis, done, count});
         }
     };
 
@@ -186,8 +183,7 @@ SweepExecutor::runReport(const std::vector<SweepRequest> &grid)
     SweepReport report;
     report.points.resize(grid.size());
 
-    const bool journaled = !checkpoint.journalPath.empty();
-    const bool quarantining = !checkpoint.quarantineDir.empty();
+    const bool quarantining = !quarantineDir.empty();
 
     // The effective request of one attempt: the executor's default
     // wall-clock watchdog, plus the per-retry fault-seed advance (a
@@ -205,95 +201,15 @@ SweepExecutor::runReport(const std::vector<SweepRequest> &grid)
     };
 
     auto capsulePathFor = [&](std::size_t index) {
-        return checkpoint.quarantineDir +
-               csprintf("/capsule-%zu.json", index);
+        return quarantineDir + csprintf("/capsule-%zu.json", index);
     };
 
-    // Restore a journaled point into the report and the executor
-    // stats, exactly as completing it live would have.
-    auto restorePoint = [&](const JournalRecord &rec) {
-        const SweepRequest &req = grid[rec.index];
-        const SweepPoint &p = rec.point;
-        if (p.system != req.system || p.kernel != req.kernel ||
-            p.stride != req.stride || p.alignment != req.alignment) {
-            throw SimError(
-                SimErrorKind::Corruption, "journal", kNeverCycle,
-                csprintf("record %zu does not match the request grid",
-                         rec.index));
-        }
-        report.points[rec.index] = p;
-        ++report.resumed;
-        ++statPoints;
-        statRetries += p.attempts - 1;
-        statSimCycles += p.cycles;
-        statSimTicks += p.simTicks;
-        statCyclesSkipped += p.cyclesSkipped;
-        statMismatches += p.mismatches;
-        report.simTicks += p.simTicks;
-        report.cyclesSkipped += p.cyclesSkipped;
-        switch (p.status) {
-          case PointStatus::Ok:
-            ++report.ok;
-            break;
-          case PointStatus::Retried:
-            ++report.retried;
-            break;
-          case PointStatus::Failed:
-            ++report.failed;
-            ++statFailures;
-            report.failures.push_back({rec.index, req.system,
-                                       req.kernel, req.stride,
-                                       req.alignment, p.attempts,
-                                       rec.error});
-            break;
-        }
-    };
-
-    std::unique_ptr<SweepJournal> journal;
-    std::vector<char> restored(grid.size(), 0);
-    if (journaled) {
-        const std::uint64_t gridFp = fingerprintGrid(grid);
-        std::uint64_t resumeFrom = 0;
-        if (checkpoint.resume) {
-            SweepJournal::LoadResult loaded = SweepJournal::load(
-                checkpoint.journalPath, gridFp, grid.size());
-            if (loaded.exists) {
-                resumeFrom = loaded.validBytes;
-                report.tornJournalTail = loaded.tornTail;
-                // Last record wins per index, though a well-formed
-                // journal never repeats one.
-                std::vector<const JournalRecord *> byIndex(grid.size(),
-                                                           nullptr);
-                for (const JournalRecord &rec : loaded.records)
-                    byIndex[rec.index] = &rec;
-                for (std::size_t i = 0; i < grid.size(); ++i) {
-                    if (!byIndex[i])
-                        continue;
-                    restorePoint(*byIndex[i]);
-                    restored[i] = 1;
-                }
-            }
-        }
-        journal = std::make_unique<SweepJournal>(checkpoint.journalPath,
-                                                 gridFp, grid.size(),
-                                                 resumeFrom);
-    }
     if (quarantining)
-        ensureDirectory(checkpoint.quarantineDir);
-
-    // Only not-yet-restored points run; task index j is a position in
-    // `pending`, everything reported maps back through it.
-    std::vector<std::size_t> pending;
-    pending.reserve(grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (!restored[i])
-            pending.push_back(i);
-    }
+        ensureDirectory(quarantineDir);
 
     // Per grid index, so workers never share a slot.
     std::vector<std::string> capsuleErrors(grid.size());
-    auto task = [&](std::size_t j, unsigned attempt) {
-        const std::size_t i = pending[j];
+    auto task = [&](std::size_t i, unsigned attempt) {
         SweepRequest req = effectiveRequest(i, attempt);
         try {
             // runPoint builds a fresh system, so each attempt starts
@@ -326,10 +242,9 @@ SweepExecutor::runReport(const std::vector<SweepRequest> &grid)
     };
 
     auto observe = [&](const TaskProgress &tp) {
-        const std::size_t i = pending[tp.index];
-        SweepPoint &p = report.points[i];
+        SweepPoint &p = report.points[tp.index];
         if (!tp.ok) {
-            const SweepRequest &req = grid[i];
+            const SweepRequest &req = grid[tp.index];
             p = SweepPoint{req.system, req.kernel, req.stride,
                            req.alignment, 0, 0};
             p.status = PointStatus::Failed;
@@ -344,44 +259,28 @@ SweepExecutor::runReport(const std::vector<SweepRequest> &grid)
         report.simTicks += p.simTicks;
         report.cyclesSkipped += p.cyclesSkipped;
         statMismatches += p.mismatches;
-        if (journal) {
-            // The observer runs under the executor's lock, so appends
-            // are serialized; each append is fsync'd before the next
-            // point can report.
-            journal->append(
-                {i, p, tp.ok ? std::string() : tp.error});
-        }
         if (progress)
             progress({tp.done, tp.total, p, tp.millis});
     };
 
-    TaskReport tasks = runTasks(pending.size(), task, observe);
-    report.ok += tasks.ok;
-    report.retried += tasks.retried;
-    report.failed += tasks.failed;
+    TaskReport tasks = runTasks(grid.size(), task, observe);
+    report.ok = tasks.ok;
+    report.retried = tasks.retried;
+    report.failed = tasks.failed;
     for (const TaskFailure &f : tasks.failures) {
-        const std::size_t i = pending[f.index];
-        const SweepRequest &req = grid[i];
-        report.failures.push_back({i, req.system, req.kernel,
+        const SweepRequest &req = grid[f.index];
+        report.failures.push_back({f.index, req.system, req.kernel,
                                    req.stride, req.alignment,
                                    f.attempts, f.error});
-    }
-    // Restored and fresh failures interleave; request order is the
-    // report's contract.
-    std::sort(report.failures.begin(), report.failures.end(),
-              [](const PointFailure &a, const PointFailure &b) {
-                  return a.index < b.index;
-              });
-    if (quarantining) {
-        for (const PointFailure &f : report.failures) {
-            SweepRequest eff = effectiveRequest(f.index, f.attempts - 1);
-            const std::string &capsuleError = capsuleErrors[f.index];
-            report.quarantine.push_back(
-                {f.index, f.attempts, fingerprintRequest(eff),
-                 eff.config.faults.seed, f.error,
-                 capsuleError.empty() ? capsulePathFor(f.index) : "",
-                 capsuleError});
-        }
+        if (!quarantining)
+            continue;
+        SweepRequest eff = effectiveRequest(f.index, f.attempts - 1);
+        const std::string &capsuleError = capsuleErrors[f.index];
+        report.quarantine.push_back(
+            {f.index, f.attempts, fingerprintRequest(eff),
+             eff.config.faults.seed, f.error,
+             capsuleError.empty() ? capsulePathFor(f.index) : "",
+             capsuleError});
     }
     return report;
 }

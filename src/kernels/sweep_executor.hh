@@ -19,7 +19,11 @@
  * taking the process down. Watchdog expiries are not retried (a hung
  * point hangs deterministically). When fault injection is enabled, the
  * fault seed is advanced between attempts so a retry explores a
- * different fault timeline rather than replaying the failure.
+ * different fault timeline rather than replaying the failure. Under
+ * setQuarantineDir() each failed point also leaves a standalone repro
+ * capsule (kernels/repro_capsule.hh). A sweep cut short is rerun, not
+ * resumed: every point is deterministic, so the rerun reproduces every
+ * byte.
  *
  * Progress and timing are reported through the standard stats layer:
  * the executor owns a StatSet with completed-point / simulated-cycle /
@@ -71,7 +75,6 @@ struct TaskProgress
     double millis = 0.0;    ///< Wall-clock time across its attempts
     std::size_t done = 0;   ///< Tasks completed so far (this one incl.)
     std::size_t total = 0;  ///< Tasks in the batch
-    std::string error;      ///< Last attempt's error (failed tasks)
 };
 
 /** Snapshot passed to the progress callback after each point. */
@@ -124,19 +127,8 @@ struct SweepReport
     std::uint64_t simTicks = 0;      ///< Cycles processed, all points
     std::uint64_t cyclesSkipped = 0; ///< Cycles jumped (event clocking)
     /** Failed points with repro capsules, in request order (only
-     *  populated when CheckpointOptions::quarantineDir is set). */
+     *  populated under SweepExecutor::setQuarantineDir()). */
     std::vector<QuarantineRecord> quarantine;
-    /**
-     * Points restored from the checkpoint journal instead of rerun.
-     * Deliberately absent from dumpJson(): a resumed sweep's JSON is
-     * byte-identical to the uninterrupted run's, which is the
-     * checkpoint layer's core guarantee.
-     */
-    std::size_t resumed = 0;
-    /** The resumed journal ended in a torn record (a crash
-     *  mid-append), which was discarded. Absent from dumpJson() for
-     *  the same reason as resumed. */
-    bool tornJournalTail = false;
 
     bool allOk() const { return failed == 0; }
 
@@ -148,21 +140,6 @@ struct SweepReport
  *  must explore a different fault timeline, not replay the failure.
  *  Every runner that retries (sweeps, traffic, fleets) uses it. */
 inline constexpr std::uint64_t kRetrySeedStep = 0x9e3779b97f4a7c15ULL;
-
-/** Durability knobs of one runReport() call (docs/ROBUSTNESS.md). */
-struct CheckpointOptions
-{
-    /** Append-only JSONL journal of completed points; empty disables
-     *  checkpointing. */
-    std::string journalPath;
-    /** Restore completed points from an existing journal (matched by
-     *  config fingerprint) instead of rerunning them. Without a
-     *  journal file this is a normal fresh run. */
-    bool resume = false;
-    /** Directory for repro capsules of quarantined points; empty
-     *  disables capsule writing. Created if missing. */
-    std::string quarantineDir;
-};
 
 /** Runs sweep grids on a worker pool with deterministic results. */
 class SweepExecutor
@@ -185,11 +162,12 @@ class SweepExecutor
      *  0 (the default) leaves requests unchanged. */
     void setPointTimeout(double millis) { pointTimeoutMillis = millis; }
 
-    /** Install the durability layer (checkpoint journal, resume,
-     *  failure quarantine) for subsequent runReport() calls. */
-    void setCheckpoint(CheckpointOptions options)
+    /** Write a repro capsule per failed point of subsequent
+     *  runReport() calls into @p dir (docs/ROBUSTNESS.md), creating
+     *  it if missing; empty (the default) writes none. */
+    void setQuarantineDir(std::string dir)
     {
-        checkpoint = std::move(options);
+        quarantineDir = std::move(dir);
     }
 
     using ProgressFn = std::function<void(const SweepProgress &)>;
@@ -254,7 +232,7 @@ class SweepExecutor
     unsigned workerCount;
     unsigned attemptBudget = 3;
     double pointTimeoutMillis = 0.0;
-    CheckpointOptions checkpoint;
+    std::string quarantineDir;
     ProgressFn progress;
 
     StatSet statSet;

@@ -80,7 +80,7 @@ class Parser
 
   private:
     /** Nested containers deeper than this indicate corruption, not a
-     *  legitimate journal or capsule (their depth is ~4). */
+     *  legitimate capsule or scenario (their depth is ~4). */
     static constexpr unsigned kMaxDepth = 64;
 
     bool
@@ -283,7 +283,7 @@ class Parser
         if (!digits())
             return fail("invalid number");
         // JSON forbids leading zeros ("01"); octal-looking literals
-        // in a checkpoint are corruption, not a format choice.
+        // in a capsule are corruption, not a format choice.
         if (in[int_start] == '0' && pos - int_start > 1)
             return fail("invalid number (leading zero)");
         if (pos < in.size() && in[pos] == '.') {

@@ -2,11 +2,10 @@
  * @file
  * The simulator's JSON codec: one reader and one writer.
  *
- * Every document the simulator persists or reports is JSON: the
- * checkpoint journal (kernels/sweep_journal.hh), the repro capsules
- * (kernels/repro_capsule.hh), the SystemConfig codec, fleet scenarios,
- * the tools' --json envelope, stat dumps, traffic and fleet results
- * and the Perfetto export. All of them are read and written here,
+ * Every document the simulator persists or reports is JSON: the repro
+ * capsules (kernels/repro_capsule.hh), the SystemConfig codec, fleet
+ * scenarios, the tools' --json envelope, stat dumps, traffic and
+ * fleet results and the Perfetto export. All of them are read and written here,
  * without any external dependency.
  *
  * parse() is a small recursive-descent parser over the full JSON

@@ -13,7 +13,10 @@
  *    hold one of their elements (fault-free runs: an injected FirstHit
  *    corruption may drop a hit);
  *  - the frontend.readLatency / writeLatency sample counts equal
- *    frontend.reads / writes.
+ *    frontend.reads / writes;
+ *  - sum of bcN.elements = sum of the commands' lengths (fault-free
+ *    runs), and on PVA SDRAM also = sum of devN.reads + devN.writes
+ *    (PVA SRAM registers no devN.* counters).
  *
  * A broken law moves no cycle count, so no golden sees it: a front
  * end that stops crediting the controllers it does not call changes
@@ -55,15 +58,31 @@ bruteForceHitBanks(const Geometry &geo, const VectorCommand &cmd)
     return n;
 }
 
+/** Totals over the commands a run issued, counted without the
+ *  system: what its controllers must have hit and moved. */
+struct CommandTotals
+{
+    std::uint64_t hits = 0;     ///< Brute-force hit-set sizes
+    std::uint64_t elements = 0; ///< Command lengths
+
+    void
+    add(const Geometry &geo, const VectorCommand &cmd)
+    {
+        hits += bruteForceHitBanks(geo, cmd);
+        elements += cmd.length;
+    }
+};
+
 /**
  * Check every law on @p stats, the StatSet of a drained PVA system
- * built from @p config. @p hits is the brute-force hit-set total of
- * the commands the system ran; pass nullopt under fault injection to
- * skip that law. A failure names each broken law and both its sides.
+ * built from @p config. @p commands totals the commands the system
+ * ran; pass nullopt under fault injection to skip the laws that need
+ * it (an injected FirstHit corruption may drop a hit or an element).
+ * A failure names each broken law and both its sides.
  */
 inline ::testing::AssertionResult
 statLawsHold(const StatSet &stats, const SystemConfig &config,
-             std::optional<std::uint64_t> hits)
+             std::optional<CommandTotals> commands)
 {
     std::string broken;
     auto law = [&](const char *name, std::uint64_t lhs,
@@ -80,9 +99,17 @@ statLawsHold(const StatSet &stats, const SystemConfig &config,
     const unsigned banks = config.geometry.banks();
     std::uint64_t seen = 0;
     std::uint64_t hit = 0;
+    std::uint64_t elements = 0;
+    std::uint64_t accesses = 0;
+    const bool sdram = stats.hasScalar("dev0.reads");
     for (unsigned b = 0; b < banks; ++b) {
         seen += stats.scalar(csprintf("bc%u.commandsSeen", b));
         hit += stats.scalar(csprintf("bc%u.commandsHit", b));
+        elements += stats.scalar(csprintf("bc%u.elements", b));
+        if (sdram) {
+            accesses += stats.scalar(csprintf("dev%u.reads", b)) +
+                        stats.scalar(csprintf("dev%u.writes", b));
+        }
     }
 
     law("bus.requestCycles = 2 x transactions",
@@ -90,8 +117,16 @@ statLawsHold(const StatSet &stats, const SystemConfig &config,
     law("bus.dataCycles = lineWords/2 x transactions",
         stats.scalar("bus.dataCycles"), config.bc.lineWords / 2 * txns);
     law("sum bcN.commandsSeen = banks x transactions", seen, banks * txns);
-    if (hits)
-        law("sum bcN.commandsHit = brute-force hit-set total", hit, *hits);
+    if (commands) {
+        law("sum bcN.commandsHit = brute-force hit-set total", hit,
+            commands->hits);
+        law("sum bcN.elements = sum of command lengths", elements,
+            commands->elements);
+        if (sdram) {
+            law("sum bcN.elements = sum devN.reads + devN.writes",
+                elements, accesses);
+        }
+    }
     law("frontend.readLatency samples = frontend.reads",
         stats.distribution("frontend.readLatency").samples(), reads);
     law("frontend.writeLatency samples = frontend.writes",

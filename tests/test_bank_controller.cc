@@ -210,9 +210,16 @@ TEST_F(BcTest, IdleReflectsOutstandingWork)
     EXPECT_TRUE(bc.idle());
 }
 
-/** Measure cycles from broadcast to the first device command. */
-unsigned
-firstOpLatency(std::uint32_t stride, bool bypass)
+/** A lone controller's first request: cycles from broadcast to the
+ *  first device command, and the bypasses it counted. */
+struct FirstOp
+{
+    unsigned latency = 0;
+    std::uint64_t bypasses = 0;
+};
+
+FirstOp
+firstOp(std::uint32_t stride, bool bypass)
 {
     Geometry geo(16, 1);
     SdramTiming timing;
@@ -231,16 +238,20 @@ firstOpLatency(std::uint32_t stride, bool bypass)
     for (Cycle t = 10; t < 60; ++t) {
         bc.tick(t);
         if (dev.statActivates.value() > 0)
-            return static_cast<unsigned>(t - 10);
+            return {static_cast<unsigned>(t - 10), bc.statBypasses.value()};
     }
-    return 0;
+    return {0, bc.statBypasses.value()};
 }
 
 TEST(BcLatency, PowerOfTwoStridesTakeTwoCycles)
 {
     for (std::uint32_t s : {1u, 2u, 4u, 8u, 16u, 32u}) {
-        EXPECT_EQ(firstOpLatency(s, false), 2u) << "S=" << s;
-        EXPECT_EQ(firstOpLatency(s, true), 1u) << "bypassed, S=" << s;
+        const FirstOp normal = firstOp(s, false);
+        const FirstOp bypassed = firstOp(s, true);
+        EXPECT_EQ(normal.latency, 2u) << "S=" << s;
+        EXPECT_EQ(bypassed.latency, 1u) << "bypassed, S=" << s;
+        EXPECT_EQ(normal.bypasses, 0u) << "S=" << s;
+        EXPECT_EQ(bypassed.bypasses, 1u) << "bypassed, S=" << s;
     }
 }
 
@@ -249,11 +260,13 @@ TEST(BcLatency, OtherStridesTakeAtMostFiveCycles)
     for (std::uint32_t s = 3; s <= 31; ++s) {
         if (isPowerOfTwo(s))
             continue;
-        unsigned normal = firstOpLatency(s, false);
-        unsigned bypassed = firstOpLatency(s, true);
-        EXPECT_LE(normal, 5u) << "S=" << s;
-        EXPECT_EQ(bypassed + 1, normal)
+        const FirstOp normal = firstOp(s, false);
+        const FirstOp bypassed = firstOp(s, true);
+        EXPECT_LE(normal.latency, 5u) << "S=" << s;
+        EXPECT_EQ(bypassed.latency + 1, normal.latency)
             << "the FHC->VC bypass saves one cycle, S=" << s;
+        EXPECT_EQ(normal.bypasses, 0u) << "S=" << s;
+        EXPECT_EQ(bypassed.bypasses, 1u) << "FHC bypass, S=" << s;
     }
 }
 

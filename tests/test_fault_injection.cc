@@ -4,12 +4,16 @@
  * corrupted FirstHit result is detected by the shadow gather model
  * instead of completing silently wrong, timing-only faults (refresh
  * and BC stalls) never change results, and a faulted sweep is
- * bit-deterministic for a given seed regardless of worker count.
+ * bit-deterministic for a given seed regardless of worker count: its
+ * CSV and report JSON, a quarantined failure included, repeat byte
+ * for byte.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
+#include <string>
 
 #include "core/pva_unit.hh"
 #include "expect_sim_error.hh"
@@ -180,14 +184,28 @@ TEST(FaultInjection, SameSeedGivesIdenticalSweepReport)
         req.config = config;
         grid.push_back(req);
     }
+    // corruptFirstHitRate = 1.0 corrupts every attempt, so this point
+    // fails and is quarantined: the report's failures and quarantine
+    // arrays join the comparison.
+    SweepRequest corrupt;
+    corrupt.kernel = KernelId::Copy;
+    corrupt.stride = 4;
+    corrupt.elements = 128;
+    corrupt.config.timingCheck = true;
+    corrupt.config.faults.corruptFirstHitRate = 1.0;
+    grid.push_back(corrupt);
+    const std::string quarantine =
+        testing::TempDir() + "fault_determinism_quarantine";
 
     auto runOnce = [&](unsigned jobs) {
         SweepExecutor ex(jobs);
+        ex.setQuarantineDir(quarantine);
         return ex.runReport(grid);
     };
     SweepReport a = runOnce(2);
     SweepReport b = runOnce(2);
     SweepReport c = runOnce(1);
+    SweepReport d = runOnce(3);
 
     auto expectSame = [](const SweepReport &x, const SweepReport &y) {
         ASSERT_EQ(x.points.size(), y.points.size());
@@ -205,6 +223,20 @@ TEST(FaultInjection, SameSeedGivesIdenticalSweepReport)
     expectSame(a, c);
     for (const SweepPoint &p : a.points)
         EXPECT_EQ(p.mismatches, 0u);
+
+    // What pva_sim --sweep writes, byte for byte: the CSV and the
+    // report's JSON, failures and quarantine included.
+    auto bytes = [](const SweepReport &r) {
+        std::ostringstream os;
+        writeCsv(os, r.points);
+        r.dumpJson(os);
+        return os.str();
+    };
+    ASSERT_EQ(c.failed, 1u);
+    ASSERT_EQ(c.quarantine.size(), 1u);
+    EXPECT_FALSE(c.quarantine[0].capsulePath.empty())
+        << c.quarantine[0].capsuleError;
+    EXPECT_EQ(bytes(c), bytes(d));
 }
 
 TEST(FaultInjection, DifferentSeedsExploreDifferentTimelines)

@@ -1,10 +1,9 @@
 /**
  * @file
- * Mutation fuzz over the four documents the simulator reads: a fleet
- * scenario (parseScenarioText), a repro capsule (loadCapsule), a
- * checkpoint journal (SweepJournal::load) and a trace file
- * (parseTrace). Each starts from one valid document and applies
- * seeded mutations: byte flips, truncations, and dropped or
+ * Mutation fuzz over the three documents the simulator reads: a fleet
+ * scenario (parseScenarioText), a repro capsule (loadCapsule) and a
+ * trace file (parseTrace). Each starts from one valid document and
+ * applies seeded mutations: byte flips, truncations, and dropped or
  * duplicated keys (lines, for the line-oriented trace file). The only
  * allowed outcomes are success, a SimError, or parseTrace returning
  * false with a message; any other exception fails the test, and a
@@ -15,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -24,7 +22,6 @@
 
 #include "fleet/scenario.hh"
 #include "kernels/repro_capsule.hh"
-#include "kernels/sweep_journal.hh"
 #include "kernels/trace_file.hh"
 #include "sim/json.hh"
 #include "sim/random.hh"
@@ -154,12 +151,11 @@ lines(const std::string &text)
 }
 
 /**
- * One seeded mutation of @p doc. Line-oriented documents (the journal
- * and the trace file) mutate keys one line at a time; the trace file
- * has no keys, so it drops or duplicates whole lines instead.
+ * One seeded mutation of @p doc. The line-oriented trace file has no
+ * keys, so it drops or duplicates whole lines (@p by_line) instead.
  */
 std::string
-mutate(Random &rng, const std::string &doc, bool by_line, bool json)
+mutate(Random &rng, const std::string &doc, bool by_line)
 {
     std::string out = doc;
     switch (rng.below(4)) {
@@ -175,9 +171,7 @@ mutate(Random &rng, const std::string &doc, bool by_line, bool json)
         return mutateKeys(rng, doc);
     std::vector<std::string> ls = lines(doc);
     const std::size_t pick = rng.below(ls.size());
-    if (json) {
-        ls[pick] = mutateKeys(rng, ls[pick]) + "\n";
-    } else if (rng.below(2) == 0) {
+    if (rng.below(2) == 0) {
         ls.erase(ls.begin() + static_cast<std::ptrdiff_t>(pick));
     } else {
         ls.insert(ls.begin() + static_cast<std::ptrdiff_t>(pick), ls[pick]);
@@ -242,7 +236,7 @@ TEST(InputFuzz, ScenarioMutationsFailStructured)
     fleet::parseScenarioText(kScenario); // the seed document is valid
     Random rng(0x5ce0);
     for (unsigned i = 0; i < kMutationsPerDocument; ++i)
-        fuzzScenario(mutate(rng, kScenario, false, true));
+        fuzzScenario(mutate(rng, kScenario, false));
 }
 
 TEST(InputFuzz, CapsuleMutationsFailStructured)
@@ -259,41 +253,10 @@ TEST(InputFuzz, CapsuleMutationsFailStructured)
 
     Random rng(0xca95);
     for (unsigned i = 0; i < kMutationsPerDocument; ++i) {
-        const std::string text = mutate(rng, seed_doc, false, true);
+        const std::string text = mutate(rng, seed_doc, false);
         spit(path, text);
         expectStructuredOutcome("capsule", text,
                                 [&] { loadCapsule(path); });
-    }
-}
-
-TEST(InputFuzz, JournalMutationsFailStructured)
-{
-    const std::string path = testing::TempDir() + "fuzz-journal.jsonl";
-    constexpr std::uint64_t kFingerprint = 0x1234abcdULL;
-    constexpr std::size_t kPoints = 8;
-    std::remove(path.c_str());
-    {
-        SweepJournal journal(path, kFingerprint, kPoints);
-        SweepPoint p{};
-        p.stride = 19;
-        p.cycles = 1161;
-        journal.append({0, p, ""});
-        p.status = PointStatus::Failed;
-        p.attempts = 2;
-        journal.append({5, p, "[watchdog] expired"});
-    }
-    const std::string seed_doc = slurp(path);
-    ASSERT_EQ(SweepJournal::load(path, kFingerprint, kPoints)
-                  .records.size(),
-              2u); // the seed document is valid
-
-    Random rng(0x10a1);
-    for (unsigned i = 0; i < kMutationsPerDocument; ++i) {
-        const std::string text = mutate(rng, seed_doc, true, true);
-        spit(path, text);
-        expectStructuredOutcome("journal", text, [&] {
-            SweepJournal::load(path, kFingerprint, kPoints);
-        });
     }
 }
 
@@ -305,7 +268,7 @@ TEST(InputFuzz, TraceMutationsFailStructured)
     ASSERT_TRUE(parseTrace(in, trace, error)) << error;
     Random rng(0x7ace);
     for (unsigned i = 0; i < kMutationsPerDocument; ++i)
-        fuzzTrace(mutate(rng, kTrace, true, false));
+        fuzzTrace(mutate(rng, kTrace, true));
 }
 
 } // anonymous namespace

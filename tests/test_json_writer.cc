@@ -5,11 +5,11 @@
  * the round-trip tests feed each writer names and error texts holding
  * a quote, a backslash, a newline, a tab, a 0x01 byte and non-ASCII
  * UTF-8, and check that json::parse accepts the document with every
- * string intact: stat dumps, the config codec, journal lines, repro
- * capsules, sweep reports, traffic, load-sweep and fleet results, the
- * scenario result line, the tools' envelope (including the run,
- * replay and repro sections pva_sim and pva_replay write) and, in
- * traced builds, the Perfetto export.
+ * string intact: stat dumps, the config codec, repro capsules, sweep
+ * reports, traffic, load-sweep and fleet results, the scenario result
+ * line, the tools' envelope (including the run, replay and repro
+ * sections pva_sim and pva_replay write) and, in traced builds, the
+ * Perfetto export.
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +27,6 @@
 #include "fleet/scenario.hh"
 #include "kernels/repro_capsule.hh"
 #include "kernels/sweep_executor.hh"
-#include "kernels/sweep_journal.hh"
 #include "sim/json.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
@@ -162,25 +161,12 @@ TEST(JsonRoundTrip, StatSetDumpEscapesStatNames)
     EXPECT_TRUE(ok);
 }
 
-TEST(JsonRoundTrip, ConfigJournalAndCapsule)
+TEST(JsonRoundTrip, ConfigAndCapsule)
 {
     const SystemConfig config;
     const json::Value cfg = parseOk(configToJson(config));
     EXPECT_TRUE(configFromJson(json::Reader(cfg, "", {"config", ""})) ==
                 config);
-
-    const std::string path = testing::TempDir() + "roundtrip.jsonl";
-    std::remove(path.c_str());
-    {
-        SweepJournal journal(path, 0xfeedULL, 4);
-        journal.append({2, SweepPoint{}, kNasty});
-    }
-    std::ifstream in(path, std::ios::binary);
-    for (std::string line; std::getline(in, line);)
-        parseOk(line);
-    const auto loaded = SweepJournal::load(path, 0xfeedULL, 4);
-    ASSERT_EQ(loaded.records.size(), 1u);
-    EXPECT_EQ(loaded.records[0].error, kNasty);
 
     ReproCapsule capsule;
     capsule.error = kNasty;

@@ -5,7 +5,8 @@
  * under both clockings, and over a PVA traffic run that mixes strided
  * and Indirect streams. The front end hands each broadcast only to
  * the controllers of its hit set and credits the others' commandsSeen
- * itself; these laws are what notices if it drops a credit or a hit.
+ * itself; these laws are what notices if it drops a credit, a hit or
+ * an element.
  */
 
 #include <string>
@@ -43,15 +44,15 @@ expectLawsAfterKernel(SystemKind kind, const SystemConfig &config,
     wl.streamBases = streamBases(alignmentPresets()[0], spec.numStreams,
                                  stride, wl.elements);
     KernelTrace trace = buildTrace(spec, wl, sys->memory());
-    std::uint64_t hits = 0;
+    test::CommandTotals commands;
     for (const KernelOp &op : trace.ops)
-        hits += test::bruteForceHitBanks(config.geometry, op.cmd);
+        commands.add(config.geometry, op.cmd);
 
     RunLimits limits;
     limits.clocking = config.clocking;
     RunResult r = runTrace(*sys, trace, limits);
     ASSERT_EQ(r.mismatches, 0u) << spec.name << " stride " << stride;
-    EXPECT_TRUE(test::statLawsHold(sys->stats(), config, hits))
+    EXPECT_TRUE(test::statLawsHold(sys->stats(), config, commands))
         << spec.name << " stride " << stride;
 }
 
@@ -136,14 +137,14 @@ TEST(StatLaws, HoldOverATrafficRunWithAnIndirectStream)
     fleet::runToDrain(sim, arbiter, recorder, RunLimits{10000000});
 
     ASSERT_EQ(recorder.accepted.size(), 900u);
-    std::uint64_t hits = 0;
+    test::CommandTotals commands;
     bool indirect = false;
     for (const VectorCommand &c : recorder.accepted) {
-        hits += test::bruteForceHitBanks(config.geometry, c);
+        commands.add(config.geometry, c);
         indirect |= c.mode == VectorCommand::Mode::Indirect;
     }
     ASSERT_TRUE(indirect);
-    EXPECT_TRUE(test::statLawsHold(sys->stats(), config, hits));
+    EXPECT_TRUE(test::statLawsHold(sys->stats(), config, commands));
 }
 
 } // anonymous namespace

@@ -36,8 +36,6 @@ struct ToolOptions
     unsigned jobs = 0;      ///< Sweep workers (0 = hardware threads)
     unsigned retries = 3;   ///< Sweep attempt budget per point
     double pointTimeout = 0.0; ///< Per-point wall-clock watchdog (ms)
-    std::string checkpointPath; ///< Sweep journal (empty = disabled)
-    bool resume = false;        ///< Restore completed points from it
     std::string quarantineDir;  ///< Repro capsules for failed points
     std::string reproPath;      ///< pva_replay: capsule to re-execute
     std::string tracePath = "-"; ///< pva_replay positional argument

@@ -44,8 +44,7 @@ runSweep(const ToolApp &app, const ToolOptions &opts)
     SweepExecutor executor(opts.jobs);
     executor.setMaxAttempts(opts.retries);
     executor.setPointTimeout(opts.pointTimeout);
-    executor.setCheckpoint(
-        {opts.checkpointPath, opts.resume, opts.quarantineDir});
+    executor.setQuarantineDir(opts.quarantineDir);
     if (!opts.json) {
         executor.onProgress([](const SweepProgress &p) {
             if (p.done % 160 == 0 || p.done == p.total)
@@ -58,29 +57,14 @@ runSweep(const ToolApp &app, const ToolOptions &opts)
     if (opts.json) {
         // The CSV owns stdout under --sweep; the envelope goes to
         // stderr so both can be captured independently. It is all of
-        // stderr: its stats, sweep and checkpoint sections carry what
-        // the text lines below would say.
+        // stderr: its stats and sweep sections carry what the text
+        // lines below would say.
         JsonEnvelope env(std::cerr, app, opts.config,
                          {{"elements", opts.elements}});
         executor.stats().dumpJson(env.section("stats").nested());
         report.dumpJson(env.section("sweep").nested());
-        if (!opts.checkpointPath.empty()) {
-            json::Writer &w = env.section("checkpoint").beginObject();
-            w.field("journal", opts.checkpointPath);
-            w.field("restored", report.resumed);
-            w.field("tornTail", report.tornJournalTail).end();
-        }
         env.traceSection(app);
     } else {
-        if (report.tornJournalTail) {
-            warn("checkpoint journal '%s' has a torn final record "
-                 "(crash mid-append); discarding it",
-                 opts.checkpointPath.c_str());
-        }
-        if (report.resumed > 0) {
-            inform("sweep: restored %zu completed points from '%s'",
-                   report.resumed, opts.checkpointPath.c_str());
-        }
         for (const PointFailure &f : report.failures) {
             warn("sweep point %zu (%s/%s stride %u alignment %u) "
                  "failed after %u attempts: %s",
@@ -164,16 +148,6 @@ main(int argc, char **argv)
     app.addSystemFlags(opts.config);
     app.flag("--sweep", "run the full chapter 6 grid",
              [&opts] { opts.sweep = true; });
-    app.option("--checkpoint", "FILE",
-               "journal completed sweep points to FILE (JSONL, "
-               "fsync'd per point; docs/ROBUSTNESS.md)",
-               [&opts](const std::string &v) {
-                   opts.checkpointPath = v;
-               });
-    app.flag("--resume",
-             "restore completed points from the --checkpoint journal "
-             "instead of rerunning them",
-             [&opts] { opts.resume = true; });
     app.option("--quarantine-dir", "DIR",
                "write a standalone repro capsule per failed point "
                "into DIR (pva_replay --repro)",
@@ -184,12 +158,8 @@ main(int argc, char **argv)
     app.addOutputFlags(opts.stats, opts.json);
     app.addTraceFlags();
     app.parse(argc, argv);
-    if (opts.resume && opts.checkpointPath.empty())
-        fatal("--resume needs --checkpoint FILE");
-    if ((!opts.checkpointPath.empty() || !opts.quarantineDir.empty()) &&
-        !opts.sweep) {
-        fatal("--checkpoint/--quarantine-dir only apply to --sweep");
-    }
+    if (!opts.quarantineDir.empty() && !opts.sweep)
+        fatal("--quarantine-dir only applies to --sweep");
     return app.run([&] {
         return opts.sweep ? runSweep(app, opts) : runOnce(app, opts);
     });
