@@ -22,8 +22,7 @@ singleReadLatency(bool sram, std::uint32_t stride)
 {
     auto sys = makeSystem(sram ? SystemKind::PvaSram
                                : SystemKind::PvaSdram);
-    Simulation sim;
-    sim.add(sys.get());
+    Simulation sim(*sys);
 
     VectorCommand c;
     c.base = 12345;

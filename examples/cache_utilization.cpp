@@ -36,8 +36,7 @@ main()
 {
     // ---- Path A: strided accesses straight through the cache. -------
     PvaUnit mem_a("memA", SystemConfig{});
-    Simulation sim_a;
-    sim_a.add(&mem_a);
+    Simulation sim_a(mem_a);
     CacheConfig cache_cfg; // 32 KB: 64 sets x 4 ways x 128 B
     L2Cache cache_a(cache_cfg, mem_a, sim_a);
 
@@ -54,8 +53,7 @@ main()
     PvaUnit mem_b("memB", SystemConfig{});
     ShadowMemorySystem shadow("shadow", mem_b);
     shadow.mapShadow({kShadow, kElems, kArray, kStride});
-    Simulation sim_b;
-    sim_b.add(&shadow);
+    Simulation sim_b(shadow);
     L2Cache cache_b(cache_cfg, shadow, sim_b);
 
     for (std::uint32_t i = 0; i < kElems; ++i)

@@ -28,8 +28,7 @@ constexpr WordAddr kBase = 1 << 16;
 Cycle
 bitReversedGather(MemorySystem &sys)
 {
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     BitReversalResult r = runBitReversedGather(sys, sim, kBase, kCount);
     const unsigned bits = log2Exact(kCount);
     for (std::uint32_t i = 0; i < kCount; ++i) {

@@ -31,8 +31,7 @@ int
 main()
 {
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
 
     // Three 4096-word virtual superpages, physically out of order.
     constexpr std::uint32_t kPage = 4096;

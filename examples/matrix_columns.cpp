@@ -44,8 +44,7 @@ sumColumns(MemorySystem &sys, std::uint64_t *checksum)
         }
     }
 
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     std::uint64_t sum = 0;
     for (Word w : runCommands(sys, sim, cmds, 100000000))
         sum += w;

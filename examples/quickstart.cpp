@@ -47,8 +47,7 @@ main()
     // A 16-bank word-interleaved SDRAM system, 128-byte cache lines —
     // the paper's prototype configuration.
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
 
     // Scatter 32 words to every 19th word starting at word 4096.
     std::vector<Word> payload(32);

@@ -21,8 +21,7 @@ int
 main()
 {
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
 
     constexpr WordAddr kIndexBase = 1 << 16; ///< CSR column indices
     constexpr WordAddr kDenseBase = 1 << 18; ///< The dense x vector

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/vector_command.hh"
+#include "sim/clocking.hh"
 #include "sim/component.hh"
 #include "sim/memory.hh"
 #include "sim/stats.hh"
@@ -95,11 +96,15 @@ class MemorySystem : public Component
     /** Registered statistics of this system. */
     virtual StatSet &stats() = 0;
 
+    /** Adopt the driving Simulation's clocking (its constructor calls
+     *  this); a decorator forwards it to the system it wraps. */
+    virtual void setClocking(ClockingMode mode) { (void)mode; }
+
     /**
-     * Copy the driving Simulation's clocking counters into this
-     * system's StatSet (sim.simTicks / sim.cyclesSkipped /
-     * sim.cyclesPerSecond) so they survive the Simulation, which is
-     * local to the run harness, and appear in every stats dump.
+     * Set this system's clocking gauges (sim.simTicks /
+     * sim.cyclesSkipped / sim.cyclesPerSecond) so they survive the
+     * Simulation and appear in every stats dump. Simulation::runUntil
+     * writes them as it returns.
      */
     void
     recordSimPerf(std::uint64_t ticks, std::uint64_t skipped,

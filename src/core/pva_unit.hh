@@ -133,13 +133,13 @@ class PvaUnit : public MemorySystem
     void onCycleBegin(Cycle now) final;
 
     /**
-     * Adopt the driving Simulation's clocking discipline (called by
-     * Simulation::add). Exhaustive ticks every bank controller every
-     * processed cycle; Event, and a unit no Simulation drives, skip
-     * controllers whose cached wake lies in the future.
+     * Adopt the driving Simulation's clocking discipline. Exhaustive
+     * ticks every bank controller every processed cycle; Event, and a
+     * unit no Simulation drives, skip controllers whose cached wake
+     * lies in the future.
      */
     void
-    setClocking(ClockingMode mode)
+    setClocking(ClockingMode mode) override
     {
         tickEveryBc = mode == ClockingMode::Exhaustive;
     }

@@ -54,9 +54,17 @@ class ShadowMemorySystem : public MemorySystem
         inner.recycleLine(std::move(line));
     }
     bool busy() const override;
+    std::size_t inFlight() const override { return inner.inFlight(); }
     SparseMemory &memory() override { return inner.memory(); }
     StatSet &stats() override { return inner.stats(); }
     void tick(Cycle now) override { inner.tick(now); }
+    Cycle
+    nextWakeAfter(Cycle now) const override
+    {
+        return inner.nextWakeAfter(now);
+    }
+    void onCycleBegin(Cycle now) override { inner.onCycleBegin(now); }
+    void setClocking(ClockingMode mode) override { inner.setClocking(mode); }
 
     /** Remapped commands seen so far (for tests/insight). */
     std::uint64_t remappedCommands() const { return remapped; }

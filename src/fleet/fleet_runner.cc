@@ -12,6 +12,7 @@
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
 #include "sim/simulation.hh"
+#include "sim/trace.hh"
 
 namespace pva::fleet
 {
@@ -136,6 +137,10 @@ runFleet(const FleetConfig &config)
     std::vector<ShardOutcome> outcomes(shards);
 
     auto task = [&](std::size_t s, unsigned attempt) {
+#if PVA_TRACE_ENABLED
+        // Own trace processes: the same export at any --jobs.
+        trace::ProcessPrefix tracePrefix(csprintf("shard%zu", s));
+#endif
         SystemConfig sys_cfg = config.config;
         // A retry of a fault-injected shard explores a different
         // fault timeline rather than replaying the failure.
@@ -188,8 +193,7 @@ runFleet(const FleetConfig &config)
         auto sys = makeSystem(config.system, sys_cfg);
         FleetArbiter arbiter(config.arbiter, std::move(seats), bus);
 
-        Simulation sim(sys_cfg.clocking);
-        sim.add(sys.get());
+        Simulation sim(*sys, sys_cfg.clocking);
         runToDrain(sim, arbiter, *sys, config.limits);
 
         ShardOutcome out;

@@ -1,6 +1,6 @@
 #include "kernels/kernel.hh"
 
-#include <map>
+#include <algorithm>
 
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
@@ -174,52 +174,31 @@ buildTrace(const KernelSpec &spec, const WorkloadConfig &cfg,
         return c;
     };
 
-    auto emit_chunk = [&](std::uint32_t chunk) {
-        std::vector<std::size_t> read_ids;
+    // Group the commands of `unroll` consecutive chunks per stream
+    // (two reads of x, then two writes of y, ...); each write depends
+    // on its own chunk's reads. Without unrolling a group is one chunk.
+    std::vector<std::vector<std::size_t>> reads_of(spec.unroll);
+    for (std::uint32_t c = 0; c < chunks; c += spec.unroll) {
+        const std::uint32_t group =
+            std::min<std::uint32_t>(spec.unroll, chunks - c);
+        for (std::vector<std::size_t> &ids : reads_of)
+            ids.clear();
         for (unsigned rs : spec.readStreams) {
-            KernelOp op;
-            op.cmd = chunk_cmd(rs, chunk, true);
-            read_ids.push_back(trace.ops.size());
-            trace.ops.push_back(std::move(op));
+            for (std::uint32_t g = 0; g < group; ++g) {
+                KernelOp op;
+                op.cmd = chunk_cmd(rs, c + g, true);
+                reads_of[g].push_back(trace.ops.size());
+                trace.ops.push_back(std::move(op));
+            }
         }
         for (unsigned ws : spec.writeStreams) {
-            KernelOp op;
-            op.cmd = chunk_cmd(ws, chunk, false);
-            op.deps = read_ids;
-            op.writeData.assign(out[ws].begin() + chunk * lw,
-                                out[ws].begin() + (chunk + 1) * lw);
-            trace.ops.push_back(std::move(op));
-        }
-    };
-
-    if (spec.unroll == 1) {
-        for (std::uint32_t c = 0; c < chunks; ++c)
-            emit_chunk(c);
-    } else {
-        // Unrolled: group the commands of `unroll` consecutive chunks
-        // per stream (two reads of x, then two writes of y, ...).
-        for (std::uint32_t c = 0; c < chunks; c += spec.unroll) {
-            std::uint32_t group =
-                std::min<std::uint32_t>(spec.unroll, chunks - c);
-            std::map<std::uint32_t, std::vector<std::size_t>> reads_of;
-            for (unsigned rs : spec.readStreams) {
-                for (std::uint32_t g = 0; g < group; ++g) {
-                    KernelOp op;
-                    op.cmd = chunk_cmd(rs, c + g, true);
-                    reads_of[c + g].push_back(trace.ops.size());
-                    trace.ops.push_back(std::move(op));
-                }
-            }
-            for (unsigned ws : spec.writeStreams) {
-                for (std::uint32_t g = 0; g < group; ++g) {
-                    KernelOp op;
-                    op.cmd = chunk_cmd(ws, c + g, false);
-                    op.deps = reads_of[c + g];
-                    op.writeData.assign(
-                        out[ws].begin() + (c + g) * lw,
-                        out[ws].begin() + (c + g + 1) * lw);
-                    trace.ops.push_back(std::move(op));
-                }
+            for (std::uint32_t g = 0; g < group; ++g) {
+                KernelOp op;
+                op.cmd = chunk_cmd(ws, c + g, false);
+                op.deps = reads_of[g];
+                op.writeData.assign(out[ws].begin() + (c + g) * lw,
+                                    out[ws].begin() + (c + g + 1) * lw);
+                trace.ops.push_back(std::move(op));
             }
         }
     }

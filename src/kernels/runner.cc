@@ -9,8 +9,7 @@ RunResult
 runTrace(MemorySystem &sys, const KernelTrace &trace,
          const RunLimits &limits)
 {
-    Simulation sim(limits.clocking);
-    sim.add(&sys);
+    Simulation sim(sys, limits.clocking);
     VectorCommandUnit vcu(sys, trace);
 
     Cycle start = sim.now();
@@ -23,7 +22,6 @@ runTrace(MemorySystem &sys, const KernelTrace &trace,
     r.cyclesSkipped = sim.cyclesSkipped();
     r.wallMillis = sim.wallMillis();
     r.cyclesPerSecond = sim.cyclesPerSecond();
-    sys.recordSimPerf(r.simTicks, r.cyclesSkipped, r.cyclesPerSecond);
     return r;
 }
 

@@ -123,8 +123,7 @@ replayTrace(MemorySystem &sys, const TraceFile &trace,
             ClockingMode clocking)
 {
     constexpr Cycle kMaxCycles = 100000000;
-    Simulation sim(clocking);
-    sim.add(&sys);
+    Simulation sim(sys, clocking);
 
     ReplayResult result;
     std::size_t next = 0; ///< First op of the next barrier segment
@@ -172,8 +171,6 @@ replayTrace(MemorySystem &sys, const TraceFile &trace,
     result.cycles = sim.now();
     result.simTicks = sim.simTicks();
     result.cyclesSkipped = sim.cyclesSkipped();
-    sys.recordSimPerf(sim.simTicks(), sim.cyclesSkipped(),
-                      sim.cyclesPerSecond());
     return result;
 }
 

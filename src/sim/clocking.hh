@@ -2,10 +2,11 @@
  * @file
  * Clocking discipline of a Simulation (docs/SIMULATION.md).
  *
- * Exhaustive is the legacy reference stepper: every registered
- * component ticks every cycle. Event is the wake-scheduled fast path:
- * the Simulation asks each component how long it is quiescent
- * (Component::nextWakeAfter), merges in externally requested wakes
+ * Exhaustive is the legacy reference stepper: the memory system (and
+ * every PVA bank controller) ticks every cycle. Event is the
+ * wake-scheduled fast path: the Simulation asks the system how long it
+ * is quiescent (Component::nextWakeAfter), merges in externally
+ * requested wakes
  * (Simulation::requestWake), and advances the clock directly to the
  * earliest pending wake — skipping the idle cycles in between. The two
  * modes are cycle-exact equivalents; the differential tests
@@ -23,7 +24,7 @@ namespace pva
 /** How Simulation::runUntil advances the clock. */
 enum class ClockingMode
 {
-    Exhaustive, ///< Tick every component every cycle (reference)
+    Exhaustive, ///< Tick the system every cycle (reference)
     Event,      ///< Skip to the earliest pending wake (default)
 };
 

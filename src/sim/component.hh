@@ -2,18 +2,19 @@
  * @file
  * Base class for clocked hardware components.
  *
- * The simulator is cycle-driven: at every *processed* cycle the
- * Simulation calls tick() on each registered component in registration
- * order. Registration order therefore defines intra-cycle signal
- * visibility (a component ticked earlier exposes this cycle's outputs
- * to components ticked later), which is how we model the combinational
- * paths of the paper's design — e.g. the front end drives the vector
- * bus before the bank controllers sample it in the same cycle.
+ * The simulator is cycle-driven. A Simulation clocks one memory system
+ * (itself a Component) by calling its tick() at every *processed*
+ * cycle; the system ticks its own parts under the same wake contract.
+ * The PVA front end drives the vector bus, then its bank controllers,
+ * in bank order, sample the broadcast in the same cycle (section
+ * 5.2.6) and clock their devices.
  *
  * Under ClockingMode::Event (sim/clocking.hh) not every cycle is
- * processed: after ticking a cycle, the Simulation polls each
- * component's nextWakeAfter() and jumps the clock directly to the
- * earliest wake. The wake contract a component must honor:
+ * processed: after ticking a cycle, the Simulation asks the system's
+ * nextWakeAfter() and jumps the clock directly to the earliest wake
+ * (the system's own answer folds in its parts', as the PVA front end's
+ * running minimum of its controllers' wakes does), or to an external
+ * wake if that comes first. The wake contract a component must honor:
  *
  *  - nextWakeAfter(now) returns the earliest future cycle at which the
  *    component could change observable state, given no external input.
@@ -37,11 +38,11 @@
  *  - The default (now + 1) keeps unconverted components on the legacy
  *    every-cycle schedule, which is always correct, just slower.
  *
- * onCycleBegin() runs for every component at the top of each processed
- * cycle, before the run predicate and before any tick. Components use
- * it to settle bookkeeping that the exhaustive stepper got for free
- * from being ticked every cycle (e.g. crediting per-cycle occupancy
- * stats for the cycles skipped since the last tick).
+ * onCycleBegin() runs at the top of each processed cycle, before the
+ * run predicate and before any tick. Components use it to settle
+ * bookkeeping that the exhaustive stepper got for free from being
+ * ticked every cycle (e.g. crediting per-cycle occupancy stats for the
+ * cycles skipped since the last tick).
  */
 
 #ifndef PVA_SIM_COMPONENT_HH
@@ -81,9 +82,9 @@ class Component
 
     /**
      * Hook run at the top of every processed cycle @p now, before the
-     * run predicate and before any component ticks. State must be
-     * exactly as of the end of the previous processed cycle when this
-     * is called; implementations may account for skipped cycles here.
+     * run predicate and before any tick. State must be exactly as of
+     * the end of the previous processed cycle when this is called;
+     * implementations may account for skipped cycles here.
      */
     virtual void onCycleBegin(Cycle now) { (void)now; }
 

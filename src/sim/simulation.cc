@@ -1,6 +1,5 @@
 #include "sim/simulation.hh"
 
-#include <algorithm>
 #include <chrono>
 
 #include "core/pva_unit.hh"
@@ -16,82 +15,32 @@ namespace
 
 using SteadyClock = std::chrono::steady_clock;
 
-/** Accumulates wall time into a total even when runUntil throws. */
-class WallTimer
+double
+millisSince(SteadyClock::time_point start)
 {
-  public:
-    explicit WallTimer(double &total)
-        : total(total), start(SteadyClock::now())
-    {}
-
-    ~WallTimer() { total += elapsedMillis(); }
-
-    double
-    elapsedMillis() const
-    {
-        return std::chrono::duration<double, std::milli>(
-                   SteadyClock::now() - start)
-            .count();
-    }
-
-  private:
-    double &total;
-    SteadyClock::time_point start;
-};
+    return std::chrono::duration<double, std::milli>(SteadyClock::now() -
+                                                     start)
+        .count();
+}
 
 } // anonymous namespace
 
-Simulation::Simulation(ClockingMode mode) : mode(mode)
+Simulation::Simulation(MemorySystem &system_, ClockingMode mode)
+    : system(system_), pva(dynamic_cast<PvaUnit *>(&system_)), mode(mode)
 {
+    system.setClocking(mode);
     PVA_TRACE_BLOCK(
         if (trace::TraceSession *s = trace::session())
             traceTrackId = s->registerTrack("sim", "clock"););
 }
 
 void
-Simulation::add(Component *c)
-{
-    CompKind kind = CompKind::Generic;
-    if (auto *pva = dynamic_cast<PvaUnit *>(c)) {
-        kind = CompKind::Pva;
-        pva->setClocking(mode);
-    }
-    components.push_back({c, kind});
-}
-
-void
-Simulation::tickOne(const TickEntry &e, Cycle now)
-{
-    // The typed cast dispatches directly: the hot methods are declared
-    // final on PvaUnit, so no vtable load is involved.
-    if (e.kind == CompKind::Pva)
-        static_cast<PvaUnit *>(e.c)->tick(now);
-    else
-        e.c->tick(now);
-}
-
-void
-Simulation::beginOne(const TickEntry &e, Cycle now)
-{
-    if (e.kind == CompKind::Pva)
-        static_cast<PvaUnit *>(e.c)->onCycleBegin(now);
-    else
-        e.c->onCycleBegin(now);
-}
-
-Cycle
-Simulation::wakeOne(const TickEntry &e, Cycle now)
-{
-    if (e.kind == CompKind::Pva)
-        return static_cast<const PvaUnit *>(e.c)->nextWakeAfter(now);
-    return e.c->nextWakeAfter(now);
-}
-
-void
 Simulation::step()
 {
-    for (const TickEntry &e : components)
-        tickOne(e, currentCycle);
+    if (pva)
+        pva->tick(currentCycle);
+    else
+        system.tick(currentCycle);
     ++currentCycle;
     ++ticksProcessed;
 }
@@ -138,15 +87,31 @@ Simulation::runUntil(const std::function<bool()> &done, Cycle max_cycles,
                             ? kNeverCycle
                             : start + max_cycles;
 
-    WallTimer wall(accumWallMillis);
+    // Account the wall time, then write the system's gauges, also
+    // when a watchdog throws.
+    struct Finish
+    {
+        Simulation &sim;
+        const SteadyClock::time_point started = SteadyClock::now();
+        ~Finish()
+        {
+            sim.accumWallMillis += millisSince(started);
+            sim.system.recordSimPerf(sim.ticksProcessed, sim.skippedCycles,
+                                     sim.cyclesPerSecond());
+        }
+    } finish{*this};
     // Force a wall check on the first iteration, matching the legacy
     // stepper's (cycle - start) % stride == 0 cadence at cycle 0.
     std::uint64_t iters_since = kWallCheckStride;
     std::uint64_t cycles_since = 0;
 
     while (true) {
-        for (const TickEntry &e : components)
-            beginOne(e, currentCycle);
+        // The typed calls dispatch directly: the hot methods are
+        // declared final on PvaUnit, so no vtable load is involved.
+        if (pva)
+            pva->onCycleBegin(currentCycle);
+        else
+            system.onCycleBegin(currentCycle);
         if (done())
             return currentCycle;
         if (currentCycle - start >= max_cycles) {
@@ -162,7 +127,7 @@ Simulation::runUntil(const std::function<bool()> &done, Cycle max_cycles,
              cycles_since >= kWallCheckStride)) {
             iters_since = 0;
             cycles_since = 0;
-            double elapsed_ms = wall.elapsedMillis();
+            double elapsed_ms = millisSince(finish.started);
             if (elapsed_ms >= wall_limit_millis) {
                 throw SimError(
                     SimErrorKind::Watchdog, "simulation", currentCycle,
@@ -174,30 +139,24 @@ Simulation::runUntil(const std::function<bool()> &done, Cycle max_cycles,
             }
         }
 
-        for (const TickEntry &e : components)
-            tickOne(e, currentCycle);
+        if (pva)
+            pva->tick(currentCycle);
+        else
+            system.tick(currentCycle);
         ++ticksProcessed;
 
         Cycle next = currentCycle + 1;
         if (mode == ClockingMode::Event) {
-            next = kNeverCycle;
-            // Track the argmin so the trace can attribute the wake;
-            // ties keep the first (registration-order) component,
-            // matching the old std::min fold exactly.
-            const Component *waker = nullptr;
-            for (const TickEntry &e : components) {
-                Cycle w = wakeOne(e, currentCycle);
-                if (w < next) {
-                    next = w;
-                    waker = e.c;
-                }
-            }
+            next = pva ? pva->nextWakeAfter(currentCycle)
+                       : system.nextWakeAfter(currentCycle);
             while (!wakeHeap.empty() && wakeHeap.top() <= currentCycle)
                 wakeHeap.pop();
-            if (!wakeHeap.empty() && wakeHeap.top() < next) {
+            // Ties go to the system, so the trace attributes the wake
+            // to it.
+            const bool external =
+                !wakeHeap.empty() && wakeHeap.top() < next;
+            if (external)
                 next = wakeHeap.top();
-                waker = nullptr; // external wake (run predicate)
-            }
             // No pending wake anywhere: the model is deadlocked. Step
             // one cycle at a time so the watchdogs fire exactly as
             // they would under the exhaustive stepper.
@@ -214,8 +173,8 @@ Simulation::runUntil(const std::function<bool()> &done, Cycle max_cycles,
                     PVA_TRACE_INSTANT(traceTrackId, currentCycle,
                                       "skip", "cycles", skipped, "to",
                                       next);
-                    if (waker) {
-                        PVA_TRACE_INSTANT(waker->traceTrack(), next,
+                    if (!external) {
+                        PVA_TRACE_INSTANT(system.traceTrack(), next,
                                           "wake", "skipped", skipped);
                     } else {
                         PVA_TRACE_INSTANT(traceTrackId, next,
@@ -223,7 +182,6 @@ Simulation::runUntil(const std::function<bool()> &done, Cycle max_cycles,
                                           skipped);
                     }
                 });
-            (void)waker;
         }
         cycles_since += next - currentCycle;
         ++iters_since;

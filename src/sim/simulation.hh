@@ -2,16 +2,17 @@
  * @file
  * Cycle-driven simulation driver with two clocking disciplines.
  *
- * ClockingMode::Exhaustive is the reference stepper (tick every
- * component every cycle). ClockingMode::Event keeps the same processed
- * cycles semantically identical but skips spans where every component
- * reports itself quiescent: after ticking cycle C it computes the
- * minimum of each component's nextWakeAfter(C) and any externally
- * requested wakes, and advances the clock directly there. Both modes
- * tick *all* registered components at every processed cycle, in
- * registration order, so intra-cycle signal visibility is untouched;
- * the speedup comes purely from not processing provably idle cycles.
- * See docs/SIMULATION.md for the wake contract and exactness argument.
+ * A Simulation clocks one memory system; the system ticks its own
+ * parts (the PVA front end its bank controllers and devices, in bank
+ * order) under the same wake contract (sim/component.hh).
+ * ClockingMode::Exhaustive is the reference stepper (tick the system
+ * every cycle). ClockingMode::Event keeps the same processed cycles
+ * semantically identical but skips spans where the system reports
+ * itself quiescent: after ticking cycle C it takes the earlier of the
+ * system's nextWakeAfter(C) and any externally requested wake, and
+ * advances the clock directly there. The speedup comes purely from
+ * not processing provably idle cycles. See docs/SIMULATION.md for the
+ * wake contract and exactness argument.
  */
 
 #ifndef PVA_SIM_SIMULATION_HH
@@ -22,55 +23,44 @@
 #include <vector>
 
 #include "sim/clocking.hh"
-#include "sim/component.hh"
 #include "sim/types.hh"
 
 namespace pva
 {
 
-/**
- * Owns the clock and ticks registered components in registration order.
- *
- * Components are not owned by the Simulation; the caller keeps them alive
- * for the duration of the run. This mirrors the structural composition of
- * the hardware: the top level wires up subcomponents, then the clock runs.
- */
+class MemorySystem;
+class PvaUnit;
+
+/** Owns the clock of one memory system, which the caller keeps alive
+ *  for the duration of the run. */
 class Simulation
 {
   public:
-    explicit Simulation(ClockingMode mode = ClockingMode::Event);
-
     /**
-     * Register a component. Order of registration is tick order.
-     *
-     * A PvaUnit is recognized once here (one dynamic_cast per
-     * registration) so the per-cycle tick/wake loops call its final
-     * methods directly instead of through three virtual calls per
-     * processed cycle; every other component takes the virtual path.
-     * A PvaUnit also adopts this simulation's clocking
-     * (PvaUnit::setClocking).
+     * Clock @p system under @p mode, which the system adopts
+     * (MemorySystem::setClocking). A PvaUnit is recognized once here
+     * so the per-cycle loop calls its final methods directly instead
+     * of through three virtual calls per processed cycle.
      */
-    void add(Component *c);
+    explicit Simulation(MemorySystem &system,
+                        ClockingMode mode = ClockingMode::Event);
 
     /** Current cycle (number of completed ticks). */
     Cycle now() const { return currentCycle; }
 
-    /** Clocking discipline this simulation runs under. */
-    ClockingMode clocking() const { return mode; }
-
     /**
      * Schedule an external wake at @p cycle. Used by run predicates
      * (e.g. the traffic arbiter's open-loop arrival schedule) that
-     * know about future work no registered component can see yet.
-     * Ignored under Exhaustive clocking (every cycle is processed
-     * anyway), and for cycles not strictly in the future.
+     * know about future work the system cannot see yet. Ignored under
+     * Exhaustive clocking (every cycle is processed anyway), and for
+     * cycles not strictly in the future.
      */
     void requestWake(Cycle cycle);
 
     /**
-     * Advance exactly one cycle, ticking every component (legacy
-     * stepper semantics regardless of clocking mode). White-box tests
-     * drive components manually through this.
+     * Advance exactly one cycle, ticking the system (legacy stepper
+     * semantics regardless of clocking mode). White-box tests drive
+     * the system manually through this.
      */
     void step();
 
@@ -88,6 +78,10 @@ class Simulation
      * stepping one cycle at a time until a watchdog fires, exactly as
      * the exhaustive stepper would on the same deadlock.
      *
+     * As it returns or throws, after accounting its wall time, it
+     * writes the counters below into the system's sim.* gauges
+     * (MemorySystem::recordSimPerf).
+     *
      * @param done              Completion predicate.
      * @param max_cycles        Simulated-cycle watchdog.
      * @param wall_limit_millis Wall-clock watchdog; 0 disables it.
@@ -100,7 +94,7 @@ class Simulation
     /** @name Clocking performance counters
      * Accumulated across all runUntil calls on this instance.
      * @{ */
-    /** Processed cycles (every component ticked). */
+    /** Processed cycles (the system ticked). */
     std::uint64_t simTicks() const { return ticksProcessed; }
     /** Cycles skipped by event clocking (0 under Exhaustive). */
     std::uint64_t cyclesSkipped() const { return skippedCycles; }
@@ -111,25 +105,10 @@ class Simulation
     /** @} */
 
   private:
-    /** Concrete component type, resolved at registration (see add()). */
-    enum class CompKind : std::uint8_t
-    {
-        Generic, ///< Virtual dispatch
-        Pva,     ///< PvaUnit (hot virtuals are final)
-    };
-
-    /** One registered component with its pre-resolved dispatch tag. */
-    struct TickEntry
-    {
-        Component *c;
-        CompKind kind;
-    };
-
-    static void tickOne(const TickEntry &e, Cycle now);
-    static void beginOne(const TickEntry &e, Cycle now);
-    static Cycle wakeOne(const TickEntry &e, Cycle now);
-
-    std::vector<TickEntry> components;
+    MemorySystem &system;
+    /** The system when it is a PvaUnit (its hot methods are final and
+     *  called directly), else null. */
+    PvaUnit *pva;
     Cycle currentCycle = 0;
     ClockingMode mode;
 

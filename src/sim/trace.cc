@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "sim/json.hh"
 
@@ -15,7 +16,16 @@ namespace
 
 std::atomic<TraceSession *> currentSession{nullptr};
 
+thread_local std::string threadPrefix; ///< Empty: no ProcessPrefix
+
 } // anonymous namespace
+
+ProcessPrefix::ProcessPrefix(std::string prefix)
+    : outer(std::exchange(threadPrefix, std::move(prefix)))
+{
+}
+
+ProcessPrefix::~ProcessPrefix() { threadPrefix = std::move(outer); }
 
 TraceSession *
 session()
@@ -108,9 +118,12 @@ TraceSession::profileReport() const
 }
 
 std::uint32_t
-TraceSession::registerTrack(const std::string &process,
+TraceSession::registerTrack(const std::string &bare_process,
                             const std::string &track)
 {
+    const std::string process = threadPrefix.empty()
+                                    ? bare_process
+                                    : threadPrefix + "/" + bare_process;
     std::lock_guard<std::mutex> lock(registryMutex);
     for (std::size_t i = 0; i < tracks.size(); ++i) {
         if (tracks[i].process == process && tracks[i].track == track)
@@ -145,7 +158,7 @@ TraceSession::registerTrack(const std::string &process,
         processes.push_back(process);
         pid = static_cast<std::uint32_t>(processes.size());
     }
-    tracks.push_back(TrackMeta{process, track, pid});
+    tracks.push_back(TrackMeta{process, track, pid, threadPrefix});
     return static_cast<std::uint32_t>(tracks.size());
 }
 
@@ -183,13 +196,39 @@ TraceSession::exportChromeJson(std::ostream &os) const
     std::lock_guard<std::mutex> lock(registryMutex);
     const std::size_t n = static_cast<std::size_t>(recorded());
 
-    // Stable sort by timestamp: Perfetto wants non-decreasing ts, and
-    // record order breaks ties so B precedes E within one cycle.
+    // Number tracks by prefix, then registration; processes likewise.
+    std::vector<std::uint32_t> byPrefix(tracks.size());
+    std::iota(byPrefix.begin(), byPrefix.end(), 0u);
+    std::stable_sort(byPrefix.begin(), byPrefix.end(),
+                     [this](std::uint32_t a, std::uint32_t b) {
+                         return tracks[a].prefix < tracks[b].prefix;
+                     });
+    std::vector<std::uint32_t> tid(tracks.size()), pid(processes.size());
+    std::vector<std::uint32_t> pidOrder; ///< Old pid - 1, by new pid
+    for (std::uint32_t i = 0; i < byPrefix.size(); ++i) {
+        tid[byPrefix[i]] = i + 1;
+        const std::uint32_t old = tracks[byPrefix[i]].pid - 1;
+        if (pid[old] == 0) {
+            pidOrder.push_back(old);
+            pid[old] = static_cast<std::uint32_t>(pidOrder.size());
+        }
+    }
+
+    // Stable sort by timestamp, then prefix: Perfetto wants
+    // non-decreasing ts, and record order breaks the remaining ties so
+    // B precedes E within one cycle.
+    static const std::string none;
+    auto prefixOf = [this](const Event &e) -> const std::string & {
+        return e.track - 1u < tracks.size() ? tracks[e.track - 1].prefix
+                                            : none;
+    };
     std::vector<std::uint32_t> order(n);
     std::iota(order.begin(), order.end(), 0u);
     std::stable_sort(order.begin(), order.end(),
-                     [this](std::uint32_t a, std::uint32_t b) {
-                         return buffer[a].ts < buffer[b].ts;
+                     [&](std::uint32_t a, std::uint32_t b) {
+                         const Event &x = buffer[a], &y = buffer[b];
+                         return x.ts != y.ts ? x.ts < y.ts
+                                             : prefixOf(x) < prefixOf(y);
                      });
 
     // One event per line from column 0: a Block layout indented by 0.
@@ -198,15 +237,16 @@ TraceSession::exportChromeJson(std::ostream &os) const
     w.beginObject(block).key("traceEvents").beginArray(block);
 
     // Metadata: names for every process and enabled track.
-    for (std::size_t p = 0; p < processes.size(); ++p) {
+    for (std::size_t p = 0; p < pidOrder.size(); ++p) {
         w.beginObject().field("name", "process_name").field("ph", "M");
         w.field("pid", p + 1).field("tid", 0).key("args").beginObject();
-        w.field("name", processes[p]).end().end();
+        w.field("name", processes[pidOrder[p]]).end().end();
     }
-    for (std::size_t t = 0; t < tracks.size(); ++t) {
+    for (std::uint32_t t : byPrefix) {
         w.beginObject().field("name", "thread_name").field("ph", "M");
-        w.field("pid", tracks[t].pid).field("tid", t + 1).key("args");
-        w.beginObject().field("name", tracks[t].track).end().end();
+        w.field("pid", pid[tracks[t].pid - 1]).field("tid", tid[t]);
+        w.key("args").beginObject().field("name", tracks[t].track);
+        w.end().end();
     }
 
     for (std::uint32_t idx : order) {
@@ -216,7 +256,8 @@ TraceSession::exportChromeJson(std::ostream &os) const
         const char phase = static_cast<char>(e.phase);
         w.beginObject().field("name", e.name ? e.name : "?");
         w.field("ph", std::string_view(&phase, 1)).field("ts", e.ts);
-        w.field("pid", tracks[e.track - 1].pid).field("tid", e.track);
+        w.field("pid", pid[tracks[e.track - 1].pid - 1]);
+        w.field("tid", tid[e.track - 1]);
         if (e.phase == Phase::Instant)
             w.field("s", "t");
         if (e.key1 || e.key2) {

@@ -15,7 +15,7 @@
  * loads directly in Perfetto or chrome://tracing. The mapping:
  *
  *  - one trace "process" (pid) per MemorySystem (and one each for the
- *    simulation clock and the traffic arbiter),
+ *    simulation clock and the traffic arbiter), under a ProcessPrefix,
  *  - one "track" (tid) per component: frontend, bus, per-transaction
  *    slots, bank controllers, devices,
  *  - duration events (B/E) for spans (a transaction's lifetime, a CAS
@@ -136,8 +136,9 @@ class TraceSession
 
     /**
      * Register (or look up) the track @p track under process
-     * @p process. Returns the 1-based track id to pass to record(),
-     * or 0 if the session filter excludes this track.
+     * @p process (with this thread's ProcessPrefix). Returns the
+     * 1-based track id to pass to record(), or 0 if the session filter
+     * excludes this track.
      */
     std::uint32_t registerTrack(const std::string &process,
                                 const std::string &track);
@@ -196,9 +197,12 @@ class TraceSession
 
     /**
      * Write the whole session as Chrome trace JSON: a traceEvents
-     * array (sorted by timestamp, stable within a cycle) plus
-     * process_name/thread_name metadata and a top-level "pvaTrace"
-     * object carrying recorded/dropped accounting.
+     * array plus process_name/thread_name metadata and a top-level
+     * "pvaTrace" object carrying recorded/dropped accounting. Events
+     * sort by timestamp, ProcessPrefix, then record order; tracks and
+     * processes are numbered by prefix, then registration order. One
+     * thread registers and records a prefix's tracks, so the bytes do
+     * not depend on how threads interleave.
      */
     void exportChromeJson(std::ostream &os) const;
 
@@ -208,6 +212,7 @@ class TraceSession
         std::string process;
         std::string track;
         std::uint32_t pid = 0; ///< 1-based process index
+        std::string prefix;    ///< ProcessPrefix at registration
     };
 
     /** Tally one sampled event (rare: every profPeriod-th record). */
@@ -227,6 +232,20 @@ class TraceSession
     mutable std::mutex registryMutex;
     std::vector<TrackMeta> tracks;      ///< index = id - 1
     std::vector<std::string> processes; ///< index = pid - 1
+};
+
+/** While alive, names each process this thread registers
+ *  "<prefix>/<process>" (a fleet shard's "shard2/pva"). */
+class ProcessPrefix
+{
+  public:
+    explicit ProcessPrefix(std::string prefix);
+    ~ProcessPrefix();
+    ProcessPrefix(const ProcessPrefix &) = delete;
+    ProcessPrefix &operator=(const ProcessPrefix &) = delete;
+
+  private:
+    std::string outer; ///< The prefix in force before this one
 };
 
 /** Current process-wide session; null when tracing is inactive. */

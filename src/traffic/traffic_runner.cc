@@ -81,8 +81,7 @@ runTraffic(const TrafficConfig &config, std::ostream *stats_dump)
     fleet::MessageBus bus;
     fleet::FleetArbiter arbiter(config.arbiter, std::move(seats), bus);
 
-    Simulation sim(config.config.clocking);
-    sim.add(sys.get());
+    Simulation sim(*sys, config.config.clocking);
     fleet::runToDrain(sim, arbiter, *sys, config.limits);
 
     TrafficResult r;
@@ -90,7 +89,6 @@ runTraffic(const TrafficConfig &config, std::ostream *stats_dump)
     r.simTicks = sim.simTicks();
     r.cyclesSkipped = sim.cyclesSkipped();
     r.cyclesPerSecond = sim.cyclesPerSecond();
-    sys->recordSimPerf(r.simTicks, r.cyclesSkipped, r.cyclesPerSecond);
     copyTotals(stats.total(), arbiter.occupancySum(),
                arbiter.occupancyCycles(), r);
 

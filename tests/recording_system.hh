@@ -4,8 +4,9 @@
  * system it wraps, records the commands that system accepts, and
  * counts offers made against MemorySystem::trySubmit's refusal
  * contract (a refusal holds until a completion has been drained, so
- * an offer in between is wasted). Add the wrapped system, not the
- * recorder, to the Simulation.
+ * an offer in between is wasted). It forwards the clock hooks too, so
+ * a Simulation built over the recorder clocks the wrapped system
+ * exactly as one built over that system would.
  */
 
 #ifndef PVA_TESTS_RECORDING_SYSTEM_HH
@@ -62,7 +63,14 @@ class RecordingSystem final : public MemorySystem
     std::size_t inFlight() const override { return inner.inFlight(); }
     SparseMemory &memory() override { return inner.memory(); }
     StatSet &stats() override { return inner.stats(); }
-    void tick(Cycle) override {}
+    void tick(Cycle now) override { inner.tick(now); }
+    Cycle
+    nextWakeAfter(Cycle now) const override
+    {
+        return inner.nextWakeAfter(now);
+    }
+    void onCycleBegin(Cycle now) override { inner.onCycleBegin(now); }
+    void setClocking(ClockingMode mode) override { inner.setClocking(mode); }
 
     std::vector<VectorCommand> accepted;    ///< In acceptance order
     std::vector<std::uint64_t> acceptedTags; ///< Parallel to accepted

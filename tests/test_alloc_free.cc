@@ -53,8 +53,7 @@ TEST(AllocFree, SaturatedTickPathAllocatesNothingAfterWarmup)
     // timers hold absolute cycles, so restarting the clock would give
     // the second pass artificial head-of-run waits (and larger
     // latency-histogram samples than warmup provisioned for).
-    Simulation sim(ClockingMode::Event);
-    sim.add(sys.get());
+    Simulation sim(*sys, ClockingMode::Event);
 
     // Warmup: one full run grows every pool, queue, scratch buffer
     // and stat histogram to its steady-state capacity.
@@ -101,8 +100,7 @@ TEST(AllocFree, IndirectGatherAllocatesNothingAfterWarmup)
 {
     SystemConfig config;
     auto sys = makeSystem(SystemKind::PvaSdram, config);
-    Simulation sim(ClockingMode::Event);
-    sim.add(sys.get());
+    Simulation sim(*sys, ClockingMode::Event);
     const WordAddr target = WordAddr{1} << 22;
 
     // Warmup: one batch grows the bus latch's, the transaction slots'

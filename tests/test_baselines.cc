@@ -37,8 +37,7 @@ Cycle
 runOne(MemorySystem &sys, const VectorCommand &c,
        const std::vector<Word> *wd, std::vector<Word> *out = nullptr)
 {
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     EXPECT_TRUE(sys.trySubmit(c, 0, wd));
     sim.runUntil([&] {
         auto done = sys.drainCompletions();
@@ -141,8 +140,7 @@ class SerialSystemTest : public ::testing::TestWithParam<Kind>
 TEST_P(SerialSystemTest, SerialQueueCompletesInOrder)
 {
     SerialSystem sys("serial", GetParam());
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     for (std::uint64_t t = 0; t < 4; ++t)
         ASSERT_TRUE(sys.trySubmit(cmd(t * 4096, 1), t, nullptr));
     EXPECT_TRUE(sys.busy());
@@ -174,8 +172,7 @@ TEST_P(SerialSystemTest, SerialQueueCompletesInOrder)
 TEST_P(SerialSystemTest, EightOutstandingLimit)
 {
     SerialSystem sys("serial", GetParam());
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     for (std::uint64_t t = 0; t < 8; ++t)
         ASSERT_TRUE(sys.trySubmit(cmd(t, 1), t, nullptr));
     EXPECT_EQ(sys.inFlight(), 8u);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/l2_cache.hh"
+#include "core/command_unit.hh"
 #include "core/pva_unit.hh"
 #include "core/shadow.hh"
 #include "expect_sim_error.hh"
@@ -21,9 +22,8 @@ namespace
 class CacheTest : public ::testing::Test
 {
   protected:
-    CacheTest() : mem("mem", SystemConfig{})
+    CacheTest() : mem("mem", SystemConfig{}), sim(mem)
     {
-        sim.add(&mem);
         cfg.sets = 4;
         cfg.ways = 2;
         cfg.lineWords = 32;
@@ -113,8 +113,7 @@ TEST(ShadowRegion, RemapsUnitStrideFillsToGathers)
     PvaUnit inner("pva", SystemConfig{});
     ShadowMemorySystem shadow("shadow", inner);
     shadow.mapShadow({1 << 20, 1024, 5000, 32});
-    Simulation sim;
-    sim.add(&shadow);
+    Simulation sim(shadow);
 
     for (std::uint32_t i = 0; i < 64; ++i)
         inner.memory().write(5000 + 32ull * i, 0x8800 + i);
@@ -144,8 +143,7 @@ TEST(ShadowRegion, NonShadowCommandsPassThrough)
     PvaUnit inner("pva", SystemConfig{});
     ShadowMemorySystem shadow("shadow", inner);
     shadow.mapShadow({1 << 20, 64, 5000, 8});
-    Simulation sim;
-    sim.add(&shadow);
+    Simulation sim(shadow);
 
     VectorCommand c;
     c.base = 123;
@@ -172,8 +170,7 @@ TEST(ShadowRegion, StridedShadowAccessComposesStrides)
     PvaUnit inner("pva", SystemConfig{});
     ShadowMemorySystem shadow("shadow", inner);
     shadow.mapShadow({1 << 20, 256, 9000, 5});
-    Simulation sim;
-    sim.add(&shadow);
+    Simulation sim(shadow);
 
     VectorCommand c;
     c.base = 1 << 20;
@@ -213,13 +210,71 @@ TEST(ShadowRegionDeath, RejectsBadRegions)
                          SimErrorKind::Config, "boundary");
 }
 
+/** What a run of 16 stride-19 line gathers cost, read through a
+ *  shadow region or straight from real space. */
+struct GatherRun
+{
+    Cycle cycles = 0;
+    std::uint64_t simTicks = 0;
+    std::uint64_t bcTicks = 0;
+    std::vector<Word> words;
+};
+
+GatherRun
+strideGathers(bool shadowed, ClockingMode mode)
+{
+    constexpr WordAddr kShadowBase = 1 << 20, kRealBase = 5000;
+    PvaUnit inner("pva", SystemConfig{});
+    ShadowMemorySystem shadow("shadow", inner);
+    shadow.mapShadow({kShadowBase, 16 * 32, kRealBase, 19});
+    MemorySystem &sys = shadowed ? static_cast<MemorySystem &>(shadow)
+                                 : inner;
+    std::vector<VectorCommand> cmds(16);
+    for (std::uint32_t i = 0; i < 16; ++i) {
+        cmds[i].base = shadowed ? kShadowBase + 32 * i
+                                : kRealBase + 19 * 32 * i;
+        cmds[i].stride = shadowed ? 1 : 19;
+        cmds[i].length = 32;
+    }
+    Simulation sim(sys, mode);
+    GatherRun r;
+    r.words = runCommands(sys, sim, cmds, 1000000);
+    r.cycles = sim.now();
+    r.simTicks = sim.simTicks();
+    r.bcTicks = inner.stats().scalar("sim.bcTicks");
+    return r;
+}
+
+TEST(ShadowRegion, ForwardsTheClockToTheWrappedSystem)
+{
+    // The shadow adds no work of its own: under either clocking a
+    // wrapped run processes exactly the cycles and controller ticks
+    // of the same gathers issued in real space, so event clocking
+    // skips the wrapped system's idle cycles and exhaustive clocking
+    // ticks every controller every cycle.
+    GatherRun event, exhaustive;
+    for (ClockingMode mode :
+         {ClockingMode::Event, ClockingMode::Exhaustive}) {
+        SCOPED_TRACE(clockingModeName(mode));
+        const GatherRun bare = strideGathers(false, mode);
+        const GatherRun wrapped = strideGathers(true, mode);
+        EXPECT_EQ(wrapped.words, bare.words);
+        EXPECT_EQ(wrapped.cycles, bare.cycles);
+        EXPECT_EQ(wrapped.simTicks, bare.simTicks);
+        EXPECT_EQ(wrapped.bcTicks, bare.bcTicks);
+        (mode == ClockingMode::Event ? event : exhaustive) = wrapped;
+    }
+    EXPECT_EQ(event.cycles, exhaustive.cycles);
+    EXPECT_LT(event.simTicks, event.cycles);
+    EXPECT_EQ(exhaustive.bcTicks, exhaustive.cycles * 16);
+}
+
 TEST(CacheWithShadow, ShadowPathReachesFullUtilization)
 {
     PvaUnit inner("pva", SystemConfig{});
     ShadowMemorySystem shadow("shadow", inner);
     shadow.mapShadow({1 << 20, 512, 7777, 32});
-    Simulation sim;
-    sim.add(&shadow);
+    Simulation sim(shadow);
     CacheConfig cfg;
     cfg.sets = 4;
     cfg.ways = 2;

@@ -96,8 +96,7 @@ TEST(CommandUnit, IssuesPastBlockedOps)
     trace.ops.push_back(makeRead(16384));
 
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     VectorCommandUnit vcu(sys, trace);
 
     // After a few cycles, ops 0 and 2 must be in flight (2 reads
@@ -125,8 +124,7 @@ TEST(CommandUnit, ARefusalHoldsUntilACompletionDrains)
     KernelTrace trace;
     for (unsigned i = 0; i < 12; ++i)
         trace.ops.push_back(makeRead(i * 4096, 1 + i % 5));
-    Simulation sim;
-    sim.add(&pva);
+    Simulation sim(pva);
     VectorCommandUnit vcu(sys, trace);
     vcu.run(sim, 1000000);
 
@@ -156,8 +154,7 @@ TEST(CommandUnit, CapturesGatheredData)
     for (unsigned i = 0; i < 32; ++i)
         sys.memory().write(100 + 3 * i, 0x40 + i);
 
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     VectorCommandUnit vcu(sys, trace);
     sim.runUntil([&] { return vcu.service(); });
 
@@ -182,8 +179,7 @@ TEST(CommandUnit, RunCommandsSlicesWriteValuesAndConcatenatesReads)
         values[i] = 0x900 + i;
 
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     EXPECT_TRUE(runCommands(sys, sim, writes, 100000, &values).empty());
     std::vector<VectorCommand> reads = writes;
     for (VectorCommand &c : reads)
@@ -205,8 +201,7 @@ TEST(CommandUnit, RunReturnsTheLastCompletionCycle)
     trace.ops.push_back(makeRead(100, 3));
     trace.ops.push_back(makeRead(9000, 5));
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     VectorCommandUnit vcu(sys, trace);
     const Cycle end = vcu.run(sim, 100000);
     EXPECT_EQ(end, sim.now());
@@ -231,8 +226,7 @@ TEST(Consistency, ReadAfterWriteThroughDependences)
     trace.ops[1].deps = {0};
 
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     VectorCommandUnit vcu(sys, trace);
     sim.runUntil([&] { return vcu.service(); });
     for (unsigned i = 0; i < 32; ++i)

@@ -14,6 +14,7 @@
 #include <string>
 #include <utility>
 
+#include "idle_system.hh"
 #include "kernels/runner.hh"
 #include "kernels/sweep.hh"
 #include "sim/sim_error.hh"
@@ -258,17 +259,6 @@ TEST(EventClocking, LowLoadTrafficActuallySkips)
     EXPECT_LT(r.simTicks, r.cycles / 10);
 }
 
-/** A component that is quiescent for long stretches: wakes every
- *  250 cycles and does nothing in between. */
-class SparseComponent : public Component
-{
-  public:
-    SparseComponent() : Component("sparse") {}
-    void tick(Cycle now) override { lastTick = now; }
-    Cycle nextWakeAfter(Cycle now) const override { return now + 250; }
-    Cycle lastTick = 0;
-};
-
 TEST(EventClocking, CycleWatchdogTripsAtTheSameCycle)
 {
     // A wake beyond the cycle budget must not let the clock overshoot:
@@ -276,9 +266,9 @@ TEST(EventClocking, CycleWatchdogTripsAtTheSameCycle)
     // cycle the exhaustive stepper would.
     for (ClockingMode mode :
          {ClockingMode::Exhaustive, ClockingMode::Event}) {
-        Simulation sim(mode);
-        SparseComponent comp;
-        sim.add(&comp);
+        // Quiescent for long stretches: wakes every 250 cycles.
+        test::IdleSystem sys(250);
+        Simulation sim(sys, mode);
         EXPECT_THROW(sim.runUntil([] { return false; }, 100),
                      SimError);
         EXPECT_EQ(sim.now(), 100u);
@@ -292,9 +282,8 @@ TEST(EventClocking, ExternalWakesEndSkippedSpans)
 {
     // requestWake() is how non-Component drivers (the traffic
     // arbiter) get scheduled: a posted wake must bound the jump.
-    Simulation sim(ClockingMode::Event);
-    SparseComponent comp;
-    sim.add(&comp);
+    test::IdleSystem sys(250);
+    Simulation sim(sys, ClockingMode::Event);
     sim.requestWake(40);
     std::size_t iterations = 0;
     sim.runUntil([&] {

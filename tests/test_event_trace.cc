@@ -297,6 +297,61 @@ TEST(EventTrace, FilterDisablesNonMatchingTracks)
     EXPECT_EQ(s.dropped(), 0u);
 }
 
+/** Export of two prefixed "shards" that register their tracks and
+ *  record one event each per cycle, shard 1 first when @p one_first
+ *  (as two threads may interleave). */
+std::string
+shardedExport(bool one_first)
+{
+    trace::TraceSession s;
+    std::uint32_t track[2];
+    for (int k = 0; k < 2; ++k) {
+        const int shard = one_first ? 1 - k : k;
+        trace::ProcessPrefix prefix("shard" + std::to_string(shard));
+        track[shard] = s.registerTrack("pva", "bc0");
+    }
+    for (Cycle c = 0; c < 3; ++c) {
+        for (int k = 0; k < 2; ++k) {
+            const int shard = one_first ? 1 - k : k;
+            s.record(track[shard], trace::Phase::Instant, c, "e", "shard",
+                     shard);
+        }
+    }
+    std::ostringstream os;
+    s.exportChromeJson(os);
+    return os.str();
+}
+
+TEST(EventTrace, PrefixedShardsExportTheSameBytesInAnyOrder)
+{
+    const std::string a = shardedExport(false);
+    EXPECT_EQ(a, shardedExport(true));
+    // Shard 0's process and track come first, and so do its events
+    // within a cycle.
+    EXPECT_NE(a.find("\"pid\": 1, \"tid\": 0, \"args\": {\"name\": "
+                     "\"shard0/pva\"}"),
+              std::string::npos)
+        << a;
+    EXPECT_LT(a.find("\"ts\": 0, \"pid\": 1"),
+              a.find("\"ts\": 0, \"pid\": 2"));
+}
+
+TEST(EventTrace, ProcessPrefixEndsWithItsScope)
+{
+    trace::TraceSession s;
+    {
+        trace::ProcessPrefix prefix("shard3");
+        ASSERT_NE(s.registerTrack("pva", "bc0"), 0u);
+    }
+    ASSERT_NE(s.registerTrack("pva", "bc0"), 0u);
+    EXPECT_EQ(s.trackCount(), 2u) << "two processes, one track each";
+    std::ostringstream os;
+    s.exportChromeJson(os);
+    EXPECT_NE(os.str().find("{\"name\": \"shard3/pva\"}"),
+              std::string::npos);
+    EXPECT_NE(os.str().find("{\"name\": \"pva\"}"), std::string::npos);
+}
+
 TEST(EventTrace, GlobMatchSemantics)
 {
     EXPECT_TRUE(trace::globMatch("bc*", "bc12"));

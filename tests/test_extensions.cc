@@ -65,8 +65,7 @@ TEST(BitReversal, GatherPermutesThroughThePva)
     for (auto [sys, cycles] :
          {std::pair<MemorySystem *, Cycle>{&pva, 158},
           {&cacheline, 1448}}) {
-        Simulation sim;
-        sim.add(sys);
+        Simulation sim(*sys);
         constexpr std::uint32_t N = 256;
         for (std::uint32_t i = 0; i < N; ++i)
             sys->memory().write(5000 + i, 0xc000 + i);
@@ -99,8 +98,7 @@ TEST(IndirectPhases, CommandConstruction)
 TEST(Indirect, GatherThroughThePva)
 {
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
 
     constexpr std::uint32_t N = 100;
     Random rng(3);
@@ -123,8 +121,7 @@ TEST(Indirect, GatherThroughThePva)
 TEST(Indirect, ScatterThroughThePva)
 {
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
 
     constexpr std::uint32_t N = 64;
     std::vector<WordAddr> idx;
@@ -143,8 +140,7 @@ TEST(Indirect, ScatterThroughThePva)
 TEST(Indirect, DuplicateIndicesGatherTheSameWord)
 {
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     for (std::uint32_t i = 0; i < 32; ++i)
         sys.memory().write(4000 + i, 55); // all indices the same
     sys.memory().write(100000 + 55, 0x1234);
@@ -166,8 +162,7 @@ TEST(Indirect, PhaseTwoCostsReflectBroadcastOverhead)
 
     Cycle t_ind, t_str;
     {
-        Simulation sim;
-        sim.add(&a);
+        Simulation sim(a);
         auto cmds = indirectPhase2(0, idx, 32, true);
         ASSERT_EQ(cmds.size(), 1u);
         a.trySubmit(cmds[0], 0, nullptr);
@@ -175,8 +170,7 @@ TEST(Indirect, PhaseTwoCostsReflectBroadcastOverhead)
         t_ind = sim.now();
     }
     {
-        Simulation sim;
-        sim.add(&b);
+        Simulation sim(b);
         VectorCommand c;
         c.base = 0;
         c.stride = 19;

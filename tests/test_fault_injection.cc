@@ -79,8 +79,7 @@ TEST(FaultInjection, DroppedTransfersAreRecoveredWithCorrectData)
     cfg.timingCheck = true;
     cfg.faults.dropTransferRate = 0.05;
     PvaUnit sys("pva", cfg);
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
 
     std::vector<VectorCommand> cmds;
     std::uint64_t tag = 0;
@@ -113,8 +112,7 @@ TEST(FaultInjection, CorruptedFirstHitIsDetectedNotSilent)
     cfg.timingCheck = true;
     cfg.faults.corruptFirstHitRate = 1.0;
     PvaUnit sys("pva", cfg);
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     ASSERT_TRUE(sys.trySubmit(readCmd(777, 7), 0, nullptr));
     test::expectSimError(
         [&] {
@@ -155,8 +153,7 @@ TEST(FaultInjection, InjectedRefreshesAreCounted)
     cfg.timingCheck = true;
     cfg.faults.refreshStallRate = 0.01;
     PvaUnit sys("pva", cfg);
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     for (std::uint64_t t = 0; t < 8; ++t)
         ASSERT_TRUE(sys.trySubmit(readCmd(t * 997, 5), t, nullptr));
     collectN(sys, sim, 8);

@@ -53,8 +53,7 @@ TEST_P(BlockInterleave, GathersCorrectlyAtEveryStride)
     SystemConfig cfg;
     cfg.geometry = Geometry(16, GetParam());
     PvaUnit sys("pva", cfg);
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
 
     std::uint64_t tag = 0;
     for (std::uint32_t stride : {1u, 2u, 7u, 16u, 19u, 33u}) {
@@ -76,8 +75,7 @@ TEST_P(BlockInterleave, ScatterRoundTrip)
     SystemConfig cfg;
     cfg.geometry = Geometry(8, GetParam());
     PvaUnit sys("pva", cfg);
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
 
     std::vector<Word> payload(32);
     for (unsigned i = 0; i < 32; ++i)
@@ -105,8 +103,7 @@ TEST(BlockInterleave, UnitStrideUsesFewerBanksThanWordInterleave)
     PvaUnit word("word", SystemConfig{});
 
     for (PvaUnit *sys : {&block, &word}) {
-        Simulation sim;
-        sim.add(sys);
+        Simulation sim(*sys);
         ASSERT_TRUE(sys->trySubmit(readCmd(0, 1), 0, nullptr));
         collectN(*sys, sim, 1);
     }
@@ -125,8 +122,7 @@ TEST(Refresh, StealsCyclesAndClosesRows)
     Cycle t_with, t_without;
     for (auto *p : {&with, &without}) {
         PvaUnit sys("pva", *p);
-        Simulation sim;
-        sim.add(&sys);
+        Simulation sim(sys);
         std::vector<Word> expect(32);
         // Stride 16 concentrates all elements in one bank: the run is
         // device-bound, so stolen refresh cycles are visible end to end.
@@ -150,8 +146,7 @@ TEST(Refresh, StealsCyclesAndClosesRows)
 TEST(Refresh, DisabledByDefault)
 {
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     ASSERT_TRUE(sys.trySubmit(readCmd(0, 1), 0, nullptr));
     collectN(sys, sim, 1);
     EXPECT_EQ(sys.stats().scalar("dev0.refreshes"), 0u);
@@ -163,8 +158,7 @@ runPolicyWorkload(RowPolicy policy)
     SystemConfig cfg;
     cfg.bc.rowPolicy = policy;
     PvaUnit sys("pva", cfg);
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     // Row-friendly workload: consecutive unit-stride lines walk the
     // same rows, so AlwaysClose should pay extra activates. Submit
     // within the 8-transaction window, then refill as completions
@@ -201,8 +195,7 @@ TEST(RowPolicy, AllPoliciesAreFunctionallyEquivalent)
         SystemConfig cfg;
         cfg.bc.rowPolicy = p;
         PvaUnit sys("pva", cfg);
-        Simulation sim;
-        sim.add(&sys);
+        Simulation sim(sys);
         std::vector<Word> payload(32);
         for (unsigned i = 0; i < 32; ++i)
             payload[i] = 0xaa00 + i;

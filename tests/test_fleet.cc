@@ -232,8 +232,7 @@ runReference(const TrafficConfig &tc)
     ref.stats = std::make_unique<ServiceStats>(names);
     StreamArbiter arbiter(tc.arbiter, std::move(sources), *ref.stats);
     auto sys = makeSystem(tc.system, tc.config);
-    Simulation sim(tc.config.clocking);
-    sim.add(sys.get());
+    Simulation sim(*sys, tc.config.clocking);
     std::uint64_t steps = 0, inFlight = 0;
     sim.runUntil(
         [&] {

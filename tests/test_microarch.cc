@@ -31,8 +31,7 @@ readCmd(WordAddr base, std::uint32_t stride, std::uint32_t len = 32)
 void
 runAll(PvaUnit &sys, const std::vector<VectorCommand> &cmds)
 {
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     std::size_t submitted = 0, completed = 0;
     sim.runUntil(
         [&] {
@@ -147,8 +146,7 @@ TEST(Microarch, BusCycleAccounting)
     // One read: VEC_READ + STAGE_READ requests, 16 data cycles.
     // One write: STAGE_WRITE + VEC_WRITE requests, 16 data cycles.
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     std::vector<Word> data(32, 1);
     VectorCommand wr = readCmd(4096, 1);
     wr.isRead = false;
@@ -179,8 +177,7 @@ TEST(Microarch, SchedulerHidesFhcLatencyUnderLoad)
     for (unsigned i = 0; i < 8; ++i)
         pow2.push_back(readCmd(i * 8192, 1));
 
-    Simulation sa;
-    sa.add(&a);
+    Simulation sa(a);
     std::size_t done_a = 0, sub_a = 0;
     sa.runUntil([&] {
         while (sub_a < odd.size() &&
@@ -190,8 +187,7 @@ TEST(Microarch, SchedulerHidesFhcLatencyUnderLoad)
         return done_a == odd.size();
     });
 
-    Simulation sb;
-    sb.add(&b);
+    Simulation sb(b);
     std::size_t done_b = 0, sub_b = 0;
     sb.runUntil([&] {
         while (sub_b < pow2.size() &&

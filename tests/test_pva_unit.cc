@@ -54,8 +54,7 @@ readCmd(WordAddr base, std::uint32_t stride, std::uint32_t len = 32)
 TEST(PvaUnit, WriteThenReadRoundTrip)
 {
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
 
     std::vector<Word> payload(32);
     for (unsigned i = 0; i < 32; ++i)
@@ -80,8 +79,7 @@ TEST(PvaUnit, EightOutstandingTransactionsMax)
         << "ninth submit must fail";
     EXPECT_TRUE(sys.busy());
 
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     auto done = collectN(sys, sim, 8);
     EXPECT_EQ(done.size(), 8u);
     EXPECT_FALSE(sys.busy());
@@ -91,8 +89,7 @@ TEST(PvaUnit, EightOutstandingTransactionsMax)
 TEST(PvaUnit, ConcurrentReadsReturnDistinctCorrectData)
 {
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
 
     std::vector<VectorCommand> cmds;
     for (std::uint64_t t = 0; t < 8; ++t) {
@@ -115,8 +112,7 @@ TEST(PvaUnit, ConcurrentReadsReturnDistinctCorrectData)
 TEST(PvaUnit, ShortVectorCommands)
 {
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     for (std::uint32_t len : {1u, 2u, 5u, 31u}) {
         ASSERT_TRUE(sys.trySubmit(readCmd(17, 19, len), len, nullptr));
         auto done = collectN(sys, sim, 1);
@@ -130,8 +126,7 @@ TEST(PvaUnit, ShortVectorCommands)
 TEST(PvaUnit, MixedReadWriteTrafficIsConsistent)
 {
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
 
     // Write two disjoint vectors and read them back concurrently.
     std::vector<Word> wa(32), wb(32);
@@ -163,16 +158,14 @@ TEST(PvaUnit, SramVariantIsFunctionallyIdenticalAndFaster)
     Cycle t_sdram, t_sram;
     std::vector<Word> d_sdram, d_sram;
     {
-        Simulation sim;
-        sim.add(&sdram);
+        Simulation sim(sdram);
         sdram.trySubmit(c, 0, nullptr);
         auto done = collectN(sdram, sim, 1);
         t_sdram = sim.now();
         d_sdram = done.at(0).data;
     }
     {
-        Simulation sim;
-        sim.add(&sram);
+        Simulation sim(sram);
         sram.trySubmit(c, 0, nullptr);
         auto done = collectN(sram, sim, 1);
         t_sram = sim.now();
@@ -185,8 +178,7 @@ TEST(PvaUnit, SramVariantIsFunctionallyIdenticalAndFaster)
 TEST(PvaUnit, StatsAreRegisteredAndCount)
 {
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     sys.trySubmit(readCmd(0, 1), 0, nullptr);
     collectN(sys, sim, 1);
     EXPECT_EQ(sys.stats().scalar("frontend.reads"), 1u);
@@ -204,8 +196,7 @@ TEST(PvaUnit, RandomScatterGatherFuzz)
     // random strided vectors; a software mirror checks every gathered
     // line against what the writes should have produced.
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     Random rng(0xfeed);
     std::map<WordAddr, Word> mirror;
 
@@ -244,26 +235,27 @@ TEST(PvaUnit, RandomScatterGatherFuzz)
 }
 
 /**
- * A passive observer ticked after the unit. It never asks for a wake,
- * so under event clocking it sees exactly the cycles the unit
- * processes, which include every cycle in which a bank controller
- * ticks or the front end acts. It records when each watched
- * controller first reports its share of transaction @c txn complete
- * and when that transaction's STAGE_READ is driven, and it takes the
- * unit's completions, with their data, in the cycle they are handed
- * over.
+ * A passive observer wrapped around the unit: it ticks the unit, then
+ * looks. It asks for no wake of its own, so under event clocking it
+ * sees exactly the cycles the unit processes, which include every
+ * cycle in which a bank controller ticks or the front end acts. It
+ * records when each watched controller first reports its share of
+ * transaction @c txn complete and when that transaction's STAGE_READ
+ * is driven, and it takes the unit's completions, with their data, in
+ * the cycle they are handed over.
  */
-class LineProbe final : public Component
+class LineProbe final : public MemorySystem
 {
   public:
     LineProbe(PvaUnit &unit_, std::uint8_t txn_)
-        : Component("probe"), unit(unit_), txn(txn_)
+        : MemorySystem("probe"), unit(unit_), txn(txn_)
     {
     }
 
     void
     tick(Cycle now) override
     {
+        unit.tick(now);
         for (unsigned b : watched) {
             if (!shareDoneAt.count(b) &&
                 unit.bankController(b).txnComplete(txn))
@@ -278,7 +270,28 @@ class LineProbe final : public Component
         }
     }
 
-    Cycle nextWakeAfter(Cycle) const override { return kNeverCycle; }
+    Cycle
+    nextWakeAfter(Cycle now) const override
+    {
+        return unit.nextWakeAfter(now);
+    }
+    void onCycleBegin(Cycle now) override { unit.onCycleBegin(now); }
+    void setClocking(ClockingMode mode) override { unit.setClocking(mode); }
+
+    bool
+    trySubmit(const VectorCommand &cmd, std::uint64_t tag,
+              const std::vector<Word> *write_data) override
+    {
+        return unit.trySubmit(cmd, tag, write_data);
+    }
+    void
+    drainCompletionsInto(std::vector<Completion> &out) override
+    {
+        unit.drainCompletionsInto(out);
+    }
+    bool busy() const override { return unit.busy(); }
+    SparseMemory &memory() override { return unit.memory(); }
+    StatSet &stats() override { return unit.stats(); }
 
     std::vector<unsigned> watched;          ///< Bank controllers to watch
     std::map<unsigned, Cycle> shareDoneAt;  ///< Per watched controller
@@ -333,10 +346,8 @@ class WiredOr : public ::testing::TestWithParam<ClockingMode>
 TEST_P(WiredOr, GatheringEndsTheCycleAfterTheLastShare)
 {
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim(GetParam());
-    sim.add(&sys);
     LineProbe probe(sys, 0);
-    sim.add(&probe);
+    Simulation sim(probe, GetParam());
 
     // Stride 8 over 31 elements: two banks hold 16 and 15 elements,
     // so their shares complete in different cycles.
@@ -360,10 +371,8 @@ TEST_P(WiredOr, GatheringEndsTheCycleAfterTheLastShare)
 TEST_P(WiredOr, SameCycleCompletionsFinishInSlotOrder)
 {
     PvaUnit sys("pva", SystemConfig{});
-    Simulation sim(GetParam());
-    sim.add(&sys);
     LineProbe probe(sys, 0);
-    sim.add(&probe);
+    Simulation sim(probe, GetParam());
     const std::vector<Word> payload(32, 7);
 
     // A one-element read takes slot 0 and a 32-element single-bank
@@ -391,10 +400,8 @@ TEST_P(WiredOr, ZeroHitTransactionCompletes)
     SystemConfig config;
     config.faults.corruptFirstHitRate = 1.0;
     PvaUnit sys("pva", config);
-    Simulation sim(GetParam());
-    sim.add(&sys);
     LineProbe probe(sys, 0);
-    sim.add(&probe);
+    Simulation sim(probe, GetParam());
 
     ASSERT_TRUE(sys.trySubmit(readCmd(77, 1, 1), 0, nullptr));
     runUntilFinished(sim, probe, 1);
@@ -416,10 +423,8 @@ TEST_P(WiredOr, RefetchedDropCompletesOnce)
     SystemConfig config;
     config.faults.dropTransferRate = 0.2;
     PvaUnit sys("pva", config);
-    Simulation sim(GetParam());
-    sim.add(&sys);
     LineProbe probe(sys, 0);
-    sim.add(&probe);
+    Simulation sim(probe, GetParam());
 
     std::vector<VectorCommand> cmds;
     for (std::uint64_t t = 0; t < 8; ++t) {
@@ -459,10 +464,8 @@ TEST_P(WiredOr, TheWidestUnitCompletesEverySlotOnce)
     SystemConfig config;
     config.bc.transactions = 255;
     PvaUnit sys("pva", config);
-    Simulation sim(GetParam());
-    sim.add(&sys);
     LineProbe probe(sys, 0);
-    sim.add(&probe);
+    Simulation sim(probe, GetParam());
 
     const WordAddr write_base = WordAddr{1} << 20;
     std::vector<VectorCommand> cmds; // indexed by tag
@@ -547,8 +550,7 @@ TEST_P(LongestLine, GathersEverySlotWithTheCheckerOn)
     config.clocking = GetParam();
     std::unique_ptr<MemorySystem> sys =
         makeSystem(SystemKind::PvaSdram, config);
-    Simulation sim(GetParam());
-    sim.add(sys.get());
+    Simulation sim(*sys, GetParam());
 
     const std::uint32_t len = BcConfig::kMaxLineWords;
     std::vector<Word> payload(len);

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "expect_sim_error.hh"
+#include "idle_system.hh"
 #include "sim/logging.hh"
 #include "sim/memory.hh"
 #include "sim/random.hh"
@@ -156,39 +157,42 @@ TEST(SparseMemory, BackgroundPatternIsAddressUnique)
         EXPECT_NE(mem.read(a), mem.read(a + 1)) << a;
 }
 
-class Counter : public Component
-{
-  public:
-    Counter() : Component("counter") {}
-    void tick(Cycle) override { ++count; }
-    unsigned count = 0;
-};
-
-TEST(Simulation, TicksComponentsInOrder)
-{
-    Simulation sim;
-    Counter a, b;
-    sim.add(&a);
-    sim.add(&b);
-    sim.step();
-    sim.step();
-    EXPECT_EQ(sim.now(), 2u);
-    EXPECT_EQ(a.count, 2u);
-    EXPECT_EQ(b.count, 2u);
-}
-
 TEST(Simulation, RunUntilStopsAtPredicate)
 {
-    Simulation sim;
-    Counter c;
-    sim.add(&c);
-    Cycle end = sim.runUntil([&] { return c.count >= 10; });
+    test::IdleSystem sys;
+    Simulation sim(sys);
+    Cycle end = sim.runUntil([&] { return sys.ticks >= 10; });
     EXPECT_EQ(end, 10u);
+}
+
+TEST(Simulation, TheSystemAdoptsTheClocking)
+{
+    test::IdleSystem sys;
+    Simulation sim(sys, ClockingMode::Exhaustive);
+    EXPECT_EQ(sys.clocking, ClockingMode::Exhaustive);
+}
+
+TEST(Simulation, RunUntilWritesTheSystemsGauges)
+{
+    // Ticks at 0, 10, ..., 90 and skips the 90 cycles between.
+    test::IdleSystem sys(10);
+    Simulation sim(sys);
+    sim.runUntil([&] { return sim.now() >= 100; });
+    EXPECT_EQ(sys.stats().scalar("sim.simTicks"), 10u);
+    EXPECT_EQ(sys.stats().scalar("sim.cyclesSkipped"), 90u);
+
+    // Accumulated across runs, and written when a watchdog throws.
+    EXPECT_THROW(sim.runUntil([] { return false; }, 50), SimError);
+    EXPECT_EQ(sys.stats().scalar("sim.simTicks"), sim.simTicks());
+    EXPECT_EQ(sys.stats().scalar("sim.cyclesSkipped"),
+              sim.cyclesSkipped());
+    EXPECT_EQ(sim.simTicks() + sim.cyclesSkipped(), 150u);
 }
 
 TEST(SimulationDeath, WatchdogThrows)
 {
-    Simulation sim;
+    test::IdleSystem sys;
+    Simulation sim(sys);
     test::expectSimError(
         [&] { sim.runUntil([] { return false; }, 100); },
         SimErrorKind::Watchdog, "watchdog");

@@ -29,8 +29,7 @@ TEST(Smoke, SingleStridedReadGathers)
 
     ASSERT_TRUE(sys.trySubmit(cmd, 42, nullptr));
 
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     std::vector<Completion> done;
     sim.runUntil(
         [&] {

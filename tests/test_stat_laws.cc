@@ -132,8 +132,7 @@ TEST(StatLaws, HoldOverATrafficRunWithAnIndirectStream)
     test::RecordingSystem recorder(*sys);
     fleet::MessageBus bus;
     fleet::FleetArbiter arbiter(ArbiterConfig{}, std::move(seats), bus);
-    Simulation sim(config.clocking);
-    sim.add(sys.get());
+    Simulation sim(*sys, config.clocking);
     fleet::runToDrain(sim, arbiter, recorder, RunLimits{10000000});
 
     ASSERT_EQ(recorder.accepted.size(), 900u);

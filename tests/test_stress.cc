@@ -25,8 +25,7 @@ namespace
 void
 pump(PvaUnit &sys, Random &rng, unsigned rounds)
 {
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     std::map<WordAddr, Word> mirror;
 
     struct Pending

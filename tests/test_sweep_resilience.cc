@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "expect_sim_error.hh"
+#include "idle_system.hh"
 #include "kernels/sweep_executor.hh"
 #include "sim/simulation.hh"
 
@@ -86,7 +87,8 @@ TEST(SweepResilience, WallClockWatchdogTripsQuickly)
     // watchdog in ~the configured budget — not by the 300 s ctest
     // timeout. The predicate below never becomes true, simulating a
     // hung point.
-    Simulation sim;
+    test::IdleSystem sys;
+    Simulation sim(sys);
     auto t0 = std::chrono::steady_clock::now();
     test::expectSimError(
         [&] {

@@ -262,8 +262,7 @@ TEST(TimingCheckerIntegration, CheckerStatsAreRegistered)
     SystemConfig cfg;
     cfg.timingCheck = true;
     PvaUnit sys("pva", cfg);
-    Simulation sim;
-    sim.add(&sys);
+    Simulation sim(sys);
     VectorCommand cmd;
     cmd.base = 100;
     cmd.stride = 7;

@@ -3,7 +3,9 @@
  * ToolApp flag parsing: numeric flags reject values their destination
  * field cannot hold (too large, negative, out of range) with the
  * one-line fatal every tool prints, instead of wrapping into a small
- * field.
+ * field; named values reject a name they do not know the same way; and
+ * a flag the tool does not take, or one missing its value, is named
+ * before the usage text.
  */
 
 #include <string>
@@ -73,6 +75,27 @@ TEST(ToolAppNumOptionDeathTest, RejectsValuesTheFieldCannotHold)
                 exit1, "^fatal: --profile-period expects a number in");
     EXPECT_EXIT(parseSimFlags({"--vcs", "banana"}), exit1,
                 "^fatal: --vcs expects a number, got 'banana'");
+}
+
+TEST(ToolAppParseDeathTest, NamesTheFlagItRefuses)
+{
+    const auto exit2 = ::testing::ExitedWithCode(2);
+    // A retired flag an old script may still pass.
+    EXPECT_EXIT(parseSimFlags({"--checkpoint", "j.jsonl"}), exit2,
+                "^pva_sim: unknown option '--checkpoint'\nusage: pva_sim");
+    EXPECT_EXIT(parseSimFlags({"--kernel", "copy", "--stride"}), exit2,
+                "^pva_sim: --stride needs a value\nusage: pva_sim");
+}
+
+TEST(ToolAppOptionDeathTest, NamesAnUnknownValue)
+{
+    const auto exit1 = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(parseSimFlags({"--row-policy", "bogus"}), exit1,
+                "^fatal: --row-policy expects 'managed', 'open' or "
+                "'close', got 'bogus'");
+    EXPECT_EXIT(parseSimFlags({"--backend", "bogus"}), exit1,
+                "^fatal: --backend expects 'legacy', 'salp' or "
+                "'deferred', got 'bogus'");
 }
 
 } // anonymous namespace

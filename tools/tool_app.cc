@@ -172,9 +172,10 @@ ToolApp::addSystemFlags(SystemConfig &config)
               config.bc.vectorContexts);
     option("--row-policy", "managed|open|close",
            "bank-controller row management policy",
-           [this, &config](const std::string &p) {
+           [&config](const std::string &p) {
                if (!parseRowPolicy(p, config.bc.rowPolicy))
-                   usage();
+                   fatal("--row-policy expects 'managed', 'open' or "
+                         "'close', got '%s'", p.c_str());
            });
     numOption("--refresh", "TREFI",
               "auto-refresh interval in cycles (0 = off)",
@@ -316,13 +317,13 @@ ToolApp::parse(int argc, char **argv)
             }
             const Spec *spec = find(arg);
             if (!spec)
-                usage();
+                usage("unknown option '" + arg + "'");
             if (!spec->takesValue) {
                 spec->apply(arg, std::string());
                 continue;
             }
             if (++i >= argc)
-                usage();
+                usage(arg + " needs a value");
             spec->apply(arg, argv[i]);
         }
         // Fail fast on unsupportable knob combinations.
@@ -335,8 +336,10 @@ ToolApp::parse(int argc, char **argv)
 }
 
 void
-ToolApp::usage() const
+ToolApp::usage(const std::string &problem) const
 {
+    if (!problem.empty())
+        std::fprintf(stderr, "%s: %s\n", name.c_str(), problem.c_str());
     std::fprintf(stderr, "usage: %s [options]%s%s\n",
                  name.c_str(), positionalMetavar.empty() ? "" : " ",
                  positionalMetavar.c_str());

@@ -121,14 +121,15 @@ class ToolApp
     /** @} */
 
     /**
-     * Parse argv. Unknown flags (or a missing value) print the
-     * generated usage text and exit(2). Any SystemConfig registered
-     * via addSystemFlags() is validated afterwards.
+     * Parse argv. An unknown flag (or a missing value) is named before
+     * the generated usage text, and the tool exits 2. Any SystemConfig
+     * registered via addSystemFlags() is validated afterwards.
      */
     void parse(int argc, char **argv);
 
-    /** Print the generated usage text and exit(2). */
-    [[noreturn]] void usage() const;
+    /** Print "<tool>: @p problem" when given, then the generated
+     *  usage text, and exit(2). */
+    [[noreturn]] void usage(const std::string &problem = "") const;
 
     const std::string &toolName() const { return name; }
     const TraceOptions &traceOptions() const { return trace; }
