@@ -13,15 +13,11 @@ VectorBus::VectorBus(unsigned line_words) : lineWords(line_words)
 }
 
 void
-VectorBus::drive(Cycle now, BusOpcode opcode, std::uint8_t txn,
-                 const VectorCommand &vec)
+VectorBus::drive(Cycle now, BusOpcode opcode, std::uint8_t txn)
 {
     if (!requestFree(now))
         panic("vector bus driven while busy at cycle %llu",
               static_cast<unsigned long long>(now));
-    lastRequestCycle = now;
-    lastRequest.opcode = opcode;
-    lastRequest.txn = txn;
     ++statRequestCycles;
     if (opcode == BusOpcode::StageRead || opcode == BusOpcode::StageWrite) {
         freeAt = now + 1 + dataCycles();
@@ -35,21 +31,13 @@ VectorBus::drive(Cycle now, BusOpcode opcode, std::uint8_t txn,
                           opcode == BusOpcode::StageRead
                               ? "stage_read" : "stage_write"););
     } else {
-        lastRequest.vec = vec;
         freeAt = now + 1;
         PVA_TRACE_INSTANT(traceTrackId, now,
                           opcode == BusOpcode::VecRead
                               ? "vec_read" : "vec_write",
                           "txn", txn);
     }
-}
-
-std::optional<BusRequest>
-VectorBus::snoop(Cycle now) const
-{
-    if (lastRequestCycle != kNeverCycle && lastRequestCycle == now)
-        return lastRequest;
-    return std::nullopt;
+    (void)txn; // read only by the trace events
 }
 
 void

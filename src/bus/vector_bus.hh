@@ -11,17 +11,16 @@
  * shared by all bank controllers.
  *
  * This class is a passive arbitration/occupancy model: the PVA front end
- * drives it, bank controllers snoop the command broadcast in the same
- * cycle (they tick after the front end).
+ * drives it and hands each VEC_READ/VEC_WRITE straight to the bank
+ * controllers it hits, which act on it in the same cycle (they tick
+ * after the front end).
  */
 
 #ifndef PVA_BUS_VECTOR_BUS_HH
 #define PVA_BUS_VECTOR_BUS_HH
 
 #include <cstdint>
-#include <optional>
 
-#include "core/vector_command.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -35,14 +34,6 @@ enum class BusOpcode : std::uint8_t
     VecWrite,
     StageRead,
     StageWrite,
-};
-
-/** One request-cycle broadcast. */
-struct BusRequest
-{
-    BusOpcode opcode;
-    VectorCommand vec; ///< Valid for VecRead/VecWrite
-    std::uint8_t txn;
 };
 
 /** Occupancy and broadcast model of the shared vector bus. */
@@ -64,16 +55,10 @@ class VectorBus
 
     /**
      * Drive a one-cycle command broadcast of @p opcode for transaction
-     * @p txn. VEC_READ / VEC_WRITE latch @p vec into the snooped
-     * request in place (its index list reuses the latch's capacity);
-     * STAGE_READ / STAGE_WRITE ignore @p vec and reserve the following
+     * @p txn. STAGE_READ / STAGE_WRITE also reserve the following
      * dataCycles() cycles for the line transfer.
      */
-    void drive(Cycle now, BusOpcode opcode, std::uint8_t txn,
-               const VectorCommand &vec);
-
-    /** The request driven this cycle, if any (same-cycle snoop). */
-    std::optional<BusRequest> snoop(Cycle now) const;
+    void drive(Cycle now, BusOpcode opcode, std::uint8_t txn);
 
     /** Cycle at which the current reservation ends (for completions). */
     Cycle busyUntil() const { return freeAt; }
@@ -94,8 +79,6 @@ class VectorBus
     unsigned lineWords;
     std::uint32_t traceTrackId = 0;
     Cycle freeAt = 0;
-    Cycle lastRequestCycle = kNeverCycle;
-    BusRequest lastRequest{};
 };
 
 } // namespace pva

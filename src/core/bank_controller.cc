@@ -12,7 +12,7 @@ namespace pva
 BankController::BankController(std::string name, unsigned bank,
                                const Geometry &geo_, const BcConfig &config,
                                BankDevice &dev_)
-    : Component(std::move(name)), geo(geo_), cfg(config), dev(dev_),
+    : ctrlName(std::move(name)), geo(geo_), cfg(config), dev(dev_),
       sdram(dynamic_cast<SdramDevice *>(&dev_)),
       bpol(dev_.backendPolicy()),
       pla(FirstHitPla::shared(geo_.bankBits())),

@@ -52,7 +52,6 @@
 #include "core/pla.hh"
 #include "core/vector_command.hh"
 #include "sdram/device.hh"
-#include "sim/component.hh"
 #include "sim/fault.hh"
 #include "sim/pool.hh"
 #include "sim/stats.hh"
@@ -87,12 +86,20 @@ struct BcConfig
     bool operator==(const BcConfig &) const = default;
 };
 
-/** One bank's controller. */
-class BankController final : public Component
+/** One bank's controller, a part its PVA unit ticks. */
+class BankController
 {
   public:
     BankController(std::string name, unsigned bank, const Geometry &geo,
                    const BcConfig &config, BankDevice &dev);
+
+    /** Instance name, used in diagnostics. */
+    const std::string &name() const { return ctrlName; }
+
+    /** @name Trace track handle (see sim/trace.hh; 0 = untraced) @{ */
+    void setTraceTrack(std::uint32_t id) { traceTrackId = id; }
+    std::uint32_t traceTrack() const { return traceTrackId; }
+    /** @} */
 
     /**
      * FHP snoop: called in the cycle a VEC_READ/VEC_WRITE broadcast
@@ -132,10 +139,12 @@ class BankController final : public Component
     /** Free the staging resources of @p txn after the line is staged. */
     void releaseTxn(std::uint8_t txn);
 
-    void tick(Cycle now) override;
+    /** Advance this BC by one cycle; its PVA unit calls it. */
+    void tick(Cycle now);
 
     /**
-     * Wake contract (sim/component.hh): the next cycle this BC can act,
+     * Wake contract (MemorySystem's, core/memory_system.hh, which its
+     * PVA unit folds in): the next cycle this BC can act,
      * given no new broadcast. That is the earliest of: the cycle each
      * VC's next command becomes legal (SdramDevice::legalCycleAfter —
      * the activate, precharge or polarity-eligible read/write the
@@ -147,7 +156,7 @@ class BankController final : public Component
      * Only an attached fault injector answers now + 1 instead: it
      * draws from its RNG stream once per tick, so the BC ticks every
      * cycle to keep fault timelines identical across modes. The one
-     * piece of BC state another component reads, the wired-OR
+     * piece of BC state another part reads, the wired-OR
      * transaction-complete line, needs the *reader* awake next cycle,
      * not this BC: the owning PvaUnit counts completedShares() down
      * per transaction and wakes itself at now + 1 when a count reaches
@@ -156,7 +165,7 @@ class BankController final : public Component
      * The same contract backs both the Simulation event core and the
      * owning PvaUnit's batched per-BC ticking (its cached wake cycles).
      */
-    Cycle nextWakeAfter(Cycle now) const override;
+    Cycle nextWakeAfter(Cycle now) const;
 
     /**
      * Bring the occupancy statistics current through cycle @p now - 1,
@@ -487,7 +496,9 @@ class BankController final : public Component
      * The concrete device type is fixed at construction; caching the
      * SdramDevice downcast turns the per-cycle row predicates, refresh
      * tick and restimer probes into direct (mostly inline) calls. The
-     * virtual fallback serves the SRAM comparison system.
+     * virtual fallback serves the SRAM comparison system. The fork
+     * measured faster than plain virtual calls (docs/PERFORMANCE.md,
+     * "Devirtualized dispatch").
      * @{ */
     bool
     devIsRowOpen(unsigned ibank, std::uint32_t row) const
@@ -558,6 +569,8 @@ class BankController final : public Component
     }
     /** @} */
 
+    std::string ctrlName;
+    std::uint32_t traceTrackId = 0;
     const Geometry &geo;
     BcConfig cfg;
     BankDevice &dev;

@@ -1,11 +1,52 @@
 /**
  * @file
- * Common interface all evaluated memory systems implement.
+ * Common interface all evaluated memory systems implement, and the
+ * simulator's one clocked interface.
  *
  * The kernel harness drives each of the paper's four memory systems
  * (PVA SDRAM, cache-line interleaved serial SDRAM, gathering pipelined
  * serial SDRAM, PVA SRAM) through this interface: submit cache-line
  * vector commands, tick the clock, drain completions.
+ *
+ * The simulator is cycle-driven. A Simulation clocks one memory system
+ * by calling its tick() at every *processed* cycle; the system ticks
+ * its own parts. The PVA front end drives the vector bus, then its
+ * bank controllers, in bank order, sample the broadcast in the same
+ * cycle (section 5.2.6) and clock their devices.
+ *
+ * Under ClockingMode::Event (sim/clocking.hh) not every cycle is
+ * processed: after ticking a cycle, the Simulation asks the system's
+ * nextWakeAfter() and jumps the clock directly to the earliest wake
+ * (the system's own answer folds in its parts', as the PVA front end's
+ * running minimum of its controllers' wakes does), or to an external
+ * wake if that comes first. The wake contract a system must honor:
+ *
+ *  - nextWakeAfter(now) returns the earliest future cycle at which the
+ *    system could change observable state, given no external input.
+ *    Returning kNeverCycle means "quiescent until someone drives me".
+ *    Waking *early* is always safe (an extra tick must be a no-op);
+ *    waking *late* breaks cycle-exactness.
+ *  - A tick that changed state *another part reads* must be followed
+ *    by a processed cycle at now + 1 — the part's own wake or its
+ *    reader's — so the reader samples the change on the next cycle
+ *    exactly as the exhaustive stepper would. State only the part
+ *    itself reads needs no such wake: its next action is already
+ *    bounded by the timers that state arms. (The bank controller is
+ *    the example: its queues, rows and restimers are private, so it
+ *    wakes when its next command can issue; only completing its share
+ *    of a transaction — its edge on the wired-OR transaction-complete
+ *    line, which the front end counts down — can need a processed
+ *    cycle at now + 1, and the front end, as owner and reader, asks
+ *    for it when the line deasserts. The simplest correct choice,
+ *    now + 1 after any work, remains valid everywhere.)
+ *  - The default (now + 1) keeps a system on the every-cycle
+ *    schedule, which is always correct, just slower.
+ *
+ * onCycleBegin() runs at the top of each processed cycle, before the
+ * run predicate and before any tick. Systems use it to settle
+ * bookkeeping that the exhaustive stepper got for free from being
+ * ticked every cycle (e.g. crediting per-cycle occupancy stats for the
+ * cycles skipped since the last tick).
  */
 
 #ifndef PVA_CORE_MEMORY_SYSTEM_HH
@@ -13,13 +54,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/vector_command.hh"
 #include "sim/clocking.hh"
-#include "sim/component.hh"
 #include "sim/memory.hh"
 #include "sim/stats.hh"
+#include "sim/types.hh"
 
 namespace pva
 {
@@ -31,11 +74,53 @@ struct Completion
     std::vector<Word> data; ///< Gathered line for reads; empty for writes
 };
 
-/** Abstract vector-capable memory system. */
-class MemorySystem : public Component
+/** Abstract vector-capable memory system: the clocked unit a
+ *  Simulation drives. */
+class MemorySystem
 {
   public:
-    using Component::Component;
+    explicit MemorySystem(std::string name) : systemName(std::move(name))
+    {
+    }
+    virtual ~MemorySystem() = default;
+
+    MemorySystem(const MemorySystem &) = delete;
+    MemorySystem &operator=(const MemorySystem &) = delete;
+
+    /** Advance the system by one processed clock cycle. */
+    virtual void tick(Cycle now) = 0;
+
+    /**
+     * Earliest future cycle (> @p now) at which this system could
+     * change observable state without external input; kNeverCycle if
+     * fully quiescent. Called after tick(@p now) under event clocking.
+     * Conservative (early) answers are safe; late answers are bugs.
+     */
+    virtual Cycle nextWakeAfter(Cycle now) const { return now + 1; }
+
+    /**
+     * Hook run at the top of every processed cycle @p now, before the
+     * run predicate and before any tick. State must be exactly as of
+     * the end of the previous processed cycle when this is called;
+     * implementations may account for skipped cycles here.
+     */
+    virtual void onCycleBegin(Cycle now) { (void)now; }
+
+    /** Instance name, used in stats, traces and diagnostics. */
+    const std::string &name() const { return systemName; }
+
+    /**
+     * @name Trace track handle
+     * The system's own trace track id (sim/trace.hh), assigned at
+     * construction; 0 means untraced — either tracing is off, no
+     * session is installed, or --trace-filter excluded the track.
+     * Plain data, present in all builds, so wiring code needs no
+     * conditional compilation.
+     * @{
+     */
+    void setTraceTrack(std::uint32_t id) { traceTrackId = id; }
+    std::uint32_t traceTrack() const { return traceTrackId; }
+    /** @} */
 
     /**
      * Submit a vector command. For writes, @p write_data supplies the
@@ -129,6 +214,10 @@ class MemorySystem : public Component
     Scalar statSimTicks;
     Scalar statSimCyclesSkipped;
     Scalar statSimCyclesPerSecond;
+
+  private:
+    std::string systemName;
+    std::uint32_t traceTrackId = 0;
 };
 
 } // namespace pva

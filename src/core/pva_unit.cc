@@ -14,7 +14,7 @@ namespace pva
 
 PvaUnit::PvaUnit(std::string name, const SystemConfig &config,
                  bool use_sram)
-    : MemorySystem(std::move(name)), cfg(config.validate()), sram(use_sram),
+    : MemorySystem(std::move(name)), cfg(config.validate()),
       vectorBus(config.bc.lineWords), txns(config.bc.transactions)
 {
     const unsigned banks = cfg.geometry.banks();
@@ -28,7 +28,7 @@ PvaUnit::PvaUnit(std::string name, const SystemConfig &config,
     bcs.reserve(banks);
     for (unsigned b = 0; b < banks; ++b) {
         std::string dev_name = csprintf("%s.dev%u", this->name().c_str(), b);
-        if (sram) {
+        if (use_sram) {
             devices.push_back(std::make_unique<SramDevice>(
                 dev_name, b, cfg.geometry, backing));
         } else {
@@ -95,10 +95,7 @@ PvaUnit::stats()
     statSet.addScalar("sim.bcTicks", &statBcTicks);
     for (unsigned b = 0; b < bcs.size(); ++b) {
         bcs[b]->registerStats(statSet, csprintf("bc%u", b));
-        if (!sram) {
-            static_cast<SdramDevice *>(devices[b].get())
-                ->registerStats(statSet, csprintf("dev%u", b));
-        }
+        devices[b]->registerStats(statSet, csprintf("dev%u", b));
     }
     return statSet;
 }
@@ -312,8 +309,7 @@ PvaUnit::tick(Cycle now)
             }
         }
         if (found) {
-            vectorBus.drive(now, BusOpcode::StageRead, chosen,
-                            txns[chosen].cmd);
+            vectorBus.drive(now, BusOpcode::StageRead, chosen);
             txns[chosen].state = TxnState::Staging;
             txns[chosen].readyAt = now + vectorBus.dataCycles();
             step1Due = std::min(step1Due, txns[chosen].readyAt);
@@ -331,7 +327,7 @@ PvaUnit::tick(Cycle now)
             }
             if (found) {
                 Txn &t = txns[chosen];
-                vectorBus.drive(now, BusOpcode::VecWrite, chosen, t.cmd);
+                vectorBus.drive(now, BusOpcode::VecWrite, chosen);
                 broadcast(chosen, now);
                 t.state = TxnState::Scattering;
                 tickActivity = true;
@@ -342,7 +338,7 @@ PvaUnit::tick(Cycle now)
                 Txn &t = txns[id];
                 if (t.state == TxnState::QueuedRead) {
                     submitOrder.popFront();
-                    vectorBus.drive(now, BusOpcode::VecRead, id, t.cmd);
+                    vectorBus.drive(now, BusOpcode::VecRead, id);
                     broadcast(id, now);
                     t.state = TxnState::Gathering;
                     tickActivity = true;
@@ -351,7 +347,7 @@ PvaUnit::tick(Cycle now)
                     submitOrder.popFront();
                     // No BC wake or line load: only the VEC_WRITE gives
                     // the controllers work (broadcast()).
-                    vectorBus.drive(now, BusOpcode::StageWrite, id, t.cmd);
+                    vectorBus.drive(now, BusOpcode::StageWrite, id);
                     t.state = TxnState::WriteData;
                     t.readyAt = now + vectorBus.dataCycles();
                     step1Due = std::min(step1Due, t.readyAt);

@@ -44,7 +44,7 @@
  * cycle, or the first data-cycle end still ahead.
  *
  * Batched bank-controller ticking (docs/PERFORMANCE.md): the front end
- * caches each BC's wake cycle (the Component::nextWakeAfter contract:
+ * caches each BC's wake cycle (the MemorySystem wake contract:
  * the next cycle one of its queued SDRAM commands can issue, a read
  * return lands or a refresh falls due) and their minimum, and skips
  * ticking controllers until then. A VEC_READ/VEC_WRITE broadcast
@@ -101,16 +101,16 @@ class PvaUnit : public MemorySystem
 
     /**
      * The first call registers every statistic of the unit, its bus,
-     * checker, bank controllers and devices; later calls return the
-     * same set. The counters accumulate from construction either way,
-     * so a set first read after a run holds every value. A system no
-     * one asks (a sweep point reads its cycles and its data) never
-     * builds the names.
+     * checker, bank controllers and devices (each device registers its
+     * own; the SRAM's none); later calls return the same set. The
+     * counters accumulate from construction either way, so a set first
+     * read after a run holds every value. A system no one asks (a
+     * sweep point reads its cycles and its data) never builds the
+     * names.
      */
     StatSet &stats() override;
 
-    /** Final so the Simulation's typed dispatch is a direct call. */
-    void tick(Cycle now) final;
+    void tick(Cycle now) override;
 
     /**
      * Wake contract: earliest of the txn state machine's timed
@@ -120,7 +120,7 @@ class PvaUnit : public MemorySystem
      * transaction-complete line deasserting; kNeverCycle when fully
      * drained.
      */
-    Cycle nextWakeAfter(Cycle now) const final;
+    Cycle nextWakeAfter(Cycle now) const override;
 
     /**
      * Top-of-cycle hook: brings the per-cycle occupancy stats current
@@ -130,7 +130,7 @@ class PvaUnit : public MemorySystem
      * stamps the acceptedAt reference cycle trySubmit uses, keeping
      * submission timestamps identical to the exhaustive stepper's.
      */
-    void onCycleBegin(Cycle now) final;
+    void onCycleBegin(Cycle now) override;
 
     /**
      * Adopt the driving Simulation's clocking discipline. Exhaustive
@@ -209,7 +209,6 @@ class PvaUnit : public MemorySystem
     void finishWrite(std::uint8_t id, Cycle now);
 
     SystemConfig cfg;
-    const bool sram; ///< SramDevice banks (see the constructor)
     SparseMemory backing;
     VectorBus vectorBus;
     std::vector<std::unique_ptr<BankDevice>> devices;

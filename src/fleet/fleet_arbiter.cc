@@ -394,8 +394,9 @@ runToDrain(Simulation &sim, FleetArbiter &arbiter, MemorySystem &sys,
     sim.runUntil(
         [&] {
             const bool done = arbiter.service(sys, sim.now());
-            // The arbiter is not a Component; its self-scheduled work
-            // is posted as external wakes (a no-op under exhaustive
+            // The arbiter is no MemorySystem, so it has no wake of its
+            // own under the wake contract; its self-scheduled work is
+            // posted as external wakes (a no-op under exhaustive
             // clocking).
             if (!done)
                 sim.requestWake(arbiter.nextWake(sim.now()));

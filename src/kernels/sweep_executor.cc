@@ -17,6 +17,7 @@
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
+#include "sim/trace.hh"
 
 namespace pva
 {
@@ -210,6 +211,10 @@ SweepExecutor::runReport(const std::vector<SweepRequest> &grid)
     // Per grid index, so workers never share a slot.
     std::vector<std::string> capsuleErrors(grid.size());
     auto task = [&](std::size_t i, unsigned attempt) {
+#if PVA_TRACE_ENABLED
+        // Own trace processes: the same export at any --jobs.
+        trace::ProcessPrefix tracePrefix(csprintf("point%zu", i));
+#endif
         SweepRequest req = effectiveRequest(i, attempt);
         try {
             // runPoint builds a fresh system, so each attempt starts

@@ -27,7 +27,8 @@
  * The row predicates, the legality checks and the idle-tick fast path
  * are defined inline and SdramDevice is final, so a caller holding a
  * concrete SdramDevice* (the bank controller's devirtualized fast
- * path) pays no virtual dispatch.
+ * path, which measured faster than virtual calls: docs/PERFORMANCE.md,
+ * "Devirtualized dispatch") pays no virtual dispatch.
  *
  * Backends (docs/DEVICE.md): a "row slot" is one row buffer with its
  * own restimers. The legacy backend has one slot per internal bank —
@@ -45,11 +46,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sdram/backend.hh"
 #include "sdram/geometry.hh"
-#include "sim/component.hh"
 #include "sim/fault.hh"
 #include "sim/memory.hh"
 #include "sim/pool.hh"
@@ -116,18 +118,40 @@ struct ReadReturn
 };
 
 /**
- * Abstract bank-storage device. SdramDevice implements the full dynamic
- * RAM behaviour; SramDevice (sram_device.hh) the idealized static RAM of
- * the paper's PVA-SRAM comparison system.
+ * Abstract bank-storage device, a part its bank controller ticks.
+ * SdramDevice implements the full dynamic RAM behaviour; SramDevice
+ * (sram_device.hh) the idealized static RAM of the paper's PVA-SRAM
+ * comparison system.
  */
-class BankDevice : public Component
+class BankDevice
 {
   public:
     BankDevice(std::string name, unsigned bank_index, const Geometry &geo,
                SparseMemory &backing)
-        : Component(std::move(name)), bankIndex(bank_index), geometry(geo),
+        : deviceName(std::move(name)), bankIndex(bank_index), geometry(geo),
           memory(backing)
     {
+    }
+    virtual ~BankDevice() = default;
+
+    BankDevice(const BankDevice &) = delete;
+    BankDevice &operator=(const BankDevice &) = delete;
+
+    /** Instance name, used in diagnostics. */
+    const std::string &name() const { return deviceName; }
+
+    /** @name Trace track handle (see sim/trace.hh; 0 = untraced) @{ */
+    void setTraceTrack(std::uint32_t id) { traceTrackId = id; }
+    std::uint32_t traceTrack() const { return traceTrackId; }
+    /** @} */
+
+    /** Register this device's statistics under @p prefix; a device
+     *  without counters (the SRAM) registers none. */
+    virtual void
+    registerStats(StatSet &set, const std::string &prefix) const
+    {
+        (void)set;
+        (void)prefix;
     }
 
     /** May @p op legally issue in cycle @p now? Side-effect free. */
@@ -184,7 +208,7 @@ class BankDevice : public Component
      * another command first (an activate into an open row slot, a
      * precharge or access of a closed one). Exact, so the owning bank
      * controller may sleep until the earliest such cycle over its
-     * queued commands (Component::nextWakeAfter).
+     * queued commands (BankController::nextWakeAfter).
      */
     virtual Cycle legalCycleAfter(const DeviceOp &op, Cycle now) const = 0;
 
@@ -203,9 +227,13 @@ class BankDevice : public Component
         return ready > now ? ready : now + 1;
     }
 
-    unsigned bank() const { return bankIndex; }
+    /** Apply the device's own state changes due by @p now (SDRAM
+     *  refresh); its bank controller calls this as it ticks. */
+    virtual void tick(Cycle now) { (void)now; }
 
-    void tick(Cycle) override {}
+  private:
+    std::string deviceName;
+    std::uint32_t traceTrackId = 0;
 
   protected:
     unsigned bankIndex;
@@ -334,7 +362,8 @@ class SdramDevice final : public BankDevice
     Scalar statAdvancedRefreshes; ///< Pulled in before their boundary
     /** @} */
 
-    void registerStats(StatSet &set, const std::string &prefix) const;
+    void registerStats(StatSet &set,
+                       const std::string &prefix) const override;
 
   private:
     /** When would @p op's word occupy the device data pins? */

@@ -5,8 +5,8 @@
  * Exhaustive is the legacy reference stepper: the memory system (and
  * every PVA bank controller) ticks every cycle. Event is the
  * wake-scheduled fast path: the Simulation asks the system how long it
- * is quiescent (Component::nextWakeAfter), merges in externally
- * requested wakes
+ * is quiescent (MemorySystem::nextWakeAfter, under the wake contract
+ * of core/memory_system.hh), merges in externally requested wakes
  * (Simulation::requestWake), and advances the clock directly to the
  * earliest pending wake — skipping the idle cycles in between. The two
  * modes are cycle-exact equivalents; the differential tests

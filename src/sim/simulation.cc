@@ -2,7 +2,7 @@
 
 #include <chrono>
 
-#include "core/pva_unit.hh"
+#include "core/memory_system.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
 #include "sim/trace.hh"
@@ -26,7 +26,7 @@ millisSince(SteadyClock::time_point start)
 } // anonymous namespace
 
 Simulation::Simulation(MemorySystem &system_, ClockingMode mode)
-    : system(system_), pva(dynamic_cast<PvaUnit *>(&system_)), mode(mode)
+    : system(system_), mode(mode)
 {
     system.setClocking(mode);
     PVA_TRACE_BLOCK(
@@ -37,10 +37,7 @@ Simulation::Simulation(MemorySystem &system_, ClockingMode mode)
 void
 Simulation::step()
 {
-    if (pva)
-        pva->tick(currentCycle);
-    else
-        system.tick(currentCycle);
+    system.tick(currentCycle);
     ++currentCycle;
     ++ticksProcessed;
 }
@@ -106,12 +103,7 @@ Simulation::runUntil(const std::function<bool()> &done, Cycle max_cycles,
     std::uint64_t cycles_since = 0;
 
     while (true) {
-        // The typed calls dispatch directly: the hot methods are
-        // declared final on PvaUnit, so no vtable load is involved.
-        if (pva)
-            pva->onCycleBegin(currentCycle);
-        else
-            system.onCycleBegin(currentCycle);
+        system.onCycleBegin(currentCycle);
         if (done())
             return currentCycle;
         if (currentCycle - start >= max_cycles) {
@@ -139,16 +131,12 @@ Simulation::runUntil(const std::function<bool()> &done, Cycle max_cycles,
             }
         }
 
-        if (pva)
-            pva->tick(currentCycle);
-        else
-            system.tick(currentCycle);
+        system.tick(currentCycle);
         ++ticksProcessed;
 
         Cycle next = currentCycle + 1;
         if (mode == ClockingMode::Event) {
-            next = pva ? pva->nextWakeAfter(currentCycle)
-                       : system.nextWakeAfter(currentCycle);
+            next = system.nextWakeAfter(currentCycle);
             while (!wakeHeap.empty() && wakeHeap.top() <= currentCycle)
                 wakeHeap.pop();
             // Ties go to the system, so the trace attributes the wake

@@ -4,7 +4,7 @@
  *
  * A Simulation clocks one memory system; the system ticks its own
  * parts (the PVA front end its bank controllers and devices, in bank
- * order) under the same wake contract (sim/component.hh).
+ * order) under the same wake contract (core/memory_system.hh).
  * ClockingMode::Exhaustive is the reference stepper (tick the system
  * every cycle). ClockingMode::Event keeps the same processed cycles
  * semantically identical but skips spans where the system reports
@@ -29,19 +29,14 @@ namespace pva
 {
 
 class MemorySystem;
-class PvaUnit;
 
 /** Owns the clock of one memory system, which the caller keeps alive
  *  for the duration of the run. */
 class Simulation
 {
   public:
-    /**
-     * Clock @p system under @p mode, which the system adopts
-     * (MemorySystem::setClocking). A PvaUnit is recognized once here
-     * so the per-cycle loop calls its final methods directly instead
-     * of through three virtual calls per processed cycle.
-     */
+    /** Clock @p system under @p mode, which the system adopts
+     *  (MemorySystem::setClocking). */
     explicit Simulation(MemorySystem &system,
                         ClockingMode mode = ClockingMode::Event);
 
@@ -106,9 +101,6 @@ class Simulation
 
   private:
     MemorySystem &system;
-    /** The system when it is a PvaUnit (its hot methods are final and
-     *  called directly), else null. */
-    PvaUnit *pva;
     Cycle currentCycle = 0;
     ClockingMode mode;
 

@@ -125,10 +125,10 @@ TraceSession::registerTrack(const std::string &bare_process,
                                     ? bare_process
                                     : threadPrefix + "/" + bare_process;
     std::lock_guard<std::mutex> lock(registryMutex);
-    for (std::size_t i = 0; i < tracks.size(); ++i) {
-        if (tracks[i].process == process && tracks[i].track == track)
-            return static_cast<std::uint32_t>(i + 1);
-    }
+    // A name seen before keeps its id (0 when the filter excluded it).
+    const auto [known, fresh] = trackIds.try_emplace({process, track}, 0);
+    if (!fresh)
+        return known->second;
     if (!cfg.filter.empty()) {
         // Comma-separated globs, matched against "track" and
         // "process/track"; no match disables the track (id 0).
@@ -149,17 +149,13 @@ TraceSession::registerTrack(const std::string &bare_process,
         if (!matched)
             return 0;
     }
-    std::uint32_t pid = 0;
-    for (std::size_t i = 0; i < processes.size(); ++i) {
-        if (processes[i] == process)
-            pid = static_cast<std::uint32_t>(i + 1);
-    }
-    if (pid == 0) {
+    const auto [pid, newProcess] = processIds.try_emplace(
+        process, static_cast<std::uint32_t>(processes.size() + 1));
+    if (newProcess)
         processes.push_back(process);
-        pid = static_cast<std::uint32_t>(processes.size());
-    }
-    tracks.push_back(TrackMeta{process, track, pid, threadPrefix});
-    return static_cast<std::uint32_t>(tracks.size());
+    tracks.push_back(TrackMeta{process, track, pid->second, threadPrefix});
+    known->second = static_cast<std::uint32_t>(tracks.size());
+    return known->second;
 }
 
 std::uint64_t

@@ -16,7 +16,7 @@
  *
  *  - one trace "process" (pid) per MemorySystem (and one each for the
  *    simulation clock and the traffic arbiter), under a ProcessPrefix,
- *  - one "track" (tid) per component: frontend, bus, per-transaction
+ *  - one "track" (tid) per part: frontend, bus, per-transaction
  *    slots, bank controllers, devices,
  *  - duration events (B/E) for spans (a transaction's lifetime, a CAS
  *    data burst, a refresh), instant events (i) for point actions
@@ -94,10 +94,10 @@ struct TraceConfig
     /** Buffer capacity in events; events past it are dropped. */
     std::size_t bufferCapacity = 1u << 19;
     /**
-     * Component glob(s), comma separated, matched against both the
+     * Track-name glob(s), comma separated, matched against both the
      * bare track name ("bc3") and "process/track" ("pva/bc3"). Tracks
-     * that match nothing are disabled at registration, so filtered
-     * components pay only the session-pointer check. Empty = trace
+     * that match nothing are disabled at registration, so their
+     * events cost only the session-pointer check. Empty = trace
      * everything.
      */
     std::string filter;
@@ -232,6 +232,10 @@ class TraceSession
     mutable std::mutex registryMutex;
     std::vector<TrackMeta> tracks;      ///< index = id - 1
     std::vector<std::string> processes; ///< index = pid - 1
+    /** (process, track) -> id, 0 once the filter excluded it; a sweep
+     *  registers tens of thousands of tracks, so look names up. */
+    std::map<std::pair<std::string, std::string>, std::uint32_t> trackIds;
+    std::map<std::string, std::uint32_t> processIds; ///< name -> pid
 };
 
 /** While alive, names each process this thread registers

@@ -9,6 +9,7 @@
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
 #include "sim/simulation.hh"
+#include "sim/trace.hh"
 
 namespace pva
 {
@@ -154,6 +155,10 @@ runLoadSweep(const LoadSweepConfig &config)
     executor.setMaxAttempts(config.retries);
 
     auto task = [&](std::size_t i, unsigned attempt) {
+#if PVA_TRACE_ENABLED
+        // Own trace processes: the same export at any --jobs.
+        trace::ProcessPrefix tracePrefix(csprintf("rung%zu", i));
+#endif
         LoadPoint &p = points[i];
         TrafficConfig tc = config.base;
         tc.system = p.system;

@@ -18,6 +18,18 @@
  *    runs), and on PVA SDRAM also = sum of devN.reads + devN.writes
  *    (PVA SRAM registers no devN.* counters).
  *
+ * and bounds that each component's counters must respect, over a run
+ * of `cycles` cycles:
+ *
+ *  - per device, activates >= precharges (explicit and automatic), and
+ *    on a device that never refreshed, activates - precharges <= its
+ *    row slots (a refresh closes rows without counting a precharge);
+ *    rowHitAccesses <= reads + writes;
+ *  - per controller, vcFullCycles <= cycles, vcOccupancy <= cycles x
+ *    vectorContexts and fifoOccupancy <= cycles x fifoEntries;
+ *  - frontend.ctxFullCycles <= cycles and frontend.ctxOccupancy <=
+ *    cycles x transactions.
+ *
  * A broken law moves no cycle count, so no golden sees it: a front
  * end that stops crediting the controllers it does not call changes
  * only commandsSeen.
@@ -74,21 +86,31 @@ struct CommandTotals
 };
 
 /**
- * Check every law on @p stats, the StatSet of a drained PVA system
- * built from @p config. @p commands totals the commands the system
- * ran; pass nullopt under fault injection to skip the laws that need
- * it (an injected FirstHit corruption may drop a hit or an element).
- * A failure names each broken law and both its sides.
+ * Check every law on @p stats, the StatSet of a PVA system built from
+ * @p config and drained after @p cycles cycles. @p commands totals the
+ * commands the system ran; pass nullopt under fault injection to skip
+ * the laws that need it (an injected FirstHit corruption may drop a
+ * hit or an element). A failure names each broken law, its component
+ * and both its sides.
  */
 inline ::testing::AssertionResult
 statLawsHold(const StatSet &stats, const SystemConfig &config,
-             std::optional<CommandTotals> commands)
+             Cycle cycles, std::optional<CommandTotals> commands)
 {
     std::string broken;
     auto law = [&](const char *name, std::uint64_t lhs,
                    std::uint64_t rhs) {
         if (lhs != rhs) {
             broken += csprintf("\n  %s: %llu != %llu", name,
+                               static_cast<unsigned long long>(lhs),
+                               static_cast<unsigned long long>(rhs));
+        }
+    };
+    auto bound = [&](const std::string &component, const char *name,
+                     std::uint64_t lhs, std::uint64_t rhs) {
+        if (lhs > rhs) {
+            broken += csprintf("\n  %s: %s: %llu > %llu",
+                               component.c_str(), name,
                                static_cast<unsigned long long>(lhs),
                                static_cast<unsigned long long>(rhs));
         }
@@ -102,15 +124,47 @@ statLawsHold(const StatSet &stats, const SystemConfig &config,
     std::uint64_t elements = 0;
     std::uint64_t accesses = 0;
     const bool sdram = stats.hasScalar("dev0.reads");
+    const std::uint64_t slots =
+        config.backendPolicy().slotCount(config.geometry.internalBanks());
     for (unsigned b = 0; b < banks; ++b) {
-        seen += stats.scalar(csprintf("bc%u.commandsSeen", b));
-        hit += stats.scalar(csprintf("bc%u.commandsHit", b));
-        elements += stats.scalar(csprintf("bc%u.elements", b));
-        if (sdram) {
-            accesses += stats.scalar(csprintf("dev%u.reads", b)) +
-                        stats.scalar(csprintf("dev%u.writes", b));
+        const std::string bc = csprintf("bc%u", b);
+        auto bcStat = [&](const char *name) {
+            return stats.scalar(bc + "." + name);
+        };
+        seen += bcStat("commandsSeen");
+        hit += bcStat("commandsHit");
+        elements += bcStat("elements");
+        bound(bc, "vcFullCycles <= cycles", bcStat("vcFullCycles"),
+              cycles);
+        bound(bc, "vcOccupancy <= cycles x vectorContexts",
+              bcStat("vcOccupancy"), cycles * config.bc.vectorContexts);
+        bound(bc, "fifoOccupancy <= cycles x fifoEntries",
+              bcStat("fifoOccupancy"), cycles * config.bc.fifoEntries);
+        if (!sdram)
+            continue;
+        const std::string dev = csprintf("dev%u", b);
+        auto devStat = [&](const char *name) {
+            return stats.scalar(dev + "." + name);
+        };
+        const std::uint64_t activates = devStat("activates");
+        const std::uint64_t precharges = devStat("precharges");
+        const std::uint64_t devAccesses =
+            devStat("reads") + devStat("writes");
+        accesses += devAccesses;
+        bound(dev, "precharges <= activates", precharges, activates);
+        if (precharges <= activates &&
+            devStat("refreshes") + devStat("injectedRefreshes") == 0) {
+            bound(dev, "activates - precharges <= row slots",
+                  activates - precharges, slots);
         }
+        bound(dev, "rowHitAccesses <= reads + writes",
+              devStat("rowHitAccesses"), devAccesses);
     }
+    bound("frontend", "ctxFullCycles <= cycles",
+          stats.scalar("frontend.ctxFullCycles"), cycles);
+    bound("frontend", "ctxOccupancy <= cycles x transactions",
+          stats.scalar("frontend.ctxOccupancy"),
+          cycles * config.bc.transactions);
 
     law("bus.requestCycles = 2 x transactions",
         stats.scalar("bus.requestCycles"), 2 * txns);

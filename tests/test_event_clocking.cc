@@ -280,8 +280,9 @@ TEST(EventClocking, CycleWatchdogTripsAtTheSameCycle)
 
 TEST(EventClocking, ExternalWakesEndSkippedSpans)
 {
-    // requestWake() is how non-Component drivers (the traffic
-    // arbiter) get scheduled: a posted wake must bound the jump.
+    // requestWake() is how code outside the MemorySystem wake
+    // contract (the traffic arbiter) gets scheduled: a posted wake
+    // must bound the jump.
     test::IdleSystem sys(250);
     Simulation sim(sys, ClockingMode::Event);
     sim.requestWake(40);

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "core/pva_unit.hh"
@@ -240,9 +239,10 @@ TEST(PvaUnit, RandomScatterGatherFuzz)
  * sees exactly the cycles the unit processes, which include every
  * cycle in which a bank controller ticks or the front end acts. It
  * records when each watched controller first reports its share of
- * transaction @c txn complete and when that transaction's STAGE_READ
- * is driven, and it takes the unit's completions, with their data, in
- * the cycle they are handed over.
+ * transaction @c txn complete and the first cycle whose tick grew the
+ * bus's data cycles (the STAGE_READ of a lone read), and it takes the
+ * unit's completions, with their data, in the cycle they are handed
+ * over.
  */
 class LineProbe final : public MemorySystem
 {
@@ -261,9 +261,11 @@ class LineProbe final : public MemorySystem
                 unit.bankController(b).txnComplete(txn))
                 shareDoneAt[b] = now;
         }
-        std::optional<BusRequest> req = unit.bus().snoop(now);
-        if (req && req->opcode == BusOpcode::StageRead && req->txn == txn)
+        const std::uint64_t data_cycles =
+            unit.bus().statDataCycles.value();
+        if (stageReadAt == kNeverCycle && data_cycles > lastDataCycles)
             stageReadAt = now;
+        lastDataCycles = data_cycles;
         for (Completion &c : unit.drainCompletions()) {
             finished.emplace_back(c.tag, now);
             data[c.tag] = std::move(c.data);
@@ -302,6 +304,7 @@ class LineProbe final : public MemorySystem
   private:
     PvaUnit &unit;
     std::uint8_t txn;
+    std::uint64_t lastDataCycles = 0;
 };
 
 /** The banks holding some element of @p cmd. */

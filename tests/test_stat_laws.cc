@@ -52,7 +52,8 @@ expectLawsAfterKernel(SystemKind kind, const SystemConfig &config,
     limits.clocking = config.clocking;
     RunResult r = runTrace(*sys, trace, limits);
     ASSERT_EQ(r.mismatches, 0u) << spec.name << " stride " << stride;
-    EXPECT_TRUE(test::statLawsHold(sys->stats(), config, commands))
+    EXPECT_TRUE(test::statLawsHold(sys->stats(), config, r.cycles,
+                                   commands))
         << spec.name << " stride " << stride;
 }
 
@@ -143,7 +144,8 @@ TEST(StatLaws, HoldOverATrafficRunWithAnIndirectStream)
         indirect |= c.mode == VectorCommand::Mode::Indirect;
     }
     ASSERT_TRUE(indirect);
-    EXPECT_TRUE(test::statLawsHold(sys->stats(), config, commands));
+    EXPECT_TRUE(
+        test::statLawsHold(sys->stats(), config, sim.now(), commands));
 }
 
 } // anonymous namespace
