@@ -10,8 +10,10 @@ namespace pva
 
 SerialSystem::SerialSystem(std::string name, Kind kind,
                            const SystemConfig &config)
-    : MemorySystem(std::move(name)), kind(kind), cfg(config.validate())
+    : MemorySystem(std::move(name)), kind(kind), cfg(config.validate()),
+      queue(cfg.bc.transactions)
 {
+    reserveLines(cfg.bc.transactions);
     statSet.addScalar("commands", &statCommands);
     statSet.addScalar(kind == Kind::CacheLine ? "lineFills" : "elements",
                       &statUnits);
@@ -51,12 +53,12 @@ SerialSystem::trySubmit(const VectorCommand &cmd, std::uint64_t tag,
         throw SimError(SimErrorKind::Config, name(), kNeverCycle,
                        "write command lacks write data");
     }
-    Job job;
+    Job &job = queue.pushBack();
     job.cmd = cmd;
     job.tag = tag;
     if (!cmd.isRead)
         job.writeData = *write_data;
-    queue.push_back(std::move(job));
+    job.started = false;
     ++statCommands;
     return true;
 }
@@ -67,6 +69,7 @@ SerialSystem::finish(Job &job)
     Completion c;
     c.tag = job.tag;
     if (job.cmd.isRead) {
+        c.data = takeLine();
         c.data.resize(job.cmd.length);
         for (std::uint32_t i = 0; i < job.cmd.length; ++i)
             c.data[i] = backing.read(job.cmd.element(i));
@@ -93,7 +96,7 @@ SerialSystem::tick(Cycle now)
     }
     if (now >= head.finishAt) {
         finish(head);
-        queue.pop_front();
+        queue.popFront();
         tickActivity = true;
         // The next command starts on the following tick: the serial
         // controller processes one command at a time.

@@ -24,10 +24,9 @@
 #ifndef PVA_BASELINES_SERIAL_SYSTEM_HH
 #define PVA_BASELINES_SERIAL_SYSTEM_HH
 
-#include <deque>
-
 #include "core/memory_system.hh"
 #include "core/system_config.hh"
+#include "sim/pool.hh"
 #include "sim/stats.hh"
 
 namespace pva
@@ -124,7 +123,9 @@ class SerialSystem final : public MemorySystem
     const Kind kind;
     SystemConfig cfg;
     SparseMemory backing;
-    std::deque<Job> queue;
+    /** Submission order; a reused slot keeps its buffers' capacity, so
+     *  a warmed system allocates nothing per command. */
+    RingDeque<Job> queue;
     std::vector<Completion> completions;
     StatSet statSet;
     Scalar statCommands;

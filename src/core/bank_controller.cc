@@ -9,6 +9,23 @@
 namespace pva
 {
 
+const Vocabulary<RowPolicy> &
+rowPolicies()
+{
+    static const Vocabulary<RowPolicy> table({
+        {RowPolicy::Managed, "managed"},
+        {RowPolicy::AlwaysOpen, "open"},
+        {RowPolicy::AlwaysClose, "close"},
+    });
+    return table;
+}
+
+const char *
+rowPolicyName(RowPolicy policy)
+{
+    return rowPolicies().name(policy);
+}
+
 BankController::BankController(std::string name, unsigned bank,
                                const Geometry &geo_, const BcConfig &config,
                                BankDevice &dev_)

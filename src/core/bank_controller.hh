@@ -55,6 +55,7 @@
 #include "sim/fault.hh"
 #include "sim/pool.hh"
 #include "sim/stats.hh"
+#include "sim/vocabulary.hh"
 
 namespace pva
 {
@@ -66,6 +67,12 @@ enum class RowPolicy
     AlwaysClose, ///< Auto-precharge every access (closed-page policy)
     AlwaysOpen,  ///< Never auto-precharge (open-page policy)
 };
+
+/** The name table: "managed", "open", "close". */
+const Vocabulary<RowPolicy> &rowPolicies();
+
+/** rowPolicies().name(@p policy) */
+const char *rowPolicyName(RowPolicy policy);
 
 /** Structural configuration of a bank controller. */
 struct BcConfig

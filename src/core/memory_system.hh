@@ -160,10 +160,16 @@ class MemorySystem
 
     /**
      * Hand a consumed completion's line buffer back to the system for
-     * reuse by a future read completion. Optional — systems without a
-     * buffer pool simply free it.
+     * reuse by a future read completion (takeLine()). The pool keeps
+     * what fits in the room reserveLines() made, never growing, and
+     * frees the rest.
      */
-    virtual void recycleLine(std::vector<Word> &&line) { (void)line; }
+    virtual void
+    recycleLine(std::vector<Word> &&line)
+    {
+        if (line.capacity() != 0 && linePool.size() < linePool.capacity())
+            linePool.push_back(std::move(line));
+    }
 
     /** Any transaction still in flight or queued? */
     virtual bool busy() const = 0;
@@ -201,6 +207,21 @@ class MemorySystem
     }
 
   protected:
+    /** Make room to pool @p lines recycled line buffers (a system's
+     *  bound on completions in flight); without it none are kept. */
+    void reserveLines(std::size_t lines) { linePool.reserve(lines); }
+
+    /** A recycled line buffer from the pool, or an empty one. */
+    std::vector<Word>
+    takeLine()
+    {
+        if (linePool.empty())
+            return {};
+        std::vector<Word> line = std::move(linePool.back());
+        linePool.pop_back();
+        return line;
+    }
+
     /** Concrete systems call this where they register their own
      *  statistics. */
     void
@@ -218,6 +239,7 @@ class MemorySystem
   private:
     std::string systemName;
     std::uint32_t traceTrackId = 0;
+    std::vector<std::vector<Word>> linePool; ///< See recycleLine()
 };
 
 } // namespace pva

@@ -50,7 +50,7 @@ PvaUnit::PvaUnit(std::string name, const SystemConfig &config,
     for (Txn &t : txns)
         t.hitBcs.reserve(banks);
     submitOrder.reserve(cfg.bc.transactions);
-    linePool.reserve(cfg.bc.transactions);
+    reserveLines(cfg.bc.transactions);
 
     PVA_TRACE_BLOCK(
         // One trace "process" per memory system, one track per
@@ -466,13 +466,6 @@ PvaUnit::drainCompletionsInto(std::vector<Completion> &out)
 {
     out.clear();
     std::swap(out, completions);
-}
-
-void
-PvaUnit::recycleLine(std::vector<Word> &&line)
-{
-    if (line.capacity() != 0 && linePool.size() < txns.size())
-        linePool.push_back(std::move(line));
 }
 
 bool

@@ -94,7 +94,6 @@ class PvaUnit : public MemorySystem
     bool trySubmit(const VectorCommand &cmd, std::uint64_t tag,
                    const std::vector<Word> *write_data) override;
     void drainCompletionsInto(std::vector<Completion> &out) override;
-    void recycleLine(std::vector<Word> &&line) override;
     bool busy() const override;
     std::size_t inFlight() const override { return activeTxns; }
     SparseMemory &memory() override { return backing; }
@@ -194,17 +193,6 @@ class PvaUnit : public MemorySystem
         return id < txnTracks.size() ? txnTracks[id] : 0;
     }
 
-    /** Take a recycled line buffer from the pool (or an empty one). */
-    std::vector<Word>
-    takeLine()
-    {
-        if (linePool.empty())
-            return {};
-        std::vector<Word> line = std::move(linePool.back());
-        linePool.pop_back();
-        return line;
-    }
-
     void finishRead(std::uint8_t id, Cycle now);
     void finishWrite(std::uint8_t id, Cycle now);
 
@@ -219,8 +207,6 @@ class PvaUnit : public MemorySystem
     std::vector<Txn> txns;
     RingDeque<std::uint8_t> submitOrder; ///< FIFO of queued commands
     std::vector<Completion> completions;
-    /** Recycled read-line buffers (recycleLine() -> finishRead()). */
-    std::vector<std::vector<Word>> linePool;
 
     /** Cached per-BC wake cycle (see file comment); maintained under
      *  both clockings, consulted by the tick loop only under Event. */

@@ -7,33 +7,6 @@
 namespace pva
 {
 
-const char *
-rowPolicyName(RowPolicy policy)
-{
-    switch (policy) {
-      case RowPolicy::Managed:
-        return "managed";
-      case RowPolicy::AlwaysOpen:
-        return "open";
-      case RowPolicy::AlwaysClose:
-        return "close";
-    }
-    return "?";
-}
-
-bool
-parseRowPolicy(const std::string &name, RowPolicy &out)
-{
-    for (RowPolicy p : {RowPolicy::Managed, RowPolicy::AlwaysOpen,
-                        RowPolicy::AlwaysClose}) {
-        if (name == rowPolicyName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
 std::string
 configToJson(const SystemConfig &c)
 {
@@ -98,12 +71,12 @@ configFromJson(const json::Reader &in)
     c.bc = {bc.u32("fifoEntries"),  bc.u32("vectorContexts"),
             bc.u32("lineWords"),    bc.u32("transactions"),
             bc.u32("fhcLatency"),   bc.boolean("bypassEnabled"),
-            bc.name("rowPolicy", parseRowPolicy)};
+            bc.name("rowPolicy", rowPolicies())};
 
     c.optimisticLineReuse = in.boolean("optimisticLineReuse");
     c.timingCheck = in.boolean("timingCheck");
-    c.clocking = in.name("clocking", parseClockingMode);
-    c.backend = in.name("backend", parseMemBackend);
+    c.clocking = in.name("clocking", clockingModes());
+    c.backend = in.name("backend", memBackends());
     c.salpSubarrays = in.u32("salpSubarrays");
     c.refreshDeferWindow = in.u32("refreshDeferWindow");
 

@@ -42,12 +42,6 @@ namespace json
 class Reader;
 } // namespace json
 
-/** @name RowPolicy names ("managed", "open", "close") @{ */
-const char *rowPolicyName(RowPolicy policy);
-/** Returns false on unknown names. */
-bool parseRowPolicy(const std::string &name, RowPolicy &out);
-/** @} */
-
 /**
  * Configuration shared by all four evaluated memory systems.
  *

@@ -18,7 +18,7 @@
  * Tenants are a statistics partition, not an arbitration tier: each
  * stream records into its tenant's ServiceStats under its tenant-local
  * index, and grants pick over all streams alike. The MessageBus
- * (fleet/message_bus.hh) carries only telemetry: the arbiter publishes
+ * (fleet/message_bus.hh) carries only telemetry; the arbiter publishes
  * each grant and each shed request for whatever sink subscribed. In
  * traced builds the arbiter's lifecycle instants (enqueue, defer,
  * shed-overload, shed-deadline, grant, complete, each naming the

@@ -83,6 +83,9 @@ runFleet(const FleetConfig &config)
         throw SimError(SimErrorKind::Config, "fleet", kNeverCycle,
                        "at least one tenant spec is required");
     }
+    // Refuse a bad system config or stream template here, with its
+    // own kind, rather than as a shard failure after its retries.
+    config.config.validate();
     for (const TenantSpec &spec : config.tenants) {
         if (spec.count == 0) {
             throw SimError(SimErrorKind::Config, "fleet", kNeverCycle,
@@ -95,6 +98,7 @@ runFleet(const FleetConfig &config)
                 csprintf("tenant spec '%s' has 0 streams per tenant",
                          spec.name.c_str()));
         }
+        StreamSource(spec.stream, 0, config.config.bc.lineWords);
     }
 
     // Lay the fleet out flat: tenant and stream indices are global,
@@ -227,7 +231,7 @@ runFleet(const FleetConfig &config)
     if (!report.allOk()) {
         const TaskFailure &f = report.failures.front();
         throw SimError(
-            SimErrorKind::Watchdog, "fleet", kNeverCycle,
+            f.kind, "fleet", kNeverCycle,
             csprintf("shard %zu failed after %u attempts: %s", f.index,
                      f.attempts, f.error.c_str()));
     }

@@ -59,16 +59,7 @@ parseStream(const json::Reader &in, std::uint64_t default_seed)
                       "queueCap", "deadline", "seed", "pattern"});
     StreamConfig s;
     s.seed = default_seed;
-    const std::string mode = in.str("mode", "closed");
-    if (mode == "closed") {
-        s.mode = ArrivalMode::ClosedLoop;
-    } else if (mode == "open") {
-        s.mode = ArrivalMode::OpenLoop;
-    } else {
-        in.fail(csprintf("%s must be \"closed\" or \"open\", not "
-                         "\"%s\"",
-                         in.keyPath("mode").c_str(), mode.c_str()));
-    }
+    s.mode = in.name("mode", arrivalModes(), s.mode);
     s.window = in.u32("window", s.window);
     s.requestsPerKilocycle = in.real("rate", s.requestsPerKilocycle);
     s.requests = in.u64("requests", s.requests);
@@ -124,15 +115,12 @@ parseScenario(const json::Value &doc)
     sc.name = in.str("name", sc.name);
     FleetConfig &fc = sc.config;
     SystemConfig &sys = fc.config;
-    fc.system = in.name("system", parseSystemKind, nullptr, fc.system);
-    fc.arbiter.policy = in.name("policy", parseArbPolicy,
-                                "fifo rr priority", fc.arbiter.policy);
+    fc.system = in.name("system", systemKinds(), fc.system);
+    fc.arbiter.policy = in.name("policy", arbPolicies(), fc.arbiter.policy);
     fc.arbiter.agingThreshold =
         in.u64("aging", fc.arbiter.agingThreshold);
-    sys.clocking = in.name("clocking", parseClockingMode,
-                           "event exhaustive", sys.clocking);
-    sys.backend = in.name("backend", parseMemBackend,
-                          "legacy salp deferred", sys.backend);
+    sys.clocking = in.name("clocking", clockingModes(), sys.clocking);
+    sys.backend = in.name("backend", memBackends(), sys.backend);
     sys.salpSubarrays = in.u32("subarrays", sys.salpSubarrays);
     sys.refreshDeferWindow =
         in.u32("refreshWindow", sys.refreshDeferWindow);

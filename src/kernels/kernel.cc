@@ -87,15 +87,22 @@ computeReference(const KernelSpec &spec, const WorkloadConfig &cfg,
 
 } // anonymous namespace
 
+const Vocabulary<KernelId> &
+kernelIds()
+{
+    static const Vocabulary<KernelId> table = [] {
+        std::vector<Vocabulary<KernelId>::Entry> entries;
+        for (const KernelSpec &s : specTable())
+            entries.push_back({s.id, s.name});
+        return Vocabulary<KernelId>(std::move(entries));
+    }();
+    return table;
+}
+
 const std::vector<KernelId> &
 allKernels()
 {
-    static const std::vector<KernelId> ids = {
-        KernelId::Copy,    KernelId::Saxpy, KernelId::Scale,
-        KernelId::Swap,    KernelId::Tridiag, KernelId::Vaxpy,
-        KernelId::Copy2,   KernelId::Scale2,
-    };
-    return ids;
+    return kernelIds().values();
 }
 
 const KernelSpec &
@@ -106,18 +113,6 @@ kernelSpec(KernelId id)
             return s;
     }
     panic("unknown kernel id %d", static_cast<int>(id));
-}
-
-bool
-parseKernelId(const std::string &name, KernelId &out)
-{
-    for (const KernelSpec &s : specTable()) {
-        if (s.name == name) {
-            out = s.id;
-            return true;
-        }
-    }
-    return false;
 }
 
 KernelTrace

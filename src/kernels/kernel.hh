@@ -25,6 +25,7 @@
 #include "core/command_unit.hh"
 #include "sim/memory.hh"
 #include "sim/types.hh"
+#include "sim/vocabulary.hh"
 
 namespace pva
 {
@@ -42,7 +43,11 @@ enum class KernelId
     Scale2, ///< scale unrolled x2
 };
 
-/** All kernels in the paper's presentation order. */
+/** The name table, read from the kernel specs ("copy" ... "scale2"),
+ *  in the paper's presentation order. */
+const Vocabulary<KernelId> &kernelIds();
+
+/** kernelIds().values() */
 const std::vector<KernelId> &allKernels();
 
 /** Static description of a kernel. */
@@ -57,9 +62,6 @@ struct KernelSpec
 };
 
 const KernelSpec &kernelSpec(KernelId id);
-
-/** Reverse of kernelSpec(id).name; returns false on unknown names. */
-bool parseKernelId(const std::string &name, KernelId &out);
 
 /** Workload parameters for one run. */
 struct WorkloadConfig

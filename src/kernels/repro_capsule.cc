@@ -125,8 +125,8 @@ loadCapsule(const std::string &path)
                        "elements", "maxCycles", "timeoutMillis",
                        "config"});
     SweepRequest &r = capsule.request;
-    r.system = req.name("system", parseSystemKind);
-    r.kernel = req.name("kernel", parseKernelId);
+    r.system = req.name("system", systemKinds());
+    r.kernel = req.name("kernel", kernelIds());
     r.stride = req.u32("stride");
     r.alignment = req.u32("alignment");
     if (r.alignment >= alignmentPresets().size())

@@ -9,16 +9,22 @@
 namespace pva
 {
 
+const Vocabulary<SystemKind> &
+systemKinds()
+{
+    static const Vocabulary<SystemKind> table({
+        {SystemKind::PvaSdram, "pva"},
+        {SystemKind::CacheLine, "cacheline"},
+        {SystemKind::Gathering, "gathering"},
+        {SystemKind::PvaSram, "sram"},
+    });
+    return table;
+}
+
 const std::vector<SystemKind> &
 allSystems()
 {
-    static const std::vector<SystemKind> systems = {
-        SystemKind::PvaSdram,
-        SystemKind::CacheLine,
-        SystemKind::Gathering,
-        SystemKind::PvaSram,
-    };
-    return systems;
+    return systemKinds().values();
 }
 
 const char *
@@ -40,29 +46,7 @@ systemName(SystemKind kind)
 const char *
 systemShortName(SystemKind kind)
 {
-    switch (kind) {
-      case SystemKind::PvaSdram:
-        return "pva";
-      case SystemKind::CacheLine:
-        return "cacheline";
-      case SystemKind::Gathering:
-        return "gathering";
-      case SystemKind::PvaSram:
-        return "sram";
-    }
-    return "?";
-}
-
-bool
-parseSystemKind(const std::string &name, SystemKind &out)
-{
-    for (SystemKind kind : allSystems()) {
-        if (name == systemShortName(kind)) {
-            out = kind;
-            return true;
-        }
-    }
-    return false;
+    return systemKinds().name(kind);
 }
 
 std::unique_ptr<MemorySystem>

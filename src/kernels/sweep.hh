@@ -37,18 +37,18 @@ enum class SystemKind
     PvaSram,
 };
 
-/** The systems in the canonical grid (and CSV) order. */
+/** The name table of the short names, in the canonical grid (and
+ *  CSV) order: "pva", "cacheline", "gathering", "sram". */
+const Vocabulary<SystemKind> &systemKinds();
+
+/** systemKinds().values() */
 const std::vector<SystemKind> &allSystems();
 
 /** Human-readable system name as used in the paper's figures. */
 const char *systemName(SystemKind kind);
 
-/** Short lowercase identifier ("pva", "cacheline", "gathering",
- *  "sram") as accepted by the tools' --system flag. */
+/** systemKinds().name(@p kind): the --system spelling. */
 const char *systemShortName(SystemKind kind);
-
-/** Reverse of systemShortName(); returns false on unknown names. */
-bool parseSystemKind(const std::string &name, SystemKind &out);
 
 /** Instantiate a fresh memory system of the given kind under the
  *  given configuration. */

@@ -112,6 +112,7 @@ SweepExecutor::runTasks(std::size_t count, const TaskFn &task,
             bool succeeded = false;
             unsigned attempts = 0;
             std::string last_error;
+            SimErrorKind last_kind = SimErrorKind::Watchdog;
             while (attempts < attemptBudget) {
                 bool retryable = true;
                 try {
@@ -119,12 +120,14 @@ SweepExecutor::runTasks(std::size_t count, const TaskFn &task,
                     succeeded = true;
                 } catch (const SimError &e) {
                     last_error = e.what();
+                    last_kind = e.kind();
                     // A watchdog expiry is deterministic for a given
                     // request — burning the rest of the attempt budget
                     // on it just multiplies the timeout.
                     retryable = e.kind() != SimErrorKind::Watchdog;
                 } catch (const std::exception &e) {
                     last_error = e.what();
+                    last_kind = SimErrorKind::Watchdog;
                 }
                 ++attempts;
                 if (succeeded || !retryable)
@@ -140,7 +143,8 @@ SweepExecutor::runTasks(std::size_t count, const TaskFn &task,
             statRetries += attempts - 1;
             if (!succeeded) {
                 ++statFailures;
-                report.failures.push_back({i, attempts, last_error});
+                report.failures.push_back(
+                    {i, attempts, last_error, last_kind});
             }
             statPointMillis.sample(static_cast<std::uint64_t>(millis));
             ++done;

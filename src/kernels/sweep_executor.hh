@@ -52,6 +52,9 @@ struct TaskFailure
     std::size_t index = 0;  ///< Position in the task batch
     unsigned attempts = 0;  ///< Attempts consumed before giving up
     std::string error;      ///< what() of the last attempt's exception
+    /** The last attempt's SimError kind (Watchdog for any other
+     *  exception). */
+    SimErrorKind kind = SimErrorKind::Watchdog;
 };
 
 /** Outcome of a runTasks() batch: every task accounted for. */

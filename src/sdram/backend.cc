@@ -6,41 +6,21 @@
 namespace pva
 {
 
+const Vocabulary<MemBackend> &
+memBackends()
+{
+    static const Vocabulary<MemBackend> table({
+        {MemBackend::Legacy, "legacy"},
+        {MemBackend::Salp, "salp"},
+        {MemBackend::DeferredRefresh, "deferred"},
+    });
+    return table;
+}
+
 const char *
 backendName(MemBackend kind)
 {
-    switch (kind) {
-      case MemBackend::Legacy:
-        return "legacy";
-      case MemBackend::Salp:
-        return "salp";
-      case MemBackend::DeferredRefresh:
-        return "deferred";
-    }
-    return "?";
-}
-
-bool
-parseMemBackend(const std::string &text, MemBackend &out)
-{
-    for (MemBackend k : allBackends()) {
-        if (text == backendName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-const std::vector<MemBackend> &
-allBackends()
-{
-    static const std::vector<MemBackend> all = {
-        MemBackend::Legacy,
-        MemBackend::Salp,
-        MemBackend::DeferredRefresh,
-    };
-    return all;
+    return memBackends().name(kind);
 }
 
 BackendPolicy

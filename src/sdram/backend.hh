@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "sim/types.hh"
+#include "sim/vocabulary.hh"
 
 namespace pva
 {
@@ -49,14 +50,11 @@ enum class MemBackend : std::uint8_t
     DeferredRefresh, ///< tREFI pull-in/push-out (Chang et al.)
 };
 
-/** Canonical CLI/JSON spelling ("legacy", "salp", "deferred"). */
+/** The name table: "legacy", "salp", "deferred". */
+const Vocabulary<MemBackend> &memBackends();
+
+/** memBackends().name(@p kind) */
 const char *backendName(MemBackend kind);
-
-/** Parse a backend spelling; false (and @p out untouched) if unknown. */
-bool parseMemBackend(const std::string &text, MemBackend &out);
-
-/** Every backend, in a stable order (for sweeps and help text). */
-const std::vector<MemBackend> &allBackends();
 
 /**
  * Resolved backend policy: the row-slot mapping plus the refresh

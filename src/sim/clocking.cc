@@ -3,30 +3,20 @@
 namespace pva
 {
 
+const Vocabulary<ClockingMode> &
+clockingModes()
+{
+    static const Vocabulary<ClockingMode> table({
+        {ClockingMode::Exhaustive, "exhaustive"},
+        {ClockingMode::Event, "event"},
+    });
+    return table;
+}
+
 const char *
 clockingModeName(ClockingMode mode)
 {
-    switch (mode) {
-      case ClockingMode::Exhaustive:
-        return "exhaustive";
-      case ClockingMode::Event:
-        return "event";
-    }
-    return "unknown";
-}
-
-bool
-parseClockingMode(const std::string &name, ClockingMode &out)
-{
-    if (name == "exhaustive") {
-        out = ClockingMode::Exhaustive;
-        return true;
-    }
-    if (name == "event") {
-        out = ClockingMode::Event;
-        return true;
-    }
-    return false;
+    return clockingModes().name(mode);
 }
 
 } // namespace pva

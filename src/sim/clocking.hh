@@ -18,6 +18,8 @@
 
 #include <string>
 
+#include "sim/vocabulary.hh"
+
 namespace pva
 {
 
@@ -28,11 +30,11 @@ enum class ClockingMode
     Event,      ///< Skip to the earliest pending wake (default)
 };
 
-/** Short lowercase identifier ("exhaustive", "event"). */
-const char *clockingModeName(ClockingMode mode);
+/** The name table: "exhaustive", "event". */
+const Vocabulary<ClockingMode> &clockingModes();
 
-/** Parse an identifier; returns false on unknown names. */
-bool parseClockingMode(const std::string &name, ClockingMode &out);
+/** clockingModes().name(@p mode) */
+const char *clockingModeName(ClockingMode mode);
 
 } // namespace pva
 

@@ -458,15 +458,6 @@ Reader::member(const char *key) const
     return *v;
 }
 
-void
-Reader::failUnknownName(const char *key, const std::string &text,
-                        const char *hint) const
-{
-    fail(csprintf("unknown %s '%s'%s%s%s", keyPath(key).c_str(),
-                  text.c_str(), hint ? " (try: " : "", hint ? hint : "",
-                  hint ? ")" : ""));
-}
-
 std::uint64_t
 Reader::u64(const char *key) const
 {

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "sim/sim_error.hh"
+#include "sim/vocabulary.hh"
 
 namespace pva::json
 {
@@ -229,17 +230,16 @@ class Reader
     bool boolean(const char *key) const;
     std::string str(const char *key) const;
     Reader object(const char *key) const;
-    /** A string mapped through @p parse (a name table's reverse
-     *  lookup); unknown names fail, listing @p hint when given. */
+    /** A string that names a value of @p vocab; an unknown name fails
+     *  with the table's refusal, listing every name in order. */
     template <typename E>
     E
-    name(const char *key, bool (*parse)(const std::string &, E &),
-         const char *hint = nullptr) const
+    name(const char *key, const Vocabulary<E> &vocab) const
     {
         const std::string text = str(key);
         E out{};
-        if (!parse(text, out))
-            failUnknownName(key, text, hint);
+        if (!vocab.parse(text, out))
+            fail(vocab.unknown(keyPath(key), text));
         return out;
     }
     /** @} */
@@ -252,10 +252,9 @@ class Reader
     std::string str(const char *key, const std::string &fallback) const;
     template <typename E>
     E
-    name(const char *key, bool (*parse)(const std::string &, E &),
-         const char *hint, E fallback) const
+    name(const char *key, const Vocabulary<E> &vocab, E fallback) const
     {
-        return find(key) ? name(key, parse, hint) : fallback;
+        return find(key) ? name(key, vocab) : fallback;
     }
     /** @} */
 
@@ -264,9 +263,6 @@ class Reader
 
   private:
     const Value &member(const char *key) const;
-    [[noreturn]] void failUnknownName(const char *key,
-                                      const std::string &text,
-                                      const char *hint) const;
 
     const Value &obj;
     std::string where;

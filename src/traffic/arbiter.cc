@@ -6,33 +6,28 @@
 namespace pva
 {
 
+const Vocabulary<ArbPolicy> &
+arbPolicies()
+{
+    static const Vocabulary<ArbPolicy> table({
+        {ArbPolicy::Fifo, "fifo"},
+        {ArbPolicy::RoundRobin, "rr"},
+        {ArbPolicy::Priority, "priority"},
+    });
+    return table;
+}
+
 const char *
 arbPolicyName(ArbPolicy policy)
 {
-    switch (policy) {
-      case ArbPolicy::Fifo:
-        return "fifo";
-      case ArbPolicy::RoundRobin:
-        return "rr";
-      case ArbPolicy::Priority:
-        return "priority";
-    }
-    return "?";
+    return arbPolicies().name(policy);
 }
 
-bool
-parseArbPolicy(const std::string &name, ArbPolicy &out)
+const Vocabulary<bool> &
+shedSwitch()
 {
-    if (name == "fifo") {
-        out = ArbPolicy::Fifo;
-    } else if (name == "rr" || name == "roundrobin") {
-        out = ArbPolicy::RoundRobin;
-    } else if (name == "priority") {
-        out = ArbPolicy::Priority;
-    } else {
-        return false;
-    }
-    return true;
+    static const Vocabulary<bool> table({{true, "on"}, {false, "off"}});
+    return table;
 }
 
 Cycle

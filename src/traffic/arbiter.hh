@@ -61,11 +61,11 @@ enum class ArbPolicy
     Priority,
 };
 
-/** Short lowercase identifier ("fifo", "rr", "priority"). */
-const char *arbPolicyName(ArbPolicy policy);
+/** The name table: "fifo", "rr", "priority". */
+const Vocabulary<ArbPolicy> &arbPolicies();
 
-/** Parse an identifier; returns false on unknown names. */
-bool parseArbPolicy(const std::string &name, ArbPolicy &out);
+/** arbPolicies().name(@p policy) */
+const char *arbPolicyName(ArbPolicy policy);
 
 /** Arbitration knobs. */
 struct ArbiterConfig
@@ -106,6 +106,9 @@ struct ArbiterConfig
     };
     ShedConfig shed;
 };
+
+/** ShedConfig::enabled's name table: "on", "off". */
+const Vocabulary<bool> &shedSwitch();
 
 /** @name A stream's shedding thresholds under ArbiterConfig::shed @{ */
 /** Queueing-delay budget of @p stream (cycles; 0 = no deadline). */

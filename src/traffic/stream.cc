@@ -31,6 +31,16 @@ roll(Random &rng, double rate)
 
 } // anonymous namespace
 
+const Vocabulary<ArrivalMode> &
+arrivalModes()
+{
+    static const Vocabulary<ArrivalMode> table({
+        {ArrivalMode::ClosedLoop, "closed"},
+        {ArrivalMode::OpenLoop, "open"},
+    });
+    return table;
+}
+
 StreamSource::StreamSource(const StreamConfig &config, unsigned id,
                            unsigned line_words)
     : cfg(config), streamId(id), lineWords(line_words),

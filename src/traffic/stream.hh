@@ -36,6 +36,7 @@
 #include "core/vector_command.hh"
 #include "sim/random.hh"
 #include "sim/types.hh"
+#include "sim/vocabulary.hh"
 
 namespace pva
 {
@@ -46,6 +47,9 @@ enum class ArrivalMode
     ClosedLoop, ///< Fixed outstanding-request window
     OpenLoop,   ///< Seeded deterministic arrival schedule
 };
+
+/** The name table: "closed", "open". */
+const Vocabulary<ArrivalMode> &arrivalModes();
 
 /** The <B,S,L> distribution one stream draws its commands from. */
 struct PatternConfig

@@ -2,7 +2,9 @@
 """Run the committed mutation suite (tests/mutations/mutants.json).
 
 Each entry names a source file, an exact text that occurs in it once,
-the text that replaces it, and a `ctest -R` regex. The script copies
+the text that replaces it, and a `ctest -R` regex. An entry whose bug
+takes more than one edit lists them under "edits" instead, each with
+its own file, old and new text; they are applied together. The script copies
 the committed tree (`git archive HEAD | tar -x`) into a work directory,
 builds `pva_tests` once and requires every entry's regex to pass on the
 untouched tree. It then applies each entry in turn, rebuilds
@@ -40,6 +42,11 @@ def build(build_dir, jobs):
     if r.returncode != 0:
         sys.stdout.write(r.stdout[-4000:])
     return r.returncode == 0
+
+
+def edits(m):
+    """The (file, old, new) edits of entry @p m."""
+    return [(e["file"], e["old"], e["new"]) for e in m.get("edits", [m])]
 
 
 def ctest(build_dir, regex):
@@ -80,14 +87,14 @@ def main():
     # Every entry must apply to the committed source exactly once.
     originals = {}
     for m in mutants:
-        path = os.path.join(tree, m["file"])
-        if m["file"] not in originals:
-            with open(path) as f:
-                originals[m["file"]] = f.read()
-        count = originals[m["file"]].count(m["old"])
-        if count != 1:
-            sys.exit("%s: its old text occurs %d times in %s"
-                     % (m["name"], count, m["file"]))
+        for name, old, _ in edits(m):
+            if name not in originals:
+                with open(os.path.join(tree, name)) as f:
+                    originals[name] = f.read()
+            count = originals[name].count(old)
+            if count != 1:
+                sys.exit("%s: its old text occurs %d times in %s"
+                         % (m["name"], count, name))
 
     print("building pva_tests in", build_dir, flush=True)
     r = run(["cmake", "-S", tree, "-B", build_dir])
@@ -101,11 +108,14 @@ def main():
 
     survivors = []
     for m in mutants:
-        path = os.path.join(tree, m["file"])
-        original = originals[m["file"]]
         start = time.time()
-        with open(path, "w") as f:
-            f.write(original.replace(m["old"], m["new"], 1))
+        mutated = {}
+        for name, old, new in edits(m):
+            mutated[name] = mutated.get(name, originals[name]).replace(
+                old, new, 1)
+        for name, text in mutated.items():
+            with open(os.path.join(tree, name), "w") as f:
+                f.write(text)
         try:
             if not build(build_dir, args.jobs):
                 verdict = "BUILD FAILED"
@@ -114,8 +124,9 @@ def main():
             else:
                 verdict = "killed"
         finally:
-            with open(path, "w") as f:
-                f.write(original)
+            for name in mutated:
+                with open(os.path.join(tree, name), "w") as f:
+                    f.write(originals[name])
         if verdict != "killed":
             survivors.append(m["name"])
         print("%-40s %-13s by %s (%.0f s)" % (m["name"], verdict,

@@ -16,11 +16,20 @@
  *    frontend.reads / writes;
  *  - sum of bcN.elements = sum of the commands' lengths (fault-free
  *    runs), and on PVA SDRAM also = sum of devN.reads + devN.writes
- *    (PVA SRAM registers no devN.* counters).
+ *    (PVA SRAM registers no devN.* counters);
+ *  - each bcN.elements = the commands' elements whose bank
+ *    (Geometry::bankOf) is N, counted by brute force (fault-free
+ *    runs): FirstHit/NextHit per bank, independently of the PLA.
  *
  * and bounds that each component's counters must respect, over a run
  * of `cycles` cycles:
  *
+ *  - bus.requestCycles + bus.dataCycles <= cycles: the vector bus
+ *    carries one request or one data slot per cycle, and a STAGE_READ
+ *    or STAGE_WRITE reserves its data cycles (VectorBus::drive);
+ *  - per device, activates + reads + writes <= cycles: one command
+ *    per cycle (precharges are left out: they count auto-precharges,
+ *    which take no command slot);
  *  - per device, activates >= precharges (explicit and automatic), and
  *    on a device that never refreshed, activates - precharges <= its
  *    row slots (a refresh closes rows without counting a precharge);
@@ -76,12 +85,17 @@ struct CommandTotals
 {
     std::uint64_t hits = 0;     ///< Brute-force hit-set sizes
     std::uint64_t elements = 0; ///< Command lengths
+    /** Elements per bank, by DecodeBank() of each element. */
+    std::vector<std::uint64_t> bankElements;
 
     void
     add(const Geometry &geo, const VectorCommand &cmd)
     {
         hits += bruteForceHitBanks(geo, cmd);
         elements += cmd.length;
+        bankElements.resize(geo.banks());
+        for (std::uint32_t i = 0; i < cmd.length; ++i)
+            ++bankElements[geo.bankOf(cmd.element(i))];
     }
 };
 
@@ -98,10 +112,10 @@ statLawsHold(const StatSet &stats, const SystemConfig &config,
              Cycle cycles, std::optional<CommandTotals> commands)
 {
     std::string broken;
-    auto law = [&](const char *name, std::uint64_t lhs,
+    auto law = [&](const std::string &name, std::uint64_t lhs,
                    std::uint64_t rhs) {
         if (lhs != rhs) {
-            broken += csprintf("\n  %s: %llu != %llu", name,
+            broken += csprintf("\n  %s: %llu != %llu", name.c_str(),
                                static_cast<unsigned long long>(lhs),
                                static_cast<unsigned long long>(rhs));
         }
@@ -134,6 +148,12 @@ statLawsHold(const StatSet &stats, const SystemConfig &config,
         seen += bcStat("commandsSeen");
         hit += bcStat("commandsHit");
         elements += bcStat("elements");
+        if (commands) {
+            law(bc + ".elements = brute-force elements in its bank",
+                bcStat("elements"),
+                b < commands->bankElements.size()
+                    ? commands->bankElements[b] : 0);
+        }
         bound(bc, "vcFullCycles <= cycles", bcStat("vcFullCycles"),
               cycles);
         bound(bc, "vcOccupancy <= cycles x vectorContexts",
@@ -151,6 +171,8 @@ statLawsHold(const StatSet &stats, const SystemConfig &config,
         const std::uint64_t devAccesses =
             devStat("reads") + devStat("writes");
         accesses += devAccesses;
+        bound(dev, "activates + reads + writes <= cycles",
+              activates + devAccesses, cycles);
         bound(dev, "precharges <= activates", precharges, activates);
         if (precharges <= activates &&
             devStat("refreshes") + devStat("injectedRefreshes") == 0) {
@@ -160,6 +182,10 @@ statLawsHold(const StatSet &stats, const SystemConfig &config,
         bound(dev, "rowHitAccesses <= reads + writes",
               devStat("rowHitAccesses"), devAccesses);
     }
+    bound("bus", "requestCycles + dataCycles <= cycles",
+          stats.scalar("bus.requestCycles") +
+              stats.scalar("bus.dataCycles"),
+          cycles);
     bound("frontend", "ctxFullCycles <= cycles",
           stats.scalar("frontend.ctxFullCycles"), cycles);
     bound("frontend", "ctxOccupancy <= cycles x transactions",

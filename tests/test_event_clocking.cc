@@ -300,11 +300,11 @@ TEST(EventClocking, ExternalWakesEndSkippedSpans)
 TEST(EventClocking, ModeNamesRoundTrip)
 {
     ClockingMode mode = ClockingMode::Exhaustive;
-    EXPECT_TRUE(parseClockingMode("event", mode));
+    EXPECT_TRUE(clockingModes().parse("event", mode));
     EXPECT_EQ(mode, ClockingMode::Event);
-    EXPECT_TRUE(parseClockingMode("exhaustive", mode));
+    EXPECT_TRUE(clockingModes().parse("exhaustive", mode));
     EXPECT_EQ(mode, ClockingMode::Exhaustive);
-    EXPECT_FALSE(parseClockingMode("lazy", mode));
+    EXPECT_FALSE(clockingModes().parse("lazy", mode));
     EXPECT_STREQ(clockingModeName(ClockingMode::Event), "event");
     EXPECT_STREQ(clockingModeName(ClockingMode::Exhaustive),
                  "exhaustive");

@@ -517,3 +517,45 @@ TEST(FleetRunner, RejectsEmptyAndMalformedFleets)
     test::expectSimError([&] { fleet::runFleet(fc); },
                          SimErrorKind::Config, "streams");
 }
+
+TEST(FleetRunner, RefusesABadConfigOrStreamUpFrontWithItsKind)
+{
+    // What a flat run refuses, a fleet refuses the same way: at once,
+    // as a config error, not as a shard that failed its retries.
+    auto expectRefusal = [](const fleet::FleetConfig &fc,
+                            const std::string &what) {
+        try {
+            fleet::runFleet(fc);
+            ADD_FAILURE() << "expected a refusal naming '" << what << "'";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimErrorKind::Config) << e.what();
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+                << e.what();
+            EXPECT_EQ(std::string(e.what()).find("failed after"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    fleet::FleetConfig fc;
+    fc.tenants.resize(1);
+    fc.tenants[0].stream.pattern.minLength = 64;
+    fc.tenants[0].stream.pattern.maxLength = 64;
+    expectRefusal(fc, "traffic.s0: pattern maxLength 64 exceeds the "
+                      "32-word line");
+
+    fc.tenants[0].stream.pattern = PatternConfig{};
+    fc.config.backend = MemBackend::DeferredRefresh;
+    expectRefusal(fc, "backend deferred requires tREFI refresh");
+}
+
+TEST(FleetRunner, AShardFailureKeepsItsKind)
+{
+    fleet::FleetConfig fc;
+    fc.tenants.resize(1);
+    fc.retries = 2;
+    fc.config.timingCheck = true;
+    fc.config.faults.corruptFirstHitRate = 1.0;
+    test::expectSimError([&] { fleet::runFleet(fc); },
+                         SimErrorKind::Corruption,
+                         "shard 0 failed after 2 attempts: [corruption]");
+}

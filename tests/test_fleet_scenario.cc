@@ -140,6 +140,29 @@ TEST(FleetScenario, UnknownBackendValueIsRejectedWithItsPath)
         "backend");
 }
 
+TEST(FleetScenario, UnknownNamesListTheirTableInOrder)
+{
+    expectScenarioError(
+        "{\"kind\": \"fleet\", \"system\": \"hbm\", \"tenants\": [{}]}",
+        "unknown scenario.system 'hbm' (try: pva cacheline gathering "
+        "sram)");
+    expectScenarioError(
+        "{\"kind\": \"fleet\", \"policy\": \"roundrobin\", "
+        "\"tenants\": [{}]}",
+        "unknown scenario.policy 'roundrobin' (try: fifo rr priority)");
+    expectScenarioError(
+        "{\"kind\": \"fleet\", \"clocking\": \"warp\", \"tenants\": [{}]}",
+        "unknown scenario.clocking 'warp' (try: exhaustive event)");
+    expectScenarioError(
+        "{\"kind\": \"fleet\", \"backend\": \"hbm\", \"tenants\": [{}]}",
+        "unknown scenario.backend 'hbm' (try: legacy salp deferred)");
+    expectScenarioError(
+        "{\"kind\": \"fleet\", \"tenants\": "
+        "[{}, {\"stream\": {\"mode\": \"burst\"}}]}",
+        "unknown scenario.tenants[1].stream.mode 'burst' (try: closed "
+        "open)");
+}
+
 TEST(FleetScenario, UnknownKeysAreRejectedWithTheirPath)
 {
     expectScenarioError(

@@ -190,14 +190,13 @@ TEST(JsonReader, RequiredDefaultedAndTypedReads)
     EXPECT_DOUBLE_EQ(in.real("r"), 0.25);
     EXPECT_TRUE(in.boolean("b"));
     EXPECT_EQ(in.str("s"), "x");
-    EXPECT_EQ(in.name("mode", parseClockingMode), ClockingMode::Event);
+    EXPECT_EQ(in.name("mode", clockingModes()), ClockingMode::Event);
     EXPECT_EQ(in.object("o").u64("k"), 1u);
     // Defaulted reads fall back only when the key is absent.
     EXPECT_EQ(in.u64("absent", 9), 9u);
     EXPECT_EQ(in.u64("n", 9), 7u);
     EXPECT_EQ(in.str("absent", "d"), "d");
-    EXPECT_EQ(in.name("absent", parseClockingMode, nullptr,
-                      ClockingMode::Exhaustive),
+    EXPECT_EQ(in.name("absent", clockingModes(), ClockingMode::Exhaustive),
               ClockingMode::Exhaustive);
     in.rejectUnknown({"n", "big", "r", "b", "s", "mode", "o"});
 }
@@ -220,8 +219,8 @@ TEST(JsonReader, FailuresNameTheKeyPathWithTheCallersContext)
     expect([&] { in.str("s"); }, "top.s must be a string");
     expect([&] { in.real("mode", 1.0); }, "top.mode must be a number");
     expect([&] { in.boolean("s"); }, "top.s must be true or false");
-    expect([&] { in.name("mode", parseClockingMode, "event exhaustive"); },
-           "unknown top.mode 'warp' (try: event exhaustive)");
+    expect([&] { in.name("mode", clockingModes()); },
+           "unknown top.mode 'warp' (try: exhaustive event)");
     expect([&] { in.object("o").u64("k"); },
            "top.o.k must be a non-negative integer");
     expect([&] { in.object("arr"); }, "top.arr must be an object");

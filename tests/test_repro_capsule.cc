@@ -361,27 +361,27 @@ TEST(ReproCapsule, NameTablesRoundTripEveryValue)
                         RowPolicy::AlwaysClose}) {
         RowPolicy out = p == RowPolicy::Managed ? RowPolicy::AlwaysOpen
                                                 : RowPolicy::Managed;
-        EXPECT_TRUE(parseRowPolicy(rowPolicyName(p), out));
+        EXPECT_TRUE(rowPolicies().parse(rowPolicyName(p), out));
         EXPECT_EQ(out, p);
     }
     for (SystemKind k : allSystems()) {
         SystemKind out = k == SystemKind::PvaSdram ? SystemKind::PvaSram
                                                    : SystemKind::PvaSdram;
-        EXPECT_TRUE(parseSystemKind(systemShortName(k), out));
+        EXPECT_TRUE(systemKinds().parse(systemShortName(k), out));
         EXPECT_EQ(out, k);
     }
     for (KernelId k : allKernels()) {
         KernelId out =
             k == KernelId::Copy ? KernelId::Swap : KernelId::Copy;
-        EXPECT_TRUE(parseKernelId(kernelSpec(k).name, out));
+        EXPECT_TRUE(kernelIds().parse(kernelSpec(k).name, out));
         EXPECT_EQ(out, k);
     }
     RowPolicy policy{};
     SystemKind system{};
     KernelId kernel{};
-    EXPECT_FALSE(parseRowPolicy("lazy", policy));
-    EXPECT_FALSE(parseSystemKind("vax", system));
-    EXPECT_FALSE(parseKernelId("daxpy", kernel));
+    EXPECT_FALSE(rowPolicies().parse("lazy", policy));
+    EXPECT_FALSE(systemKinds().parse("vax", system));
+    EXPECT_FALSE(kernelIds().parse("daxpy", kernel));
 }
 
 TEST(ReproCapsule, PersistedBytesArePinned)

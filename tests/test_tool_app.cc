@@ -3,13 +3,15 @@
  * ToolApp flag parsing: numeric flags reject values their destination
  * field cannot hold (too large, negative, out of range) with the
  * one-line fatal every tool prints, instead of wrapping into a small
- * field; named values reject a name they do not know the same way; and
- * a flag the tool does not take, or one missing its value, is named
- * before the usage text.
+ * field; named values reject a name they do not know the same way,
+ * listing their table's names; and a flag the tool does not take, or
+ * one missing its value, is named before the usage text.
  */
 
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -37,6 +39,19 @@ parseSimFlags(std::vector<std::string> args)
         argv.push_back(a.data());
     app.parse(static_cast<int>(argv.size()), argv.data());
     return opts;
+}
+
+/** Run the pva_loadgen binary with @p args in place of this (death
+ *  test) process, so its own flags meet the value. */
+void
+execLoadgen(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "pva_loadgen");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    argv.push_back(nullptr);
+    execv(PVA_LOADGEN_TOOL, argv.data());
 }
 
 TEST(ToolAppNumOption, AcceptsTheWholeFieldRange)
@@ -96,6 +111,45 @@ TEST(ToolAppOptionDeathTest, NamesAnUnknownValue)
     EXPECT_EXIT(parseSimFlags({"--backend", "bogus"}), exit1,
                 "^fatal: --backend expects 'legacy', 'salp' or "
                 "'deferred', got 'bogus'");
+    EXPECT_EXIT(parseSimFlags({"--clocking", "warp"}), exit1,
+                "^fatal: --clocking expects 'exhaustive' or 'event', "
+                "got 'warp'");
+    EXPECT_EXIT(parseSimFlags({"--system", "hbm"}), exit1,
+                "^fatal: --system expects 'pva', 'cacheline', "
+                "'gathering' or 'sram', got 'hbm'");
+    EXPECT_EXIT(parseSimFlags({"--kernel", "Copy"}), exit1,
+                "^fatal: --kernel expects 'copy', 'saxpy', 'scale', "
+                "'swap', 'tridiag', 'vaxpy', 'copy2' or 'scale2', "
+                "got 'Copy'");
+    // pva_loadgen's own flags, in the tool itself.
+    EXPECT_EXIT(execLoadgen({"--policy", "lottery"}), exit1,
+                "^fatal: --policy expects 'fifo', 'rr' or 'priority', "
+                "got 'lottery'");
+    EXPECT_EXIT(execLoadgen({"--policy", "roundrobin"}), exit1,
+                "^fatal: --policy expects 'fifo', 'rr' or 'priority', "
+                "got 'roundrobin'");
+    EXPECT_EXIT(execLoadgen({"--mode", "burst"}), exit1,
+                "^fatal: --mode expects 'closed' or 'open', got 'burst'");
+    EXPECT_EXIT(execLoadgen({"--shed", "maybe"}), exit1,
+                "^fatal: --shed expects 'on' or 'off', got 'maybe'");
+    EXPECT_EXIT(execLoadgen({"--system", ""}), exit1,
+                "^fatal: --system expects 'pva', 'cacheline', "
+                "'gathering' or 'sram', got ''");
+    EXPECT_EXIT(execLoadgen({"--systems", "pva,hbm"}), exit1,
+                "^fatal: --systems expects 'pva', 'cacheline', "
+                "'gathering' or 'sram', got 'hbm'");
+}
+
+TEST(ToolAppChoice, ParsesIntoTheEnumAtFlagTime)
+{
+    ToolOptions opts = parseSimFlags(
+        {"--system", "sram", "--kernel", "scale2", "--row-policy", "close",
+         "--backend", "salp", "--clocking", "exhaustive"});
+    EXPECT_EQ(opts.system, SystemKind::PvaSram);
+    EXPECT_EQ(opts.kernel, KernelId::Scale2);
+    EXPECT_EQ(opts.config.bc.rowPolicy, RowPolicy::AlwaysClose);
+    EXPECT_EQ(opts.config.backend, MemBackend::Salp);
+    EXPECT_EQ(opts.config.clocking, ClockingMode::Exhaustive);
 }
 
 } // anonymous namespace

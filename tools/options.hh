@@ -5,9 +5,8 @@
  * ToolOptions is the knob bag pva_sim and pva_replay fill through the
  * ToolApp flag layer (tools/tool_app.hh): one SystemConfig (system
  * construction knobs) plus the workload selection (kernel, stride,
- * alignment, elements) and tool behaviour flags. The helpers map the
- * --system/--kernel names onto the simulator's enums and build the
- * workload for a selected grid point.
+ * alignment, elements) and tool behaviour flags. workloadFor() builds
+ * the workload for a selected grid point.
  */
 
 #ifndef PVA_TOOLS_OPTIONS_HH
@@ -25,8 +24,8 @@ namespace pva::tools
 /** Everything a tool invocation can configure. */
 struct ToolOptions
 {
-    std::string kernel = "copy";
-    std::string system = "pva";
+    KernelId kernel = KernelId::Copy;
+    SystemKind system = SystemKind::PvaSdram;
     std::uint32_t stride = 19;
     unsigned alignment = 0;
     std::uint32_t elements = 1024;
@@ -42,29 +41,6 @@ struct ToolOptions
     SystemConfig config{};
 };
 
-/** Map the --system name to a SystemKind; fatal on unknown names. */
-inline SystemKind
-systemKindFor(const std::string &name)
-{
-    SystemKind kind{};
-    if (!parseSystemKind(name, kind))
-        fatal("unknown system '%s' (try: pva cacheline gathering sram)",
-              name.c_str());
-    return kind;
-}
-
-/** Map the --kernel name to a KernelId; fatal on unknown names. */
-inline KernelId
-kernelFor(const ToolOptions &opts)
-{
-    KernelId k{};
-    if (!parseKernelId(opts.kernel, k))
-        fatal("unknown kernel '%s' (try: copy saxpy scale swap tridiag "
-              "vaxpy copy2 scale2)",
-              opts.kernel.c_str());
-    return k;
-}
-
 /** Build the workload for the selected kernel/stride/alignment. */
 inline WorkloadConfig
 workloadFor(const ToolOptions &opts)
@@ -72,7 +48,7 @@ workloadFor(const ToolOptions &opts)
     if (opts.alignment >= alignmentPresets().size())
         fatal("alignment must be 0..%zu",
               alignmentPresets().size() - 1);
-    const KernelSpec &spec = kernelSpec(kernelFor(opts));
+    const KernelSpec &spec = kernelSpec(opts.kernel);
     WorkloadConfig wl;
     wl.stride = opts.stride;
     wl.elements = opts.elements;

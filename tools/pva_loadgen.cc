@@ -52,25 +52,24 @@ namespace
 struct LoadgenOptions
 {
     unsigned streams = 4;
-    std::string policy = "fifo";
-    Cycle aging = 1024;
-    std::string mode = "closed";
+    /** Policy, aging and shedding (deadline/overload; the overload
+     *  watermark defaults to 0.75 here). */
+    ArbiterConfig arbiter{.shed = {.queueHighWatermark = 0.75}};
+    ArrivalMode mode = ArrivalMode::ClosedLoop;
     unsigned window = 4;
     double rate = 10.0;          ///< Per-stream open-loop rate
     std::uint64_t requests = 256;
     std::uint64_t seed = 1;
     unsigned queueCap = 16;
-    bool shed = false;           ///< Deadline/overload load shedding
-    Cycle deadline = 0;          ///< Queueing-delay budget (cycles)
-    double shedWatermark = 0.75; ///< Queue-depth shed fraction
     /** Explicit-set tracking so flag contradictions (a shed knob with
      *  shedding off) fail loudly instead of being silently ignored. */
     bool deadlineSet = false;
     bool watermarkSet = false;
     bool priorityRamp = false;
     PatternConfig pattern;
-    std::string system = "pva";
-    std::string systems = "pva,cacheline,gathering";
+    SystemKind system = SystemKind::PvaSdram;
+    std::string systems = "pva,cacheline,gathering"; ///< As typed
+    std::vector<SystemKind> sweepSystems = LoadSweepConfig{}.systems;
     bool loadSweep = false;
     std::string loads = "2,5,10,20,40,80";
     unsigned jobs = 0;
@@ -110,12 +109,11 @@ addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
 {
     app.numOption("--streams", "N", "concurrent request streams",
                   opts.streams);
-    app.option("--policy", "fifo|rr|priority", "arbitration policy",
-               [&opts](const std::string &v) { opts.policy = v; });
+    app.choice("--policy", "arbitration policy", arbPolicies(),
+               opts.arbiter.policy);
     app.numOption("--aging", "N", "priority aging threshold (cycles)",
-                  opts.aging);
-    app.option("--mode", "closed|open", "arrival process",
-               [&opts](const std::string &v) { opts.mode = v; });
+                  opts.arbiter.agingThreshold);
+    app.choice("--mode", "arrival process", arrivalModes(), opts.mode);
     app.numOption("--window", "N", "closed-loop window per stream",
                   opts.window);
     app.realOption("--rate", "R",
@@ -126,23 +124,16 @@ addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
                   opts.seed);
     app.numOption("--queue-cap", "N", "per-stream admission queue cap",
                   opts.queueCap);
-    app.option("--shed", "on|off",
+    app.choice("--shed",
                "deadline/overload load shedding (docs/TRAFFIC.md; "
                "default off, off is bit-identical to older builds)",
-               [&opts](const std::string &v) {
-                   if (v == "on")
-                       opts.shed = true;
-                   else if (v == "off")
-                       opts.shed = false;
-                   else
-                       fatal("--shed takes on|off, not '%s'", v.c_str());
-               });
+               shedSwitch(), opts.arbiter.shed.enabled);
     app.numOption("--deadline", "N",
                   "queueing-delay budget before a request is shed "
                   "(cycles; 0 = no deadline; needs --shed on)",
                   0, std::numeric_limits<Cycle>::max(),
                   [&opts](unsigned long long n) {
-                      opts.deadline = n;
+                      opts.arbiter.shed.defaultDeadline = n;
                       opts.deadlineSet = true;
                   });
     app.realOption("--shed-watermark", "F",
@@ -150,7 +141,7 @@ addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
                    "starts (>= 1 disables; default 0.75; needs "
                    "--shed on)",
                    [&opts](double d) {
-                       opts.shedWatermark = d;
+                       opts.arbiter.shed.queueHighWatermark = d;
                        opts.watermarkSet = true;
                    });
     app.flag("--priority-ramp",
@@ -172,11 +163,16 @@ addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
              [&opts] {
                  opts.pattern.mode = VectorCommand::Mode::Indirect;
              });
-    app.option("--system", "pva|cacheline|gathering|sram",
-               "memory system under test",
-               [&opts](const std::string &v) { opts.system = v; });
+    app.addSystemKindFlag(opts.system);
     app.option("--systems", "a,b,c", "systems for --load-sweep",
-               [&opts](const std::string &v) { opts.systems = v; });
+               [&opts](const std::string &v) {
+                   opts.systems = v;
+                   opts.sweepSystems.clear();
+                   for (const std::string &s : splitCommas(v)) {
+                       opts.sweepSystems.push_back(
+                           parseChoice(systemKinds(), "--systems", s));
+                   }
+               });
     app.flag("--load-sweep", "run the offered-load ladder",
              [&opts] { opts.loadSweep = true; });
     app.option("--loads", "A,B,C",
@@ -214,7 +210,8 @@ addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
 void
 validateOptions(const LoadgenOptions &opts)
 {
-    if (!opts.shed && (opts.deadlineSet || opts.watermarkSet)) {
+    if (!opts.arbiter.shed.enabled &&
+        (opts.deadlineSet || opts.watermarkSet)) {
         throw SimError(
             SimErrorKind::Config, "loadgen", kNeverCycle,
             csprintf("%s has no effect while shedding is off; add "
@@ -229,49 +226,24 @@ validateOptions(const LoadgenOptions &opts)
     }
 }
 
-ArbiterConfig
-arbiterConfigFor(const LoadgenOptions &opts)
-{
-    ArbiterConfig a;
-    if (!parseArbPolicy(opts.policy, a.policy))
-        fatal("unknown policy '%s' (try: fifo rr priority)",
-              opts.policy.c_str());
-    a.agingThreshold = opts.aging;
-    a.shed.enabled = opts.shed;
-    a.shed.defaultDeadline = opts.deadline;
-    a.shed.queueHighWatermark = opts.shedWatermark;
-    return a;
-}
-
 RunLimits
 limitsFor(const LoadgenOptions &opts)
 {
     return {.maxCycles = opts.maxCycles, .timeoutMillis = opts.pointTimeout};
 }
 
-ArrivalMode
-arrivalModeFor(const LoadgenOptions &opts)
-{
-    if (opts.mode == "closed")
-        return ArrivalMode::ClosedLoop;
-    if (opts.mode == "open")
-        return ArrivalMode::OpenLoop;
-    fatal("unknown mode '%s' (try: closed open)", opts.mode.c_str());
-}
-
 TrafficConfig
 trafficConfigFor(const LoadgenOptions &opts)
 {
     TrafficConfig tc;
-    tc.system = systemKindFor(opts.system);
+    tc.system = opts.system;
     tc.config = opts.config;
-    tc.arbiter = arbiterConfigFor(opts);
+    tc.arbiter = opts.arbiter;
     tc.limits = limitsFor(opts);
-    const ArrivalMode mode = arrivalModeFor(opts);
 
     for (unsigned i = 0; i < opts.streams; ++i) {
         StreamConfig s;
-        s.mode = mode;
+        s.mode = opts.mode;
         s.window = opts.window;
         s.requestsPerKilocycle = opts.rate;
         s.requests = opts.requests;
@@ -320,9 +292,7 @@ runSweep(const ToolApp &app, const LoadgenOptions &opts)
             fatal("--loads expects positive numbers, got '%s'", l.c_str());
         sc.offeredLoads.push_back(load);
     }
-    sc.systems.clear();
-    for (const std::string &s : splitCommas(opts.systems))
-        sc.systems.push_back(systemKindFor(s));
+    sc.systems = opts.sweepSystems;
     sc.jobs = opts.jobs;
     sc.retries = opts.retries;
 
@@ -360,9 +330,9 @@ runOnce(const ToolApp &app, const LoadgenOptions &opts)
 
     if (opts.json) {
         JsonEnvelope env(std::cout, app, opts.config,
-                         {{"system", opts.system},
-                          {"policy", opts.policy},
-                          {"mode", opts.mode},
+                         {{"system", systemShortName(opts.system)},
+                          {"policy", arbPolicyName(opts.arbiter.policy)},
+                          {"mode", arrivalModes().name(opts.mode)},
                           {"streams", opts.streams},
                           {"requests", opts.requests}});
         r.dumpJson(env.section("traffic").nested());
@@ -421,9 +391,9 @@ fleet::FleetConfig
 fleetConfigFor(const LoadgenOptions &opts)
 {
     fleet::FleetConfig fc;
-    fc.system = systemKindFor(opts.system);
+    fc.system = opts.system;
     fc.config = opts.config;
-    fc.arbiter = arbiterConfigFor(opts);
+    fc.arbiter = opts.arbiter;
     fc.limits = limitsFor(opts);
     fc.shards = opts.shards;
     fc.jobs = opts.jobs;
@@ -438,7 +408,7 @@ fleetConfigFor(const LoadgenOptions &opts)
     spec.stream.queueCapacity = opts.queueCap;
     spec.stream.seed = opts.seed;
     spec.stream.pattern = opts.pattern;
-    spec.stream.mode = arrivalModeFor(opts);
+    spec.stream.mode = opts.mode;
     // Disjoint per-stream regions, same policy as the flat path.
     spec.regionStrideWords = opts.pattern.regionWords;
     fc.tenants.push_back(std::move(spec));
@@ -453,8 +423,8 @@ runFleetOnce(const ToolApp &app, const LoadgenOptions &opts)
 
     if (opts.json) {
         JsonEnvelope env(std::cout, app, opts.config,
-                         {{"system", opts.system},
-                          {"policy", opts.policy},
+                         {{"system", systemShortName(opts.system)},
+                          {"policy", arbPolicyName(opts.arbiter.policy)},
                           {"tenants", opts.tenants},
                           {"streamsPerTenant", opts.streamsPerTenant},
                           {"shards", fc.shards}});

@@ -46,11 +46,11 @@ runReplay(const ToolApp &app, const ToolOptions &opts)
     if (!ok)
         fatal("%s: %s", opts.tracePath.c_str(), error.c_str());
 
-    auto sys = makeSystem(systemKindFor(opts.system), opts.config);
+    auto sys = makeSystem(opts.system, opts.config);
     ReplayResult r = replayTrace(*sys, trace, opts.config.clocking);
     if (opts.json) {
         JsonEnvelope env(std::cout, app, opts.config,
-                         {{"system", opts.system},
+                         {{"system", systemShortName(opts.system)},
                           {"traceFile", opts.tracePath}});
         json::Writer &w = env.section("replay").beginObject();
         w.field("commands", r.commands).field("cycles", r.cycles);
@@ -135,9 +135,7 @@ main(int argc, char **argv)
 {
     ToolOptions opts;
     ToolApp app("pva_replay");
-    app.option("--system", "pva|cacheline|gathering|sram",
-               "memory system under test",
-               [&opts](const std::string &v) { opts.system = v; });
+    app.addSystemKindFlag(opts.system);
     app.addSystemFlags(opts.config);
     app.option("--repro", "CAPSULE",
                "re-execute a quarantine repro capsule instead of a "

@@ -93,20 +93,19 @@ runSweep(const ToolApp &app, const ToolOptions &opts)
 int
 runOnce(const ToolApp &app, const ToolOptions &opts)
 {
-    KernelId kernel = kernelFor(opts);
-    const KernelSpec &spec = kernelSpec(kernel);
+    const KernelSpec &spec = kernelSpec(opts.kernel);
     WorkloadConfig wl = workloadFor(opts);
 
-    auto sys = makeSystem(systemKindFor(opts.system), opts.config);
+    auto sys = makeSystem(opts.system, opts.config);
     RunLimits limits;
     limits.clocking = opts.config.clocking;
     if (opts.pointTimeout > 0.0)
         limits.timeoutMillis = opts.pointTimeout;
-    RunResult r = runKernelOn(*sys, kernel, wl, limits);
+    RunResult r = runKernelOn(*sys, opts.kernel, wl, limits);
     if (opts.json) {
         JsonEnvelope env(std::cout, app, opts.config,
                          {{"kernel", spec.name},
-                          {"system", opts.system},
+                          {"system", systemShortName(opts.system)},
                           {"stride", opts.stride},
                           {"alignment", opts.alignment},
                           {"elements", opts.elements}});
@@ -122,7 +121,7 @@ runOnce(const ToolApp &app, const ToolOptions &opts)
                     "%llu cycles, %zu mismatches\n",
                     spec.name.c_str(), opts.stride,
                     alignmentPresets()[opts.alignment].name.c_str(),
-                    opts.system.c_str(), opts.elements,
+                    systemShortName(opts.system), opts.elements,
                     static_cast<unsigned long long>(r.cycles),
                     r.mismatches);
         std::printf("clocking=%s simTicks=%llu cyclesSkipped=%llu "

@@ -80,32 +80,19 @@ void
 ToolApp::flag(const char *flag_name, const char *help,
               std::function<void()> handler)
 {
-    Spec s;
-    s.name = flag_name;
-    s.help = help;
-    s.takesValue = false;
-    s.apply = [handler = std::move(handler)](const std::string &,
-                                             const std::string &) {
-        handler();
-    };
-    specs.push_back(std::move(s));
+    specs.push_back({flag_name, "", help,
+                     [handler = std::move(handler)](const std::string &) {
+                         handler();
+                     }});
 }
 
 void
-ToolApp::option(const char *flag_name, const char *metavar,
-                const char *help,
+ToolApp::option(const char *flag_name, std::string metavar,
+                std::string help,
                 std::function<void(const std::string &)> handler)
 {
-    Spec s;
-    s.name = flag_name;
-    s.metavar = metavar;
-    s.help = help;
-    s.takesValue = true;
-    s.apply = [handler = std::move(handler)](const std::string &,
-                                             const std::string &v) {
-        handler(v);
-    };
-    specs.push_back(std::move(s));
+    specs.push_back({flag_name, std::move(metavar), std::move(help),
+                     std::move(handler), true});
 }
 
 void
@@ -114,16 +101,11 @@ ToolApp::numOption(const char *flag_name, const char *metavar,
                    unsigned long long max,
                    std::function<void(unsigned long long)> handler)
 {
-    Spec s;
-    s.name = flag_name;
-    s.metavar = metavar;
-    s.help = help;
-    s.takesValue = true;
-    s.apply = [handler = std::move(handler), min,
-               max](const std::string &f, const std::string &v) {
-        handler(parseNum(f, v, min, max));
-    };
-    specs.push_back(std::move(s));
+    option(flag_name, metavar, help,
+           [flag_name, min, max,
+            handler = std::move(handler)](const std::string &v) {
+               handler(parseNum(flag_name, v, min, max));
+           });
 }
 
 void
@@ -131,16 +113,10 @@ ToolApp::realOption(const char *flag_name, const char *metavar,
                     const char *help,
                     std::function<void(double)> handler)
 {
-    Spec s;
-    s.name = flag_name;
-    s.metavar = metavar;
-    s.help = help;
-    s.takesValue = true;
-    s.apply = [handler = std::move(handler)](const std::string &f,
-                                             const std::string &v) {
-        handler(parseReal(f, v));
-    };
-    specs.push_back(std::move(s));
+    option(flag_name, metavar, help,
+           [flag_name, handler = std::move(handler)](const std::string &v) {
+               handler(parseReal(flag_name, v));
+           });
 }
 
 void
@@ -170,23 +146,13 @@ ToolApp::addSystemFlags(SystemConfig &config)
               });
     numOption("--vcs", "N", "vector contexts per bank controller",
               config.bc.vectorContexts);
-    option("--row-policy", "managed|open|close",
-           "bank-controller row management policy",
-           [&config](const std::string &p) {
-               if (!parseRowPolicy(p, config.bc.rowPolicy))
-                   fatal("--row-policy expects 'managed', 'open' or "
-                         "'close', got '%s'", p.c_str());
-           });
+    choice("--row-policy", "bank-controller row management policy",
+           rowPolicies(), config.bc.rowPolicy);
     numOption("--refresh", "TREFI",
               "auto-refresh interval in cycles (0 = off)",
               config.timing.tREFI);
-    option("--backend", "legacy|salp|deferred",
-           "memory-device backend (docs/DEVICE.md)",
-           [&config](const std::string &v) {
-               if (!parseMemBackend(v, config.backend))
-                   fatal("--backend expects 'legacy', 'salp' or "
-                         "'deferred', got '%s'", v.c_str());
-           });
+    choice("--backend", "memory-device backend (docs/DEVICE.md)",
+           memBackends(), config.backend);
     numOption("--subarrays", "N",
               "row-buffer subarrays per internal bank (salp backend)",
               config.salpSubarrays);
@@ -194,13 +160,8 @@ ToolApp::addSystemFlags(SystemConfig &config)
               "max cycles a refresh may move (deferred backend; "
               "0 = tREFI/2)",
               config.refreshDeferWindow);
-    option("--clocking", "exhaustive|event",
-           "simulation clocking discipline",
-           [&config](const std::string &mode) {
-               if (!parseClockingMode(mode, config.clocking))
-                   fatal("--clocking expects 'exhaustive' or "
-                         "'event', got '%s'", mode.c_str());
-           });
+    choice("--clocking", "simulation clocking discipline",
+           clockingModes(), config.clocking);
     flag("--check", "attach the redundant timing/data checker",
          [&config] { config.timingCheck = true; });
     numOption("--fault-seed", "N", "fault-injection RNG seed",
@@ -225,17 +186,19 @@ ToolApp::addSystemFlags(SystemConfig &config)
 void
 ToolApp::addWorkloadFlags(ToolOptions &opts)
 {
-    option("--kernel", "NAME",
-           "benchmark kernel (copy saxpy scale swap tridiag vaxpy "
-           "copy2 scale2)",
-           [&opts](const std::string &v) { opts.kernel = v; });
+    choice("--kernel", "benchmark kernel (" + kernelIds().joined(" ") + ")",
+           kernelIds(), opts.kernel, "NAME");
     numOption("--stride", "N", "element stride in words", opts.stride);
     numOption("--alignment", "0-4", "stream base alignment preset",
               opts.alignment);
-    option("--system", "pva|cacheline|gathering|sram",
-           "memory system under test",
-           [&opts](const std::string &v) { opts.system = v; });
+    addSystemKindFlag(opts.system);
     numOption("--elements", "N", "vector elements per stream", opts.elements);
+}
+
+void
+ToolApp::addSystemKindFlag(SystemKind &system)
+{
+    choice("--system", "memory system under test", systemKinds(), system);
 }
 
 void
@@ -319,12 +282,12 @@ ToolApp::parse(int argc, char **argv)
             if (!spec)
                 usage("unknown option '" + arg + "'");
             if (!spec->takesValue) {
-                spec->apply(arg, std::string());
+                spec->apply(std::string());
                 continue;
             }
             if (++i >= argc)
                 usage(arg + " needs a value");
-            spec->apply(arg, argv[i]);
+            spec->apply(argv[i]);
         }
         // Fail fast on unsupportable knob combinations.
         if (configToValidate)

@@ -47,6 +47,19 @@ namespace pva::tools
 /** Version of the JSON output API every tool emits (docs/API.md). */
 constexpr int kJsonSchemaVersion = 1;
 
+/** The value @p text names in @p vocab; fatal with the table's CLI
+ *  refusal (Vocabulary::expects) for @p flag otherwise. */
+template <typename E>
+E
+parseChoice(const Vocabulary<E> &vocab, const char *flag,
+            const std::string &text)
+{
+    E out{};
+    if (!vocab.parse(text, out))
+        fatal("%s", vocab.expects(flag, text).c_str());
+    return out;
+}
+
 /** The shared --trace-* flag values. */
 struct TraceOptions
 {
@@ -72,9 +85,22 @@ class ToolApp
     /** A value-less switch, e.g. --check. */
     void flag(const char *name, const char *help,
               std::function<void()> handler);
-    /** A string-valued option, e.g. --kernel NAME. */
-    void option(const char *name, const char *metavar, const char *help,
+    /** A string-valued option, e.g. --trace-out FILE. */
+    void option(const char *name, std::string metavar, std::string help,
                 std::function<void(const std::string &)> handler);
+    /** A name from @p vocab, parsed into @p dest at flag time (fatal
+     *  with the table's refusal on any other text). The metavar is
+     *  the names joined by '|' unless @p metavar is given. */
+    template <typename E>
+    void
+    choice(const char *name, std::string help, const Vocabulary<E> &vocab,
+           E &dest, const char *metavar = nullptr)
+    {
+        option(name, metavar ? metavar : vocab.joined("|"), std::move(help),
+               [name, &vocab, &dest](const std::string &v) {
+                   dest = parseChoice(vocab, name, v);
+               });
+    }
     /** An unsigned-integer option; fatal unless the value is a
      *  number in @p min..@p max, where @p max is the largest value
      *  the handler's destination can hold. */
@@ -110,6 +136,8 @@ class ToolApp
     void addSystemFlags(SystemConfig &config);
     /** --kernel/--stride/--alignment/--system/--elements. */
     void addWorkloadFlags(ToolOptions &opts);
+    /** --system: the memory system under test. */
+    void addSystemKindFlag(SystemKind &system);
     /** --jobs/--retries/--point-timeout. */
     void addExecutorFlags(unsigned &jobs, unsigned &retries,
                           double &point_timeout);
@@ -158,8 +186,7 @@ class ToolApp
         std::string name;    ///< Including leading dashes
         std::string metavar; ///< Empty for value-less switches
         std::string help;
-        std::function<void(const std::string &flag,
-                           const std::string &value)> apply;
+        std::function<void(const std::string &value)> apply;
         bool takesValue = false;
     };
 
