@@ -283,7 +283,7 @@ main(int argc, char **argv)
 {
     SweepExecutor executor(benchutil::parseJobs(argc, argv));
     std::vector<SweepPoint> points =
-        executor.run(SweepExecutor::chapter6Grid());
+        executor.runReport(SweepExecutor::chapter6Grid()).points;
     for (const SweepPoint &p : points) {
         if (p.mismatches != 0)
             panic("functional mismatch in %s/%s stride %u alignment %u",

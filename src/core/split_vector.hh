@@ -39,7 +39,7 @@ class MmcTlb
     /** Map [vbase, vbase+size) to [pbase, pbase+size). */
     void mapSuperpage(WordAddr vbase, WordAddr pbase, std::uint32_t size);
 
-    /** Translate @p vaddr; fatal() if unmapped (a user setup error). */
+    /** Translate @p vaddr; SimError(Config) if unmapped (setup error). */
     Translation lookup(WordAddr vaddr) const;
 
     /** Convenience: identity-map [base, base+span) with @p page_size

@@ -12,13 +12,16 @@
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
 #include "sim/simulation.hh"
-#include "sim/trace.hh"
 
 namespace pva::fleet
 {
 
 namespace
 {
+
+/** Global stream g's seed is its spec's seed plus (g + 1) steps of
+ *  the golden-ratio increment, so no two streams share a sequence. */
+constexpr std::uint64_t kStreamSeedStep = 0x9e3779b97f4a7c15ULL;
 
 /** Where tenant @p t's spec and global stream range live. */
 struct TenantLayout
@@ -141,15 +144,8 @@ runFleet(const FleetConfig &config)
     std::vector<ShardOutcome> outcomes(shards);
 
     auto task = [&](std::size_t s, unsigned attempt) {
-#if PVA_TRACE_ENABLED
-        // Own trace processes: the same export at any --jobs.
-        trace::ProcessPrefix tracePrefix(csprintf("shard%zu", s));
-#endif
         SystemConfig sys_cfg = config.config;
-        // A retry of a fault-injected shard explores a different
-        // fault timeline rather than replaying the failure.
-        if (attempt > 0 && sys_cfg.faults.enabled())
-            sys_cfg.faults.seed += kRetrySeedStep * attempt;
+        sys_cfg.faults = sys_cfg.faults.forAttempt(attempt);
 
         MessageBus bus;
         std::vector<std::unique_ptr<ServiceStats>> tenantStats;
@@ -166,8 +162,7 @@ runFleet(const FleetConfig &config)
                 const std::uint64_t g = tl.firstStream + k;
                 StreamConfig sc = spec.stream;
                 sc.name = csprintf("s%u", k);
-                sc.seed =
-                    spec.stream.seed + kRetrySeedStep * (g + 1);
+                sc.seed = spec.stream.seed + kStreamSeedStep * (g + 1);
                 if (spec.regionStrideWords > 0) {
                     sc.pattern.regionBase =
                         spec.stream.pattern.regionBase +
@@ -227,7 +222,7 @@ runFleet(const FleetConfig &config)
 
     SweepExecutor executor(config.jobs);
     executor.setMaxAttempts(std::max(1u, config.retries));
-    TaskReport report = executor.runTasks(shards, task);
+    TaskReport report = executor.runTasks(shards, "shard", task);
     if (!report.allOk()) {
         const TaskFailure &f = report.failures.front();
         throw SimError(

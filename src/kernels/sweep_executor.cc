@@ -49,11 +49,12 @@ SweepReport::dumpJson(std::ostream &os) const
     w.field("retried", retried).field("failed", failed);
     w.field("simTicks", simTicks).field("cyclesSkipped", cyclesSkipped);
     w.key("failures").beginArray(block);
-    for (const PointFailure &f : failures) {
+    for (const TaskFailure &f : failures) {
+        const SweepPoint &p = points[f.index];
         w.beginObject().field("index", f.index);
-        w.field("system", systemShortName(f.system));
-        w.field("kernel", kernelSpec(f.kernel).name);
-        w.field("stride", f.stride).field("alignment", f.alignment);
+        w.field("system", systemShortName(p.system));
+        w.field("kernel", kernelSpec(p.kernel).name);
+        w.field("stride", p.stride).field("alignment", p.alignment);
         w.field("attempts", f.attempts).field("error", f.error).end();
     }
     w.end().key("quarantine").beginArray(block);
@@ -94,13 +95,43 @@ SweepExecutor::setMaxAttempts(unsigned attempts)
 }
 
 TaskReport
-SweepExecutor::runTasks(std::size_t count, const TaskFn &task,
-                        const TaskDoneFn &observer)
+SweepExecutor::runTasks(std::size_t count,
+                        [[maybe_unused]] const char *process,
+                        const TaskFn &task, const TaskDoneFn &observer)
 {
     TaskReport report;
     std::atomic<std::size_t> next{0};
     std::mutex lock;
     std::size_t done = 0;
+
+    // Attempt task @p i until it succeeds or its budget is spent;
+    // @p failure records the last attempt's exception.
+    auto attempt = [&](std::size_t i, TaskFailure &failure) {
+#if PVA_TRACE_ENABLED
+        // Own trace processes: the same export at any --jobs.
+        trace::ProcessPrefix tracePrefix(csprintf("%s%zu", process, i));
+#endif
+        while (failure.attempts < attemptBudget) {
+            try {
+                task(i, failure.attempts++);
+                return true;
+            } catch (const SimError &e) {
+                failure.error = e.what();
+                failure.simError = true;
+                failure.kind = e.kind();
+                // A watchdog expiry is deterministic for a given
+                // task — burning the rest of the attempt budget on it
+                // just multiplies the timeout.
+                if (e.kind() == SimErrorKind::Watchdog)
+                    return false;
+            } catch (const std::exception &e) {
+                failure.error = e.what();
+                failure.simError = false;
+                failure.kind = SimErrorKind::Watchdog;
+            }
+        }
+        return false;
+    };
 
     auto worker = [&] {
         for (;;) {
@@ -109,52 +140,24 @@ SweepExecutor::runTasks(std::size_t count, const TaskFn &task,
                 return;
 
             auto t0 = std::chrono::steady_clock::now();
-            bool succeeded = false;
-            unsigned attempts = 0;
-            std::string last_error;
-            SimErrorKind last_kind = SimErrorKind::Watchdog;
-            while (attempts < attemptBudget) {
-                bool retryable = true;
-                try {
-                    task(i, attempts);
-                    succeeded = true;
-                } catch (const SimError &e) {
-                    last_error = e.what();
-                    last_kind = e.kind();
-                    // A watchdog expiry is deterministic for a given
-                    // request — burning the rest of the attempt budget
-                    // on it just multiplies the timeout.
-                    retryable = e.kind() != SimErrorKind::Watchdog;
-                } catch (const std::exception &e) {
-                    last_error = e.what();
-                    last_kind = SimErrorKind::Watchdog;
-                }
-                ++attempts;
-                if (succeeded || !retryable)
-                    break;
-            }
+            TaskFailure failure;
+            failure.index = i;
+            const bool succeeded = attempt(i, failure);
+            const unsigned attempts = failure.attempts;
             double millis =
                 std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
 
             std::lock_guard<std::mutex> guard(lock);
-            ++statPoints;
-            statRetries += attempts - 1;
-            if (!succeeded) {
-                ++statFailures;
-                report.failures.push_back(
-                    {i, attempts, last_error, last_kind});
-            }
-            statPointMillis.sample(static_cast<std::uint64_t>(millis));
             ++done;
-            if (succeeded) {
-                if (attempts > 1)
-                    ++report.retried;
-                else
-                    ++report.ok;
-            } else {
+            if (!succeeded) {
                 ++report.failed;
+                report.failures.push_back(std::move(failure));
+            } else if (attempts > 1) {
+                ++report.retried;
+            } else {
+                ++report.ok;
             }
             if (observer)
                 observer({i, attempts, succeeded, millis, done, count});
@@ -188,66 +191,21 @@ SweepExecutor::runReport(const std::vector<SweepRequest> &grid)
     SweepReport report;
     report.points.resize(grid.size());
 
-    const bool quarantining = !quarantineDir.empty();
-
-    // The effective request of one attempt: the executor's default
-    // wall-clock watchdog, plus the per-retry fault-seed advance (a
-    // retry of a fault-injected point must explore a different fault
-    // timeline, not replay the failure).
-    auto effectiveRequest = [&](std::size_t i, unsigned attempt) {
+    // The request attempt @p attempt of point @p i runs.
+    auto attemptRequest = [&](std::size_t i, unsigned attempt) {
         SweepRequest req = grid[i];
-        if (pointTimeoutMillis > 0.0 &&
-            req.limits.timeoutMillis <= 0.0) {
-            req.limits.timeoutMillis = pointTimeoutMillis;
-        }
-        if (attempt > 0 && req.config.faults.enabled())
-            req.config.faults.seed += kRetrySeedStep * attempt;
+        req.config.faults = req.config.faults.forAttempt(attempt);
         return req;
     };
 
-    auto capsulePathFor = [&](std::size_t index) {
-        return quarantineDir + csprintf("/capsule-%zu.json", index);
-    };
-
-    if (quarantining)
+    if (!quarantineDir.empty())
         ensureDirectory(quarantineDir);
 
-    // Per grid index, so workers never share a slot.
-    std::vector<std::string> capsuleErrors(grid.size());
     auto task = [&](std::size_t i, unsigned attempt) {
-#if PVA_TRACE_ENABLED
-        // Own trace processes: the same export at any --jobs.
-        trace::ProcessPrefix tracePrefix(csprintf("point%zu", i));
-#endif
-        SweepRequest req = effectiveRequest(i, attempt);
-        try {
-            // runPoint builds a fresh system, so each attempt starts
-            // from clean state. Distinct indices write distinct slots,
-            // so the aggregation is race-free and deterministic.
-            report.points[i] = runPoint(req);
-        } catch (const SimError &e) {
-            const bool finalAttempt =
-                e.kind() == SimErrorKind::Watchdog ||
-                attempt + 1 >= attemptBudget;
-            const std::uint64_t fp = fingerprintRequest(req);
-            if (finalAttempt && quarantining) {
-                try {
-                    writeCapsuleFile(capsulePathFor(i),
-                                     {req, attempt + 1, e.what(), fp});
-                } catch (const SimError &werr) {
-                    capsuleErrors[i] = werr.what();
-                }
-            }
-            // The fingerprint and effective seed name the capsule from
-            // the failure text alone.
-            throw SimError(
-                e.kind(), e.component(), e.cycle(),
-                e.detail() +
-                    csprintf(" [fingerprint=%016llx faultSeed=%llu]",
-                             static_cast<unsigned long long>(fp),
-                             static_cast<unsigned long long>(
-                                 req.config.faults.seed)));
-        }
+        // runPoint builds a fresh system, so each attempt starts from
+        // clean state. Distinct indices write distinct slots, so the
+        // aggregation is race-free and deterministic.
+        report.points[i] = runPoint(attemptRequest(i, attempt));
     };
 
     auto observe = [&](const TaskProgress &tp) {
@@ -257,11 +215,15 @@ SweepExecutor::runReport(const std::vector<SweepRequest> &grid)
             p = SweepPoint{req.system, req.kernel, req.stride,
                            req.alignment, 0, 0};
             p.status = PointStatus::Failed;
+            ++statFailures;
         } else {
             p.status = tp.attempts > 1 ? PointStatus::Retried
                                        : PointStatus::Ok;
         }
         p.attempts = tp.attempts;
+        ++statPoints;
+        statRetries += tp.attempts - 1;
+        statPointMillis.sample(static_cast<std::uint64_t>(tp.millis));
         statSimCycles += p.cycles;
         statSimTicks += p.simTicks;
         statCyclesSkipped += p.cyclesSkipped;
@@ -272,32 +234,38 @@ SweepExecutor::runReport(const std::vector<SweepRequest> &grid)
             progress({tp.done, tp.total, p, tp.millis});
     };
 
-    TaskReport tasks = runTasks(grid.size(), task, observe);
-    report.ok = tasks.ok;
-    report.retried = tasks.retried;
-    report.failed = tasks.failed;
-    for (const TaskFailure &f : tasks.failures) {
-        const SweepRequest &req = grid[f.index];
-        report.failures.push_back({f.index, req.system, req.kernel,
-                                   req.stride, req.alignment,
-                                   f.attempts, f.error});
-        if (!quarantining)
+    static_cast<TaskReport &>(report) =
+        runTasks(grid.size(), "point", task, observe);
+
+    // A simulation failure names its last attempt: the fingerprint and
+    // effective fault seed find the capsule from the failure text
+    // alone. Any other exception has no request to replay.
+    for (TaskFailure &f : report.failures) {
+        if (!f.simError)
             continue;
-        SweepRequest eff = effectiveRequest(f.index, f.attempts - 1);
-        const std::string &capsuleError = capsuleErrors[f.index];
-        report.quarantine.push_back(
-            {f.index, f.attempts, fingerprintRequest(eff),
-             eff.config.faults.seed, f.error,
-             capsuleError.empty() ? capsulePathFor(f.index) : "",
-             capsuleError});
+        const SweepRequest req = attemptRequest(f.index, f.attempts - 1);
+        const std::uint64_t fp = fingerprintRequest(req);
+        const std::string raw = f.error;
+        f.error += csprintf(" [fingerprint=%016llx faultSeed=%llu]",
+                            static_cast<unsigned long long>(fp),
+                            static_cast<unsigned long long>(
+                                req.config.faults.seed));
+        if (quarantineDir.empty())
+            continue;
+        QuarantineRecord q{f.index, f.attempts, fp,
+                           req.config.faults.seed, f.error,
+                           csprintf("%s/capsule-%zu.json",
+                                    quarantineDir.c_str(), f.index),
+                           ""};
+        try {
+            writeCapsuleFile(q.capsulePath, {req, f.attempts, raw, fp});
+        } catch (const SimError &werr) {
+            q.capsulePath.clear();
+            q.capsuleError = werr.what();
+        }
+        report.quarantine.push_back(std::move(q));
     }
     return report;
-}
-
-std::vector<SweepPoint>
-SweepExecutor::run(const std::vector<SweepRequest> &grid)
-{
-    return runReport(grid).points;
 }
 
 std::vector<SweepRequest>

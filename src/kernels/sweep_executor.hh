@@ -20,10 +20,10 @@
  * point hangs deterministically). When fault injection is enabled, the
  * fault seed is advanced between attempts so a retry explores a
  * different fault timeline rather than replaying the failure. Under
- * setQuarantineDir() each failed point also leaves a standalone repro
- * capsule (kernels/repro_capsule.hh). A sweep cut short is rerun, not
- * resumed: every point is deterministic, so the rerun reproduces every
- * byte.
+ * setQuarantineDir() each point that failed with a SimError also
+ * leaves a standalone repro capsule (kernels/repro_capsule.hh). A
+ * sweep cut short is rerun, not resumed: every point is deterministic,
+ * so the rerun reproduces every byte.
  *
  * Progress and timing are reported through the standard stats layer:
  * the executor owns a StatSet with completed-point / simulated-cycle /
@@ -52,6 +52,8 @@ struct TaskFailure
     std::size_t index = 0;  ///< Position in the task batch
     unsigned attempts = 0;  ///< Attempts consumed before giving up
     std::string error;      ///< what() of the last attempt's exception
+    /** Was the last attempt's exception a SimError? */
+    bool simError = false;
     /** The last attempt's SimError kind (Watchdog for any other
      *  exception). */
     SimErrorKind kind = SimErrorKind::Watchdog;
@@ -89,18 +91,6 @@ struct SweepProgress
     double millis;     ///< Its wall-clock run time
 };
 
-/** Diagnostics for one grid point that exhausted its attempts. */
-struct PointFailure
-{
-    std::size_t index = 0; ///< Position in the request grid
-    SystemKind system = SystemKind::PvaSdram;
-    KernelId kernel = KernelId::Copy;
-    std::uint32_t stride = 1;
-    unsigned alignment = 0;
-    unsigned attempts = 0;  ///< Attempts consumed before giving up
-    std::string error;      ///< what() of the last attempt's exception
-};
-
 /** One quarantined grid point: its failure plus the standalone repro
  *  capsule `pva_replay --repro` re-executes (docs/ROBUSTNESS.md). */
 struct QuarantineRecord
@@ -117,32 +107,24 @@ struct QuarantineRecord
     std::string capsuleError; ///< Why the capsule was not written
 };
 
-/** Outcome of a resilient sweep: every point accounted for. */
-struct SweepReport
+/** Outcome of a resilient sweep: the engine's TaskReport over the
+ *  grid (a failure's coordinates are points[failure.index]; a
+ *  SimError's text ends in the fingerprint and fault seed of its last
+ *  attempt) plus every point. */
+struct SweepReport : TaskReport
 {
     /** One entry per request, in request order. Failed points carry
      *  status == PointStatus::Failed and zeroed cycle counts. */
     std::vector<SweepPoint> points;
-    std::size_t ok = 0;      ///< Succeeded on the first attempt
-    std::size_t retried = 0; ///< Succeeded after at least one retry
-    std::size_t failed = 0;  ///< Exhausted the attempt budget
-    std::vector<PointFailure> failures; ///< In request order
     std::uint64_t simTicks = 0;      ///< Cycles processed, all points
     std::uint64_t cyclesSkipped = 0; ///< Cycles jumped (event clocking)
-    /** Failed points with repro capsules, in request order (only
+    /** Points that failed with a SimError, in request order (only
      *  populated under SweepExecutor::setQuarantineDir()). */
     std::vector<QuarantineRecord> quarantine;
-
-    bool allOk() const { return failed == 0; }
 
     /** Machine-readable summary (see docs/ROBUSTNESS.md). */
     void dumpJson(std::ostream &os) const;
 };
-
-/** Per-attempt fault-seed advance: a retry of a fault-injected point
- *  must explore a different fault timeline, not replay the failure.
- *  Every runner that retries (sweeps, traffic, fleets) uses it. */
-inline constexpr std::uint64_t kRetrySeedStep = 0x9e3779b97f4a7c15ULL;
 
 /** Runs sweep grids on a worker pool with deterministic results. */
 class SweepExecutor
@@ -157,13 +139,8 @@ class SweepExecutor
 
     unsigned jobs() const { return workerCount; }
 
-    /** Attempt budget per point (>= 1; default 3). */
+    /** Attempt budget per task (>= 1; default 3). */
     void setMaxAttempts(unsigned attempts);
-
-    /** Default per-point wall-clock watchdog, applied to requests
-     *  that do not set RunLimits::timeoutMillis themselves.
-     *  0 (the default) leaves requests unchanged. */
-    void setPointTimeout(double millis) { pointTimeoutMillis = millis; }
 
     /** Write a repro capsule per failed point of subsequent
      *  runReport() calls into @p dir (docs/ROBUSTNESS.md), creating
@@ -196,30 +173,29 @@ class SweepExecutor
     using TaskDoneFn = std::function<void(const TaskProgress &)>;
 
     /**
-     * The generic engine underneath runReport(): run @p count
-     * independent tasks on the worker pool with the executor's
-     * retry/fault-isolation policy. A task reports results by side
-     * effect into caller-owned, index-addressed storage, which keeps
-     * aggregate output deterministic across worker counts. A thrown
-     * SimError(Watchdog) is not retried (a hung task hangs
-     * deterministically); any other exception consumes one attempt.
-     * Used directly by harnesses whose work items are not kernel grid
-     * points — e.g. the traffic layer's offered-load sweeps.
+     * The one engine underneath runReport(), the traffic layer's
+     * offered-load sweeps and the sharded fleets: run @p count
+     * independent tasks on the worker pool, and decide alone how a
+     * task is attempted. Each task runs under its own trace processes,
+     * "<process><index>/..." (trace::ProcessPrefix), so a traced batch
+     * exports the same bytes at any worker count. A thrown
+     * SimError(Watchdog) is final at once (a hung task hangs
+     * deterministically); any other exception consumes one attempt of
+     * the budget. A task injects faults under
+     * FaultPlan::forAttempt(attempt), so a retry explores a different
+     * fault timeline. It reports results by side effect into
+     * caller-owned, index-addressed storage, which keeps aggregate
+     * output deterministic across worker counts.
      */
-    TaskReport runTasks(std::size_t count, const TaskFn &task,
+    TaskReport runTasks(std::size_t count, const char *process,
+                        const TaskFn &task,
                         const TaskDoneFn &observer = nullptr);
-
-    /**
-     * Run every request; returns one SweepPoint per request, in
-     * request order regardless of the worker count. (The points of
-     * runReport(); failed points are marked PointStatus::Failed.)
-     */
-    std::vector<SweepPoint> run(const std::vector<SweepRequest> &grid);
 
     /** Executor statistics: "sweep.points", "sweep.simCycles",
      *  "sweep.simTicks", "sweep.cyclesSkipped", "sweep.mismatches",
      *  "sweep.retries", "sweep.failures", and the "sweep.pointMillis"
-     *  distribution. Accumulates across run() calls. */
+     *  distribution. Accumulates across runReport() calls; runTasks()
+     *  alone counts nothing. */
     StatSet &stats() { return statSet; }
 
     /**
@@ -234,7 +210,6 @@ class SweepExecutor
   private:
     unsigned workerCount;
     unsigned attemptBudget = 3;
-    double pointTimeoutMillis = 0.0;
     std::string quarantineDir;
     ProgressFn progress;
 

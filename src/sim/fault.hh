@@ -58,6 +58,19 @@ struct FaultPlan
         return refreshStallRate > 0.0 || bcStallRate > 0.0 ||
                dropTransferRate > 0.0 || corruptFirstHitRate > 0.0;
     }
+
+    /** The plan attempt @p attempt (0 = first) of a retried run
+     *  injects under: a retry explores a different fault timeline
+     *  rather than replaying the failure. Every runner that retries
+     *  (sweeps, load sweeps, fleets) derives its plan here. */
+    FaultPlan
+    forAttempt(unsigned attempt) const
+    {
+        FaultPlan plan = *this;
+        if (enabled())
+            plan.seed += 0x9e3779b97f4a7c15ULL * attempt;
+        return plan;
+    }
 };
 
 /**

@@ -9,7 +9,6 @@
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
 #include "sim/simulation.hh"
-#include "sim/trace.hh"
 
 namespace pva
 {
@@ -155,23 +154,16 @@ runLoadSweep(const LoadSweepConfig &config)
     executor.setMaxAttempts(config.retries);
 
     auto task = [&](std::size_t i, unsigned attempt) {
-#if PVA_TRACE_ENABLED
-        // Own trace processes: the same export at any --jobs.
-        trace::ProcessPrefix tracePrefix(csprintf("rung%zu", i));
-#endif
         LoadPoint &p = points[i];
         TrafficConfig tc = config.base;
         tc.system = p.system;
+        tc.config.faults = tc.config.faults.forAttempt(attempt);
         double per_stream =
             p.offered / static_cast<double>(tc.streams.size());
         for (StreamConfig &s : tc.streams) {
             s.mode = ArrivalMode::OpenLoop;
             s.requestsPerKilocycle = per_stream;
         }
-        // A retry of a fault-injected point explores a different
-        // fault timeline rather than replaying the failure.
-        if (attempt > 0 && tc.config.faults.enabled())
-            tc.config.faults.seed += kRetrySeedStep * attempt;
         p.result = runTraffic(tc);
     };
 
@@ -179,7 +171,7 @@ runLoadSweep(const LoadSweepConfig &config)
         points[tp.index].attempts = tp.attempts;
     };
 
-    TaskReport report = executor.runTasks(points.size(), task, observe);
+    TaskReport report = executor.runTasks(points.size(), "rung", task, observe);
     for (const TaskFailure &f : report.failures) {
         LoadPoint &p = points[f.index];
         p.failed = true;

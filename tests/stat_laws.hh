@@ -19,7 +19,13 @@
  *    (PVA SRAM registers no devN.* counters);
  *  - each bcN.elements = the commands' elements whose bank
  *    (Geometry::bankOf) is N, counted by brute force (fault-free
- *    runs): FirstHit/NextHit per bank, independently of the PLA.
+ *    runs): FirstHit/NextHit per bank, independently of the PLA;
+ *  - that brute-force count of bank N = its closed form, which takes
+ *    1 + (L - 1 - FirstHit) / NextHit elements of each word-interleaved
+ *    stride command that hits it (Theorems 4.3/4.4: firstHitWord,
+ *    nextHitWord) and counts every other command by brute force: the
+ *    theorems checked on every command a suite runs, independently
+ *    of the PLA the controllers use.
  *
  * and bounds that each component's counters must respect, over a run
  * of `cycles` cycles:
@@ -34,6 +40,9 @@
  *    on a device that never refreshed, activates - precharges <= its
  *    row slots (a refresh closes rows without counting a precharge);
  *    rowHitAccesses <= reads + writes;
+ *  - per controller, elements <= cycles: a bank moves one element per
+ *    cycle (the bank floor; on PVA SRAM, which registers no device
+ *    counts, no other bound implies it);
  *  - per controller, vcFullCycles <= cycles, vcOccupancy <= cycles x
  *    vectorContexts and fifoOccupancy <= cycles x fifoEntries;
  *  - frontend.ctxFullCycles <= cycles and frontend.ctxOccupancy <=
@@ -54,6 +63,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/firsthit.hh"
 #include "core/system_config.hh"
 #include "core/vector_command.hh"
 #include "sim/logging.hh"
@@ -79,6 +89,19 @@ bruteForceHitBanks(const Geometry &geo, const VectorCommand &cmd)
     return n;
 }
 
+/** Theorems 4.3/4.4: the elements of word-interleaved stride command
+ *  @p cmd in @p bank of 2^@p m banks, 1 + (L - 1 - FirstHit) / NextHit
+ *  when FirstHit() finds one. */
+inline std::uint64_t
+closedFormBankElements(const VectorCommand &cmd, unsigned bank,
+                       unsigned m)
+{
+    const FirstHit fh = firstHitWord(cmd, bank, m);
+    if (!fh.hit)
+        return 0;
+    return 1 + (cmd.length - 1 - fh.index) / nextHitWord(cmd.stride, m);
+}
+
 /** Totals over the commands a run issued, counted without the
  *  system: what its controllers must have hit and moved. */
 struct CommandTotals
@@ -87,15 +110,29 @@ struct CommandTotals
     std::uint64_t elements = 0; ///< Command lengths
     /** Elements per bank, by DecodeBank() of each element. */
     std::vector<std::uint64_t> bankElements;
+    /** Elements per bank by closedFormBankElements() for
+     *  word-interleaved stride commands, by DecodeBank() for the
+     *  rest. */
+    std::vector<std::uint64_t> closedFormElements;
 
     void
     add(const Geometry &geo, const VectorCommand &cmd)
     {
         hits += bruteForceHitBanks(geo, cmd);
         elements += cmd.length;
-        bankElements.resize(geo.banks());
+        std::vector<std::uint64_t> inBank(geo.banks(), 0);
         for (std::uint32_t i = 0; i < cmd.length; ++i)
-            ++bankElements[geo.bankOf(cmd.element(i))];
+            ++inBank[geo.bankOf(cmd.element(i))];
+        const bool closedForm = geo.interleave() == 1 &&
+                                cmd.mode == VectorCommand::Mode::Stride;
+        bankElements.resize(geo.banks());
+        closedFormElements.resize(geo.banks());
+        for (unsigned b = 0; b < geo.banks(); ++b) {
+            bankElements[b] += inBank[b];
+            closedFormElements[b] +=
+                closedForm ? closedFormBankElements(cmd, b, geo.bankBits())
+                           : inBank[b];
+        }
     }
 };
 
@@ -149,11 +186,18 @@ statLawsHold(const StatSet &stats, const SystemConfig &config,
         hit += bcStat("commandsHit");
         elements += bcStat("elements");
         if (commands) {
+            // Both counts are empty until a command is added.
+            const bool any = b < commands->bankElements.size();
+            const std::uint64_t inBank =
+                any ? commands->bankElements[b] : 0;
             law(bc + ".elements = brute-force elements in its bank",
-                bcStat("elements"),
-                b < commands->bankElements.size()
-                    ? commands->bankElements[b] : 0);
+                bcStat("elements"), inBank);
+            law(csprintf("bank %u: closed-form elements (Theorems "
+                         "4.3/4.4) = brute-force elements", b),
+                any ? commands->closedFormElements[b] : 0, inBank);
         }
+        bound(bc, "elements <= cycles (bank floor)", bcStat("elements"),
+              cycles);
         bound(bc, "vcFullCycles <= cycles", bcStat("vcFullCycles"),
               cycles);
         bound(bc, "vcOccupancy <= cycles x vectorContexts",

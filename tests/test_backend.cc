@@ -451,6 +451,29 @@ TEST(DeferredRefresh, MovesBoundariesAndStaysCheckerClean)
     EXPECT_GT(moved, 0u) << "no refresh ever left its tREFI boundary";
 }
 
+TEST(DeferredRefresh, IdleWakeWaitsForTheLastRefreshToEnd)
+{
+    // Under tREFI 781, aligned copy at stride 16 has a refresh that
+    // ends after the next boundary's pull-in window opens. An idle
+    // device may pull that boundary in no sooner than the refresh
+    // ends, and its controller sleeps until then. Waking it earlier
+    // keeps every simulated cycle (the wake contract allows an early
+    // wake), so only the processed cycles and controller ticks show
+    // it; this pins them (pva_sim --backend deferred --refresh 781
+    // --kernel copy --stride 16 --stats).
+    auto sys = makeSystem(SystemKind::PvaSdram, deferredConfig(781));
+    WorkloadConfig wl;
+    wl.stride = 16;
+    wl.streamBases =
+        streamBases(alignmentPresets()[0],
+                    kernelSpec(KernelId::Copy).numStreams, 16, wl.elements);
+    const RunResult r = runKernelOn(*sys, KernelId::Copy, wl);
+    EXPECT_EQ(r.mismatches, 0u);
+    EXPECT_EQ(r.cycles, 2090u);
+    EXPECT_EQ(r.simTicks, 2074u);
+    EXPECT_EQ(sys->stats().scalar("sim.bcTicks"), 2128u);
+}
+
 TEST(DeferredRefresh, WatchdogMidDeferralFailsCleanAndRetriesOk)
 {
     // The cycle watchdog expires while boundaries are still deferred:

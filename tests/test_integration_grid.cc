@@ -52,7 +52,7 @@ alignmentRow(SystemKind system, KernelId kernel, std::uint32_t stride)
             row.push_back(req);
         }
         SweepExecutor executor;
-        it->second = executor.run(row);
+        it->second = executor.runReport(row).points;
     }
     return it->second;
 }
@@ -121,7 +121,7 @@ TEST(PaperShape, EveryGridPointIsFunctionallyClean)
     // 5 alignments) through the parallel executor in one sweep.
     SweepExecutor executor;
     std::vector<SweepPoint> grid =
-        executor.run(SweepExecutor::chapter6Grid(kElems));
+        executor.runReport(SweepExecutor::chapter6Grid(kElems)).points;
     ASSERT_EQ(grid.size(), 4u * 8u * 6u * 5u);
     for (const SweepPoint &p : grid) {
         EXPECT_EQ(p.mismatches, 0u)

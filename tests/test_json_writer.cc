@@ -181,7 +181,9 @@ TEST(JsonRoundTrip, ConfigAndCapsule)
 TEST(JsonRoundTrip, SweepReportCarriesErrorsAndCapsulePaths)
 {
     SweepReport report;
-    PointFailure failure;
+    report.points.push_back({SystemKind::PvaSdram, KernelId::Copy, 1, 0,
+                             0, 0});
+    TaskFailure failure;
     failure.error = kNasty;
     report.failures.push_back(failure);
     QuarantineRecord q;

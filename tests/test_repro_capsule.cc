@@ -333,8 +333,8 @@ TEST(ReproCapsule, WallClockCapsuleReplaysUnderItsBudget)
     std::vector<SweepRequest> grid = {smallPoint(19)};
     grid[0].limits.maxCycles = 4000000000ULL;
     const double budget = 1e-6;
+    grid[0].limits.timeoutMillis = budget;
     SweepExecutor ex(1);
-    ex.setPointTimeout(budget);
     ex.setQuarantineDir(tempPath("quarantine_wallclock"));
     const SweepReport report = ex.runReport(grid);
     ASSERT_EQ(report.quarantine.size(), 1u);

@@ -51,8 +51,8 @@ TEST(SweepExecutor, ParallelMatchesSerialBitForBit)
     ASSERT_EQ(serial.jobs(), 1u);
     ASSERT_EQ(parallel.jobs(), 4u);
 
-    std::vector<SweepPoint> a = serial.run(grid);
-    std::vector<SweepPoint> b = parallel.run(grid);
+    std::vector<SweepPoint> a = serial.runReport(grid).points;
+    std::vector<SweepPoint> b = parallel.runReport(grid).points;
 
     ASSERT_EQ(a.size(), grid.size());
     ASSERT_EQ(b.size(), grid.size());
@@ -94,8 +94,10 @@ TEST(SweepExecutor, WorkersSharingFirstHitTablesMatchOneWorker)
         }
     }
 
-    const std::vector<SweepPoint> four = SweepExecutor(4).run(grid);
-    const std::vector<SweepPoint> one = SweepExecutor(1).run(grid);
+    const std::vector<SweepPoint> four =
+        SweepExecutor(4).runReport(grid).points;
+    const std::vector<SweepPoint> one =
+        SweepExecutor(1).runReport(grid).points;
 
     ASSERT_EQ(four.size(), grid.size());
     ASSERT_EQ(one.size(), grid.size());
@@ -147,7 +149,7 @@ TEST(SweepExecutor, ReportsProgressAndStats)
         EXPECT_GE(p.millis, 0.0);
         max_done = std::max(max_done, p.done);
     });
-    std::vector<SweepPoint> points = executor.run(grid);
+    std::vector<SweepPoint> points = executor.runReport(grid).points;
 
     EXPECT_EQ(calls.load(), grid.size());
     EXPECT_EQ(max_done, grid.size());

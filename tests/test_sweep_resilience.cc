@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <sstream>
+#include <string>
 
 #include "expect_sim_error.hh"
 #include "idle_system.hh"
@@ -104,8 +105,8 @@ TEST(SweepResilience, WallClockWatchdogTripsQuickly)
 
 TEST(SweepResilience, HungPointFailsViaExecutorTimeout)
 {
-    // The executor-level default timeout reaches points that set no
-    // budget themselves.
+    // A point's wall-clock budget (RunLimits::timeoutMillis) cuts it
+    // off inside the executor, which does not retry the expiry.
     std::vector<SweepRequest> grid = {smallPoint()};
     grid[0].elements = 4096;
     grid[0].stride = 19;
@@ -113,9 +114,9 @@ TEST(SweepResilience, HungPointFailsViaExecutorTimeout)
     // wall-clock allowance. (A real hang would spin the same way; the
     // watchdog cannot tell and should not care.)
     grid[0].limits.maxCycles = 4000000000ULL;
+    grid[0].limits.timeoutMillis = 0.001; // expire essentially at once
 
     SweepExecutor ex(1);
-    ex.setPointTimeout(0.001); // expire essentially immediately
     auto t0 = std::chrono::steady_clock::now();
     SweepReport report = ex.runReport(grid);
     double millis = std::chrono::duration<double, std::milli>(
@@ -149,6 +150,36 @@ TEST(SweepResilience, PersistentCorruptionExhaustsTheAttemptBudget)
     EXPECT_EQ(ex.stats().scalar("sweep.retries"), 2u);
     ASSERT_EQ(report.failures.size(), 1u);
     EXPECT_EQ(report.failures[0].attempts, 3u);
+}
+
+TEST(SweepResilience, EachRetryRunsUnderItsOwnFaultSeed)
+{
+    // Attempt k of a fault-injected point runs under
+    // FaultPlan::forAttempt(k): the base seed plus k golden-ratio
+    // steps, so a retry explores a different fault timeline instead of
+    // replaying the failure. The failure text and the quarantine
+    // record name the last attempt's seed.
+    std::vector<SweepRequest> grid = {smallPoint()};
+    grid[0].config.timingCheck = true;
+    grid[0].config.faults.corruptFirstHitRate = 1.0;
+    const FaultPlan &plan = grid[0].config.faults;
+    const std::uint64_t last = plan.seed + 2 * 0x9e3779b97f4a7c15ULL;
+    EXPECT_EQ(plan.forAttempt(0), plan);
+    EXPECT_EQ(plan.forAttempt(2).seed, last);
+    EXPECT_EQ(FaultPlan{}.forAttempt(2), FaultPlan{})
+        << "a plan that injects nothing keeps its seed";
+
+    SweepExecutor ex(1);
+    ex.setMaxAttempts(3);
+    ex.setQuarantineDir(testing::TempDir() + "retry_seed");
+    SweepReport report = ex.runReport(grid);
+    ASSERT_EQ(report.failures.size(), 1u);
+    EXPECT_NE(report.failures[0].error.find(
+                  "faultSeed=" + std::to_string(last) + "]"),
+              std::string::npos)
+        << report.failures[0].error;
+    ASSERT_EQ(report.quarantine.size(), 1u);
+    EXPECT_EQ(report.quarantine[0].faultSeed, last);
 }
 
 TEST(SweepResilience, ReportJsonAccountsForEveryPoint)

@@ -4,10 +4,13 @@
  * field cannot hold (too large, negative, out of range) with the
  * one-line fatal every tool prints, instead of wrapping into a small
  * field; named values reject a name they do not know the same way,
- * listing their table's names; and a flag the tool does not take, or
- * one missing its value, is named before the usage text.
+ * listing their table's names; a flag the tool does not take, or
+ * one missing its value, is named before the usage text; and
+ * pva_loadgen --scenario refuses, by name, a flag its file would
+ * leave without effect.
  */
 
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -150,6 +153,28 @@ TEST(ToolAppChoice, ParsesIntoTheEnumAtFlagTime)
     EXPECT_EQ(opts.config.bc.rowPolicy, RowPolicy::AlwaysClose);
     EXPECT_EQ(opts.config.backend, MemBackend::Salp);
     EXPECT_EQ(opts.config.clocking, ClockingMode::Exhaustive);
+}
+
+/** A two-tenant fleet scenario file; returns its path. */
+std::string
+writeScenario()
+{
+    const std::string path = testing::TempDir() + "tool_app_scenario.json";
+    std::ofstream(path) << R"({"kind": "fleet", "tenants": [{"count": 2}]})";
+    return path;
+}
+
+TEST(ToolAppScenarioDeathTest, TakesOnlyTheInvokingMachinesKnobs)
+{
+    const std::string scenario = writeScenario();
+    EXPECT_EXIT(execLoadgen({"--scenario", scenario, "--policy", "rr",
+                             "--system", "sram"}),
+                ::testing::ExitedWithCode(1),
+                "^fatal: \\[config\\] loadgen: --policy does not apply "
+                "to --scenario");
+    EXPECT_EXIT(execLoadgen({"--scenario", scenario, "--jobs", "2",
+                             "--retries", "1", "--point-timeout", "60000"}),
+                ::testing::ExitedWithCode(0), "");
 }
 
 } // anonymous namespace

@@ -269,7 +269,7 @@ TEST(TrafficFaults, RetriedPointsProduceIdenticalServiceStats)
     executor.setMaxAttempts(3);
     std::vector<std::string> results(2);
     TaskReport report = executor.runTasks(
-        2, [&](std::size_t i, unsigned attempt) {
+        2, "task", [&](std::size_t i, unsigned attempt) {
             if (i == 1 && attempt == 0)
                 throw SimError(SimErrorKind::Overflow, "test", 0,
                                "injected transient failure");

@@ -26,10 +26,12 @@
  * (docs/OBSERVABILITY.md, needs a PVA_TRACE=ON build).
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -201,15 +203,39 @@ addLoadgenFlags(ToolApp &app, LoadgenOptions &opts)
                [&opts](const std::string &v) { opts.scenarioPath = v; });
 }
 
+/** What a --scenario run takes beside its file: the invoking
+ *  machine's knobs. The file says everything else. */
+constexpr const char *kScenarioFlags[] = {
+    "--scenario",      "--jobs",      "--retries",
+    "--point-timeout", "--trace-out", "--trace-filter",
+    "--trace-buffer",  "--profile",   "--profile-period"};
+
 /**
  * Reject contradictions instead of silently ignoring a knob: a shed
  * budget or watermark the user explicitly set does nothing while
- * shedding is off, which is exactly the kind of quiet misconfiguration
- * a capacity-planning run cannot afford.
+ * shedding is off, and a system or traffic flag does nothing beside
+ * --scenario, which is exactly the kind of quiet misconfiguration a
+ * capacity-planning run cannot afford.
  */
 void
-validateOptions(const LoadgenOptions &opts)
+validateOptions(const ToolApp &app, const LoadgenOptions &opts)
 {
+    if (!opts.scenarioPath.empty()) {
+        for (const std::string &flag : app.givenFlags()) {
+            if (std::find(std::begin(kScenarioFlags),
+                          std::end(kScenarioFlags),
+                          flag) == std::end(kScenarioFlags)) {
+                throw SimError(
+                    SimErrorKind::Config, "loadgen", kNeverCycle,
+                    csprintf("%s does not apply to --scenario (the "
+                             "file configures the run, which prints one "
+                             "JSON line); beside it pass only --jobs, "
+                             "--retries, --point-timeout, --trace-* or "
+                             "--profile*",
+                             flag.c_str()));
+            }
+        }
+    }
     if (!opts.arbiter.shed.enabled &&
         (opts.deadlineSet || opts.watermarkSet)) {
         throw SimError(
@@ -481,6 +507,7 @@ runScenario(const LoadgenOptions &opts)
         fleet::loadScenarioFile(opts.scenarioPath);
     scenario.config.jobs = opts.jobs;
     scenario.config.retries = opts.retries;
+    scenario.config.limits.timeoutMillis = opts.pointTimeout;
     const fleet::FleetResult result = fleet::runFleet(scenario.config);
     fleet::writeScenarioResult(std::cout, scenario, result);
     return 0;
@@ -500,7 +527,7 @@ main(int argc, char **argv)
     app.addTraceFlags();
     app.parse(argc, argv);
     return app.run([&] {
-        validateOptions(opts);
+        validateOptions(app, opts);
         if (!opts.scenarioPath.empty())
             return runScenario(opts);
         if (opts.fleet)

@@ -43,7 +43,6 @@ runSweep(const ToolApp &app, const ToolOptions &opts)
 {
     SweepExecutor executor(opts.jobs);
     executor.setMaxAttempts(opts.retries);
-    executor.setPointTimeout(opts.pointTimeout);
     executor.setQuarantineDir(opts.quarantineDir);
     if (!opts.json) {
         executor.onProgress([](const SweepProgress &p) {
@@ -51,8 +50,13 @@ runSweep(const ToolApp &app, const ToolOptions &opts)
                 inform("sweep: %zu/%zu points done", p.done, p.total);
         });
     }
-    SweepReport report = executor.runReport(
-        SweepExecutor::chapter6Grid(opts.elements, opts.config));
+    std::vector<SweepRequest> grid =
+        SweepExecutor::chapter6Grid(opts.elements, opts.config);
+    if (opts.pointTimeout > 0.0) {
+        for (SweepRequest &req : grid)
+            req.limits.timeoutMillis = opts.pointTimeout;
+    }
+    SweepReport report = executor.runReport(grid);
     writeCsv(std::cout, report.points);
     if (opts.json) {
         // The CSV owns stdout under --sweep; the envelope goes to
@@ -65,12 +69,13 @@ runSweep(const ToolApp &app, const ToolOptions &opts)
         report.dumpJson(env.section("sweep").nested());
         env.traceSection(app);
     } else {
-        for (const PointFailure &f : report.failures) {
+        for (const TaskFailure &f : report.failures) {
+            const SweepPoint &p = report.points[f.index];
             warn("sweep point %zu (%s/%s stride %u alignment %u) "
                  "failed after %u attempts: %s",
-                 f.index, systemShortName(f.system),
-                 kernelSpec(f.kernel).name.c_str(), f.stride,
-                 f.alignment, f.attempts, f.error.c_str());
+                 f.index, systemShortName(p.system),
+                 kernelSpec(p.kernel).name.c_str(), p.stride,
+                 p.alignment, f.attempts, f.error.c_str());
         }
         for (const QuarantineRecord &q : report.quarantine) {
             if (q.capsulePath.empty()) {

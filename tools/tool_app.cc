@@ -281,6 +281,7 @@ ToolApp::parse(int argc, char **argv)
             const Spec *spec = find(arg);
             if (!spec)
                 usage("unknown option '" + arg + "'");
+            given.push_back(spec->name);
             if (!spec->takesValue) {
                 spec->apply(std::string());
                 continue;

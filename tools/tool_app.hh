@@ -161,6 +161,8 @@ class ToolApp
 
     const std::string &toolName() const { return name; }
     const TraceOptions &traceOptions() const { return trace; }
+    /** The flags parse() applied, in command-line order. */
+    const std::vector<std::string> &givenFlags() const { return given; }
 
     /**
      * Run the tool body under the standard try/catch (SimError and
@@ -194,6 +196,7 @@ class ToolApp
 
     std::string name;
     std::vector<Spec> specs;
+    std::vector<std::string> given;
     std::string positionalMetavar;
     std::function<void(const std::string &)> positionalHandler;
     SystemConfig *configToValidate = nullptr;
